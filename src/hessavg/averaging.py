@@ -166,10 +166,12 @@ def hutchinson_diag(hvp: Callable[[NDArray], NDArray], dim: int, config: Hutchin
     Draws Rademacher probes ``z`` and averages ``z * (H z)``; since
     ``z_i^2 = 1`` each entry is exactly unbiased, and the estimate is
     exact for diagonal ``H`` at any rank. Probes are reduced in draw
-    order, so results are deterministic given the stream.
+    order, so results are deterministic given the stream, which must be
+    supplied: a shared default would reuse the same probes on every call.
     """
-    rng = config.rng if config.rng is not None else np.random.default_rng(0)
-    z = rng.integers(0, 2, size=(dim, config.rank)).astype(float) * 2.0 - 1.0
+    if config.rng is None:
+        raise ValueError("hutchinson_diag needs a probe stream; set HutchinsonConfig.rng")
+    z = config.rng.integers(0, 2, size=(dim, config.rank)).astype(float) * 2.0 - 1.0
     hz = hvp(z)
     if hz.shape != z.shape:
         raise ValueError(f"hvp returned shape {hz.shape}, expected {z.shape}")

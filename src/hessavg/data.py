@@ -13,6 +13,7 @@ import bz2
 import hashlib
 import os
 import re
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,13 +223,12 @@ def _sha256_file(path: Path) -> str:
 
 
 def _download(url: str, dest: Path, timeout: float) -> None:
-    import requests
+    # Imported here: it loads the http and ssl stacks, which only a
+    # download needs. urlopen raises HTTPError on 4xx/5xx answers.
+    import urllib.request
 
-    with requests.get(url, stream=True, timeout=timeout) as resp:
-        resp.raise_for_status()
-        with dest.open("wb") as fh:
-            for chunk in resp.iter_content(chunk_size=1 << 20):
-                fh.write(chunk)
+    with urllib.request.urlopen(url, timeout=timeout) as resp, dest.open("wb") as fh:
+        shutil.copyfileobj(resp, fh, 1 << 20)
 
 
 def fetch_dataset(

@@ -134,6 +134,20 @@ class ExperimentConfig:
         mode = grad.get("mode", "fixed")
         if mode not in ("fixed", "geometric_epochs", "exact_norm_test", "approx_norm_test", "theoretical"):
             raise ConfigError(f"unknown gradient sampling mode {mode!r}")
+        if mode == "theoretical":
+            raise ConfigError(
+                "gradient sampling mode 'theoretical' needs problem constants, which configs cannot supply"
+            )
+        a_mode = grad.get("a_mode", "identity")
+        if a_mode not in ("identity", "inverse_hessian"):
+            raise ConfigError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
+        if a_mode == "inverse_hessian" and (
+            mode != "exact_norm_test" or self.method.get("name") not in ("fan", "subnewton")
+        ):
+            raise ConfigError(
+                "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; "
+                "it needs mode 'exact_norm_test' and method fan or subnewton"
+            )
         hess = self.sampling.get("hess", {})
         if hess.get("kind", "iid") not in ("iid", "cyclic"):
             raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")

@@ -64,6 +64,8 @@ __all__ = [
 METHODS = ("sgd", "adam", "subnewton", "fan", "dan", "dan2", "adahessian")
 SECOND_ORDER_METHODS = ("subnewton", "fan", "dan", "dan2", "adahessian")
 FULL_HESSIAN_DIM_LIMIT = 2048
+# Controller modes that read the full gradient at the current iterate.
+FULL_GRADIENT_MODES = ("exact_norm_test", "theoretical")
 DIVERGENCE_FACTOR = 1e6
 
 
@@ -418,6 +420,8 @@ def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
     """Weighting matrix for the exact norm test (None means identity)."""
     if ctx.a_mode == "identity":
         return None
+    if ctx.a_mode != "inverse_hessian":
+        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {ctx.a_mode!r}")
     method = ctx.method
     if method.name == "fan":
         h_tilde, _ = state.avg.modified(method.mu_tilde)
@@ -433,9 +437,15 @@ def _run_controller(
     state: OptState,
     g: NDArray,
     comps: Optional[NDArray],
+    full_grad: Optional[NDArray],
     theta: float,
     iota: float,
 ) -> None:
+    """Run the batch-size test or bound for this iteration.
+
+    ``full_grad`` is the full gradient at ``w_k``; the modes in
+    ``FULL_GRADIENT_MODES`` read it, the others get ``None``.
+    """
     mode = ctx.controller.mode
     if mode == "approx_norm_test":
         dev = comps - g
@@ -444,17 +454,15 @@ def _run_controller(
         passed = approx_norm_test(comps, g, theta, iota)
         ctx.controller.record_test(passed, variance, g_norm_sq, theta, iota)
     elif mode == "exact_norm_test":
-        grad_full = ctx.oracle.grad_full(state.w)
         weight = _norm_test_weight(ctx, state)
-        lhs = weighted_norm_sq(g - grad_full, weight)
-        rhs_norm = weighted_norm_sq(grad_full, weight)
+        lhs = weighted_norm_sq(g - full_grad, weight)
+        rhs_norm = weighted_norm_sq(full_grad, weight)
         passed = lhs <= theta**2 * rhs_norm + iota
         ctx.controller.record_test(passed, lhs, rhs_norm, theta, iota)
     elif mode == "theoretical":
         if ctx.constants is None:
             raise ValueError("theoretical controller mode requires problem constants")
-        grad_full = ctx.oracle.grad_full(state.w)
-        gsq = float(grad_full @ grad_full)
+        gsq = float(full_grad @ full_grad)
         n = ctx.oracle.n_components
         if n is None:
             required = required_size_stochastic(ctx.constants, 1.0, gsq, gsq, theta, iota)
@@ -479,11 +487,10 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     if ctx.controller.mode == "approx_norm_test":
         comps = oracle.component_grads(state.w, sample)
         g = comps.mean(axis=0)
+        f_batch = oracle.loss_sub(state.w, sample)
     else:
         comps = None
-        g = oracle.grad_sub(state.w, sample)
-    f_batch = oracle.loss_sub(state.w, sample)
-    grad_norm, dist = _snapshot(ctx, state, force_full=False)
+        f_batch, g = oracle.loss_grad_sub(state.w, sample)
 
     alpha, theta, iota = schedule_eval(ctx.schedules, state.k)
 
@@ -492,7 +499,17 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     # marks the run diverged and halts it.
     f0 = ctx.f0 if ctx.f0 is not None else f_batch
     threshold = f0 + ctx.divergence_factor * max(abs(f0), 1.0)
-    if not math.isfinite(f_batch) or f_batch > threshold:
+    diverged = not math.isfinite(f_batch) or f_batch > threshold
+
+    # One full pass at w_k at most, shared by the trace snapshot and the
+    # controller.
+    traced = state.k % ctx.trace_interval == 0
+    full_grad = None
+    if traced or (not diverged and ctx.controller.mode in FULL_GRADIENT_MODES):
+        full_grad = oracle.grad_full(state.w)
+    grad_norm, dist = _snapshot(ctx, state, full_grad if traced else None)
+
+    if diverged:
         state.diverged = True
     else:
         needs_hessian = ctx.method.uses_full_hessian or ctx.method.uses_diag_hessian
@@ -500,7 +517,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
             _update_hessian(ctx, state)
         p = _direction(ctx, state, g)
         if ctx.controller.adaptive:
-            _run_controller(ctx, state, g, comps, theta, iota)
+            _run_controller(ctx, state, g, comps, full_grad, theta, iota)
         w_new = state.w - alpha * p
         if not np.all(np.isfinite(w_new)):
             state.diverged = True
@@ -525,10 +542,15 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     return state, record
 
 
-def _snapshot(ctx: RunContext, state: OptState, force_full: bool) -> tuple[Optional[float], Optional[float]]:
-    grad_norm = None
-    if force_full or state.k % ctx.trace_interval == 0:
-        grad_norm = float(np.linalg.norm(ctx.oracle.grad_full(state.w)))
+def _snapshot(
+    ctx: RunContext, state: OptState, full_grad: Optional[NDArray]
+) -> tuple[Optional[float], Optional[float]]:
+    """Trace values at ``w_k``: the full-gradient norm and the distance to the optimum.
+
+    Either is ``None`` when ``full_grad`` is not given or the oracle knows
+    no optimum.
+    """
+    grad_norm = None if full_grad is None else float(np.linalg.norm(full_grad))
     dist = None
     opt = ctx.oracle.optimum()
     if opt is not None:
@@ -551,7 +573,7 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
         records.append(record)
     final_sample = ctx.oracle.draw_sample(ctx.rngs.get("gradient"), ctx.controller.current_size)
     f_final = ctx.oracle.loss_sub(state.w, final_sample)
-    grad_norm, dist = _snapshot(ctx, state, force_full=True)
+    grad_norm, dist = _snapshot(ctx, state, ctx.oracle.grad_full(state.w))
     records.append(
         TraceRecord(
             k=state.k,

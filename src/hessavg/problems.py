@@ -5,10 +5,15 @@ expectation problem where each "component" is a fresh random mask draw),
 l2-regularized logistic regression over a dataset, and a small synthetic
 strongly convex finite sum used as a convergence-rate testbed.
 
-All oracles are immutable after construction. Anything random (mask draws,
-batch index draws) is driven by an explicit ``numpy.random.Generator``
-passed by the caller, so concurrent evaluation with independent streams is
-safe.
+All oracles are immutable after construction, apart from the optimum,
+which is computed on the first :meth:`~FiniteSumOracle.optimum` call and
+cached. Anything random (mask draws, batch index draws) is driven by an
+explicit ``numpy.random.Generator`` passed by the caller, so concurrent
+evaluation with independent streams is safe.
+
+Full passes read the stored per-component arrays in place, never a gathered
+copy of all rows, and give the same floating-point results as the
+subsampled methods over every component.
 """
 
 from __future__ import annotations
@@ -93,6 +98,15 @@ class FiniteSumOracle(ABC):
     @abstractmethod
     def grad_sub(self, w: NDArray, sample) -> NDArray: ...
 
+    def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
+        """Batch loss and gradient at ``w`` over ``sample``, in one call.
+
+        Equal bit for bit to ``(loss_sub(w, sample), grad_sub(w, sample))``.
+        Oracles override it to compute the work the two values share
+        (margins, residuals, ``H_i w``) once.
+        """
+        return self.loss_sub(w, sample), self.grad_sub(w, sample)
+
     @abstractmethod
     def component_grads(self, w: NDArray, sample) -> NDArray:
         """Per-component gradients for ``sample``, stacked as rows."""
@@ -168,6 +182,7 @@ class QuadraticProblem(FiniteSumOracle):
         self.n_components = None
         # Row norms of A^2 enter the closed-form gradient noise.
         self._a_sq_diag = np.einsum("ij,ij->i", self.a, self.a)
+        self._optimum: Optional[tuple[NDArray, float]] = None
 
     # -- sampling ----------------------------------------------------------
 
@@ -186,17 +201,26 @@ class QuadraticProblem(FiniteSumOracle):
         aw = self.a @ w
         return sample.a_keep * aw - sample.b_keep * self.b
 
-    def loss_sub(self, w: NDArray, sample: MaskSample) -> float:
-        r = self._residuals(w, sample)
+    @staticmethod
+    def _loss_of(r: NDArray) -> float:
         return float(np.mean(np.sum(r * r, axis=1)))
+
+    def _grad_of(self, r: NDArray, sample: MaskSample) -> NDArray:
+        return (2.0 / sample.size) * self.a.T @ np.einsum("mi,mi->i", sample.a_keep, r)
+
+    def loss_sub(self, w: NDArray, sample: MaskSample) -> float:
+        return self._loss_of(self._residuals(w, sample))
 
     def component_grads(self, w: NDArray, sample: MaskSample) -> NDArray:
         r = self._residuals(w, sample)
         return 2.0 * (sample.a_keep * r) @ self.a
 
     def grad_sub(self, w: NDArray, sample: MaskSample) -> NDArray:
+        return self._grad_of(self._residuals(w, sample), sample)
+
+    def loss_grad_sub(self, w: NDArray, sample: MaskSample) -> tuple[float, NDArray]:
         r = self._residuals(w, sample)
-        return (2.0 / sample.size) * self.a.T @ np.einsum("mi,mi->i", sample.a_keep, r)
+        return self._loss_of(r), self._grad_of(r, sample)
 
     def hvp_sub(self, w: NDArray, sample: MaskSample, v: NDArray) -> NDArray:
         mean_keep = np.mean(sample.a_keep, axis=0)
@@ -225,8 +249,11 @@ class QuadraticProblem(FiniteSumOracle):
         return 2.0 * self.keep_prob * self.a.T @ self.a
 
     def optimum(self) -> tuple[NDArray, float]:
-        w_star = self.keep_prob * np.linalg.solve(self.a, self.b)
-        return w_star, self.loss_full(w_star)
+        if self._optimum is None:
+            w_star = self.keep_prob * np.linalg.solve(self.a, self.b)
+            w_star.flags.writeable = False
+            self._optimum = (w_star, self.loss_full(w_star))
+        return self._optimum
 
     def grad_noise_second_moment(self, w: NDArray) -> float:
         """Closed-form ``E ||grad_one_draw - grad_full||^2`` at ``w``.
@@ -295,7 +322,9 @@ class LogisticProblem(FiniteSumOracle):
             raise ValueError("labels must be in {-1, +1}")
         if x.shape[0] == 0:
             raise ValueError("empty dataset")
-        self.x = x
+        # C order, so the in-place full passes see the same layout as a
+        # gathered batch and round identically.
+        self.x = np.ascontiguousarray(x)
         self.y = y
         self.n = x.shape[0]
         self.dim = x.shape[1]
@@ -306,44 +335,52 @@ class LogisticProblem(FiniteSumOracle):
             raise ValueError(f"sample size {size} out of range [1, {self.n}]")
         return rng.choice(self.n, size=size, replace=False)
 
-    def _margins(self, w: NDArray, idx: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        xs = self.x[idx]
-        ys = self.y[idx]
+    def _margins(self, w: NDArray, sample: Optional[NDArray]) -> tuple[NDArray, NDArray, NDArray]:
+        """Rows, labels and margins ``y_i x_i.w``; ``None`` reads every row in place."""
+        if sample is None:
+            xs, ys = self.x, self.y
+        else:
+            sample = self._check_sample(sample)
+            xs, ys = self.x[sample], self.y[sample]
         return xs, ys, ys * (xs @ w)
 
-    def loss_sub(self, w: NDArray, sample: NDArray) -> float:
-        sample = self._check_sample(sample)
-        _, _, z = self._margins(w, sample)
+    def _loss_of(self, w: NDArray, z: NDArray) -> float:
         # log(1 + exp(-z)) evaluated stably for large |z|
         return float(np.mean(np.logaddexp(0.0, -z)) + (w @ w) / (2 * self.n))
 
-    def grad_sub(self, w: NDArray, sample: NDArray) -> NDArray:
-        sample = self._check_sample(sample)
-        xs, ys, z = self._margins(w, sample)
+    def _grad_of(self, w: NDArray, xs: NDArray, ys: NDArray, z: NDArray) -> NDArray:
         coeff = -ys * (1.0 - expit(z))
-        return (coeff @ xs) / sample.size + w / self.n
+        return (coeff @ xs) / ys.size + w / self.n
+
+    def loss_sub(self, w: NDArray, sample: NDArray) -> float:
+        return self._loss_of(w, self._margins(w, sample)[2])
+
+    def grad_sub(self, w: NDArray, sample: NDArray) -> NDArray:
+        return self._grad_of(w, *self._margins(w, sample))
+
+    def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
+        xs, ys, z = self._margins(w, sample)
+        return self._loss_of(w, z), self._grad_of(w, xs, ys, z)
 
     def component_grads(self, w: NDArray, sample: NDArray) -> NDArray:
-        sample = self._check_sample(sample)
         xs, ys, z = self._margins(w, sample)
         coeff = -ys * (1.0 - expit(z))
         return coeff[:, None] * xs + w / self.n
 
     def hvp_sub(self, w: NDArray, sample: NDArray, v: NDArray) -> NDArray:
-        sample = self._check_sample(sample)
-        xs, _, z = self._margins(w, sample)
+        xs, ys, z = self._margins(w, sample)
         s = expit(z)
         weight = s * (1.0 - s)
         xv = xs @ v
         if xv.ndim == 1:
-            return xs.T @ (weight * xv) / sample.size + v / self.n
-        return xs.T @ (weight[:, None] * xv) / sample.size + v / self.n
+            return xs.T @ (weight * xv) / ys.size + v / self.n
+        return xs.T @ (weight[:, None] * xv) / ys.size + v / self.n
 
     def loss_full(self, w: NDArray) -> float:
-        return self.loss_sub(w, np.arange(self.n))
+        return self._loss_of(w, self._margins(w, None)[2])
 
     def grad_full(self, w: NDArray) -> NDArray:
-        return self.grad_sub(w, np.arange(self.n))
+        return self._grad_of(w, *self._margins(w, None))
 
     def hessian_full(self, w: NDArray) -> NDArray:
         return self.hessian_sub(w, np.arange(self.n))
@@ -406,8 +443,9 @@ class SyntheticSumProblem(FiniteSumOracle):
         freq: float = 10.0,
         phases: Optional[NDArray] = None,
     ):
-        self.h = np.asarray(h, dtype=float)  # (N, d, d)
-        self.b = np.asarray(b, dtype=float)  # (N, d)
+        # C order, as for LogisticProblem.x: full passes read these in place.
+        self.h = np.ascontiguousarray(h, dtype=float)  # (N, d, d)
+        self.b = np.ascontiguousarray(b, dtype=float)  # (N, d)
         self.n_components = self.h.shape[0]
         self.dim = self.h.shape[1]
         self.curvature = float(curvature)
@@ -415,7 +453,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         if curvature > 0:
             if a is None:
                 raise ValueError("curvature > 0 requires ripple directions")
-            self.a_dirs = np.asarray(a, dtype=float)  # (N, J, d)
+            self.a_dirs = np.ascontiguousarray(a, dtype=float)  # (N, J, d)
             if self.a_dirs.ndim != 3:
                 raise ValueError("ripple directions must have shape (N, J, d)")
             self.phases = (
@@ -426,7 +464,7 @@ class SyntheticSumProblem(FiniteSumOracle):
             self.phases = np.zeros((self.n_components, 1))
         self._h_mean = self.h.mean(axis=0)
         self._b_mean = self.b.mean(axis=0)
-        self._w_star: Optional[NDArray] = None
+        self._optimum: Optional[tuple[NDArray, float]] = None
 
     @classmethod
     def generate(
@@ -493,28 +531,50 @@ class SyntheticSumProblem(FiniteSumOracle):
     def _ripple_args(self, w: NDArray, idx: NDArray) -> NDArray:
         return self.freq * (self.a_dirs[idx] @ w) + self.phases[idx]  # (m, J)
 
-    def loss_sub(self, w: NDArray, sample) -> float:
-        idx = np.asarray(sample)
-        hw = self.h[idx] @ w
-        val = 0.5 * np.mean(w @ hw.T) - np.mean(self.b[idx] @ w)
-        if self.curvature > 0:
-            t = self._ripple_args(w, idx)
+    def _terms(self, w: NDArray, sample) -> tuple[NDArray, NDArray, Optional[NDArray], Optional[NDArray]]:
+        """``H_i w``, ``b_i``, ripple arguments and ripple directions.
+
+        ``sample=None`` reads all N components in place. The ripple pair is
+        ``None`` when ``curvature == 0``.
+        """
+        if sample is None:
+            h, b, a, phases = self.h, self.b, self.a_dirs, self.phases
+        else:
+            idx = np.asarray(sample)
+            h, b, a, phases = self.h[idx], self.b[idx], self.a_dirs[idx], self.phases[idx]
+        if self.curvature == 0:
+            return h @ w, b, None, None
+        return h @ w, b, self.freq * (a @ w) + phases, a
+
+    def _loss_of(self, w: NDArray, terms: tuple) -> float:
+        hw, b, t, _ = terms
+        val = 0.5 * np.mean(w @ hw.T) - np.mean(b @ w)
+        if t is not None:
             # log(cosh(t)) = |t| + log1p(exp(-2|t|)) - log(2), overflow safe
             lc = np.abs(t) + np.log1p(np.exp(-2 * np.abs(t))) - np.log(2.0)
             val += (self.curvature / self.freq**2) * np.mean(lc)
         return float(val)
 
-    def component_grads(self, w: NDArray, sample) -> NDArray:
-        idx = np.asarray(sample)
-        grads = self.h[idx] @ w - self.b[idx]
-        if self.curvature > 0:
-            t = self._ripple_args(w, idx)
+    def _grads_of(self, terms: tuple) -> NDArray:
+        hw, b, t, a = terms
+        grads = hw - b
+        if t is not None:
             scale = self.curvature / (self.freq * t.shape[1])
-            grads = grads + scale * np.einsum("mj,mjd->md", np.tanh(t), self.a_dirs[idx])
+            grads = grads + scale * np.einsum("mj,mjd->md", np.tanh(t), a)
         return grads
 
+    def loss_sub(self, w: NDArray, sample) -> float:
+        return self._loss_of(w, self._terms(w, sample))
+
+    def component_grads(self, w: NDArray, sample) -> NDArray:
+        return self._grads_of(self._terms(w, sample))
+
     def grad_sub(self, w: NDArray, sample) -> NDArray:
-        return self.component_grads(w, sample).mean(axis=0)
+        return self._grads_of(self._terms(w, sample)).mean(axis=0)
+
+    def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
+        terms = self._terms(w, sample)
+        return self._loss_of(w, terms), self._grads_of(terms).mean(axis=0)
 
     def hvp_sub(self, w: NDArray, sample, v: NDArray) -> NDArray:
         idx = np.asarray(sample)
@@ -531,16 +591,16 @@ class SyntheticSumProblem(FiniteSumOracle):
         return out
 
     def loss_full(self, w: NDArray) -> float:
-        return self.loss_sub(w, np.arange(self.n_components))
+        return self._loss_of(w, self._terms(w, None))
 
     def grad_full(self, w: NDArray) -> NDArray:
-        return self.grad_sub(w, np.arange(self.n_components))
+        return self._grads_of(self._terms(w, None)).mean(axis=0)
 
     def hessian_full(self, w: NDArray) -> NDArray:
         return self.hessian_sub(w, np.arange(self.n_components))
 
     def optimum(self) -> tuple[NDArray, float]:
-        if self._w_star is None:
+        if self._optimum is None:
             w = np.linalg.solve(self._h_mean, self._b_mean)
             if self.curvature > 0:
                 # Polish with full Newton; the objective is smooth and
@@ -552,8 +612,9 @@ class SyntheticSumProblem(FiniteSumOracle):
                     w = w - step
                     if np.linalg.norm(g) < 1e-15:
                         break
-            self._w_star = w
-        return self._w_star, self.loss_full(self._w_star)
+            w.flags.writeable = False
+            self._optimum = (w, self.loss_full(w))
+        return self._optimum
 
 
 # ---------------------------------------------------------------------------

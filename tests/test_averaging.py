@@ -238,6 +238,10 @@ class TestHutchinson:
         with pytest.raises(ValueError):
             hutchinson_diag(lambda z: z * np.nan, 3, HutchinsonConfig(rank=1, rng=rng))
 
+    def test_missing_probe_stream_rejected(self):
+        with pytest.raises(ValueError, match="probe stream"):
+            hutchinson_diag(lambda z: z, 3, HutchinsonConfig(rank=1))
+
     def test_rank_validated(self):
         with pytest.raises(ValueError):
             HutchinsonConfig(rank=0)

@@ -11,6 +11,7 @@ from hessavg.data import (
     DatasetManifest,
     DatasetUnavailable,
     LibsvmParseError,
+    _download,
     fetch_dataset,
     parse_libsvm,
     serialize_libsvm,
@@ -144,6 +145,13 @@ class TestFetch:
         (root / "tiny.txt").unlink()
         again = fetch_dataset(manifest, tmp_path / "cache")
         assert again == out
+
+    def test_download_copies_a_file_url(self, tmp_path):
+        source = tmp_path / "tiny.txt"
+        source.write_bytes(self.PAYLOAD)
+        dest = tmp_path / "copy.txt"
+        _download(source.as_uri(), dest, timeout=2.0)
+        assert dest.read_bytes() == self.PAYLOAD
 
     def test_cached_file_never_downloads(self, tmp_path):
         manifest = self._manifest("http://nowhere.invalid/tiny.txt")

@@ -1,0 +1,130 @@
+"""Golden ``trace.csv`` digests: refactors must leave every trace byte-identical.
+
+Each config is small (d <= 20, n <= 400) and the set covers all seven
+methods, the fixed, geometric, exact and approximate gradient modes, both
+Hessian samplers, and the inverse-Hessian norm-test weighting. A change
+that alters floating-point results on purpose says so and re-pins these
+digests in the same change.
+"""
+
+import hashlib
+
+import pytest
+
+from hessavg.harness import ExperimentConfig, run_experiment
+
+ALPHA_05 = {"alpha": {"kind": "constant", "alpha": 0.5}}
+ONE = {"alpha": {"kind": "constant", "alpha": 1.0}}
+THETA_09 = {"theta": {"kind": "constant", "theta": 0.9}}
+SUM_20 = {"kind": "synthetic_sum", "n_components": 64, "d": 20, "curvature": 2.0, "coupling": 0.5, "seed": 2}
+
+GOLDEN = {
+    "sgd_quadratic_fixed": (
+        {
+            "problem": {"kind": "quadratic", "d": 12, "seed": 1},
+            "method": {"name": "sgd"},
+            "sampling": {"grad": {"mode": "fixed", "size": 16}},
+            "schedules": {"alpha": {"kind": "constant", "alpha": 0.05}},
+            "epochs": 0.4,
+            "trace_interval": 3,
+        },
+        "05b77087d0f4049b0a0524163920bc8bc73e0d80cca3ab4dd523c2054cbed200",
+    ),
+    "adam_logistic_geometric": (
+        {
+            "problem": {"kind": "synthetic_logistic", "n": 300, "d": 10, "seed": 1},
+            "method": {"name": "adam"},
+            "sampling": {"grad": {"mode": "geometric_epochs", "sizes": [10, 30, 60], "epochs_per_block": 1}},
+            "schedules": {"alpha": {"kind": "step_decay", "alpha0": 0.1, "factor": 0.5, "milestones": [20]}},
+            "epochs": 3,
+            "seed": 4,
+        },
+        "a920aa51664bed6c98584d79bc7f0dc97320d0a68787c4cc7bd71d548833a59a",
+    ),
+    "subnewton_sum_exact_inverse_hessian": (
+        {
+            "problem": SUM_20,
+            "method": {"name": "subnewton", "mu_tilde": 1e-3},
+            "sampling": {
+                "grad": {"mode": "exact_norm_test", "initial_size": 4, "a_mode": "inverse_hessian"},
+                "hess": {"kind": "iid", "size": 16},
+            },
+            "schedules": {**ONE, **THETA_09},
+            "epochs": 4,
+            "trace_interval": 1,
+        },
+        "2e7ffe38d8aaedddff2b2da08627e4d11d4de496f7a5005697a4496b7074b396",
+    ),
+    "fan_sum_cyclic_exact_inverse_hessian": (
+        {
+            "problem": SUM_20,
+            "method": {"name": "fan", "mu_tilde": 1e-4},
+            "sampling": {
+                "grad": {"mode": "exact_norm_test", "initial_size": 4, "a_mode": "inverse_hessian"},
+                "hess": {"kind": "cyclic", "size": 8},
+            },
+            "schedules": {**ONE, **THETA_09},
+            "epochs": 10,
+            "seed": 3,
+        },
+        "b40b2687c0d13c7c41b8cdbaae1f6c80bdfbd49ede07316b2c997d3e584e6e7d",
+    ),
+    "fan_abs_logistic_exact_decaying": (
+        {
+            "problem": {"kind": "synthetic_logistic", "n": 400, "d": 12, "seed": 0},
+            "method": {"name": "fan", "variant": "abs", "weights": "decaying", "decay": 0.9, "mu_tilde": 1e-3},
+            "sampling": {
+                "grad": {"mode": "exact_norm_test", "initial_size": 8},
+                "hess": {"kind": "iid", "size": 40},
+                "policy": {"warmup": 3, "hf": 2},
+            },
+            "schedules": {"alpha": {"kind": "two_phase", "alpha_global": 0.5, "k_switch": 10}, **THETA_09},
+            "epochs": 3,
+            "trace_interval": 2,
+        },
+        "55cc08c04e2ca5868960fdb6805faf3395614bcd5e2d5811b92e0257c9deb561",
+    ),
+    "dan_logistic_approx": (
+        {
+            "problem": {"kind": "synthetic_logistic", "n": 400, "d": 12, "seed": 3},
+            "method": {"name": "dan", "rank": 2, "eps": 1e-2},
+            "sampling": {"grad": {"mode": "approx_norm_test", "initial_size": 8}, "hess": {"kind": "iid", "size": 40}},
+            "schedules": {**ONE, "theta": {"kind": "constant", "theta": 2.0}},
+            "epochs": 8,
+            "seed": 1,
+        },
+        "e81ad3e7adc6fa741d92a8fb11b1510eeaab13f724c488126038579283163c7f",
+    ),
+    "dan2_quadratic_approx_near_optimum": (
+        {
+            "problem": {"kind": "quadratic", "d": 16, "seed": 2},
+            "method": {"name": "dan2", "weights": "decaying", "decay": 0.95, "eps": 1e-3},
+            "sampling": {
+                "grad": {"mode": "approx_norm_test", "initial_size": 8, "cap": 256},
+                "hess": {"kind": "iid", "size": 8},
+            },
+            "schedules": {**ALPHA_05, "iota": {"kind": "geometric", "iota0": 1e-3, "a": 0.9}},
+            "init": {"kind": "near_optimum", "radius": 0.5},
+            "epochs": 0.3,
+        },
+        "b94dbb5d48c2238a731ec14fa3fc7b4b2378426a89d0d2e80b686078b0f10989",
+    ),
+    "adahessian_sum_cyclic_fixed": (
+        {
+            "problem": {"kind": "synthetic_sum", "n_components": 32, "d": 8, "curvature": 1.0, "seed": 5},
+            "method": {"name": "adahessian", "rank": 1},
+            "sampling": {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "cyclic", "size": 8, "seed": 7}},
+            "schedules": {"alpha": {"kind": "constant", "alpha": 0.05}},
+            "epochs": 4,
+            "rolling_f": 3,
+        },
+        "9bee845cba159678722eadca1928b322cb109d79cc2d8197af9768d4303a7548",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_matches_golden_digest(name, tmp_path):
+    raw, digest = GOLDEN[name]
+    run_experiment(ExperimentConfig.from_dict(raw), out_dir=str(tmp_path))
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest

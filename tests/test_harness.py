@@ -46,6 +46,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(sampling={"grad": {"mode": "psychic"}})
 
+    def test_misspelt_a_mode_rejected(self):
+        grad = {"mode": "exact_norm_test", "initial_size": 8, "a_mode": "inverse_hesian"}
+        with pytest.raises(ConfigError, match="a_mode"):
+            base_config(sampling={"grad": grad})
+
+    @pytest.mark.parametrize(
+        "method, mode",
+        [("dan", "exact_norm_test"), ("fan", "approx_norm_test"), ("subnewton", "fixed")],
+    )
+    def test_inverse_hessian_needs_exact_test_and_full_matrix(self, method, mode):
+        grad = {"mode": mode, "initial_size": 8, "a_mode": "inverse_hessian"}
+        with pytest.raises(ConfigError, match="inverse_hessian"):
+            base_config(method={"name": method}, sampling={"grad": grad})
+
+    def test_theoretical_mode_rejected(self):
+        with pytest.raises(ConfigError, match="theoretical"):
+            base_config(sampling={"grad": {"mode": "theoretical"}})
+
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()
         assert base_config().hash() != base_config(seed=1).hash()

@@ -285,3 +285,38 @@ class TestStepBehavior:
         epochs = records[-1].epoch
         formula = eec(epochs, rank=rank, hessian_freq=hf)
         assert abs(records[-1].eec - formula) <= 2 * rank / hf + 1e-9
+
+
+class _CountingQuadratic(QuadraticProblem):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grad_full_calls = 0
+
+    def grad_full(self, w):
+        self.grad_full_calls += 1
+        return super().grad_full(w)
+
+
+def _exact_test_ctx(oracle, method, a_mode="identity"):
+    ctx = make_ctx(oracle, method, alpha=0.5, trace_interval=1, a_mode=a_mode)
+    ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=4, cap=64)
+    ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.9), IotaGeometric(0.0, 0.0))
+    return ctx
+
+
+class TestFullGradientSharing:
+    def test_one_full_gradient_per_iterate(self):
+        base = quadratic_generate(d=8, seed=1)
+        prob = _CountingQuadratic(base.a, base.b, base.keep_prob)
+        ctx = _exact_test_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3))
+        state, records = run(ctx, np.ones(8), epochs=0.2)
+        assert state.k == 20
+        # the norm test and the snapshot share one pass, plus the final record
+        assert prob.grad_full_calls == state.k + 1
+        assert all(r.grad_norm is not None for r in records)
+
+    def test_unknown_a_mode_rejected(self):
+        prob = quadratic_generate(d=8, seed=1)
+        ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hesian")
+        with pytest.raises(ValueError, match="a_mode"):
+            run(ctx, np.ones(8), epochs=0.05)

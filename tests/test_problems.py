@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hessavg.problems import (
+    FiniteSumOracle,
     LogisticProblem,
     ProblemConstants,
     QuadraticProblem,
@@ -322,3 +323,66 @@ class TestConstants:
     def test_nonnegative_fields(self):
         with pytest.raises(ValueError):
             ProblemConstants(sigma2_g=-1.0)
+
+
+def _oracle_cases():
+    x, y = make_synthetic_logistic(n=120, d=7, seed=5)
+    return {
+        "quadratic": quadratic_generate(d=9, keep_prob=0.6, seed=4),
+        "logistic": LogisticProblem(x, y),
+        "sum_quadratic": SyntheticSumProblem.generate(24, 6, seed=3),
+        "sum_ripple": SyntheticSumProblem.generate(24, 6, seed=3, curvature=2.0, coupling=0.5),
+    }
+
+
+class _DefaultFused(LogisticProblem):
+    """Keeps the base-class ``loss_grad_sub``, which calls the two methods."""
+
+    loss_grad_sub = FiniteSumOracle.loss_grad_sub
+
+
+class TestOnePassPerDatum:
+    @pytest.mark.parametrize("name", ["quadratic", "logistic", "sum_quadratic", "sum_ripple", "default"])
+    def test_loss_grad_sub_is_bitwise_the_two_calls(self, name):
+        if name == "default":
+            oracle = _DefaultFused(*make_synthetic_logistic(n=50, d=4, seed=1))
+        else:
+            oracle = _oracle_cases()[name]
+        rng = rng_mod.stream(6, "gradient")
+        w = rng.standard_normal(oracle.dim)
+        sample = oracle.draw_sample(rng, 11)
+        loss, grad = oracle.loss_grad_sub(w, sample)
+        assert loss == oracle.loss_sub(w, sample)
+        assert np.array_equal(grad, oracle.grad_sub(w, sample))
+
+    @pytest.mark.parametrize("name", ["logistic", "sum_quadratic", "sum_ripple"])
+    def test_full_passes_bitwise_equal_sub_passes_over_all(self, name):
+        oracle = _oracle_cases()[name]
+        every = np.arange(oracle.n_components)
+        for seed in range(3):
+            w = rng_mod.stream(seed, "init").standard_normal(oracle.dim)
+            assert oracle.loss_full(w) == oracle.loss_sub(w, every)
+            assert np.array_equal(oracle.grad_full(w), oracle.grad_sub(w, every))
+
+    def test_full_passes_read_fortran_ordered_data_like_a_gather(self):
+        x, y = make_synthetic_logistic(n=200, d=9, seed=7)
+        oracle = LogisticProblem(np.asfortranarray(x), y)
+        w = rng_mod.stream(0, "init").standard_normal(9)
+        every = np.arange(200)
+        assert oracle.loss_full(w) == oracle.loss_sub(w, every)
+        assert np.array_equal(oracle.grad_full(w), oracle.grad_sub(w, every))
+
+    @pytest.mark.parametrize("name", ["quadratic", "sum_ripple"])
+    def test_second_optimum_call_computes_nothing(self, name, monkeypatch):
+        oracle = _oracle_cases()[name]
+        calls = []
+        for attr in ("loss_full", "grad_full"):
+            original = getattr(oracle, attr)
+            monkeypatch.setattr(oracle, attr, lambda w, f=original, a=attr: calls.append(a) or f(w))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, s=np.linalg.solve: calls.append("solve") or s(*a))
+        first = oracle.optimum()
+        assert "loss_full" in calls and "solve" in calls
+        calls.clear()
+        assert oracle.optimum() is first
+        assert calls == []
+        assert not first[0].flags.writeable
