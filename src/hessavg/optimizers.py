@@ -362,17 +362,11 @@ class RunContext:
         return (state.grad_samples + 2.0 * state.hess_sample_units) / n
 
 
-def _sample_size(sample) -> int:
-    if hasattr(sample, "size") and not isinstance(sample, np.ndarray):
-        return sample.size
-    return len(sample)
-
-
 def _update_hessian(ctx: RunContext, state: OptState) -> None:
     method = ctx.method
     oracle = ctx.oracle
     s_sample = ctx.hess_sampler.next_block(oracle, ctx.rngs.get("hessian"))
-    s_size = _sample_size(s_sample)
+    s_size = s_sample.size
     state.last_s_size = s_size
     if method.uses_full_hessian:
         h = oracle.hessian_sub(state.w, s_sample)
@@ -484,12 +478,20 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     x_size = ctx.controller.size(ctx.epoch_of(state))
     sample = oracle.draw_sample(ctx.rngs.get("gradient"), x_size)
 
+    # One full pass at w_k at most, shared by the trace snapshot and the
+    # controller. Outside the approximate norm test, which needs the
+    # per-component gradients, the batch values come out of that pass.
+    traced = state.k % ctx.trace_interval == 0
+    comps = full_grad = None
     if ctx.controller.mode == "approx_norm_test":
         comps = oracle.component_grads(state.w, sample)
         g = comps.mean(axis=0)
         f_batch = oracle.loss_sub(state.w, sample)
+        if traced:
+            full_grad = oracle.grad_full(state.w)
+    elif traced or ctx.controller.mode in FULL_GRADIENT_MODES:
+        f_batch, g, full_grad = oracle.loss_grad_sub_full(state.w, sample)
     else:
-        comps = None
         f_batch, g = oracle.loss_grad_sub(state.w, sample)
 
     alpha, theta, iota = schedule_eval(ctx.schedules, state.k)
@@ -501,12 +503,6 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     threshold = f0 + ctx.divergence_factor * max(abs(f0), 1.0)
     diverged = not math.isfinite(f_batch) or f_batch > threshold
 
-    # One full pass at w_k at most, shared by the trace snapshot and the
-    # controller.
-    traced = state.k % ctx.trace_interval == 0
-    full_grad = None
-    if traced or (not diverged and ctx.controller.mode in FULL_GRADIENT_MODES):
-        full_grad = oracle.grad_full(state.w)
     grad_norm, dist = _snapshot(ctx, state, full_grad if traced else None)
 
     if diverged:
@@ -572,8 +568,8 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
         state, record = step(ctx, state)
         records.append(record)
     final_sample = ctx.oracle.draw_sample(ctx.rngs.get("gradient"), ctx.controller.current_size)
-    f_final = ctx.oracle.loss_sub(state.w, final_sample)
-    grad_norm, dist = _snapshot(ctx, state, ctx.oracle.grad_full(state.w))
+    f_final, _, full_grad = ctx.oracle.loss_grad_sub_full(state.w, final_sample)
+    grad_norm, dist = _snapshot(ctx, state, full_grad)
     records.append(
         TraceRecord(
             k=state.k,

@@ -13,7 +13,10 @@ evaluation with independent streams is safe.
 
 Full passes read the stored per-component arrays in place, never a gathered
 copy of all rows, and give the same floating-point results as the
-subsampled methods over every component.
+subsampled methods over every component. When a caller needs the full
+gradient anyway, :meth:`~FiniteSumOracle.loss_grad_sub_full` may read the
+batch loss and gradient out of that one full pass instead of gathering the
+batch rows a second time.
 """
 
 from __future__ import annotations
@@ -107,6 +110,18 @@ class FiniteSumOracle(ABC):
         """
         return self.loss_sub(w, sample), self.grad_sub(w, sample)
 
+    def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
+        """Batch loss, batch gradient and full gradient at ``w``.
+
+        Equal bit for bit to ``(*loss_grad_sub(w, sample), grad_full(w))``.
+        An oracle whose per-component terms round the same whether computed
+        over all components or over a gathered batch overrides it to read
+        the batch out of the one full pass. ``LogisticProblem`` keeps this
+        default: its margins from the full ``X @ w`` can differ in the last
+        bits from those of the gathered ``X[sample] @ w``.
+        """
+        return (*self.loss_grad_sub(w, sample), self.grad_full(w))
+
     @abstractmethod
     def component_grads(self, w: NDArray, sample) -> NDArray:
         """Per-component gradients for ``sample``, stacked as rows."""
@@ -130,6 +145,20 @@ class FiniteSumOracle(ABC):
     def optimum(self) -> Optional[tuple[NDArray, float]]:
         """Known minimizer and optimal value, when available."""
         return None
+
+
+def _check_indices(sample, n: int) -> NDArray:
+    """``sample`` as an index array into ``range(n)``.
+
+    Rejects an empty sample and any index outside ``[0, n)``, which fancy
+    indexing would otherwise wrap (``-1``) or turn into a ``nan`` mean.
+    """
+    sample = np.asarray(sample)
+    if sample.size == 0:
+        raise ValueError("empty sample")
+    if sample.min() < 0 or sample.max() >= n:
+        raise ValueError("sample indices out of range")
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +369,7 @@ class LogisticProblem(FiniteSumOracle):
         if sample is None:
             xs, ys = self.x, self.y
         else:
-            sample = self._check_sample(sample)
+            sample = _check_indices(sample, self.n)
             xs, ys = self.x[sample], self.y[sample]
         return xs, ys, ys * (xs @ w)
 
@@ -389,14 +418,6 @@ class LogisticProblem(FiniteSumOracle):
         """Cheap analytic bounds: mu = 1/n and L <= max ||x||^2 / 4 + 1/n."""
         l_bound = float(np.max(np.einsum("ij,ij->i", self.x, self.x)) / 4 + 1 / self.n)
         return ProblemConstants(mu=1.0 / self.n, L=l_bound, mu_tilde=1.0 / (2 * self.n))
-
-    def _check_sample(self, sample) -> NDArray:
-        sample = np.asarray(sample)
-        if sample.size == 0:
-            raise ValueError("empty sample")
-        if sample.min() < 0 or sample.max() >= self.n:
-            raise ValueError("sample indices out of range")
-        return sample
 
 
 def make_synthetic_logistic(
@@ -540,7 +561,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         if sample is None:
             h, b, a, phases = self.h, self.b, self.a_dirs, self.phases
         else:
-            idx = np.asarray(sample)
+            idx = _check_indices(sample, self.n_components)
             h, b, a, phases = self.h[idx], self.b[idx], self.a_dirs[idx], self.phases[idx]
         if self.curvature == 0:
             return h @ w, b, None, None
@@ -576,8 +597,19 @@ class SyntheticSumProblem(FiniteSumOracle):
         terms = self._terms(w, sample)
         return self._loss_of(w, terms), self._grads_of(terms).mean(axis=0)
 
+    def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
+        # Each row of H w, of the ripple arguments and of the component
+        # gradients rounds the same in the full pass as in a gathered
+        # batch, so the batch values are those rows, indexed.
+        idx = _check_indices(sample, self.n_components)
+        terms = self._terms(w, None)
+        hw, b, t, _ = terms
+        grads = self._grads_of(terms)
+        batch = (hw[idx], b[idx], None if t is None else t[idx], None)
+        return self._loss_of(w, batch), grads[idx].mean(axis=0), grads.mean(axis=0)
+
     def hvp_sub(self, w: NDArray, sample, v: NDArray) -> NDArray:
-        idx = np.asarray(sample)
+        idx = _check_indices(sample, self.n_components)
         h = self.h[idx].mean(axis=0)
         out = h @ v
         if self.curvature > 0:

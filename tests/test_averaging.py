@@ -8,6 +8,7 @@ from hessavg.averaging import (
     FullAverageState,
     HutchinsonConfig,
     UpdateFrequencyPolicy,
+    _Accumulator,
     decaying_step,
     hutchinson_diag,
 )
@@ -182,6 +183,19 @@ class TestDecayingStep:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             decaying_step(0.0, 1.0, beta2=1.0, k=1)
+
+    @pytest.mark.parametrize("decay", [0.05, 0.5, 0.9, 0.999])
+    def test_matches_the_accumulator(self, decay):
+        # the averaging states' lazily corrected EMA and the closed-form step
+        # are two definitions of one average
+        rng = np.random.default_rng(11)
+        acc = _Accumulator(decay)
+        corrected = 0.0
+        for k in range(1, 51):
+            d_new = rng.standard_normal(5)
+            acc.update(d_new)
+            corrected = decaying_step(corrected, d_new, decay, k)
+            np.testing.assert_allclose(acc.value(), corrected, rtol=1e-12, atol=0)
 
 
 class TestHutchinson:

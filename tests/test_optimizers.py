@@ -297,6 +297,24 @@ class _CountingQuadratic(QuadraticProblem):
         return super().grad_full(w)
 
 
+class _CountingSum(SyntheticSumProblem):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = {"loss_grad_sub": 0, "grad_full": 0, "loss_grad_sub_full": 0}
+
+    def loss_grad_sub(self, w, sample):
+        self.calls["loss_grad_sub"] += 1
+        return super().loss_grad_sub(w, sample)
+
+    def grad_full(self, w):
+        self.calls["grad_full"] += 1
+        return super().grad_full(w)
+
+    def loss_grad_sub_full(self, w, sample):
+        self.calls["loss_grad_sub_full"] += 1
+        return super().loss_grad_sub_full(w, sample)
+
+
 def _exact_test_ctx(oracle, method, a_mode="identity"):
     ctx = make_ctx(oracle, method, alpha=0.5, trace_interval=1, a_mode=a_mode)
     ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=4, cap=64)
@@ -314,6 +332,15 @@ class TestFullGradientSharing:
         # the norm test and the snapshot share one pass, plus the final record
         assert prob.grad_full_calls == state.k + 1
         assert all(r.grad_norm is not None for r in records)
+
+    def test_batch_read_from_the_full_pass(self):
+        # curvature 0: the optimum is one solve, with no Newton-polish gradients
+        prob = _CountingSum.generate(n_components=64, d=6, seed=2)
+        ctx = _exact_test_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3))
+        ctx.trace_interval = 5
+        state, records = run(ctx, np.ones(6), epochs=3)
+        assert state.k > 5
+        assert prob.calls == {"loss_grad_sub": 0, "grad_full": 0, "loss_grad_sub_full": state.k + 1}
 
     def test_unknown_a_mode_rejected(self):
         prob = quadratic_generate(d=8, seed=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessavg.problems import (
     FiniteSumOracle,
@@ -386,3 +388,65 @@ class TestOnePassPerDatum:
         assert oracle.optimum() is first
         assert calls == []
         assert not first[0].flags.writeable
+
+
+_SUMS = {
+    "quadratic": SyntheticSumProblem.generate(24, 6, seed=3),
+    "ripple": SyntheticSumProblem.generate(24, 6, seed=3, curvature=2.0, coupling=0.5),
+}
+
+
+class TestBatchFromFullPass:
+    @given(kind=st.sampled_from(sorted(_SUMS)), size=st.integers(1, 24), seed=st.integers(0, 2**16))
+    @example(kind="quadratic", size=24, seed=0)
+    @example(kind="ripple", size=24, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_synthetic_sum_is_bitwise_the_separate_calls(self, kind, size, seed):
+        oracle = _SUMS[kind]
+        rng = rng_mod.stream(seed, "gradient")
+        w = rng.standard_normal(oracle.dim)
+        sample = oracle.draw_sample(rng, size)
+        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
+        ref_loss, ref_grad = oracle.loss_grad_sub(w, sample)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(full, oracle.grad_full(w))
+
+    @pytest.mark.parametrize("name", ["quadratic", "logistic"])
+    def test_default_is_bitwise_the_separate_calls(self, name):
+        oracle = _oracle_cases()[name]
+        assert type(oracle).loss_grad_sub_full is FiniteSumOracle.loss_grad_sub_full
+        rng = rng_mod.stream(2, "gradient")
+        w = rng.standard_normal(oracle.dim)
+        sample = oracle.draw_sample(rng, 11)
+        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
+        ref_loss, ref_grad = oracle.loss_grad_sub(w, sample)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(full, oracle.grad_full(w))
+
+
+def _sum_sample_calls(oracle):
+    w = np.zeros(oracle.dim)
+    return {
+        "loss_sub": lambda s: oracle.loss_sub(w, s),
+        "grad_sub": lambda s: oracle.grad_sub(w, s),
+        "component_grads": lambda s: oracle.component_grads(w, s),
+        "hvp_sub": lambda s: oracle.hvp_sub(w, s, np.ones(oracle.dim)),
+        "loss_grad_sub_full": lambda s: oracle.loss_grad_sub_full(w, s),
+    }
+
+
+class TestSyntheticSumSampleValidation:
+    @pytest.mark.parametrize("kind", sorted(_SUMS))
+    @pytest.mark.parametrize("bad", [[-1], [0, 24]])
+    def test_out_of_range_index_rejected(self, kind, bad):
+        for call in _sum_sample_calls(_SUMS[kind]).values():
+            with pytest.raises(ValueError, match="out of range"):
+                call(np.array(bad))
+
+    @pytest.mark.parametrize("kind", sorted(_SUMS))
+    def test_empty_sample_rejected(self, kind):
+        for call in _sum_sample_calls(_SUMS[kind]).values():
+            with pytest.raises(ValueError, match="empty"):
+                call(np.array([], dtype=int))
