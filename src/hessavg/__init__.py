@@ -49,7 +49,9 @@ from .sampling import (
     CyclicSampler,
     GradSampleController,
     IidSampler,
+    approx_norm_terms,
     approx_norm_test,
+    exact_norm_terms,
     exact_norm_test,
     required_size_deterministic,
     required_size_stochastic,

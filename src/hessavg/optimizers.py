@@ -28,11 +28,12 @@ from .averaging import (
     UpdateFrequencyPolicy,
     hutchinson_diag,
 )
-from .linalg import pd_modify, spd_solve, weighted_norm_sq
+from .linalg import pd_modify, spd_solve
 from .problems import FiniteSumOracle, ProblemConstants
 from .sampling import (
     GradSampleController,
-    approx_norm_test,
+    approx_norm_terms,
+    exact_norm_terms,
     required_size_deterministic,
     required_size_stochastic,
 )
@@ -441,16 +442,11 @@ def _run_controller(
     ``FULL_GRADIENT_MODES`` read it, the others get ``None``.
     """
     mode = ctx.controller.mode
-    if mode == "approx_norm_test":
-        dev = comps - g
-        variance = float(np.mean(np.sum(dev * dev, axis=1)))
-        g_norm_sq = float(g @ g)
-        passed = approx_norm_test(comps, g, theta, iota)
-        ctx.controller.record_test(passed, variance, g_norm_sq, theta, iota)
-    elif mode == "exact_norm_test":
-        weight = _norm_test_weight(ctx, state)
-        lhs = weighted_norm_sq(g - full_grad, weight)
-        rhs_norm = weighted_norm_sq(full_grad, weight)
+    if mode in ("approx_norm_test", "exact_norm_test"):
+        if mode == "approx_norm_test":
+            lhs, rhs_norm = approx_norm_terms(comps, g)
+        else:
+            lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
         passed = lhs <= theta**2 * rhs_norm + iota
         ctx.controller.record_test(passed, lhs, rhs_norm, theta, iota)
     elif mode == "theoretical":

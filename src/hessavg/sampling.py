@@ -26,7 +26,9 @@ __all__ = [
     "CyclicSampler",
     "IidSampler",
     "GradSampleController",
+    "exact_norm_terms",
     "exact_norm_test",
+    "approx_norm_terms",
     "approx_norm_test",
     "required_size_stochastic",
     "required_size_deterministic",
@@ -80,14 +82,11 @@ class IidSampler:
 # ---------------------------------------------------------------------------
 
 
-def exact_norm_test(
-    g: NDArray,
-    grad_full: NDArray,
-    theta: float,
-    iota: float,
-    inverse_of: Optional[NDArray] = None,
-) -> bool:
-    """Check ``||g - grad_full||_A^2 <= theta^2 ||grad_full||_A^2 + iota``.
+def exact_norm_terms(
+    g: NDArray, grad_full: NDArray, inverse_of: Optional[NDArray] = None
+) -> tuple[float, float]:
+    """The two sides of the exact norm test, ``(||g - grad_full||_A^2,
+    ||grad_full||_A^2)``.
 
     ``inverse_of`` selects the weighting: ``None`` for the Euclidean norm,
     or a symmetric positive-definite matrix ``H`` for the ``H^{-1}``
@@ -97,9 +96,32 @@ def exact_norm_test(
     grad_full = np.asarray(grad_full, dtype=float)
     if g.shape != grad_full.shape:
         raise ValueError(f"shape mismatch: {g.shape} vs {grad_full.shape}")
-    lhs = weighted_norm_sq(g - grad_full, inverse_of)
-    rhs = theta**2 * weighted_norm_sq(grad_full, inverse_of) + iota
-    return bool(lhs <= rhs)
+    return weighted_norm_sq(g - grad_full, inverse_of), weighted_norm_sq(grad_full, inverse_of)
+
+
+def exact_norm_test(
+    g: NDArray,
+    grad_full: NDArray,
+    theta: float,
+    iota: float,
+    inverse_of: Optional[NDArray] = None,
+) -> bool:
+    """Check ``||g - grad_full||_A^2 <= theta^2 ||grad_full||_A^2 + iota``;
+    see :func:`exact_norm_terms` for the weighting."""
+    lhs, rhs_norm = exact_norm_terms(g, grad_full, inverse_of)
+    return bool(lhs <= theta**2 * rhs_norm + iota)
+
+
+def approx_norm_terms(component_grads: NDArray, g_batch: NDArray) -> tuple[float, float]:
+    """The two sides of the approximate norm test, ``(mean_i ||grad_i -
+    g_batch||^2, ||g_batch||^2)``, where ``g_batch`` is the mean of the
+    component gradients."""
+    grads = np.asarray(component_grads, dtype=float)
+    if grads.ndim != 2 or grads.shape[0] == 0:
+        raise ValueError("component_grads must be a nonempty (m, d) array")
+    g_batch = np.asarray(g_batch, dtype=float)
+    dev = grads - g_batch
+    return float(np.mean(np.sum(dev * dev, axis=1))), float(g_batch @ g_batch)
 
 
 def approx_norm_test(
@@ -108,15 +130,10 @@ def approx_norm_test(
     """Sample-variance surrogate for the norm test, Euclidean weighting.
 
     Checks ``mean_i ||grad_i - g_batch||^2 <= theta^2 ||g_batch||^2 +
-    iota`` where ``g_batch`` is the mean of the component gradients.
+    iota``; see :func:`approx_norm_terms`.
     """
-    grads = np.asarray(component_grads, dtype=float)
-    if grads.ndim != 2 or grads.shape[0] == 0:
-        raise ValueError("component_grads must be a nonempty (m, d) array")
-    dev = grads - np.asarray(g_batch, dtype=float)
-    variance = float(np.mean(np.sum(dev * dev, axis=1)))
-    rhs = theta**2 * float(g_batch @ g_batch) + iota
-    return variance <= rhs
+    variance, g_norm_sq = approx_norm_terms(component_grads, g_batch)
+    return variance <= theta**2 * g_norm_sq + iota
 
 
 def required_size_stochastic(

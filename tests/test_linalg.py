@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hessavg import linalg
 from hessavg.linalg import (
     NotPositiveDefiniteError,
+    check_symmetric,
     matrix_abs,
     pd_modify,
     spd_solve,
@@ -121,6 +125,111 @@ class TestPdModify:
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(ValueError):
             pd_modify(np.eye(2), 0.0)
+
+
+def eigen_rebuild(h_hat, mu_tilde):
+    """Reference for pd_modify: |H| rebuilt from the full eigenpairs,
+    shifted up to the floor if needed."""
+    vals, vecs = np.linalg.eigh(check_symmetric(h_hat))
+    abs_vals = np.abs(vals)
+    if abs_vals.min() < mu_tilde:
+        abs_vals = abs_vals + (mu_tilde - abs_vals.min())
+    out = (vecs * abs_vals) @ vecs.T
+    return 0.5 * (out + out.T)
+
+
+# |lambda| / mu_tilde, kept 1e-6 away from 1 so that eigensolver rounding
+# cannot move an eigenvalue across the floor.
+ABOVE = st.floats(1.0 + 1e-6, 1e3)
+BELOW = st.floats(1e-3, 1.0 - 1e-6)
+SIGNED = (ABOVE | BELOW).flatmap(lambda r: st.sampled_from([r, -r]))
+
+
+@st.composite
+def spectra(draw):
+    """(mu_tilde, eigenvalues, orthogonal seed): spectra above the floor,
+    straddling it with all eigenvalues positive, or indefinite."""
+    d = draw(st.integers(2, 8))
+    mu = draw(st.floats(1e-3, 1.0))
+    kind = draw(st.sampled_from(["above", "straddling", "indefinite"]))
+    if kind == "above":
+        ratios = draw(st.lists(ABOVE, min_size=d, max_size=d))
+    elif kind == "straddling":
+        ratios = [draw(BELOW), draw(ABOVE)] + draw(st.lists(ABOVE | BELOW, min_size=d - 2, max_size=d - 2))
+    else:
+        ratios = [-draw(ABOVE | BELOW)] + draw(st.lists(SIGNED, min_size=d - 1, max_size=d - 1))
+    return mu, mu * np.array(ratios), draw(st.integers(0, 2**32 - 1))
+
+
+def from_spectrum(vals, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((vals.size, vals.size)))
+    return (q * vals) @ q.T
+
+
+class TestPdFloorProperties:
+    @given(spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_floor_invariants(self, case):
+        mu, vals, seed = case
+        h_hat = from_spectrum(vals, seed)
+        out, shifted = pd_modify(h_hat, mu)
+        assert shifted == (np.abs(vals).min() < mu)
+        if vals.min() >= mu:
+            # fast path: the symmetrized input itself, in a fresh array
+            assert out.tobytes() == check_symmetric(h_hat).tobytes()
+            assert not np.shares_memory(out, h_hat)
+        norm = np.abs(vals).max()
+        assert np.max(np.abs(out - eigen_rebuild(h_hat, mu))) <= 1e-10 * norm
+        assert np.linalg.eigvalsh(out)[0] >= mu * (1 - 1e-10)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.floats(-1e300, 1e300), min_size=d * d, max_size=d * d).map(
+            lambda xs: np.array(xs).reshape(d, d))))
+    @settings(max_examples=200, deadline=None)
+    def test_check_symmetric_fast_path_is_exact(self, m):
+        a = np.triu(m) + np.triu(m, 1).T
+        out = check_symmetric(a)
+        assert out is a
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(1e-9, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_check_symmetric_still_rejects_asymmetry(self, d, seed, gap):
+        a = random_symmetric(np.random.default_rng(seed), d, scale=10.0)
+        a[0, 1] += gap * max(1.0, abs(a[0, 1]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(a)
+
+
+class TestEigensolveCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = linalg.sym_eig
+
+        def spy(a, vectors=True):
+            seen.append(vectors)
+            return original(a, vectors)
+
+        monkeypatch.setattr(linalg, "sym_eig", spy)
+        return seen
+
+    def test_above_floor_values_only(self, calls):
+        pd_modify(random_spd(np.random.default_rng(6), 5, shift=1.0), 1e-3)
+        assert calls == [False]
+
+    def test_indefinite_values_then_vectors(self, calls):
+        pd_modify(np.diag([-1.0, 2.0, 3.0]), 1e-3)
+        assert calls == [False, True]
+
+    def test_matrix_abs_one_full_solve(self, calls):
+        matrix_abs(np.diag([-1.0, 2.0]))
+        assert calls == [True]
+
+    def test_values_only_decomposition(self):
+        vals, vecs = sym_eig(np.diag([3.0, -1.0]), vectors=False)
+        np.testing.assert_allclose(vals, [-1.0, 3.0])
+        assert vecs is None
 
 
 class TestSpdSolve:

@@ -7,7 +7,9 @@ from hessavg.problems import ProblemConstants, SyntheticSumProblem
 from hessavg.sampling import (
     CyclicSampler,
     GradSampleController,
+    approx_norm_terms,
     approx_norm_test,
+    exact_norm_terms,
     exact_norm_test,
     IidSampler,
     required_size_deterministic,
@@ -110,6 +112,30 @@ class TestNormTests:
     def test_approx_empty_rejected(self):
         with pytest.raises(ValueError):
             approx_norm_test(np.zeros((0, 3)), np.zeros(3), 0.5, 0.0)
+
+    def test_exact_terms(self):
+        h = np.diag([4.0, 1.0])
+        lhs, rhs_norm = exact_norm_terms(np.array([1.2, 0.0]), np.array([1.0, 0.0]), h)
+        np.testing.assert_allclose([lhs, rhs_norm], [0.01, 0.25])
+        assert exact_norm_terms(np.array([3.0, 4.5]), np.array([3.0, 4.0])) == (0.25, 25.0)
+
+    def test_approx_terms(self):
+        comps = np.array([[1.0, 0.0], [-1.0, 2.0]])
+        assert approx_norm_terms(comps, comps.mean(axis=0)) == (2.0, 1.0)
+
+    @given(
+        st.integers(1, 6).flatmap(lambda m: st.lists(st.floats(-10, 10), min_size=3 * m, max_size=3 * m)),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tests_compare_their_terms(self, xs, theta, iota):
+        comps = np.array(xs).reshape(-1, 3)
+        g = comps.mean(axis=0)
+        variance, g_norm_sq = approx_norm_terms(comps, g)
+        assert approx_norm_test(comps, g, theta, iota) == (variance <= theta**2 * g_norm_sq + iota)
+        lhs, rhs_norm = exact_norm_terms(comps[0], g)
+        assert exact_norm_test(comps[0], g, theta, iota) == (lhs <= theta**2 * rhs_norm + iota)
 
 
 class TestRequiredSizes:
