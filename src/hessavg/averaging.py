@@ -51,11 +51,15 @@ def decaying_step(prev_corrected: NDArray | float, d_new: NDArray | float, beta2
 
 
 class _Accumulator:
-    """Uniform running mean or raw EMA with lazy bias correction."""
+    """Uniform running mean or raw EMA with lazy bias correction.
+
+    ``decay=0.0`` keeps only the newest value: the EMA step is then
+    ``acc = value`` and the correction divides by exactly 1.
+    """
 
     def __init__(self, decay: Optional[float]):
-        if decay is not None and not 0 < decay < 1:
-            raise ValueError(f"decay must lie in (0, 1), got {decay}")
+        if decay is not None and not 0 <= decay < 1:
+            raise ValueError(f"decay must lie in [0, 1), got {decay}")
         self.decay = decay
         self.count = 0
         self._acc: Optional[NDArray] = None

@@ -49,7 +49,7 @@ from .problems import (
     make_synthetic_logistic,
     quadratic_generate,
 )
-from .sampling import CyclicSampler, GradSampleController, IidSampler
+from .sampling import ALL_MODES, CyclicSampler, GradSampleController, IidSampler
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -126,24 +126,18 @@ class ExperimentConfig:
         if kind not in ("quadratic", "logistic", "synthetic_sum", "synthetic_logistic"):
             raise ConfigError(f"unknown problem kind {kind!r}")
         try:
-            MethodSpec(**self.method)
+            method = MethodSpec(**self.method)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad method spec: {err}") from err
         _build_schedules(self.schedules)  # validates
         grad = self.sampling.get("grad", {})
         mode = grad.get("mode", "fixed")
-        if mode not in ("fixed", "geometric_epochs", "exact_norm_test", "approx_norm_test", "theoretical"):
+        if mode not in ALL_MODES:
             raise ConfigError(f"unknown gradient sampling mode {mode!r}")
-        if mode == "theoretical":
-            raise ConfigError(
-                "gradient sampling mode 'theoretical' needs problem constants, which configs cannot supply"
-            )
         a_mode = grad.get("a_mode", "identity")
         if a_mode not in ("identity", "inverse_hessian"):
             raise ConfigError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
-        if a_mode == "inverse_hessian" and (
-            mode != "exact_norm_test" or self.method.get("name") not in ("fan", "subnewton")
-        ):
+        if a_mode == "inverse_hessian" and (mode != "exact_norm_test" or not method.uses_full_hessian):
             raise ConfigError(
                 "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; "
                 "it needs mode 'exact_norm_test' and method fan or subnewton"

@@ -3,7 +3,10 @@
 Seven methods share one step function: plain stochastic gradient (sgd),
 adam, subsampled Newton without averaging (subnewton), fully-averaged
 Newton (fan), diagonally-averaged Newton with l1 or l2 averaging (dan,
-dan2), and adahessian. Each iteration: the controller fixes the gradient
+dan2), and adahessian. Every method but sgd keeps its curvature estimate
+in one averaging state: subnewton is the full-matrix average that keeps
+only the newest Hessian, and adam's second moment is a diagonal average
+of squared gradients. Each iteration: the controller fixes the gradient
 batch, the update policy optionally refreshes the Hessian estimate, the
 method turns the batch gradient into a direction, and the iterate moves
 by the scheduled step size. Runs that blow up (non-finite batch loss or
@@ -28,20 +31,14 @@ from .averaging import (
     UpdateFrequencyPolicy,
     hutchinson_diag,
 )
-from .linalg import pd_modify, spd_solve
-from .problems import FiniteSumOracle, ProblemConstants
-from .sampling import (
-    GradSampleController,
-    approx_norm_terms,
-    exact_norm_terms,
-    required_size_deterministic,
-    required_size_stochastic,
-)
+# Unused here; kept because bench/test_bench.py reads ``optimizers.pd_modify``.
+from .linalg import pd_modify  # noqa: F401
+from .problems import FiniteSumOracle
+from .sampling import GradSampleController, approx_norm_terms, exact_norm_terms
 from .trace import TraceRecord
 
 __all__ = [
     "METHODS",
-    "SECOND_ORDER_METHODS",
     "MethodSpec",
     "AlphaConstant",
     "AlphaTwoPhase",
@@ -63,10 +60,7 @@ __all__ = [
 ]
 
 METHODS = ("sgd", "adam", "subnewton", "fan", "dan", "dan2", "adahessian")
-SECOND_ORDER_METHODS = ("subnewton", "fan", "dan", "dan2", "adahessian")
 FULL_HESSIAN_DIM_LIMIT = 2048
-# Controller modes that read the full gradient at the current iterate.
-FULL_GRADIENT_MODES = ("exact_norm_test", "theoretical")
 DIVERGENCE_FACTOR = 1e6
 
 
@@ -82,12 +76,13 @@ class MethodSpec:
     Fields not used by a method are ignored: ``mu_tilde``/``variant`` only
     matter for fan and subnewton, ``rank`` for the Hutchinson-based
     methods, ``eps`` for dan/dan2, the betas for adam/adahessian, and
-    ``weights``/``decay`` for the averaging methods.
+    ``weights``/``decay`` for fan/dan/dan2. subnewton is fan's average
+    with all the weight on the newest Hessian, so it takes no weights.
     """
 
     name: str
     mu_tilde: float = 1e-4
-    variant: str = "plain"  # fan: "plain" (spectral modification) or "abs"
+    variant: str = "plain"  # fan/subnewton: "plain" (spectral modification) or "abs"
     weights: str = "uniform"  # fan/dan/dan2 averaging: "uniform" or "decaying"
     decay: float = 0.999
     rank: int = 1
@@ -294,9 +289,7 @@ class OptState:
     k: int = 0
     diverged: bool = False
     m: Optional[NDArray] = None
-    v: Optional[DiagAverageState] = None
     avg: Optional[Union[FullAverageState, DiagAverageState]] = None
-    h_current: Optional[NDArray] = None
     grad_samples: int = 0
     hess_sample_units: int = 0
     hvp_probes: int = 0
@@ -306,29 +299,23 @@ class OptState:
 
 def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptState:
     d = oracle.dim
+    if method.uses_full_hessian and d > FULL_HESSIAN_DIM_LIMIT:
+        raise ValueError(
+            f"{method.name} assembles dense {d}x{d} Hessians; refusing d > {FULL_HESSIAN_DIM_LIMIT}"
+        )
     state = OptState(w=np.array(w0, dtype=float))
     decay = method.decay if method.weights == "decaying" else None
-    if method.name == "fan":
-        if d > FULL_HESSIAN_DIM_LIMIT:
-            raise ValueError(
-                f"fan assembles dense {d}x{d} Hessians; refusing d > {FULL_HESSIAN_DIM_LIMIT}"
-            )
+    if method.name == "subnewton":
+        # Decay 0 puts all the weight on the newest Hessian.
+        state.avg = FullAverageState(d, decay=0.0, variant=method.variant)
+    elif method.name == "fan":
         state.avg = FullAverageState(d, decay=decay, variant=method.variant)
-    elif method.name == "dan":
-        state.avg = DiagAverageState(d, p=1, decay=decay)
-    elif method.name == "dan2":
-        state.avg = DiagAverageState(d, p=2, decay=decay)
-    elif method.name == "adahessian":
+    elif method.name in ("dan", "dan2"):
+        state.avg = DiagAverageState(d, p=1 if method.name == "dan" else 2, decay=decay)
+    elif method.name in ("adam", "adahessian"):
+        # Squared gradients (adam) or squared Hessian diagonals (adahessian).
         state.avg = DiagAverageState(d, p=2, decay=method.beta2)
         state.m = np.zeros(d)
-    elif method.name == "adam":
-        state.v = DiagAverageState(d, p=2, decay=method.beta2)
-        state.m = np.zeros(d)
-    elif method.name == "subnewton":
-        if d > FULL_HESSIAN_DIM_LIMIT:
-            raise ValueError(
-                f"subnewton assembles dense {d}x{d} Hessians; refusing d > {FULL_HESSIAN_DIM_LIMIT}"
-            )
     return state
 
 
@@ -346,7 +333,6 @@ class RunContext:
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
     a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
-    constants: Optional[ProblemConstants] = None
     divergence_factor: float = DIVERGENCE_FACTOR
     f0: Optional[float] = None
 
@@ -370,45 +356,30 @@ def _update_hessian(ctx: RunContext, state: OptState) -> None:
     s_size = s_sample.size
     state.last_s_size = s_size
     if method.uses_full_hessian:
-        h = oracle.hessian_sub(state.w, s_sample)
-        state.hvp_probes += oracle.dim
-        state.hess_sample_units += oracle.dim * s_size
-        if method.name == "fan":
-            state.avg.update(h)
-        else:
-            state.h_current = h
+        estimate = oracle.hessian_sub(state.w, s_sample)
+        probes = oracle.dim
     else:
         config = HutchinsonConfig(rank=method.rank, rng=ctx.rngs.get("probes"))
-        d_est = hutchinson_diag(
+        estimate = hutchinson_diag(
             lambda v: oracle.hvp_sub(state.w, s_sample, v), oracle.dim, config
         )
-        state.hvp_probes += method.rank
-        state.hess_sample_units += method.rank * s_size
-        state.avg.update(d_est)
+        probes = method.rank
+    state.hvp_probes += probes
+    state.hess_sample_units += probes * s_size
+    state.avg.update(estimate)
 
 
 def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
     method = ctx.method
-    name = method.name
-    if name == "sgd":
+    if method.name == "sgd":
         return g
-    if name == "adam":
-        state.m = method.beta1 * state.m + (1 - method.beta1) * g
-        state.v.update(g)
-        m_hat = state.m / (1 - method.beta1 ** (state.k + 1))
-        return m_hat / (state.v.preconditioner() + method.adam_eps)
-    if name == "adahessian":
+    if method.name in ("adam", "adahessian"):
+        if method.name == "adam":
+            state.avg.update(g)
         state.m = method.beta1 * state.m + (1 - method.beta1) * g
         m_hat = state.m / (1 - method.beta1 ** (state.k + 1))
         return m_hat / (state.avg.preconditioner() + method.adam_eps)
-    if name in ("dan", "dan2"):
-        return state.avg.precondition(g, method.eps)
-    if name == "fan":
-        return state.avg.precondition(g, method.mu_tilde)
-    if name == "subnewton":
-        h_tilde, _ = pd_modify(state.h_current, method.mu_tilde)
-        return spd_solve(h_tilde, g)
-    raise AssertionError(f"unhandled method {name}")
+    return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
 
 
 def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
@@ -418,13 +389,10 @@ def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
     if ctx.a_mode != "inverse_hessian":
         raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {ctx.a_mode!r}")
     method = ctx.method
-    if method.name == "fan":
-        h_tilde, _ = state.avg.modified(method.mu_tilde)
-        return h_tilde
-    if method.name == "subnewton":
-        h_tilde, _ = pd_modify(state.h_current, method.mu_tilde)
-        return h_tilde
-    raise ValueError(f"a_mode='inverse_hessian' requires a full-matrix method, not {method.name}")
+    if not method.uses_full_hessian:
+        raise ValueError(f"a_mode='inverse_hessian' requires a full-matrix method, not {method.name}")
+    h_tilde, _ = state.avg.modified(method.mu_tilde)
+    return h_tilde
 
 
 def _run_controller(
@@ -436,29 +404,18 @@ def _run_controller(
     theta: float,
     iota: float,
 ) -> None:
-    """Run the batch-size test or bound for this iteration.
+    """Run this iteration's norm test and hand the outcome to the controller.
 
-    ``full_grad`` is the full gradient at ``w_k``; the modes in
-    ``FULL_GRADIENT_MODES`` read it, the others get ``None``.
+    The approximate test reads the batch's per-component gradients
+    ``comps``; the exact test reads ``full_grad``, the full gradient at
+    ``w_k``.
     """
-    mode = ctx.controller.mode
-    if mode in ("approx_norm_test", "exact_norm_test"):
-        if mode == "approx_norm_test":
-            lhs, rhs_norm = approx_norm_terms(comps, g)
-        else:
-            lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
-        passed = lhs <= theta**2 * rhs_norm + iota
-        ctx.controller.record_test(passed, lhs, rhs_norm, theta, iota)
-    elif mode == "theoretical":
-        if ctx.constants is None:
-            raise ValueError("theoretical controller mode requires problem constants")
-        gsq = float(full_grad @ full_grad)
-        n = ctx.oracle.n_components
-        if n is None:
-            required = required_size_stochastic(ctx.constants, 1.0, gsq, gsq, theta, iota)
-        else:
-            required = required_size_deterministic(n, ctx.constants, 1.0, gsq, gsq, theta, iota)
-        ctx.controller.record_required(required)
+    if ctx.controller.mode == "approx_norm_test":
+        lhs, rhs_norm = approx_norm_terms(comps, g)
+    else:
+        lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
+    passed = lhs <= theta**2 * rhs_norm + iota
+    ctx.controller.record_test(passed, lhs, rhs_norm, theta, iota)
 
 
 def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
@@ -485,7 +442,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
         f_batch = oracle.loss_sub(state.w, sample)
         if traced:
             full_grad = oracle.grad_full(state.w)
-    elif traced or ctx.controller.mode in FULL_GRADIENT_MODES:
+    elif traced or ctx.controller.mode == "exact_norm_test":
         f_batch, g, full_grad = oracle.loss_grad_sub_full(state.w, sample)
     else:
         f_batch, g = oracle.loss_grad_sub(state.w, sample)

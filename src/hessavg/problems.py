@@ -680,12 +680,16 @@ def estimate_constants(
     norm over the probe points; ``sigma2_g`` is the largest sample variance
     of component gradients; ``beta2_g`` the largest squared component
     gradient norm. These are estimates from the probes supplied, not
-    certified bounds, and callers may override any of them.
+    certified bounds, and callers may override any of them. ``rng`` seeds
+    the power iterations and must be given: a shared default stream would
+    start every call from the same vectors.
     """
     if len(probe_points) < 2:
         raise ValueError("need at least 2 probe points")
+    if len(samples) != len(probe_points):
+        raise ValueError(f"need one sample per probe point, got {len(samples)} for {len(probe_points)}")
     if rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("estimate_constants needs a random stream for its power iterations; pass rng")
     l_hat = 0.0
     sigma2 = 0.0
     beta2 = 0.0

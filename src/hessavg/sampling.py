@@ -183,7 +183,7 @@ def required_size_deterministic(
 # Gradient sample-size controller
 # ---------------------------------------------------------------------------
 
-ADAPTIVE_MODES = ("exact_norm_test", "approx_norm_test", "theoretical")
+ADAPTIVE_MODES = ("exact_norm_test", "approx_norm_test")
 ALL_MODES = ("fixed", "geometric_epochs") + ADAPTIVE_MODES
 
 
@@ -200,10 +200,6 @@ class GradSampleController:
     exact_norm_test / approx_norm_test
         Keep the current size while the test passes; on failure grow to
         ``ceil(current * observed_variance / (theta^2 ||g||^2 + iota))``.
-    theoretical
-        Size from the sample-size bound computed by the caller each
-        iteration (finite-sum: deterministic bound; expectation:
-        stochastic bound).
     """
 
     mode: str
@@ -254,9 +250,4 @@ class GradSampleController:
         else:
             proposed = math.ceil(self.current_size * observed_variance / rhs)
         self.current_size = min(self.cap, max(self.current_size, proposed))
-        return self.current_size
-
-    def record_required(self, required: int) -> int:
-        """Adopt a theoretical bound (mode ``theoretical``), ratcheted."""
-        self.current_size = min(self.cap, max(self.current_size, required))
         return self.current_size

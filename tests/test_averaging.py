@@ -197,6 +197,20 @@ class TestDecayingStep:
             corrected = decaying_step(corrected, d_new, decay, k)
             np.testing.assert_allclose(acc.value(), corrected, rtol=1e-12, atol=0)
 
+    def test_zero_decay_keeps_only_the_newest(self):
+        # subnewton's average: after each update the value is that update, bit for bit
+        rng = np.random.default_rng(12)
+        acc = _Accumulator(0.0)
+        for _ in range(6):
+            value = rng.standard_normal((4, 4))
+            acc.update(value)
+            assert acc.value().tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("decay", [-0.1, 1.0])
+    def test_accumulator_rejects_decay_outside_its_domain(self, decay):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            _Accumulator(decay)
+
 
 class TestHutchinson:
     def test_exact_on_diagonal(self):

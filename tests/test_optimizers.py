@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hessavg.averaging import UpdateFrequencyPolicy
+from hessavg.averaging import DiagAverageState, UpdateFrequencyPolicy
+from hessavg.linalg import matrix_abs, pd_modify, spd_solve
 from hessavg.optimizers import (
     AlphaConstant,
     AlphaStepDecay,
@@ -15,7 +16,10 @@ from hessavg.optimizers import (
     ThetaConstant,
     ThetaLocalDet,
     ThetaLocalStoch,
+    _direction,
+    _update_hessian,
     eec,
+    init_state,
     run,
     schedule_eval,
 )
@@ -138,6 +142,9 @@ class TestMethodSpec:
             MethodSpec(name="adam", beta1=1.0)
         with pytest.raises(ValueError):
             MethodSpec(name="fan", variant="weird")
+        # decay 0 is subnewton's internal average, not a weighting option
+        with pytest.raises(ValueError):
+            MethodSpec(name="fan", weights="decaying", decay=0.0)
 
 
 class TestStepBehavior:
@@ -200,6 +207,43 @@ class TestStepBehavior:
         m_hat = state.m / (1 - 0.9**state.k)
         np.testing.assert_allclose(m_hat, g, rtol=1e-10)
 
+    def test_adam_second_moment_lives_in_the_average(self):
+        # linear objective as above: the bias-corrected EMA of g^2 is g^2
+        h = np.zeros((2, 3, 3))
+        h[:] = np.eye(3) * 1e-12
+        b = np.tile([1.0, 2.0, -0.5], (2, 1))
+        prob = SyntheticSumProblem(h, b)
+        ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
+        state, _ = run(ctx, np.zeros(3), epochs=6)
+        assert isinstance(state.avg, DiagAverageState) and state.avg.count == state.k
+        np.testing.assert_allclose(state.avg.preconditioner(), np.abs(b[0]), rtol=1e-10)
+
+    def test_subnewton_honours_variant(self):
+        # indefinite components, so |H| + mu I and the spectral
+        # modification of H give different directions
+        rng = rng_mod.stream(12, "init")
+        a = rng.standard_normal((8, 5, 5))
+        prob = SyntheticSumProblem(a + a.transpose(0, 2, 1), rng.standard_normal((8, 5)))
+        w = rng.standard_normal(5)
+        g = prob.grad_full(w)
+        mu = 1e-2
+        directions = {}
+        for variant in ("plain", "abs"):
+            method = MethodSpec(name="subnewton", variant=variant, mu_tilde=mu)
+            ctx = make_ctx(prob, method, seed=4, hess_size=3)
+            state = init_state(method, prob, w)
+            _update_hessian(ctx, state)
+            # the same stream in a twin context redraws the Hessian sample
+            twin = make_ctx(prob, method, seed=4, hess_size=3)
+            hess = prob.hessian_sub(w, twin.hess_sampler.next_block(prob, twin.rngs.get("hessian")))
+            if variant == "abs":
+                expected = spd_solve(matrix_abs(hess) + mu * np.eye(5), g)
+            else:
+                expected = spd_solve(pd_modify(hess, mu)[0], g)
+            directions[variant] = _direction(ctx, state, g)
+            np.testing.assert_array_equal(directions[variant], expected)
+        assert not np.allclose(directions["plain"], directions["abs"])
+
     def test_descent_inequality_exact_gradients(self):
         # along FAN with alpha <= mu_tilde / L the exact-gradient descent
         # bound holds at every iteration
@@ -259,6 +303,13 @@ class TestStepBehavior:
 
         with pytest.raises(ValueError, match="refusing"):
             init_state(MethodSpec(name="fan"), prob, np.zeros(3))
+
+    def test_subnewton_refuses_huge_dimension(self):
+        h = np.repeat(np.eye(3)[None], 4, axis=0)
+        prob = SyntheticSumProblem(h, np.zeros((4, 3)))
+        prob.dim = 4096
+        with pytest.raises(ValueError, match="^subnewton .* refusing"):
+            init_state(MethodSpec(name="subnewton"), prob, np.zeros(3))
 
     def test_eec_counter_tracks_samples(self):
         # fixed sizes, |S| = |X|, hf = 1: the counter equals the exact

@@ -318,6 +318,19 @@ class TestConstants:
         with pytest.raises(ValueError):
             estimate_constants(prob, [np.zeros(4)], [np.array([0])])
 
+    def test_one_sample_per_probe_point(self):
+        # every probe point is used, so a missing sample is an error
+        prob = SyntheticSumProblem.generate(4, 4, seed=0)
+        rng = rng_mod.stream(43, "probes")
+        with pytest.raises(ValueError, match="one sample per probe point"):
+            estimate_constants(prob, [np.zeros(4), np.ones(4)], [np.array([0, 1])], rng)
+
+    def test_requires_an_explicit_stream(self):
+        prob = SyntheticSumProblem.generate(4, 4, seed=0)
+        probes = [np.zeros(4), np.ones(4)]
+        with pytest.raises(ValueError, match="rng"):
+            estimate_constants(prob, probes, [np.array([0]), np.array([1])])
+
     def test_mu_tilde_constraint(self):
         with pytest.raises(ValueError, match="mu_tilde"):
             ProblemConstants(mu=1.0, mu_tilde=0.75)

@@ -185,6 +185,10 @@ class TestRequiredSizes:
 
 
 class TestController:
+    def test_theoretical_is_not_a_mode(self):
+        with pytest.raises(ValueError, match="unknown controller mode"):
+            GradSampleController(mode="theoretical")
+
     def test_fixed_mode(self):
         ctrl = GradSampleController(mode="fixed", initial_size=32, cap=1000)
         assert ctrl.size(epoch=0.0) == 32
