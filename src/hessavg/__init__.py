@@ -42,7 +42,6 @@ from .problems import (
     ProblemConstants,
     QuadraticProblem,
     SyntheticSumProblem,
-    estimate_constants,
     quadratic_generate,
 )
 from .sampling import (

@@ -322,16 +322,12 @@ def load_dataset(
     name: str,
     data_dir: Optional[str | Path] = None,
     split_seed: int = 0,
-    fetch: bool = True,
 ) -> SparseDataset:
     """Fetch (or reuse), parse, and train-split a manifest dataset."""
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
     manifest = MANIFESTS[name]
     directory = default_data_dir(str(data_dir) if data_dir else None)
-    target = directory / manifest.name / manifest.filename
-    if not target.exists() and not fetch:
-        raise DatasetUnavailable(f"{name} not cached at {target} and fetching disabled")
     path = fetch_dataset(manifest, directory)
     parsed = parse_libsvm(_read_text(path, manifest.compression), manifest.label_map, manifest.dim)
     if manifest.n is not None and parsed.n < (manifest.train_size or 0):

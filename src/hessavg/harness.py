@@ -17,7 +17,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -134,6 +134,10 @@ class ExperimentConfig:
         mode = grad.get("mode", "fixed")
         if mode not in ALL_MODES:
             raise ConfigError(f"unknown gradient sampling mode {mode!r}")
+        if mode == "geometric_epochs" and not grad.get("sizes"):
+            raise ConfigError("gradient mode 'geometric_epochs' needs a nonempty 'sizes' table")
+        if int(grad.get("cap", 1)) < 1:
+            raise ConfigError(f"gradient cap must be >= 1, got {grad['cap']}")
         a_mode = grad.get("a_mode", "identity")
         if a_mode not in ("identity", "inverse_hessian"):
             raise ConfigError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
@@ -145,21 +149,11 @@ class ExperimentConfig:
         hess = self.sampling.get("hess", {})
         if hess.get("kind", "iid") not in ("iid", "cyclic"):
             raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")
+        if int(hess.get("size", 32)) < 1:
+            raise ConfigError(f"Hessian sample size must be >= 1, got {hess['size']}")
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "method": self.method,
-            "sampling": self.sampling,
-            "schedules": self.schedules,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "trace_interval": self.trace_interval,
-            "rolling_f": self.rolling_f,
-            "iters_per_epoch": self.iters_per_epoch,
-            "init": self.init,
-            "out_dir": self.out_dir,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -285,9 +279,10 @@ def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSam
         cap=cap,
     )
     if mode == "geometric_epochs":
-        kwargs["sizes"] = tuple(int(s) for s in _require(grad, "sizes", "grad sampling"))
-        kwargs["epochs_per_block"] = int(grad.get("epochs_per_block", 20))
-        kwargs["initial_size"] = min(kwargs["sizes"][0], cap)
+        sizes = tuple(int(s) for s in _require(grad, "sizes", "grad sampling"))
+        kwargs.update(sizes=sizes, epochs_per_block=int(grad.get("epochs_per_block", 20)))
+        if sizes:  # an empty table is rejected by the controller
+            kwargs["initial_size"] = min(sizes[0], cap)
     try:
         return GradSampleController(**kwargs)
     except ValueError as err:
@@ -300,14 +295,14 @@ def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
     size = int(hess.get("size", 32))
     if oracle.n_components is not None:
         size = min(size, oracle.n_components)
-    if kind == "cyclic":
-        if oracle.n_components is None:
-            raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
-        try:
+    if kind == "cyclic" and oracle.n_components is None:
+        raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
+    try:
+        if kind == "cyclic":
             return CyclicSampler(oracle.n_components, size, hess.get("seed"))
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    return IidSampler(size)
+        return IidSampler(size)
+    except ValueError as err:
+        raise ConfigError(f"bad Hessian sampler: {err}") from err
 
 
 def _build_policy(cfg: ExperimentConfig) -> UpdateFrequencyPolicy:

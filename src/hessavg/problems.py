@@ -3,7 +3,12 @@
 Three problems share one oracle interface: a masked quadratic (an
 expectation problem where each "component" is a fresh random mask draw),
 l2-regularized logistic regression over a dataset, and a small synthetic
-strongly convex finite sum used as a convergence-rate testbed.
+strongly convex finite sum used as a convergence-rate testbed. Each
+oracle gives full and batch losses and gradients, per-component gradients
+for the norm tests, batch Hessian-vector products and dense batch
+Hessians, batch draws, and the optimum where it is known.
+:class:`ProblemConstants` carries the gradient-noise constants that the
+batch-size bounds in :mod:`hessavg.sampling` read.
 
 All oracles are immutable after construction, apart from the optimum,
 which is computed on the first :meth:`~FiniteSumOracle.optimum` call and
@@ -41,40 +46,29 @@ __all__ = [
     "LogisticProblem",
     "SyntheticSumProblem",
     "make_synthetic_logistic",
-    "estimate_constants",
 ]
 
 
 @dataclass
 class ProblemConstants:
-    """Empirical or user-supplied problem constants.
+    """Gradient-noise constants for the two batch-size bounds.
 
-    These are estimates used to drive sample-size rules and step-size
-    caps; none of them is a certified bound unless a caller supplies one.
-    ``mu_tilde`` is the positive-definiteness floor handed to the
-    optimizer, constrained to ``mu / 2`` when ``mu`` is known.
+    :func:`~hessavg.sampling.required_size_stochastic` reads the variance
+    bound ``E ||grad_i - grad||^2 <= sigma1_g^2 ||grad||^2 + sigma2_g^2``;
+    :func:`~hessavg.sampling.required_size_deterministic` reads the
+    component bound ``||grad_i||^2 <= beta1_g ||grad||^2 + beta2_g``. The
+    caller supplies them; nothing here estimates or certifies them.
     """
 
-    mu: Optional[float] = None
-    L: Optional[float] = None
-    M: Optional[float] = None
-    mu_tilde: Optional[float] = None
     sigma1_g: float = 0.0
     sigma2_g: float = 0.0
     beta1_g: float = 0.0
     beta2_g: float = 0.0
-    beta1_H: float = 0.0
-    beta2_H: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma1_g", "sigma2_g", "beta1_g", "beta2_g", "beta1_H", "beta2_H"):
+        for name in ("sigma1_g", "sigma2_g", "beta1_g", "beta2_g"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.mu is not None and self.mu_tilde is not None and self.mu_tilde > self.mu / 2:
-            raise ValueError(
-                f"mu_tilde={self.mu_tilde} exceeds mu/2={self.mu / 2}; "
-                "the local theory requires mu_tilde <= mu/2"
-            )
 
 
 class FiniteSumOracle(ABC):
@@ -137,10 +131,6 @@ class FiniteSumOracle(ABC):
         """Dense subsampled Hessian, assembled from Hessian-vector products."""
         h = self.hvp_sub(w, sample, np.eye(self.dim))
         return 0.5 * (h + h.T)
-
-    def hessian_full(self, w: NDArray) -> NDArray:
-        """Dense full Hessian; intended for oracle checks at small ``dim``."""
-        raise NotImplementedError
 
     def optimum(self) -> Optional[tuple[NDArray, float]]:
         """Known minimizer and optimal value, when available."""
@@ -216,6 +206,8 @@ class QuadraticProblem(FiniteSumOracle):
     # -- sampling ----------------------------------------------------------
 
     def draw_sample(self, rng: np.random.Generator, size: int) -> MaskSample:
+        if size < 1:
+            raise ValueError(f"sample size {size} must be >= 1")
         p = self.keep_prob
         if p >= 1.0:
             keep = np.ones((size, self.dim), dtype=bool)
@@ -273,9 +265,6 @@ class QuadraticProblem(FiniteSumOracle):
     def grad_full(self, w: NDArray) -> NDArray:
         p = self.keep_prob
         return 2.0 * self.a.T @ (p * (self.a @ w) - p * p * self.b)
-
-    def hessian_full(self, w: NDArray) -> NDArray:
-        return 2.0 * self.keep_prob * self.a.T @ self.a
 
     def optimum(self) -> tuple[NDArray, float]:
         if self._optimum is None:
@@ -410,14 +399,6 @@ class LogisticProblem(FiniteSumOracle):
 
     def grad_full(self, w: NDArray) -> NDArray:
         return self._grad_of(w, *self._margins(w, None))
-
-    def hessian_full(self, w: NDArray) -> NDArray:
-        return self.hessian_sub(w, np.arange(self.n))
-
-    def constants(self) -> ProblemConstants:
-        """Cheap analytic bounds: mu = 1/n and L <= max ||x||^2 / 4 + 1/n."""
-        l_bound = float(np.max(np.einsum("ij,ij->i", self.x, self.x)) / 4 + 1 / self.n)
-        return ProblemConstants(mu=1.0 / self.n, L=l_bound, mu_tilde=1.0 / (2 * self.n))
 
 
 def make_synthetic_logistic(
@@ -647,65 +628,3 @@ class SyntheticSumProblem(FiniteSumOracle):
             w.flags.writeable = False
             self._optimum = (w, self.loss_full(w))
         return self._optimum
-
-
-# ---------------------------------------------------------------------------
-# Constant estimation
-# ---------------------------------------------------------------------------
-
-
-def _power_iteration(matvec, d: int, rng: np.random.Generator, iters: int = 60) -> float:
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        hv = matvec(v)
-        lam = float(v @ hv)
-        norm = np.linalg.norm(hv)
-        if norm == 0:
-            return 0.0
-        v = hv / norm
-    return abs(lam)
-
-
-def estimate_constants(
-    oracle: FiniteSumOracle,
-    probe_points: list[NDArray],
-    samples: list,
-    rng: Optional[np.random.Generator] = None,
-) -> ProblemConstants:
-    """Empirical stand-ins for the spectral and variance constants.
-
-    ``L`` is the largest power-iteration estimate of a subsampled Hessian
-    norm over the probe points; ``sigma2_g`` is the largest sample variance
-    of component gradients; ``beta2_g`` the largest squared component
-    gradient norm. These are estimates from the probes supplied, not
-    certified bounds, and callers may override any of them. ``rng`` seeds
-    the power iterations and must be given: a shared default stream would
-    start every call from the same vectors.
-    """
-    if len(probe_points) < 2:
-        raise ValueError("need at least 2 probe points")
-    if len(samples) != len(probe_points):
-        raise ValueError(f"need one sample per probe point, got {len(samples)} for {len(probe_points)}")
-    if rng is None:
-        raise ValueError("estimate_constants needs a random stream for its power iterations; pass rng")
-    l_hat = 0.0
-    sigma2 = 0.0
-    beta2 = 0.0
-    for w, sample in zip(probe_points, samples):
-        w = np.asarray(w, dtype=float)
-        l_hat = max(l_hat, _power_iteration(lambda v: oracle.hvp_sub(w, sample, v), oracle.dim, rng))
-        grads = oracle.component_grads(w, sample)
-        mean = grads.mean(axis=0)
-        dev = grads - mean
-        sigma2 = max(sigma2, float(np.mean(np.sum(dev * dev, axis=1))))
-        beta2 = max(beta2, float(np.max(np.sum(grads * grads, axis=1))))
-    mu = None
-    mu_tilde = None
-    if isinstance(oracle, LogisticProblem):
-        mu = 1.0 / oracle.n
-        mu_tilde = mu / 2
-    return ProblemConstants(
-        mu=mu, L=l_hat, mu_tilde=mu_tilde, sigma2_g=sigma2, beta2_g=beta2
-    )

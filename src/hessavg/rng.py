@@ -15,7 +15,6 @@ STREAM_IDS = {
     "gradient": 1,
     "hessian": 2,
     "probes": 3,
-    "data": 4,
 }
 
 

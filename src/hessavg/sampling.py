@@ -47,6 +47,8 @@ class CyclicSampler:
     """
 
     def __init__(self, n: int, block_size: int, seed: Optional[int] = None):
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         if n % block_size != 0:
             raise ValueError(f"block_size {block_size} must divide n {n}")
         self.n = n
@@ -71,6 +73,8 @@ class IidSampler:
     """Independent sample draws of a fixed size, one per call."""
 
     def __init__(self, block_size: int):
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
 
     def next_block(self, oracle: FiniteSumOracle, rng: np.random.Generator):
@@ -165,9 +169,16 @@ def required_size_deterministic(
     theta: float,
     iota: float,
 ) -> int:
-    """Deterministic without-replacement analogue of the batch-size bound.
+    """Batch size at which every subset of a finite sum meets the norm
+    condition.
 
-    Evaluates ``N (1 - sqrt((theta^2 ||grad||_A^2 + iota) /
+    If every component satisfies ``||grad_i||^2 <= beta1 ||grad||^2 +
+    beta2``, every subset S of the N components has ``||g_S - grad||^2 <=
+    4 (1 - |S|/N)^2 (beta1 ||grad||^2 + beta2)``. The returned size is the
+    smallest ``|S|`` at which that worst case, times ``lambda_max(A)``,
+    is at most ``theta^2 ||grad||_A^2 + iota``; so every subset of this
+    size or larger satisfies ``||g_S - grad||_A^2 <= theta^2 ||grad||_A^2 +
+    iota``. It evaluates ``N (1 - sqrt((theta^2 ||grad||_A^2 + iota) /
     (4 lambda_max(A) (beta1 ||grad||^2 + beta2))))``, rounded up and
     clamped to ``[1, N]``.
     """
@@ -216,6 +227,8 @@ class GradSampleController:
             raise ValueError("geometric_epochs mode requires a size table")
         if self.initial_size < 1:
             raise ValueError("initial_size must be >= 1")
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1")
         self.current_size = min(self.initial_size, self.cap)
 
     @property

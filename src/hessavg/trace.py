@@ -56,19 +56,7 @@ def format_trace(records: list[TraceRecord], config_hash: str, seed: int) -> str
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                _fmt(r.k),
-                _fmt(r.epoch),
-                _fmt(r.f),
-                _fmt(r.grad_norm),
-                _fmt(r.x_size),
-                _fmt(r.s_size),
-                _fmt(r.hvp_probes),
-                _fmt(r.eec),
-                _fmt(r.dist_to_opt),
-            ]
-        )
+        writer.writerow([_fmt(getattr(r, c)) for c in _COLUMNS])
     return buf.getvalue()
 
 

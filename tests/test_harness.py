@@ -9,6 +9,7 @@ from hessavg.cli import cli_dispatch
 from hessavg.harness import (
     ConfigError,
     ExperimentConfig,
+    build_context,
     estimate_rates,
     run_experiment,
     sweep,
@@ -27,6 +28,38 @@ def base_config(**overrides):
     }
     raw.update(overrides)
     return ExperimentConfig.from_dict(raw)
+
+
+# Each case: a pattern the ConfigError message must match, and the config
+# keys that replace base_config's.
+BAD_BATCH_SETTINGS = {
+    "cyclic_hess_size_0": (
+        "Hessian sample size",
+        {
+            "problem": {"kind": "synthetic_sum", "n_components": 8, "d": 4, "seed": 0},
+            "sampling": {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "cyclic", "size": 0}},
+        },
+    ),
+    "iid_hess_size_0_quadratic": (
+        "Hessian sample size",
+        {
+            "problem": {"kind": "quadratic", "d": 10, "seed": 0},
+            "sampling": {"grad": {"mode": "fixed", "size": 4}, "hess": {"kind": "iid", "size": 0}},
+        },
+    ),
+    "iid_hess_size_neg_logistic": (
+        "Hessian sample size",
+        {"sampling": {"grad": {"mode": "fixed", "size": 25}, "hess": {"kind": "iid", "size": -3}}},
+    ),
+    "grad_cap_0": (
+        "cap",
+        {"sampling": {"grad": {"mode": "fixed", "size": 25, "cap": 0}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+    "geometric_sizes_empty": (
+        "sizes",
+        {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": []}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+}
 
 
 class TestConfig:
@@ -63,6 +96,24 @@ class TestConfig:
     def test_theoretical_mode_rejected(self):
         with pytest.raises(ConfigError, match="theoretical"):
             base_config(sampling={"grad": {"mode": "theoretical"}})
+
+    @pytest.mark.parametrize("case", sorted(BAD_BATCH_SETTINGS))
+    def test_bad_batch_setting_rejected(self, case):
+        match, overrides = BAD_BATCH_SETTINGS[case]
+        with pytest.raises(ConfigError, match=match):
+            base_config(**overrides)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BATCH_SETTINGS))
+    def test_builders_reject_bad_batch_setting(self, case):
+        # an ExperimentConfig made directly skips validate; building it
+        # still fails with a ConfigError, before any step runs
+        raw = {
+            "problem": {"kind": "synthetic_logistic", "n": 300, "d": 10, "seed": 0},
+            "method": {"name": "fan", "mu_tilde": 1e-3},
+            **BAD_BATCH_SETTINGS[case][1],
+        }
+        with pytest.raises(ConfigError):
+            build_context(ExperimentConfig(**raw))
 
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()
@@ -216,6 +267,15 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"problem": {"kind": "nope"}, "method": {"name": "sgd"}}))
         assert cli_dispatch(["run", str(bad)]) == 1
+
+    def test_bad_batch_setting_is_usage_error(self, tmp_path, capsys):
+        raw = {"method": {"name": "fan", "mu_tilde": 1e-3}, **BAD_BATCH_SETTINGS["cyclic_hess_size_0"][1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_dispatch(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_no_command_prints_usage(self, capsys):
         assert cli_dispatch([]) == 1

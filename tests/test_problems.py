@@ -9,7 +9,6 @@ from hessavg.problems import (
     ProblemConstants,
     QuadraticProblem,
     SyntheticSumProblem,
-    estimate_constants,
     make_synthetic_logistic,
     quadratic_generate,
 )
@@ -286,55 +285,6 @@ class TestSyntheticSum:
 
 
 class TestConstants:
-    def test_quadratic_unmasked_spectral_estimate(self):
-        prob = quadratic_generate(d=30, keep_prob=1.0, seed=6)
-        rng = rng_mod.stream(40, "probes")
-        probes = [rng.standard_normal(30) for _ in range(3)]
-        samples = [prob.draw_sample(rng, 4) for _ in range(3)]
-        constants = estimate_constants(prob, probes, samples, rng)
-        expected = 2 * np.linalg.eigvalsh(prob.a)[-1] ** 2
-        assert constants.L == pytest.approx(expected, rel=0.05)
-
-    def test_logistic_upper_bound(self):
-        x, y = make_synthetic_logistic(n=200, d=8, seed=3)
-        prob = LogisticProblem(x, y)
-        rng = rng_mod.stream(41, "probes")
-        probes = [rng.standard_normal(8) * 0.3 for _ in range(3)]
-        samples = [prob.draw_sample(rng, 64) for _ in range(3)]
-        constants = estimate_constants(prob, probes, samples, rng)
-        bound = np.max(np.einsum("ij,ij->i", x, x)) / 4 + 1 / prob.n
-        assert constants.L <= bound * 1.05
-
-    def test_single_component_zero_variance(self):
-        prob = SyntheticSumProblem.generate(1, 4, seed=0)
-        rng = rng_mod.stream(42, "probes")
-        probes = [rng.standard_normal(4) for _ in range(2)]
-        samples = [np.array([0]) for _ in range(2)]
-        constants = estimate_constants(prob, probes, samples, rng)
-        assert constants.sigma2_g == 0.0
-
-    def test_requires_two_probes(self):
-        prob = SyntheticSumProblem.generate(4, 4, seed=0)
-        with pytest.raises(ValueError):
-            estimate_constants(prob, [np.zeros(4)], [np.array([0])])
-
-    def test_one_sample_per_probe_point(self):
-        # every probe point is used, so a missing sample is an error
-        prob = SyntheticSumProblem.generate(4, 4, seed=0)
-        rng = rng_mod.stream(43, "probes")
-        with pytest.raises(ValueError, match="one sample per probe point"):
-            estimate_constants(prob, [np.zeros(4), np.ones(4)], [np.array([0, 1])], rng)
-
-    def test_requires_an_explicit_stream(self):
-        prob = SyntheticSumProblem.generate(4, 4, seed=0)
-        probes = [np.zeros(4), np.ones(4)]
-        with pytest.raises(ValueError, match="rng"):
-            estimate_constants(prob, probes, [np.array([0]), np.array([1])])
-
-    def test_mu_tilde_constraint(self):
-        with pytest.raises(ValueError, match="mu_tilde"):
-            ProblemConstants(mu=1.0, mu_tilde=0.75)
-
     def test_nonnegative_fields(self):
         with pytest.raises(ValueError):
             ProblemConstants(sigma2_g=-1.0)
@@ -348,6 +298,13 @@ def _oracle_cases():
         "sum_quadratic": SyntheticSumProblem.generate(24, 6, seed=3),
         "sum_ripple": SyntheticSumProblem.generate(24, 6, seed=3, curvature=2.0, coupling=0.5),
     }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+@pytest.mark.parametrize("size", [0, -1])
+def test_draw_sample_rejects_size_below_one(name, size):
+    with pytest.raises(ValueError, match="sample size"):
+        _oracle_cases()[name].draw_sample(rng_mod.stream(0, "gradient"), size)
 
 
 class _DefaultFused(LogisticProblem):

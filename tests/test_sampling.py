@@ -33,6 +33,10 @@ class TestCyclicSampler:
         with pytest.raises(ValueError):
             CyclicSampler(6, 4)
 
+    def test_block_size_at_least_one(self):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            CyclicSampler(6, 0)
+
     def test_seeded_partition_fixed_across_cycles(self):
         sampler = CyclicSampler(12, 3, seed=9)
         first = [sampler.next_block().tolist() for _ in range(4)]
@@ -68,6 +72,10 @@ class TestIidSampler:
             assert len(set(block.tolist())) == 3
             seen.add(tuple(sorted(block.tolist())))
         assert len(seen) > 1
+
+    def test_block_size_at_least_one(self):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            IidSampler(0)
 
 
 class TestNormTests:
@@ -254,6 +262,10 @@ class TestController:
         with pytest.raises(ValueError):
             GradSampleController(mode="geometric_epochs")
 
+    def test_cap_at_least_one(self):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            GradSampleController(mode="fixed", initial_size=4, cap=0)
+
 
 class TestNormConditionHolds:
     def test_sized_batches_meet_expected_condition(self):
@@ -275,3 +287,76 @@ class TestNormConditionHolds:
         batch_means = comps.reshape(trials, m, -1).mean(axis=1)
         mean_err = np.mean(np.sum((batch_means - gf) ** 2, axis=1))
         assert mean_err <= 1.1 * (theta**2 * gsq + iota)
+
+
+class TestDeterministicSizeWorstCase:
+    """``required_size_deterministic`` on the synthetic sum, with exact constants.
+
+    With ``beta1 = 0`` and ``beta2 = max_i ||grad_i||^2`` every component
+    meets ``||grad_i||^2 <= beta1 ||grad||^2 + beta2``, so every subset S
+    has ``||g_S - grad||^2 <= 4 (1 - |S|/N)^2 beta2``. The returned size is
+    the smallest that makes this worst case meet the norm condition, so
+    every subset of that size must meet it, not only the average one.
+    """
+
+    N, D = 64, 5
+
+    @staticmethod
+    def _a_norm_sq(rows, inverse_of):
+        if inverse_of is None:
+            return np.sum(rows * rows, axis=1)
+        return np.sum(rows * np.linalg.solve(inverse_of, rows.T).T, axis=1)
+
+    @staticmethod
+    def _greedy_worst(comps, gf, subset, inverse_of):
+        # ascend ||g_S - grad||_A^2: keep the |S| components furthest along
+        # the A-weighted deviation until the subset stops changing
+        m = subset.size
+        for _ in range(10):
+            dev = comps[subset].mean(axis=0) - gf
+            u = dev if inverse_of is None else np.linalg.solve(inverse_of, dev)
+            nxt = np.sort(np.argsort(comps @ u)[-m:])
+            if np.array_equal(nxt, subset):
+                break
+            subset = nxt
+        return subset
+
+    def test_every_checked_subset_meets_condition(self):
+        n = self.N
+        prob = SyntheticSumProblem.generate(n, self.D, seed=3, curvature=2.0)
+        rng = rng_mod.stream(60, "gradient")
+        sizes = set()
+        for _ in range(20):
+            w = rng.standard_normal(self.D)
+            comps = prob.component_grads(w, np.arange(n))
+            gf = prob.grad_full(w)
+            beta2 = float(np.max(np.sum(comps * comps, axis=1)))
+            constants = ProblemConstants(beta1_g=0.0, beta2_g=beta2)
+            h = prob.hessian_full(w)
+            for inverse_of, lambda_max in ((None, 1.0), (h, 1.0 / np.linalg.eigvalsh(h)[0])):
+                gsq = float(gf @ gf)
+                _, ga = exact_norm_terms(gf, gf, inverse_of)
+
+                def worst_case(size):
+                    return 4 * lambda_max * (1 - size / n) ** 2 * beta2
+
+                for theta in (0.3, 0.6, 0.9, 1.5):
+                    for iota in (0.0, 0.25 * ga):
+                        m = required_size_deterministic(n, constants, lambda_max, gsq, ga, theta, iota)
+                        sizes.add(m)
+                        threshold = theta**2 * ga + iota
+                        # m is the smallest size whose worst case meets the condition
+                        assert worst_case(m) <= threshold < worst_case(m - 1)
+                        subsets = np.sort(
+                            np.stack([rng.choice(n, m, replace=False) for _ in range(50)]), axis=1
+                        )
+                        lhs = self._a_norm_sq(comps[subsets].mean(axis=1) - gf, inverse_of)
+                        assert np.all(lhs <= worst_case(m))
+                        assert np.all(lhs <= threshold)
+                        worst = self._greedy_worst(comps, gf, subsets[np.argmax(lhs)], inverse_of)
+                        g_worst = comps[worst].mean(axis=0)
+                        worst_lhs = self._a_norm_sq((g_worst - gf)[None], inverse_of)[0]
+                        assert lhs.max() <= worst_lhs <= worst_case(m)
+                        assert exact_norm_test(g_worst, gf, theta, iota, inverse_of)
+        # the bound is exercised away from its clamps at 1 and N
+        assert min(sizes) > 1 and max(sizes) < n
