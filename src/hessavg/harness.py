@@ -4,8 +4,10 @@ Configs are JSON documents validated into dataclasses. A run writes two
 artifacts atomically into its output directory: ``trace.csv`` (versioned
 schema, byte-reproducible given config and seed) and ``summary.json``
 (final/best objective, divergence flag, epoch-equivalent compute, seed,
-config echo and hash). Sweeps execute many configs, optionally across
-processes, and reduce to a summary table in config order.
+config echo and hash, and the ``OPENBLAS_NUM_THREADS`` the run saw).
+Sweeps execute many configs, optionally across spawned worker processes
+that start with one BLAS thread each, and reduce to a summary table in
+config order.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
+import numbers
 import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -77,6 +82,39 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _as_number(value, name: str, kind: type = float):
+    """``value`` as ``kind`` (``float`` or ``int``), or a ConfigError naming ``name``.
+
+    JSON ``null``, ``true``/``false``, strings and containers are not
+    numbers; ``int()``/``float()`` would raise a bare TypeError on some of
+    them and silently accept the others.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return kind(value)
+
+
+def _number(mapping: dict, key: str, where: str, default=_REQUIRED, kind: type = float):
+    """The numeric config field ``mapping[key]``, or ``default`` when the key is absent.
+
+    Without a default the key is required. The value, and the default, go
+    through :func:`_as_number`.
+    """
+    value = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
+    return _as_number(value, f"{key!r} in {where}", kind)
+
+
+def _numbers(mapping: dict, key: str, where: str, default=_REQUIRED) -> tuple[int, ...]:
+    """A list-valued integer config field, each entry read as by :func:`_number`."""
+    values = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key!r} in {where} must be a list of numbers, got {values!r}")
+    return tuple(_as_number(v, f"entries of {key!r} in {where}", int) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -104,11 +142,11 @@ class ExperimentConfig:
             method=dict(_require(raw, "method", "config")),
             sampling=dict(raw.get("sampling", {})),
             schedules=dict(raw.get("schedules", {})),
-            epochs=float(raw.get("epochs", 1.0)),
-            seed=int(raw.get("seed", 0)),
-            trace_interval=int(raw.get("trace_interval", 10)),
-            rolling_f=int(raw.get("rolling_f", 0)),
-            iters_per_epoch=int(raw.get("iters_per_epoch", 100)),
+            epochs=_number(raw, "epochs", "config", 1.0),
+            seed=_number(raw, "seed", "config", 0, int),
+            trace_interval=_number(raw, "trace_interval", "config", 10, int),
+            rolling_f=_number(raw, "rolling_f", "config", 0, int),
+            iters_per_epoch=_number(raw, "iters_per_epoch", "config", 100, int),
             init=dict(raw.get("init", {"kind": "gaussian", "scale": 1.0})),
             out_dir=raw.get("out_dir"),
         )
@@ -136,7 +174,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown gradient sampling mode {mode!r}")
         if mode == "geometric_epochs" and not grad.get("sizes"):
             raise ConfigError("gradient mode 'geometric_epochs' needs a nonempty 'sizes' table")
-        if int(grad.get("cap", 1)) < 1:
+        if _number(grad, "cap", "grad sampling", 1, int) < 1:
             raise ConfigError(f"gradient cap must be >= 1, got {grad['cap']}")
         a_mode = grad.get("a_mode", "identity")
         if a_mode not in ("identity", "inverse_hessian"):
@@ -149,7 +187,7 @@ class ExperimentConfig:
         hess = self.sampling.get("hess", {})
         if hess.get("kind", "iid") not in ("iid", "cyclic"):
             raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")
-        if int(hess.get("size", 32)) < 1:
+        if _number(hess, "size", "hess sampling", 32, int) < 1:
             raise ConfigError(f"Hessian sample size must be >= 1, got {hess['size']}")
 
     def to_dict(self) -> dict:
@@ -170,34 +208,34 @@ def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> Fini
     kind = spec["kind"]
     if kind == "quadratic":
         return quadratic_generate(
-            d=int(spec.get("d", 100)),
-            keep_prob=float(spec.get("keep_prob", 0.5)),
-            seed=int(spec.get("seed", cfg.seed)),
+            d=_number(spec, "d", "problem", 100, int),
+            keep_prob=_number(spec, "keep_prob", "problem", 0.5),
+            seed=_number(spec, "seed", "problem", cfg.seed, int),
         )
     if kind == "logistic":
         dataset = load_dataset(
             _require(spec, "dataset", "problem"),
             data_dir=spec.get("data_dir", data_dir),
-            split_seed=int(spec.get("split_seed", 0)),
+            split_seed=_number(spec, "split_seed", "problem", 0, int),
         )
         x, y = dataset.to_dense()
         return LogisticProblem(x, y)
     if kind == "synthetic_logistic":
         x, y = make_synthetic_logistic(
-            n=int(spec.get("n", 400)),
-            d=int(spec.get("d", 12)),
-            seed=int(spec.get("seed", 0)),
+            n=_number(spec, "n", "problem", 400, int),
+            d=_number(spec, "d", "problem", 12, int),
+            seed=_number(spec, "seed", "problem", 0, int),
         )
         return LogisticProblem(x, y)
     if kind == "synthetic_sum":
         return SyntheticSumProblem.generate(
-            n_components=int(spec.get("n_components", 16)),
-            d=int(spec.get("d", 20)),
-            seed=int(spec.get("seed", 0)),
-            curvature=float(spec.get("curvature", 0.0)),
-            coupling=float(spec.get("coupling", 0.0)),
-            freq=float(spec.get("freq", 10.0)),
-            n_ripples=int(spec.get("n_ripples", 4)),
+            n_components=_number(spec, "n_components", "problem", 16, int),
+            d=_number(spec, "d", "problem", 20, int),
+            seed=_number(spec, "seed", "problem", 0, int),
+            curvature=_number(spec, "curvature", "problem", 0.0),
+            coupling=_number(spec, "coupling", "problem", 0.0),
+            freq=_number(spec, "freq", "problem", 10.0),
+            n_ripples=_number(spec, "n_ripples", "problem", 4, int),
         )
     raise ConfigError(f"unknown problem kind {kind!r}")
 
@@ -212,52 +250,54 @@ def _build_schedules(spec: dict) -> ScheduleSet:
 
     kind = alpha_spec.get("kind", "constant")
     if kind == "constant":
-        alpha = AlphaConstant(float(alpha_spec.get("alpha", 0.1)))
+        alpha = AlphaConstant(_number(alpha_spec, "alpha", "alpha schedule", 0.1))
     elif kind == "two_phase":
         alpha = AlphaTwoPhase(
-            float(_require(alpha_spec, "alpha_global", "alpha schedule")),
-            int(_require(alpha_spec, "k_switch", "alpha schedule")),
-            float(alpha_spec.get("alpha_local", 1.0)),
+            _number(alpha_spec, "alpha_global", "alpha schedule"),
+            _number(alpha_spec, "k_switch", "alpha schedule", kind=int),
+            _number(alpha_spec, "alpha_local", "alpha schedule", 1.0),
         )
     elif kind == "step_decay":
         alpha = AlphaStepDecay(
-            float(_require(alpha_spec, "alpha0", "alpha schedule")),
-            float(alpha_spec.get("factor", 0.25)),
-            tuple(int(m) for m in alpha_spec.get("milestones", ())),
+            _number(alpha_spec, "alpha0", "alpha schedule"),
+            _number(alpha_spec, "factor", "alpha schedule", 0.25),
+            _numbers(alpha_spec, "milestones", "alpha schedule", ()),
         )
     else:
         raise bad("alpha", alpha_spec)
 
     kind = theta_spec.get("kind", "constant")
     if kind == "constant":
-        theta = ThetaConstant(float(theta_spec.get("theta", 0.5)))
+        theta = ThetaConstant(_number(theta_spec, "theta", "theta schedule", 0.5))
     elif kind == "local_det":
         theta = ThetaLocalDet(
-            float(_require(theta_spec, "theta_l", "theta schedule")),
-            int(theta_spec.get("k_switch", 0)),
+            _number(theta_spec, "theta_l", "theta schedule"),
+            _number(theta_spec, "k_switch", "theta schedule", 0, int),
         )
     elif kind == "local_stoch":
         theta = ThetaLocalStoch(
-            float(_require(theta_spec, "theta_l", "theta schedule")),
-            int(theta_spec.get("k_switch", 0)),
+            _number(theta_spec, "theta_l", "theta schedule"),
+            _number(theta_spec, "k_switch", "theta schedule", 0, int),
         )
     else:
         raise bad("theta", theta_spec)
 
     kind = iota_spec.get("kind", "geometric")
     if kind == "geometric":
-        iota = IotaGeometric(float(iota_spec.get("iota0", 0.0)), float(iota_spec.get("a", 0.0)))
+        iota = IotaGeometric(
+            _number(iota_spec, "iota0", "iota schedule", 0.0), _number(iota_spec, "a", "iota schedule", 0.0)
+        )
     elif kind == "super_det":
         iota = IotaSuperDet(
-            float(_require(iota_spec, "iota0", "iota schedule")),
-            float(_require(iota_spec, "a_l", "iota schedule")),
-            int(iota_spec.get("k_switch", 0)),
+            _number(iota_spec, "iota0", "iota schedule"),
+            _number(iota_spec, "a_l", "iota schedule"),
+            _number(iota_spec, "k_switch", "iota schedule", 0, int),
         )
     elif kind == "super_stoch":
         iota = IotaSuperStoch(
-            float(_require(iota_spec, "iota0", "iota schedule")),
-            float(_require(iota_spec, "a_l", "iota schedule")),
-            int(iota_spec.get("k_switch", 0)),
+            _number(iota_spec, "iota0", "iota schedule"),
+            _number(iota_spec, "a_l", "iota schedule"),
+            _number(iota_spec, "k_switch", "iota schedule", 0, int),
         )
     else:
         raise bad("iota", iota_spec)
@@ -270,17 +310,14 @@ def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSam
     mode = grad.get("mode", "fixed")
     n = oracle.n_components
     default_cap = n if n is not None else 2**16
-    cap = int(grad.get("cap", default_cap))
+    cap = _number(grad, "cap", "grad sampling", default_cap, int)
     if n is not None:
         cap = min(cap, n)
-    kwargs = dict(
-        mode=mode,
-        initial_size=int(grad.get("initial_size", grad.get("size", 32))),
-        cap=cap,
-    )
+    size = _number(grad, "size", "grad sampling", 32, int)
+    kwargs = dict(mode=mode, initial_size=_number(grad, "initial_size", "grad sampling", size, int), cap=cap)
     if mode == "geometric_epochs":
-        sizes = tuple(int(s) for s in _require(grad, "sizes", "grad sampling"))
-        kwargs.update(sizes=sizes, epochs_per_block=int(grad.get("epochs_per_block", 20)))
+        sizes = _numbers(grad, "sizes", "grad sampling")
+        kwargs.update(sizes=sizes, epochs_per_block=_number(grad, "epochs_per_block", "grad sampling", 20, int))
         if sizes:  # an empty table is rejected by the controller
             kwargs["initial_size"] = min(sizes[0], cap)
     try:
@@ -292,7 +329,7 @@ def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSam
 def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
     hess = cfg.sampling.get("hess", {})
     kind = hess.get("kind", "iid")
-    size = int(hess.get("size", 32))
+    size = _number(hess, "size", "hess sampling", 32, int)
     if oracle.n_components is not None:
         size = min(size, oracle.n_components)
     if kind == "cyclic" and oracle.n_components is None:
@@ -308,7 +345,9 @@ def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
 def _build_policy(cfg: ExperimentConfig) -> UpdateFrequencyPolicy:
     pol = cfg.sampling.get("policy", {})
     try:
-        return UpdateFrequencyPolicy(warmup=int(pol.get("warmup", 0)), hf=int(pol.get("hf", 1)))
+        return UpdateFrequencyPolicy(
+            warmup=_number(pol, "warmup", "update policy", 0, int), hf=_number(pol, "hf", "update policy", 1, int)
+        )
     except ValueError as err:
         raise ConfigError(f"bad update policy: {err}") from err
 
@@ -316,7 +355,7 @@ def _build_policy(cfg: ExperimentConfig) -> UpdateFrequencyPolicy:
 def _initial_point(cfg: ExperimentConfig, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
     kind = cfg.init.get("kind", "gaussian")
     if kind == "gaussian":
-        return float(cfg.init.get("scale", 1.0)) * rng.standard_normal(oracle.dim)
+        return _number(cfg.init, "scale", "init", 1.0) * rng.standard_normal(oracle.dim)
     if kind == "zeros":
         return np.zeros(oracle.dim)
     if kind == "near_optimum":
@@ -325,7 +364,7 @@ def _initial_point(cfg: ExperimentConfig, oracle: FiniteSumOracle, rng: np.rando
             raise ConfigError("init kind 'near_optimum' needs a problem with a known optimum")
         direction = rng.standard_normal(oracle.dim)
         direction /= np.linalg.norm(direction)
-        return opt[0] + float(cfg.init.get("radius", 0.5)) * direction
+        return opt[0] + _number(cfg.init, "radius", "init", 0.5) * direction
     raise ConfigError(f"unknown init kind {kind!r}")
 
 
@@ -413,6 +452,7 @@ def run_experiment(
         "final_grad_norm": records[-1].grad_norm if records else None,
         "final_dist_to_opt": records[-1].dist_to_opt if records else None,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "config": cfg.to_dict(),
     }
     target = out_dir or cfg.out_dir
@@ -430,19 +470,49 @@ def _run_one(args) -> dict:
     return result.summary
 
 
+# OpenBLAS and OpenMP read these once, when numpy loads. Unset, each worker
+# starts one BLAS thread per core, so parallel workers oversubscribe the
+# cores between them.
+_WORKER_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_for_workers():
+    """Set each unset ``_WORKER_BLAS_THREAD_VARS`` to 1 while workers are spawned.
+
+    A spawned process inherits this environment and loads numpy afresh; a
+    value the caller set is left as it is. The variables are unset again on
+    exit.
+    """
+    added = [var for var in _WORKER_BLAS_THREAD_VARS if var not in os.environ]
+    for var in added:
+        os.environ[var] = "1"
+    try:
+        yield
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
 def run_many(
     configs: Sequence[ExperimentConfig],
     data_dir: Optional[str] = None,
     out_dirs: Optional[Sequence[Optional[str]]] = None,
     parallel: int = 1,
 ) -> list[dict]:
-    """Run several configs, each isolated; results ordered like the input."""
+    """Run several configs, each isolated; results ordered like the input.
+
+    With ``parallel > 1`` the configs run in that many spawned processes,
+    each started with ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` at 1
+    unless the caller's environment sets them.
+    """
     if out_dirs is None:
         out_dirs = [None] * len(configs)
     jobs = [(cfg.to_dict(), data_dir, out) for cfg, out in zip(configs, out_dirs)]
     if parallel <= 1 or len(jobs) <= 1:
         return [_run_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with _one_blas_thread_for_workers(), ProcessPoolExecutor(max_workers=parallel, mp_context=spawn) as pool:
         return list(pool.map(_run_one, jobs))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hessavg.harness import (
     build_context,
     estimate_rates,
     run_experiment,
+    run_many,
     sweep,
 )
 from hessavg.trace import parse_trace
@@ -58,6 +60,25 @@ BAD_BATCH_SETTINGS = {
     "geometric_sizes_empty": (
         "sizes",
         {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": []}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+}
+
+
+# Each case: a pattern the ConfigError message must match, and the config
+# keys that replace base_config's. The value is not a number; int()/float()
+# raised a bare TypeError on null, and took true and "12" as numbers.
+NOT_A_NUMBER = {
+    "epochs_null": ("'epochs' in config", {"epochs": None}),
+    "epochs_true": ("'epochs' in config", {"epochs": True}),
+    "problem_d_null": ("'d' in problem", {"problem": {"kind": "synthetic_logistic", "n": 300, "d": None}}),
+    "problem_d_string": ("'d' in problem", {"problem": {"kind": "synthetic_logistic", "n": 300, "d": "12"}}),
+    "grad_size_null": (
+        "'size' in grad sampling",
+        {"sampling": {"grad": {"mode": "fixed", "size": None}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+    "hess_size_null": (
+        "'size' in hess sampling",
+        {"sampling": {"grad": {"mode": "fixed", "size": 25}, "hess": {"kind": "iid", "size": None}}},
     ),
 }
 
@@ -114,6 +135,14 @@ class TestConfig:
         }
         with pytest.raises(ConfigError):
             build_context(ExperimentConfig(**raw))
+
+    @pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+    def test_numeric_field_that_is_not_a_number_rejected(self, case):
+        # the problem and gradient-batch fields are read by the builders,
+        # which still run before any step
+        match, overrides = NOT_A_NUMBER[case]
+        with pytest.raises(ConfigError, match=f"{match} must be a number"):
+            build_context(base_config(**overrides))
 
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()
@@ -243,6 +272,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep([])
 
+    @pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")])
+    def test_parallel_workers_start_with_one_blas_thread(self, caller, seen, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if caller is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+        configs = [base_config(epochs=0.1, seed=s) for s in (0, 1)]
+        summaries = run_many(configs, parallel=2)
+        assert [s["openblas_num_threads"] for s in summaries] == [seen, seen]
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
+        assert "OMP_NUM_THREADS" not in os.environ
+
     def test_parallel_matches_serial(self):
         configs = [base_config(epochs=1, seed=s) for s in (0, 1)]
         serial, _ = sweep(configs, parallel=1)
@@ -272,6 +313,15 @@ class TestCli:
         raw = {"method": {"name": "fan", "mu_tilde": 1e-3}, **BAD_BATCH_SETTINGS["cyclic_hess_size_0"][1]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
+        assert cli_dispatch(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+    def test_numeric_field_that_is_not_a_number_is_usage_error(self, case, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base_config().to_dict(), **NOT_A_NUMBER[case][1]}))
         assert cli_dispatch(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
