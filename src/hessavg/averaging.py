@@ -65,14 +65,20 @@ class _Accumulator:
         self._acc: Optional[NDArray] = None
 
     def update(self, value: NDArray) -> None:
+        # In place, with the rounding of acc + (value - acc) / count and
+        # decay * acc + (1 - decay) * value.
         value = np.asarray(value, dtype=float)
         if self._acc is None:
             self._acc = np.zeros_like(value)
+        acc = self._acc
         self.count += 1
         if self.decay is None:
-            self._acc += (value - self._acc) / self.count
+            diff = value - acc
+            diff /= self.count
+            acc += diff
         else:
-            self._acc = self.decay * self._acc + (1.0 - self.decay) * value
+            acc *= self.decay
+            acc += (1.0 - self.decay) * value
 
     def value(self) -> NDArray:
         if self._acc is None or self.count == 0:

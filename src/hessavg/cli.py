@@ -110,7 +110,7 @@ def _load_config(path: Path, seed_override=None) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
-    if seed_override is not None:
+    if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
 

@@ -90,10 +90,13 @@ def _as_number(value, name: str, kind: type = float):
 
     JSON ``null``, ``true``/``false``, strings and containers are not
     numbers; ``int()``/``float()`` would raise a bare TypeError on some of
-    them and silently accept the others.
+    them and silently accept the others. An ``int`` field takes an integral
+    float such as ``16.0`` but not ``2.9``, which ``int()`` would truncate.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -105,6 +108,18 @@ def _number(mapping: dict, key: str, where: str, default=_REQUIRED, kind: type =
     """
     value = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
     return _as_number(value, f"{key!r} in {where}", kind)
+
+
+def _section(mapping: dict, key: str, where: str, default=_REQUIRED) -> dict:
+    """The config section ``mapping[key]`` as a new dict, or ``default`` when the key is absent.
+
+    Without a default the key is required. A section that is not a JSON
+    object (``null``, a number, a list) is a ConfigError naming the key.
+    """
+    value = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} in {where} must be an object, got {value!r}")
+    return dict(value)
 
 
 def _numbers(mapping: dict, key: str, where: str, default=_REQUIRED) -> tuple[int, ...]:
@@ -138,16 +153,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(
-            problem=dict(_require(raw, "problem", "config")),
-            method=dict(_require(raw, "method", "config")),
-            sampling=dict(raw.get("sampling", {})),
-            schedules=dict(raw.get("schedules", {})),
+            problem=_section(raw, "problem", "config"),
+            method=_section(raw, "method", "config"),
+            sampling=_section(raw, "sampling", "config", {}),
+            schedules=_section(raw, "schedules", "config", {}),
             epochs=_number(raw, "epochs", "config", 1.0),
             seed=_number(raw, "seed", "config", 0, int),
             trace_interval=_number(raw, "trace_interval", "config", 10, int),
             rolling_f=_number(raw, "rolling_f", "config", 0, int),
             iters_per_epoch=_number(raw, "iters_per_epoch", "config", 100, int),
-            init=dict(raw.get("init", {"kind": "gaussian", "scale": 1.0})),
+            init=_section(raw, "init", "config", {"kind": "gaussian", "scale": 1.0}),
             out_dir=raw.get("out_dir"),
         )
         cfg.validate()
@@ -168,7 +183,8 @@ class ExperimentConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad method spec: {err}") from err
         _build_schedules(self.schedules)  # validates
-        grad = self.sampling.get("grad", {})
+        _build_policy(self)  # validates
+        grad = _section(self.sampling, "grad", "sampling", {})
         mode = grad.get("mode", "fixed")
         if mode not in ALL_MODES:
             raise ConfigError(f"unknown gradient sampling mode {mode!r}")
@@ -184,7 +200,7 @@ class ExperimentConfig:
                 "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; "
                 "it needs mode 'exact_norm_test' and method fan or subnewton"
             )
-        hess = self.sampling.get("hess", {})
+        hess = _section(self.sampling, "hess", "sampling", {})
         if hess.get("kind", "iid") not in ("iid", "cyclic"):
             raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")
         if _number(hess, "size", "hess sampling", 32, int) < 1:
@@ -241,9 +257,9 @@ def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> Fini
 
 
 def _build_schedules(spec: dict) -> ScheduleSet:
-    alpha_spec = spec.get("alpha", {"kind": "constant", "alpha": 0.1})
-    theta_spec = spec.get("theta", {"kind": "constant", "theta": 0.5})
-    iota_spec = spec.get("iota", {"kind": "geometric", "iota0": 0.0, "a": 0.0})
+    alpha_spec = _section(spec, "alpha", "schedules", {"kind": "constant", "alpha": 0.1})
+    theta_spec = _section(spec, "theta", "schedules", {"kind": "constant", "theta": 0.5})
+    iota_spec = _section(spec, "iota", "schedules", {"kind": "geometric", "iota0": 0.0, "a": 0.0})
 
     def bad(which, s):
         return ConfigError(f"unknown {which} schedule kind {s.get('kind')!r}")
@@ -306,7 +322,7 @@ def _build_schedules(spec: dict) -> ScheduleSet:
 
 
 def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSampleController:
-    grad = cfg.sampling.get("grad", {})
+    grad = _section(cfg.sampling, "grad", "sampling", {})
     mode = grad.get("mode", "fixed")
     n = oracle.n_components
     default_cap = n if n is not None else 2**16
@@ -327,7 +343,7 @@ def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSam
 
 
 def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
-    hess = cfg.sampling.get("hess", {})
+    hess = _section(cfg.sampling, "hess", "sampling", {})
     kind = hess.get("kind", "iid")
     size = _number(hess, "size", "hess sampling", 32, int)
     if oracle.n_components is not None:
@@ -343,7 +359,7 @@ def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
 
 
 def _build_policy(cfg: ExperimentConfig) -> UpdateFrequencyPolicy:
-    pol = cfg.sampling.get("policy", {})
+    pol = _section(cfg.sampling, "policy", "sampling", {})
     try:
         return UpdateFrequencyPolicy(
             warmup=_number(pol, "warmup", "update policy", 0, int), hf=_number(pol, "hf", "update policy", 1, int)
@@ -382,7 +398,7 @@ def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tupl
         rngs=streams,
         iters_per_epoch=cfg.iters_per_epoch,
         trace_interval=cfg.trace_interval,
-        a_mode=cfg.sampling.get("grad", {}).get("a_mode", "identity"),
+        a_mode=_section(cfg.sampling, "grad", "sampling", {}).get("a_mode", "identity"),
     )
     w0 = _initial_point(cfg, oracle, streams["init"])
     return ctx, w0

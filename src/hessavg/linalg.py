@@ -5,11 +5,13 @@ Everything here operates on plain ``numpy`` arrays. Matrices are small
 callers are expected to go through :func:`pd_modify` before asking for a
 positive-definite solve.
 
-:func:`pd_modify` computes eigenvalues before eigenvectors. A matrix whose
-spectrum already clears the floor comes back as itself, so the common
-strongly convex step costs one values-only eigensolve and no
+:func:`pd_modify` computes the smallest eigenvalue before any
+eigenvectors. A matrix whose spectrum already clears the floor comes back
+as itself, so the common strongly convex step costs one eigensolve for one
+eigenvalue (LAPACK ``dsyevr`` over an index range) and no
 ``U diag(vals) U^T`` rebuild; only a matrix that needs its absolute value
-or a shift pays for the eigenvectors.
+or a shift pays for the full decomposition on top. Either way a call
+makes one or two eigensolves and no factorization.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dsyevr
 
 __all__ = [
     "EigDecomposition",
@@ -46,8 +49,9 @@ class EigDecomposition(NamedTuple):
     """Spectral decomposition ``A = U diag(values) U^T``.
 
     ``eigenvalues`` are sorted ascending, ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns, or None when only
-    the values were asked for.
+    corresponding orthonormal eigenvectors as columns. When no vectors
+    were asked for, ``eigenvalues`` holds only the smallest eigenvalue (a
+    length-1 array) and ``eigenvectors`` is None.
     """
 
     eigenvalues: NDArray
@@ -89,13 +93,21 @@ def sym_eig(a: NDArray, vectors: bool = True) -> EigDecomposition:
 
     Eigenvalues come back in ascending order; the reconstruction
     ``U diag(vals) U^T`` matches the input to about 1e-9 relative in the
-    max norm. With ``vectors=False`` only the eigenvalues are computed
-    (``eigvalsh``, about 40% of a full ``eigh`` at d=500) and
-    ``eigenvectors`` is None.
+    max norm. With ``vectors=False`` only the smallest eigenvalue is
+    computed, as a length-1 array, and ``eigenvectors`` is None: LAPACK
+    ``dsyevr`` restricted to index 1 skips the rest of the spectrum.
+
+    Raises
+    ------
+    LinAlgError
+        If ``dsyevr`` reports a failure.
     """
     a = check_symmetric(a)
     if not vectors:
-        return EigDecomposition(np.linalg.eigvalsh(a), None)
+        w, _, _, _, info = dsyevr(a, compute_v=0, range="I", il=1, iu=1)
+        if info != 0:
+            raise LinAlgError(f"dsyevr failed with info={info}")
+        return EigDecomposition(w[:1], None)
     vals, vecs = np.linalg.eigh(a)
     return EigDecomposition(vals, vecs)
 
@@ -118,12 +130,12 @@ def pd_modify(h_hat: NDArray, mu_tilde: float) -> tuple[NDArray, bool]:
     eigenvalue still falls below ``mu_tilde``, shifts the whole spectrum
     up so the smallest eigenvalue equals ``mu_tilde``.
 
-    The eigenvalues are computed first. When the smallest is at least
-    ``mu_tilde``, ``|h_hat| = h_hat`` needs no shift, and a copy of the
-    symmetrized input is returned with no eigenvectors and no rebuild.
+    The smallest eigenvalue is computed first, on its own. When it is at
+    least ``mu_tilde``, ``|h_hat| = h_hat`` needs no shift, and a copy of
+    the symmetrized input is returned with no eigenvectors and no rebuild.
     That copy is exact, where the rebuild ``U diag(vals) U^T`` carries
-    rounding in its last bits. Any other matrix pays for one values-only
-    eigensolve on top of the full decomposition.
+    rounding in its last bits. Any other matrix pays for that one-eigenvalue
+    solve on top of the full decomposition.
 
     Returns
     -------

@@ -56,7 +56,7 @@ GOLDEN = {
             "epochs": 4,
             "trace_interval": 1,
         },
-        "33eb1a211c77c38a6b53f66347cf520d137551e2c0652bfdd2ddde5737693321",
+        "ebbde7e9a3d2f86672ecdc96eb56712f32ae3971103cad5643a75d47d561ad21",
     ),
     "fan_sum_cyclic_exact_inverse_hessian": (
         {
@@ -70,7 +70,7 @@ GOLDEN = {
             "epochs": 10,
             "seed": 3,
         },
-        "d71118d80678d3df590c5589480d0646112452d13f10ec9b856aa4860ea7fd19",
+        "3f17e806dd9aa60d78e9873cd57894ec0a52c288837e1665a06fb8fc0e592727",
     ),
     "fan_abs_logistic_exact_decaying": (
         {
@@ -134,8 +134,9 @@ def test_trace_matches_golden_digest(name, tmp_path):
 
 
 # Traces pinned before a change that moved floats on purpose: the two
-# synthetic-sum traces from before pd_modify returned a matrix that clears
-# the floor as is, instead of rebuilding it from its eigenpairs; the two
+# synthetic-sum traces from before the dense synthetic-sum Hessian became
+# one rank-k product (its ripple part summed by syrk, not by an einsum and a
+# symmetrization); the two
 # logistic traces from before the logistic oracle read its batch out of one
 # blocked pass over X. The counters must not move; the floats may move by
 # rounding only.

@@ -83,6 +83,24 @@ NOT_A_NUMBER = {
 }
 
 
+# Each case: a pattern the ConfigError message must match, and the config
+# keys that replace base_config's. The section is not a JSON object; dict()
+# raised a bare TypeError on null and numbers, .get() an AttributeError on
+# null and lists, and a null update policy went unread until the run.
+HESS_25 = {"kind": "iid", "size": 25}
+NOT_AN_OBJECT = {
+    "problem": ("'problem' in config", {"problem": None}),
+    "method": ("'method' in config", {"method": None}),
+    "sampling": ("'sampling' in config", {"sampling": None}),
+    "grad": ("'grad' in sampling", {"sampling": {"grad": [], "hess": HESS_25}}),
+    "hess": ("'hess' in sampling", {"sampling": {"grad": {"mode": "fixed"}, "hess": None}}),
+    "schedules": ("'schedules' in config", {"schedules": 3}),
+    "init": ("'init' in config", {"init": None}),
+    "policy": ("'policy' in sampling", {"sampling": {"grad": {"mode": "fixed"}, "policy": "fast"}}),
+    "alpha": ("'alpha' in schedules", {"schedules": {"alpha": None}}),
+}
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -143,6 +161,38 @@ class TestConfig:
         match, overrides = NOT_A_NUMBER[case]
         with pytest.raises(ConfigError, match=f"{match} must be a number"):
             build_context(base_config(**overrides))
+
+    @pytest.mark.parametrize("case", sorted(NOT_AN_OBJECT))
+    def test_section_that_is_not_an_object_rejected(self, case):
+        match, overrides = NOT_AN_OBJECT[case]
+        with pytest.raises(ConfigError, match=f"{match} must be an object"):
+            base_config(**overrides)
+
+    def test_cli_run_reports_a_null_section(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": {"kind": "synthetic_logistic"}, "method": {"name": "sgd"}, "sampling": None}))
+        assert cli_dispatch(["run", str(path), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: 'sampling' in config must be an object")
+        path.write_text("null")
+        assert cli_dispatch(["run", str(path), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"sampling": {"grad": {"mode": "fixed", "size": 2.9}, "hess": HESS_25}}, "'size' in grad sampling"),
+            ({"trace_interval": 1.7}, "'trace_interval' in config"),
+        ],
+    )
+    def test_integer_field_rejects_a_fraction(self, overrides, match):
+        # int() truncated these to a batch of 2 and an interval of 1
+        with pytest.raises(ConfigError, match=f"{match} must be an integer, got"):
+            build_context(base_config(**overrides))
+
+    def test_integer_field_takes_an_integral_float(self):
+        cfg = base_config(sampling={"grad": {"mode": "fixed", "size": 16.0}, "hess": HESS_25}, trace_interval=16.0)
+        assert cfg.trace_interval == 16 and isinstance(cfg.trace_interval, int)
+        assert build_context(cfg)[0].controller.current_size == 16
 
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()

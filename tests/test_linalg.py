@@ -166,6 +166,45 @@ def from_spectrum(vals, seed):
     return (q * vals) @ q.T
 
 
+@st.composite
+def smallest_eig_cases(draw):
+    """(eigenvalues, orthogonal seed) for d = 1..40: a spread spectrum,
+    one value repeated, a negative-definite one, or one straddling a floor
+    with eigenvalues a relative 1e-9 either side of it."""
+    d = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["spread", "repeated", "negative_definite", "straddling"]))
+    scale = draw(st.floats(1e-6, 1e6))
+    mags = st.floats(1e-3, 1e3)
+    if kind == "spread":
+        ratios = draw(st.lists(mags.flatmap(lambda r: st.sampled_from([r, -r])), min_size=d, max_size=d))
+    elif kind == "repeated":
+        cut = draw(st.integers(0, d - 1))
+        ratios = [draw(mags)] * cut + [draw(mags)] * (d - cut)
+    elif kind == "negative_definite":
+        ratios = [-r for r in draw(st.lists(mags, min_size=d, max_size=d))]
+    else:
+        ratios = [draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9])) for _ in range(d)]
+    return scale * np.array(ratios), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSmallestEigenvalue:
+    @given(smallest_eig_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eigvalsh(self, case):
+        vals, seed = case
+        h = from_spectrum(vals, seed)
+        a = 0.5 * (h + h.T)
+        smallest, vecs = sym_eig(a, vectors=False)
+        assert vecs is None and smallest.shape == (1,)
+        assert abs(smallest[0] - np.linalg.eigvalsh(a)[0]) <= 1e-12 * np.linalg.norm(a, 2)
+
+    def test_does_not_touch_input(self):
+        a = random_symmetric(np.random.default_rng(7), 6)
+        before = a.copy()
+        sym_eig(a, vectors=False)
+        assert np.array_equal(a, before)
+
+
 class TestPdFloorProperties:
     @given(spectra())
     @settings(max_examples=300, deadline=None)
@@ -228,7 +267,7 @@ class TestEigensolveCount:
 
     def test_values_only_decomposition(self):
         vals, vecs = sym_eig(np.diag([3.0, -1.0]), vectors=False)
-        np.testing.assert_allclose(vals, [-1.0, 3.0])
+        np.testing.assert_allclose(vals, [-1.0])
         assert vecs is None
 
 

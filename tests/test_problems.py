@@ -285,6 +285,43 @@ class TestSyntheticSum:
             np.testing.assert_allclose(h @ v, prob.hvp_sub(w, sample, v), atol=1e-10)
 
 
+def _dense_hessian_cases(seed):
+    """(problem, w, sample, reference Hessian) for both rank-k hessian_sub
+    overrides; the references are the formulas those overrides replace."""
+    rng = rng_mod.stream(seed, "hessian")
+    quad = quadratic_generate(d=30, keep_prob=0.4, seed=seed)
+    mask = quad.draw_sample(rng, 7)
+    w = rng.standard_normal(30)
+    quad_ref = 2.0 * quad.a.T @ (np.mean(mask.a_keep, axis=0)[:, None] * quad.a)
+    ssum = SyntheticSumProblem.generate(32, 12, seed=seed, curvature=2.0, coupling=0.5, freq=3.0)
+    idx = ssum.draw_sample(rng, 5)
+    w_sum = rng.standard_normal(12)
+    hvp = ssum.hvp_sub(w_sum, idx, np.eye(12))
+    return [(quad, w, mask, 0.5 * (quad_ref + quad_ref.T)), (ssum, w_sum, idx, 0.5 * (hvp + hvp.T))]
+
+
+class TestDenseHessians:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exactly_symmetric_and_equal_to_replaced_formula(self, seed):
+        for prob, w, sample, ref in _dense_hessian_cases(seed):
+            h = prob.hessian_sub(w, sample)
+            assert np.array_equal(h, h.T)
+            assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_large_ripple_arguments_stay_finite(self):
+        # cosh overflows far out along the ripple directions; sech is then 0
+        prob = SyntheticSumProblem.generate(8, 5, seed=1, curvature=2.0, freq=1e3)
+        idx = np.array([1, 4, 6])
+        with np.errstate(over="raise"):
+            h = prob.hessian_sub(1e6 * np.ones(5), idx)
+        np.testing.assert_allclose(h, prob.h[idx].mean(axis=0), rtol=0, atol=1e-300)
+
+    def test_no_ripple_is_the_mean_component_hessian_bitwise(self):
+        prob = SyntheticSumProblem.generate(8, 5, seed=2)
+        idx = np.array([0, 3, 3, 7])
+        assert np.array_equal(prob.hessian_sub(np.ones(5), idx), prob.h[idx].mean(axis=0))
+
+
 class TestConstants:
     def test_nonnegative_fields(self):
         with pytest.raises(ValueError):
