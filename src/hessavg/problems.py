@@ -6,12 +6,10 @@ l2-regularized logistic regression over a dataset, and a small synthetic
 strongly convex finite sum used as a convergence-rate testbed. Each
 oracle gives full and batch losses and gradients, per-component gradients
 for the norm tests, batch Hessian-vector products and dense batch
-Hessians, batch draws, and the optimum where it is known. The masked
-quadratic's and the synthetic sum's dense Hessians are assembled as one
-rank-k product ``B^T B``, which numpy hands to BLAS ``syrk``: half the
-flops of a general product, and exactly symmetric with no
-symmetrization pass. The logistic oracle keeps the default, assembled from
-Hessian-vector products.
+Hessians, batch draws, and the optimum where it is known. Each oracle
+assembles its dense Hessian as one rank-k product ``B^T B``, which numpy
+hands to BLAS ``syrk``: half the flops of a general product, and exactly
+symmetric with no symmetrization pass.
 :class:`ProblemConstants` carries the gradient-noise constants that the
 batch-size bounds in :mod:`hessavg.sampling` read.
 
@@ -21,14 +19,15 @@ cached. Anything random (mask draws, batch index draws) is driven by an
 explicit ``numpy.random.Generator`` passed by the caller, so concurrent
 evaluation with independent streams is safe.
 
-Full passes read the stored per-component arrays in place, never a gathered
-copy of all rows. When a caller needs the full gradient anyway,
-:meth:`~FiniteSumOracle.loss_grad_sub_full` may read the batch loss and
-gradient out of that one full pass instead of gathering the batch rows a
-second time. The synthetic sum's full passes round as its subsampled
-methods over every component do. The logistic oracle's full pass streams
-over ``X`` in row blocks that stay in cache, so a step reads ``X`` once;
-its sums round as blocked sums (see :class:`LogisticProblem`).
+Full values never read a gathered copy of all rows. The logistic oracle's
+full pass streams over ``X`` in place, in row blocks that stay in cache, and
+:meth:`~FiniteSumOracle.loss_grad_sub_full` reads the batch loss and
+gradient out of that one pass, so a step reads ``X`` once; its sums round
+as blocked sums (see :class:`LogisticProblem`). The synthetic sum's full
+values come from its stored mean ``H̄`` and ``b̄`` and one flat pass over
+the ripple directions, so no full value reads the N component Hessians;
+a batch that holds every component exactly once has those full values
+(see :class:`SyntheticSumProblem`).
 """
 
 from __future__ import annotations
@@ -115,11 +114,13 @@ class FiniteSumOracle(ABC):
         """Batch loss, batch gradient and full gradient at ``w``.
 
         This default is equal bit for bit to ``(*loss_grad_sub(w, sample),
-        grad_full(w))``. Both finite-sum oracles override it to read the
-        batch out of the one full pass, and their full gradient stays bit
-        for bit ``grad_full(w)``. The synthetic sum's batch values also stay
-        bitwise those of ``loss_grad_sub``; ``LogisticProblem``'s can move
-        in the last bits (see its docstring).
+        grad_full(w))``. Both finite-sum oracles override it, and their full
+        gradient stays bit for bit ``grad_full(w)``. ``LogisticProblem``
+        reads the batch out of its one pass over ``X``, so its batch values
+        can move in the last bits (see its docstring).
+        ``SyntheticSumProblem`` computes the full values once when the batch
+        covers the sum, and its batch values stay bitwise those of
+        ``loss_grad_sub``.
         """
         return (*self.loss_grad_sub(w, sample), self.grad_full(w))
 
@@ -134,10 +135,9 @@ class FiniteSumOracle(ABC):
     @abstractmethod
     def draw_sample(self, rng: np.random.Generator, size: int): ...
 
+    @abstractmethod
     def hessian_sub(self, w: NDArray, sample) -> NDArray:
-        """Dense subsampled Hessian, assembled from Hessian-vector products."""
-        h = self.hvp_sub(w, sample, np.eye(self.dim))
-        return 0.5 * (h + h.T)
+        """Dense subsampled Hessian, exactly symmetric."""
 
     def optimum(self) -> Optional[tuple[NDArray, float]]:
         """Known minimizer and optimal value, when available."""
@@ -427,6 +427,15 @@ class LogisticProblem(FiniteSumOracle):
             return xs.T @ (weight * xv) / ys.size + v / self.n
         return xs.T @ (weight[:, None] * xv) / ys.size + v / self.n
 
+    def hessian_sub(self, w: NDArray, sample: NDArray) -> NDArray:
+        # X_S^T diag(s(1-s)) X_S / m as B^T B: one syrk, exactly symmetric.
+        xs, ys, z = self._margins(w, sample)
+        s = expit(z)
+        b = np.sqrt(s * (1.0 - s) / ys.size)[:, None] * xs
+        h = b.T @ b
+        h[np.diag_indices(self.dim)] += 1.0 / self.n
+        return h
+
     def _stream(self, w: NDArray, counts: Optional[NDArray] = None) -> tuple[NDArray, NDArray]:
         """Margins of every row and the coefficient sums, in one blocked pass.
 
@@ -499,6 +508,17 @@ class SyntheticSumProblem(FiniteSumOracle):
     ``curvature * freq``) while its gradient contribution stays bounded by
     ``curvature / freq``, so convergence rates can be observed over many
     iterations instead of collapsing within one sampling cycle.
+
+    The full values come from the stored means ``H̄`` and ``b̄``: the full
+    sum is itself one such component, with ``H̄``, ``b̄`` and all N·J
+    ripples, each weighted ``1/(N·J)``. So a full loss or gradient reads no
+    ``H_i``, only one flat pass over the ``(N·J, d)`` ripple directions. It
+    rounds differently from the mean of the N component values.
+
+    A batch that covers the sum, holding every component exactly once
+    (``idx.size == N`` and no repeat), has the full values bit for bit,
+    in any order; its dense Hessian and Hessian-vector products start from
+    a copy of ``H̄``. Any other batch gathers its own ``m`` components.
     """
 
     def __init__(
@@ -524,7 +544,7 @@ class SyntheticSumProblem(FiniteSumOracle):
             if self.a_dirs.ndim != 3:
                 raise ValueError("ripple directions must have shape (N, J, d)")
             self.phases = (
-                np.zeros(self.a_dirs.shape[:2]) if phases is None else np.asarray(phases, dtype=float)
+                np.zeros(self.a_dirs.shape[:2]) if phases is None else np.ascontiguousarray(phases, dtype=float)
             )
         else:
             self.a_dirs = np.zeros((self.n_components, 1, self.dim))
@@ -595,23 +615,41 @@ class SyntheticSumProblem(FiniteSumOracle):
             raise ValueError(f"sample size {size} out of range [1, {self.n_components}]")
         return rng.choice(self.n_components, size=size, replace=False)
 
-    def _ripple_args(self, w: NDArray, idx: NDArray) -> NDArray:
-        return self.freq * (self.a_dirs[idx] @ w) + self.phases[idx]  # (m, J)
+    def _gather_indices(self, sample) -> Optional[NDArray]:
+        """The checked indices a batch gathers, or ``None`` when it covers
+        the sum: it holds every component exactly once, so its values are
+        the full values and it gathers nothing."""
+        idx = _check_indices(sample, self.n_components)
+        if idx.size == self.n_components and np.bincount(idx).max() == 1:
+            return None
+        return idx
 
-    def _terms(self, w: NDArray, sample) -> tuple[NDArray, NDArray, Optional[NDArray], Optional[NDArray]]:
-        """``H_i w``, ``b_i``, ripple arguments and ripple directions.
+    def _ripples(self, w: NDArray, idx: Optional[NDArray]) -> tuple[NDArray, NDArray]:
+        """Ripple arguments and directions of the components ``idx``, gathered,
+        shaped ``(m, J)`` and ``(m, J, d)``; ``idx=None`` gives all N·J
+        ripples, read in place and flattened to ``(N·J,)`` and ``(N·J, d)``."""
+        if idx is None:
+            a = self.a_dirs.reshape(-1, self.dim)
+            return self.freq * (a @ w) + self.phases.reshape(-1), a
+        a = self.a_dirs[idx]
+        return self.freq * (a @ w) + self.phases[idx], a
 
-        ``sample=None`` reads all N components in place. The ripple pair is
-        ``None`` when ``curvature == 0``.
+    def _terms(self, w: NDArray, idx: Optional[NDArray]) -> tuple[NDArray, NDArray, Optional[NDArray], Optional[NDArray]]:
+        """``H_i w``, ``b_i``, ripple arguments and ripple directions of the
+        components ``idx``, gathered.
+
+        ``idx=None`` gives the whole sum as one component with N·J ripples:
+        ``H̄ w`` and ``b̄`` from the stored means, and the ripples of
+        :meth:`_ripples`. No ``H_i`` is read. The ripple pair is ``None``
+        unless ``curvature > 0``.
         """
-        if sample is None:
-            h, b, a, phases = self.h, self.b, self.a_dirs, self.phases
+        if idx is None:
+            hw, b = self._h_mean @ w, self._b_mean
         else:
-            idx = _check_indices(sample, self.n_components)
-            h, b, a, phases = self.h[idx], self.b[idx], self.a_dirs[idx], self.phases[idx]
-        if self.curvature == 0:
-            return h @ w, b, None, None
-        return h @ w, b, self.freq * (a @ w) + phases, a
+            hw, b = self.h[idx] @ w, self.b[idx]
+        if self.curvature <= 0:
+            return hw, b, None, None
+        return (hw, b, *self._ripples(w, idx))
 
     def _loss_of(self, w: NDArray, terms: tuple) -> float:
         hw, b, t, _ = terms
@@ -630,40 +668,67 @@ class SyntheticSumProblem(FiniteSumOracle):
             grads = grads + scale * np.einsum("mj,mjd->md", np.tanh(t), a)
         return grads
 
+    def _mean_grad(self, terms: tuple) -> NDArray:
+        """Mean gradient over the components of ``terms``.
+
+        The whole sum's terms (a 1-D ``H̄ w``) are one component already;
+        their ripple sum is one matrix-vector product over the flat
+        directions.
+        """
+        hw, b, t, a = terms
+        if hw.ndim == 2:
+            return self._grads_of(terms).mean(axis=0)
+        grad = hw - b
+        if t is not None:
+            grad = grad + (self.curvature / (self.freq * t.size)) * (np.tanh(t) @ a)
+        return grad
+
     def loss_sub(self, w: NDArray, sample) -> float:
-        return self._loss_of(w, self._terms(w, sample))
+        return self._loss_of(w, self._terms(w, self._gather_indices(sample)))
 
     def component_grads(self, w: NDArray, sample) -> NDArray:
-        return self._grads_of(self._terms(w, sample))
+        return self._grads_of(self._terms(w, _check_indices(sample, self.n_components)))
 
     def grad_sub(self, w: NDArray, sample) -> NDArray:
-        return self._grads_of(self._terms(w, sample)).mean(axis=0)
+        return self._mean_grad(self._terms(w, self._gather_indices(sample)))
 
     def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
-        terms = self._terms(w, sample)
-        return self._loss_of(w, terms), self._grads_of(terms).mean(axis=0)
+        terms = self._terms(w, self._gather_indices(sample))
+        return self._loss_of(w, terms), self._mean_grad(terms)
 
     def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
-        # Each row of H w, of the ripple arguments and of the component
-        # gradients rounds the same in the full pass as in a gathered
-        # batch, so the batch values are those rows, indexed.
-        idx = _check_indices(sample, self.n_components)
-        terms = self._terms(w, None)
-        hw, b, t, _ = terms
-        grads = self._grads_of(terms)
-        batch = (hw[idx], b[idx], None if t is None else t[idx], None)
-        return self._loss_of(w, batch), grads[idx].mean(axis=0), grads.mean(axis=0)
+        # The full gradient comes from the means; a batch that covers the
+        # sum takes the full values, any other gathers only its own rows.
+        idx = self._gather_indices(sample)
+        whole = self._terms(w, None)
+        full = self._mean_grad(whole)
+        if idx is None:
+            return self._loss_of(w, whole), full.copy(), full
+        batch = self._terms(w, idx)
+        return self._loss_of(w, batch), self._mean_grad(batch), full
+
+    def _hessian_terms(self, w: NDArray, sample) -> tuple[NDArray, Optional[NDArray], Optional[NDArray]]:
+        """Mean of the batch's ``H_i`` as a fresh array, and the batch's
+        ripple arguments and directions shaped ``(m, J)`` and ``(m, J, d)``
+        (``None`` unless ``curvature > 0``). A batch that covers the sum
+        starts from a copy of ``H̄`` and takes all N·J ripples as one
+        component."""
+        idx = self._gather_indices(sample)
+        h = self._h_mean.copy() if idx is None else self.h[idx].mean(axis=0)
+        if self.curvature <= 0:
+            return h, None, None
+        t, a = self._ripples(w, idx)
+        if idx is None:
+            t, a = t[None], a[None]
+        return h, t, a
 
     def hvp_sub(self, w: NDArray, sample, v: NDArray) -> NDArray:
-        idx = _check_indices(sample, self.n_components)
-        h = self.h[idx].mean(axis=0)
+        h, t, a = self._hessian_terms(w, sample)
         out = h @ v
-        if self.curvature > 0:
-            t = self._ripple_args(w, idx)
+        if t is not None:
             with np.errstate(over="ignore"):
                 sech2 = 1.0 / np.cosh(t) ** 2  # underflows to 0 for large |t|
-            a = self.a_dirs[idx]  # (m, J, d)
-            scale = self.curvature / (idx.size * t.shape[1])
+            scale = self.curvature / t.size
             av = np.einsum("mjd,d...->mj...", a, v)
             out = out + scale * np.einsum("mj,mj...,mjd->d...", sech2, av, a)
         return out
@@ -673,14 +738,12 @@ class SyntheticSumProblem(FiniteSumOracle):
         # for the (m J, d) stack of rows sqrt(scale) sech(t_ij) a_ij: one
         # syrk, exactly symmetric, and the mean of the exactly symmetric H_i
         # stays so.
-        idx = _check_indices(sample, self.n_components)
-        h = self.h[idx].mean(axis=0)
-        if self.curvature > 0:
-            t = self._ripple_args(w, idx)
+        h, t, a = self._hessian_terms(w, sample)
+        if t is not None:
             with np.errstate(over="ignore"):
                 sech = 1.0 / np.cosh(t)  # underflows to 0 for large |t|
-            scale = self.curvature / (idx.size * t.shape[1])
-            b = ((np.sqrt(scale) * sech)[..., None] * self.a_dirs[idx]).reshape(-1, self.dim)
+            scale = self.curvature / t.size
+            b = ((np.sqrt(scale) * sech)[..., None] * a).reshape(-1, self.dim)
             h += b.T @ b
         return h
 
@@ -688,7 +751,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         return self._loss_of(w, self._terms(w, None))
 
     def grad_full(self, w: NDArray) -> NDArray:
-        return self._grads_of(self._terms(w, None)).mean(axis=0)
+        return self._mean_grad(self._terms(w, None))
 
     def hessian_full(self, w: NDArray) -> NDArray:
         return self.hessian_sub(w, np.arange(self.n_components))

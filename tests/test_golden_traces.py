@@ -56,7 +56,7 @@ GOLDEN = {
             "epochs": 4,
             "trace_interval": 1,
         },
-        "ebbde7e9a3d2f86672ecdc96eb56712f32ae3971103cad5643a75d47d561ad21",
+        "25821f669ecadf124bded53c44842561676bdcdd0f1fdd205bffecfdefce573c",
     ),
     "fan_sum_cyclic_exact_inverse_hessian": (
         {
@@ -70,7 +70,7 @@ GOLDEN = {
             "epochs": 10,
             "seed": 3,
         },
-        "3f17e806dd9aa60d78e9873cd57894ec0a52c288837e1665a06fb8fc0e592727",
+        "d00183d6bacda5b55fb4eadd8cf7dc6d19c075b314f829b0ac90e52e0048fed1",
     ),
     "fan_abs_logistic_exact_decaying": (
         {
@@ -85,7 +85,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "3ae6ee60964669d545904f8cb07c3ecdfb8f793732e8a0a776485302b77b6ede",
+        "dabeadeb740304747d5ee23b36428d7d5f41662f11a98df43ad60ffc1bd17b1b",
     ),
     "dan_logistic_approx": (
         {
@@ -121,7 +121,7 @@ GOLDEN = {
             "epochs": 4,
             "rolling_f": 3,
         },
-        "9bee845cba159678722eadca1928b322cb109d79cc2d8197af9768d4303a7548",
+        "28b910e86259d2d11e0c3eb377c7a715d8e36f5d7066d2b222e7f348b1f13e80",
     ),
 }
 
@@ -133,13 +133,13 @@ def test_trace_matches_golden_digest(name, tmp_path):
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
 
 
-# Traces pinned before a change that moved floats on purpose: the two
-# synthetic-sum traces from before the dense synthetic-sum Hessian became
-# one rank-k product (its ripple part summed by syrk, not by an einsum and a
-# symmetrization); the two
-# logistic traces from before the logistic oracle read its batch out of one
-# blocked pass over X. The counters must not move; the floats may move by
-# rounding only.
+# Traces pinned before a change that moved floats on purpose: the three
+# synthetic-sum traces from before the synthetic sum's full values came
+# from its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
+# the abs-fan logistic trace from before the logistic dense Hessian became
+# one rank-k product; the adam logistic trace from before the logistic
+# oracle read its batch out of one blocked pass over X. The counters must
+# not move; the floats may move by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 EXACT_COLUMNS = ("k", "epoch", "x_size", "s_size", "hvp_probes", "eec")
 FLOAT_COLUMNS = ("f", "grad_norm", "dist_to_opt")

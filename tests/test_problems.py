@@ -278,16 +278,18 @@ class TestSyntheticSum:
         prob = SyntheticSumProblem.generate(8, 6, seed=2, curvature=1.0, coupling=0.5)
         rng = rng_mod.stream(31, "hessian")
         w = rng.standard_normal(6)
-        sample = prob.draw_sample(rng, 4)
-        h = prob.hessian_sub(w, sample)
-        for _ in range(5):
-            v = rng.standard_normal(6)
-            np.testing.assert_allclose(h @ v, prob.hvp_sub(w, sample, v), atol=1e-10)
+        for size in (4, 8):  # 8 covers the sum
+            sample = prob.draw_sample(rng, size)
+            h = prob.hessian_sub(w, sample)
+            for _ in range(5):
+                v = rng.standard_normal(6)
+                np.testing.assert_allclose(h @ v, prob.hvp_sub(w, sample, v), atol=1e-10)
 
 
 def _dense_hessian_cases(seed):
-    """(problem, w, sample, reference Hessian) for both rank-k hessian_sub
-    overrides; the references are the formulas those overrides replace."""
+    """(problem, w, sample, reference Hessian) for the three rank-k
+    hessian_sub overrides; the references are the formulas those overrides
+    replace."""
     rng = rng_mod.stream(seed, "hessian")
     quad = quadratic_generate(d=30, keep_prob=0.4, seed=seed)
     mask = quad.draw_sample(rng, 7)
@@ -297,7 +299,15 @@ def _dense_hessian_cases(seed):
     idx = ssum.draw_sample(rng, 5)
     w_sum = rng.standard_normal(12)
     hvp = ssum.hvp_sub(w_sum, idx, np.eye(12))
-    return [(quad, w, mask, 0.5 * (quad_ref + quad_ref.T)), (ssum, w_sum, idx, 0.5 * (hvp + hvp.T))]
+    logistic = LogisticProblem(*make_synthetic_logistic(n=200, d=9, seed=seed))
+    rows = logistic.draw_sample(rng, 40)
+    w_log = rng.standard_normal(9)
+    hvp_log = logistic.hvp_sub(w_log, rows, np.eye(9))
+    return [
+        (quad, w, mask, 0.5 * (quad_ref + quad_ref.T)),
+        (ssum, w_sum, idx, 0.5 * (hvp + hvp.T)),
+        (logistic, w_log, rows, 0.5 * (hvp_log + hvp_log.T)),
+    ]
 
 
 class TestDenseHessians:
@@ -462,6 +472,78 @@ class TestBatchFromFullPass:
         oracle = _oracle_cases()["logistic"]
         with pytest.raises(ValueError, match=match):
             oracle.loss_grad_sub_full(np.zeros(oracle.dim), np.array(bad, dtype=int))
+
+
+def _size_n_sample(rng, n, order):
+    """``arange(n)``, a permutation, or a permutation with one index repeated."""
+    if order == "arange":
+        return np.arange(n)
+    sample = rng.permutation(n)
+    if order == "repeat":
+        i, j = rng.choice(n, size=2, replace=False)
+        sample[i] = sample[j]
+    return sample
+
+
+class TestCoveringBatch:
+    """A batch that holds every component exactly once has the full values."""
+
+    @given(
+        kind=st.sampled_from(sorted(_SUMS)),
+        order=st.sampled_from(["arange", "permutation", "repeat"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="quadratic", order="permutation", seed=0)
+    @example(kind="ripple", order="permutation", seed=0)
+    @example(kind="ripple", order="repeat", seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_size_n_batch_is_the_full_value_exactly_when_it_covers(self, kind, order, seed):
+        oracle = _SUMS[kind]
+        rng = rng_mod.stream(seed, "gradient")
+        w = rng.standard_normal(oracle.dim)
+        sample = _size_n_sample(rng, oracle.n_components, order)
+        if order == "repeat":
+            # not a cover: the gathered batch, read row by row
+            ref_loss = oracle._loss_of(w, oracle._terms(w, sample))
+            ref_grad = oracle.component_grads(w, sample).mean(axis=0)
+        else:
+            ref_loss, ref_grad = oracle.loss_full(w), oracle.grad_full(w)
+            assert np.array_equal(oracle.hessian_sub(w, sample), oracle.hessian_full(w))
+        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
+        assert np.array_equal(full, oracle.grad_full(w))
+        for got_loss, got_grad in (
+            (loss, grad),
+            oracle.loss_grad_sub(w, sample),
+            (oracle.loss_sub(w, sample), oracle.grad_sub(w, sample)),
+        ):
+            assert got_loss == ref_loss
+            assert np.array_equal(got_grad, ref_grad)
+
+    @pytest.mark.parametrize("ripple", [{}, {"curvature": 2.0, "coupling": 0.5}], ids=["quadratic", "ripple"])
+    def test_full_values_read_no_component_hessian(self, ripple):
+        oracle = SyntheticSumProblem.generate(24, 6, seed=3, **ripple)
+        n, every = oracle.n_components, np.arange(24)
+        points = [rng_mod.stream(seed, "init").standard_normal(6) for seed in range(3)]
+        refs = [
+            (
+                np.mean([oracle.loss_sub(w, [i]) for i in range(n)]),
+                oracle.component_grads(w, every).mean(axis=0),
+                np.mean([oracle.hessian_sub(w, [i]) for i in range(n)], axis=0),
+            )
+            for w in points
+        ]
+        oracle.h = None
+        for w, (ref_loss, ref_grad, ref_hess) in zip(points, refs):
+            loss, grad = oracle.loss_full(w), oracle.grad_full(w)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+            hess = oracle.hessian_full(w)
+            assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+            cover = rng_mod.stream(0, "gradient").permutation(n)
+            batch_loss, batch_grad, full = oracle.loss_grad_sub_full(w, cover)
+            assert batch_loss == loss
+            assert np.array_equal(batch_grad, grad) and np.array_equal(full, grad)
+        assert np.linalg.norm(oracle.grad_full(oracle.optimum()[0])) <= 1e-12
 
 
 def _sum_sample_calls(oracle):
