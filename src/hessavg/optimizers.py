@@ -382,16 +382,23 @@ def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
     return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
 
 
+def _check_a_mode(ctx: RunContext) -> None:
+    """Reject a norm-test weighting the run could not apply.
+
+    Checked once per run, not when a test runs: a run whose batch starts
+    at its cap runs no test at all.
+    """
+    if ctx.a_mode not in ("identity", "inverse_hessian"):
+        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {ctx.a_mode!r}")
+    if ctx.a_mode == "inverse_hessian" and not ctx.method.uses_full_hessian:
+        raise ValueError(f"a_mode='inverse_hessian' requires a full-matrix method, not {ctx.method.name}")
+
+
 def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
     """Weighting matrix for the exact norm test (None means identity)."""
     if ctx.a_mode == "identity":
         return None
-    if ctx.a_mode != "inverse_hessian":
-        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {ctx.a_mode!r}")
-    method = ctx.method
-    if not method.uses_full_hessian:
-        raise ValueError(f"a_mode='inverse_hessian' requires a full-matrix method, not {method.name}")
-    h_tilde, _ = state.avg.modified(method.mu_tilde)
+    h_tilde, _ = state.avg.modified(ctx.method.mu_tilde)
     return h_tilde
 
 
@@ -431,18 +438,21 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     x_size = ctx.controller.size(ctx.epoch_of(state))
     sample = oracle.draw_sample(ctx.rngs.get("gradient"), x_size)
 
-    # One full pass at w_k at most, shared by the trace snapshot and the
-    # controller. Outside the approximate norm test, which needs the
-    # per-component gradients, the batch values come out of that pass.
+    # A norm test runs only while it can still grow the batch; a step at
+    # the cap computes what a fixed-size step does. One full pass at w_k at
+    # most, shared by the trace snapshot and the exact test. Outside the
+    # approximate test, which needs the per-component gradients, the batch
+    # values come out of that pass.
     traced = state.k % ctx.trace_interval == 0
+    testing = ctx.controller.can_grow
     comps = full_grad = None
-    if ctx.controller.mode == "approx_norm_test":
+    if testing and ctx.controller.mode == "approx_norm_test":
         comps = oracle.component_grads(state.w, sample)
         g = comps.mean(axis=0)
         f_batch = oracle.loss_sub(state.w, sample)
         if traced:
             full_grad = oracle.grad_full(state.w)
-    elif traced or ctx.controller.mode == "exact_norm_test":
+    elif traced or testing:
         f_batch, g, full_grad = oracle.loss_grad_sub_full(state.w, sample)
     else:
         f_batch, g = oracle.loss_grad_sub(state.w, sample)
@@ -465,7 +475,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
         if needs_hessian and ctx.policy.should_update(state.k):
             _update_hessian(ctx, state)
         p = _direction(ctx, state, g)
-        if ctx.controller.adaptive:
+        if testing:
             _run_controller(ctx, state, g, comps, full_grad, theta, iota)
         w_new = state.w - alpha * p
         if not np.all(np.isfinite(w_new)):
@@ -513,6 +523,7 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     One record is emitted per iteration plus a terminal record for the
     final iterate, so a zero-epoch run yields exactly the initial record.
     """
+    _check_a_mode(ctx)
     state = init_state(ctx.method, ctx.oracle, w0)
     if ctx.f0 is None:
         ctx.f0 = ctx.oracle.loss_full(state.w)

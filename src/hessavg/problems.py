@@ -22,8 +22,9 @@ evaluation with independent streams is safe.
 Full values never read a gathered copy of all rows. The logistic oracle's
 full pass streams over ``X`` in place, in row blocks that stay in cache, and
 :meth:`~FiniteSumOracle.loss_grad_sub_full` reads the batch loss and
-gradient out of that one pass, so a step reads ``X`` once; its sums round
-as blocked sums (see :class:`LogisticProblem`). The synthetic sum's full
+gradient out of that one pass, so a step reads ``X`` once; its batch
+values gather their rows in the same blocks, and all its sums round as
+blocked sums (see :class:`LogisticProblem`). The synthetic sum's full
 values come from its stored mean ``H̄`` and ``b̄`` and one flat pass over
 the ripple directions, so no full value reads the N component Hessians;
 a batch that holds every component exactly once has those full values
@@ -347,18 +348,25 @@ class LogisticProblem(FiniteSumOracle):
     full objective is their mean. Labels must be +-1. The regularizer
     makes every subsampled Hessian at least ``I / n``, so ``mu = 1/n``.
 
-    :meth:`grad_full` and :meth:`loss_grad_sub_full` share one pass over
-    ``X`` in blocks of rows (``_BLOCK_BYTES`` of ``X`` each). Each block's
-    margins go into the full margin vector, and the block's coefficients
-    times its rows are added to the full gradient sum while the rows are
-    still cached. For a batch, the same coefficients weighted by each row's
-    count in the sample give the batch sum, so a sample with repeats still
-    gives the gathered mean and no batch row is gathered. The blocked
-    margins equal those of ``X @ w``; the blocked sums, and the batch values
-    read from the full margins, can differ in the last bits from the
-    unblocked and gathered ones of :meth:`grad_sub` and
-    :meth:`loss_grad_sub`. When all of ``X`` fits in one block,
-    :meth:`grad_full` equals ``grad_sub`` over every row bit for bit.
+    Every pass over rows goes in blocks of whole groups of 8 rows,
+    ``_BLOCK_BYTES`` of ``X`` each, and finishes a block's margins and its
+    coefficient sum while the block is in cache. :meth:`grad_full` and
+    :meth:`loss_grad_sub_full` share one pass over ``X`` in place: each
+    block's margins go into the full margin vector, and the block's
+    coefficients times its rows are added to the full gradient sum. For a
+    batch, the same coefficients weighted by each row's count in the sample
+    give the batch sum, so a sample with repeats still gives the gathered
+    mean and no batch row is gathered. The batch values of
+    :meth:`loss_sub`, :meth:`grad_sub` and :meth:`loss_grad_sub` come from
+    one routine that gathers the sample's rows a block at a time, so a
+    large batch never holds a copy of all its rows; a repeated index is
+    gathered, and counted, once per occurrence.
+
+    The blocked margins equal those of ``X @ w``. The blocked sums can
+    differ in the last bits from one product over all the rows, and the
+    batch values read from the full pass from those of the gathered batch.
+    A batch that fits in one block sums as one product, and ``grad_sub``
+    over every row in order equals :meth:`grad_full` bit for bit.
     """
 
     def __init__(self, x: NDArray, y: NDArray):
@@ -377,6 +385,10 @@ class LogisticProblem(FiniteSumOracle):
         self.n = x.shape[0]
         self.dim = x.shape[1]
         self.n_components = self.n
+        # Whole groups of 8 rows, so that the BLAS kernels' row unrolling
+        # splits each block as it splits the whole X: the blocked margins
+        # then round as ``X @ w`` does.
+        self._block_rows = max(8, _BLOCK_BYTES // self.x[0].nbytes // 8 * 8)
 
     def draw_sample(self, rng: np.random.Generator, size: int) -> NDArray:
         if not 1 <= size <= self.n:
@@ -401,18 +413,33 @@ class LogisticProblem(FiniteSumOracle):
         """``d/dz_i`` of the loss terms, times ``y_i``: row ``i``'s gradient is this times ``x_i``."""
         return -ys * (1.0 - expit(z))
 
-    def _grad_of(self, w: NDArray, xs: NDArray, ys: NDArray, z: NDArray) -> NDArray:
-        return (self._coeff(ys, z) @ xs) / ys.size + w / self.n
+    def _batch(self, w: NDArray, sample: NDArray, grad: bool = True) -> tuple[float, Optional[NDArray]]:
+        """Batch loss and, with ``grad``, batch gradient at ``w``.
+
+        The sample's rows are gathered one block at a time, and each
+        block's margins and coefficient sum are computed while it is in
+        cache.
+        """
+        idx = _check_indices(sample, self.n)
+        z = np.empty(idx.size)
+        total = np.zeros(self.dim) if grad else None
+        for start in range(0, idx.size, self._block_rows):
+            rows = idx[start : start + self._block_rows]
+            xb, yb = self.x[rows], self.y[rows]
+            zb = z[start : start + self._block_rows]
+            np.multiply(yb, xb @ w, out=zb)
+            if grad:
+                total += self._coeff(yb, zb) @ xb
+        return self._loss_of(w, z), None if total is None else total / idx.size + w / self.n
 
     def loss_sub(self, w: NDArray, sample: NDArray) -> float:
-        return self._loss_of(w, self._margins(w, sample)[2])
+        return self._batch(w, sample, grad=False)[0]
 
     def grad_sub(self, w: NDArray, sample: NDArray) -> NDArray:
-        return self._grad_of(w, *self._margins(w, sample))
+        return self._batch(w, sample)[1]
 
     def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
-        xs, ys, z = self._margins(w, sample)
-        return self._loss_of(w, z), self._grad_of(w, xs, ys, z)
+        return self._batch(w, sample)
 
     def component_grads(self, w: NDArray, sample: NDArray) -> NDArray:
         xs, ys, z = self._margins(w, sample)
@@ -447,12 +474,8 @@ class LogisticProblem(FiniteSumOracle):
         """
         z = np.empty(self.n)
         sums = np.zeros((1 if counts is None else 2, self.dim))
-        # Whole groups of 8 rows, so that the BLAS kernels' row unrolling
-        # splits each block as it splits the whole X: the blocked margins
-        # then round as ``X @ w`` does.
-        rows = max(8, _BLOCK_BYTES // self.x[0].nbytes // 8 * 8)
-        for start in range(0, self.n, rows):
-            block = slice(start, start + rows)
+        for start in range(0, self.n, self._block_rows):
+            block = slice(start, start + self._block_rows)
             xb, yb = self.x[block], self.y[block]
             zb = z[block]
             np.multiply(yb, xb @ w, out=zb)
@@ -611,8 +634,13 @@ class SyntheticSumProblem(FiniteSumOracle):
         return cls(hs, b, a, curvature, freq=freq, phases=phases)
 
     def draw_sample(self, rng: np.random.Generator, size: int) -> NDArray:
+        """``size`` distinct components; at size N, ``arange(N)`` without
+        drawing, since a batch that covers the sum has the same values in
+        any order."""
         if not 1 <= size <= self.n_components:
             raise ValueError(f"sample size {size} out of range [1, {self.n_components}]")
+        if size == self.n_components:
+            return np.arange(size)
         return rng.choice(self.n_components, size=size, replace=False)
 
     def _gather_indices(self, sample) -> Optional[NDArray]:

@@ -6,8 +6,10 @@ averages over whole cycles cancel exactly for constant component
 Hessians), and an i.i.d. sampler that defers to the oracle's own draw.
 
 Gradient batch sizing is a one-way ratchet: sizes never decrease within a
-run. The adaptive modes run a norm test each iteration and grow the batch
-by the observed violation ratio on failure.
+run, and never pass the cap. The adaptive modes run a norm test on each
+iteration that starts below the cap and grow the batch by the observed
+violation ratio on failure; at the cap no test can change the batch, so
+none is run.
 """
 
 from __future__ import annotations
@@ -210,7 +212,9 @@ class GradSampleController:
         ``sizes[min(epoch // epochs_per_block, last)]``, clamped to the cap.
     exact_norm_test / approx_norm_test
         Keep the current size while the test passes; on failure grow to
-        ``ceil(current * observed_variance / (theta^2 ||g||^2 + iota))``.
+        ``ceil(current * observed_variance / (theta^2 ||g||^2 + iota))``,
+        clamped to the cap. The test runs only while :attr:`can_grow`:
+        once the batch is at the cap its outcome could not change it.
     """
 
     mode: str
@@ -234,6 +238,13 @@ class GradSampleController:
     @property
     def adaptive(self) -> bool:
         return self.mode in ADAPTIVE_MODES
+
+    @property
+    def can_grow(self) -> bool:
+        """Whether a norm test can still change the batch: the mode is
+        adaptive and the batch is below the cap. Sizes never shrink, so
+        once this is false it stays false for the run."""
+        return self.adaptive and self.current_size < self.cap
 
     def size(self, epoch: float) -> int:
         """Batch size to use for the iteration starting at ``epoch``."""

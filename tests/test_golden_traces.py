@@ -96,7 +96,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "e81ad3e7adc6fa741d92a8fb11b1510eeaab13f724c488126038579283163c7f",
+        "96a93268b72f60d7eca0b8f897cb32c0a244b797d4faeecccca9c56ba9e1f550",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -110,7 +110,7 @@ GOLDEN = {
             "init": {"kind": "near_optimum", "radius": 0.5},
             "epochs": 0.3,
         },
-        "b94dbb5d48c2238a731ec14fa3fc7b4b2378426a89d0d2e80b686078b0f10989",
+        "bcb384adf744731898fb6fa602a1ea8e0e9170eeea4404c83a442297930b49bd",
     ),
     "adahessian_sum_cyclic_fixed": (
         {
@@ -138,8 +138,11 @@ def test_trace_matches_golden_digest(name, tmp_path):
 # from its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
 # the abs-fan logistic trace from before the logistic dense Hessian became
 # one rank-k product; the adam logistic trace from before the logistic
-# oracle read its batch out of one blocked pass over X. The counters must
-# not move; the floats may move by rounding only.
+# oracle read its batch out of one blocked pass over X; the two
+# approximate-test traces from before a step at the batch cap stopped
+# running the test, and so took its batch from ``loss_grad_sub`` and not
+# from the mean of ``component_grads``. The counters must not move; the
+# floats may move by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 EXACT_COLUMNS = ("k", "epoch", "x_size", "s_size", "hvp_probes", "eec")
 FLOAT_COLUMNS = ("f", "grad_norm", "dist_to_opt")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,15 @@ from hessavg.optimizers import (
     init_state,
     run,
     schedule_eval,
+    step,
 )
-from hessavg.problems import QuadraticProblem, SyntheticSumProblem, quadratic_generate
+from hessavg.problems import (
+    LogisticProblem,
+    QuadraticProblem,
+    SyntheticSumProblem,
+    make_synthetic_logistic,
+    quadratic_generate,
+)
 from hessavg.sampling import CyclicSampler, GradSampleController, IidSampler
 from hessavg import rng as rng_mod
 
@@ -397,6 +406,98 @@ class TestFullGradientSharing:
     def test_unknown_a_mode_rejected(self):
         prob = quadratic_generate(d=8, seed=1)
         ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hesian")
+        with pytest.raises(ValueError, match="a_mode"):
+            run(ctx, np.ones(8), epochs=0.05)
+
+
+class _CountingComponentSum(_CountingSum):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls["component_grads"] = 0
+
+    def component_grads(self, w, sample):
+        self.calls["component_grads"] += 1
+        return super().component_grads(w, sample)
+
+
+class _CountingController(GradSampleController):
+    tests = 0
+
+    def record_test(self, *args):
+        self.tests += 1
+        return super().record_test(*args)
+
+
+def _steps_across_the_cap(mode, n_steps=24):
+    """Per-step ``(started below the cap, traced, oracle calls, tests run)``
+    over a run whose batch grows from 4 to its cap of 16 within a few steps."""
+    prob = _CountingComponentSum.generate(n_components=64, d=6, seed=2, curvature=2.0)
+    ctx = make_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3), alpha=0.5, trace_interval=5)
+    ctx.controller = _CountingController(mode=mode, initial_size=4, cap=16)
+    ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0))
+    state = init_state(ctx.method, prob, np.ones(6))
+    ctx.f0 = prob.loss_full(state.w)
+    prob.optimum()  # its Newton polish calls grad_full; the first snapshot would count it
+    steps = []
+    for _ in range(n_steps):
+        below = ctx.controller.current_size < ctx.controller.cap
+        traced = state.k % ctx.trace_interval == 0
+        before = dict(prob.calls)
+        tests_before = ctx.controller.tests
+        state, _ = step(ctx, state)
+        calls = {name: count - before[name] for name, count in prob.calls.items() if count > before[name]}
+        steps.append((below, traced, calls, ctx.controller.tests - tests_before))
+    assert any(below for below, *_ in steps)
+    assert any(not below and not traced for below, traced, *_ in steps)
+    return steps
+
+
+class TestNormTestOnlyBelowTheCap:
+    @pytest.mark.parametrize("mode", ["exact_norm_test", "approx_norm_test"])
+    def test_a_step_below_the_cap_runs_its_test(self, mode):
+        for below, traced, calls, tests in _steps_across_the_cap(mode):
+            if not below:
+                continue
+            assert tests == 1
+            if mode == "exact_norm_test":
+                assert calls == {"loss_grad_sub_full": 1}
+            else:
+                assert calls == ({"component_grads": 1, "grad_full": 1} if traced else {"component_grads": 1})
+
+    @pytest.mark.parametrize("mode", ["exact_norm_test", "approx_norm_test"])
+    def test_a_step_at_the_cap_computes_what_a_fixed_step_does(self, mode):
+        for below, traced, calls, tests in _steps_across_the_cap(mode):
+            if below:
+                continue
+            assert tests == 0
+            assert calls == ({"loss_grad_sub_full": 1} if traced else {"loss_grad_sub": 1})
+
+    @pytest.mark.parametrize("mode", ["exact_norm_test", "approx_norm_test"])
+    @pytest.mark.parametrize("kind", ["logistic", "sum"])
+    def test_a_run_that_starts_at_the_cap_is_the_fixed_run(self, kind, mode):
+        if kind == "logistic":
+            prob = LogisticProblem(*make_synthetic_logistic(n=400, d=12, seed=3))
+            method, size, epochs = MethodSpec(name="dan", rank=2, eps=1e-2), 32, 2
+        else:
+            prob = SyntheticSumProblem.generate(n_components=64, d=6, seed=2, curvature=2.0)
+            method, size, epochs = MethodSpec(name="fan", mu_tilde=1e-3), 64, 12
+        runs = {}
+        for grad_mode in ("fixed", mode):
+            ctx = make_ctx(prob, method, seed=1, alpha=0.5, grad_size=size, hess_size=16, trace_interval=3)
+            ctx.controller = GradSampleController(mode=grad_mode, initial_size=size, cap=size)
+            ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0))
+            _, records = run(ctx, np.zeros(prob.dim), epochs=epochs)
+            runs[grad_mode] = [dataclasses.replace(r, wall_ms=0.0) for r in records]
+        assert len(runs["fixed"]) > 10
+        assert runs[mode] == runs["fixed"]
+
+    @pytest.mark.parametrize(
+        "method, a_mode", [("fan", "inverse_hesian"), ("dan", "inverse_hessian")], ids=["misspelt", "diagonal"]
+    )
+    def test_a_mode_checked_when_no_test_will_run(self, method, a_mode):
+        prob = quadratic_generate(d=8, seed=1)
+        ctx = _exact_test_ctx(prob, MethodSpec(name=method), a_mode=a_mode)
+        ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=8, cap=8)
         with pytest.raises(ValueError, match="a_mode"):
             run(ctx, np.ones(8), epochs=0.05)
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from hessavg.problems import (
     FiniteSumOracle,
@@ -472,6 +475,84 @@ class TestBatchFromFullPass:
         oracle = _oracle_cases()["logistic"]
         with pytest.raises(ValueError, match=match):
             oracle.loss_grad_sub_full(np.zeros(oracle.dim), np.array(bad, dtype=int))
+
+
+# d=300 as in the benchmark: 216 rows to a block, so a batch of 1500 spans
+# seven blocks and a partial eighth.
+_WIDE = LogisticProblem(*make_synthetic_logistic(n=3000, d=300, seed=11))
+
+
+def _gathered_batch(oracle, w, sample):
+    """Batch loss and gradient from one gathered copy of the sample's rows."""
+    xs, ys = oracle.x[sample], oracle.y[sample]
+    z = ys * (xs @ w)
+    reg = w / oracle.n
+    loss = np.mean(np.logaddexp(0.0, -z)) + (w @ w) / (2 * oracle.n)
+    return loss, (-ys * (1.0 - expit(z))) @ xs / sample.size + reg
+
+
+class TestBlockedLogisticBatch:
+    def _point_and_sample(self, seed, size=1500):
+        rng = rng_mod.stream(seed, "gradient")
+        return 0.1 * rng.standard_normal(_WIDE.dim), _WIDE.draw_sample(rng, size)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_grad_sub_is_bitwise_the_two_calls(self, seed):
+        w, sample = self._point_and_sample(seed)
+        loss, grad = _WIDE.loss_grad_sub(w, sample)
+        assert loss == _WIDE.loss_sub(w, sample)
+        assert np.array_equal(grad, _WIDE.grad_sub(w, sample))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_close_to_the_gathered_mean(self, seed):
+        w, sample = self._point_and_sample(seed)
+        loss, grad = _WIDE.loss_grad_sub(w, sample)
+        ref_loss, ref_grad = _gathered_batch(_WIDE, w, sample)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    def test_a_repeated_index_counts_twice(self):
+        w, sample = self._point_and_sample(4)
+        repeated = np.concatenate([sample, sample[:400]])
+        loss, grad = _WIDE.loss_grad_sub(w, repeated)
+        ref_loss, ref_grad = _gathered_batch(_WIDE, w, repeated)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+        assert np.linalg.norm(grad - _WIDE.grad_sub(w, sample)) > 1e-6 * np.linalg.norm(ref_grad)
+
+    def test_every_row_in_order_is_the_full_gradient(self):
+        w, _ = self._point_and_sample(5)
+        assert np.array_equal(_WIDE.grad_sub(w, np.arange(_WIDE.n)), _WIDE.grad_full(w))
+
+    def test_holds_no_gathered_copy_of_the_batch(self):
+        w, sample = self._point_and_sample(6, size=2000)
+        tracemalloc.start()
+        try:
+            _WIDE.loss_grad_sub(w, sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sample.size * _WIDE.x[0].nbytes
+
+
+class TestDrawSample:
+    """A synthetic-sum draw of size N is ``arange(N)`` and leaves the generator
+    where it was: the next values equal those of an untouched twin."""
+
+    @pytest.mark.parametrize("kind", sorted(_SUMS))
+    def test_size_n_is_every_component_without_a_draw(self, kind):
+        oracle = _SUMS[kind]
+        rng, twin = rng_mod.stream(3, "gradient"), rng_mod.stream(3, "gradient")
+        assert np.array_equal(oracle.draw_sample(rng, oracle.n_components), np.arange(oracle.n_components))
+        assert np.array_equal(rng.random(8), twin.random(8))
+
+    @pytest.mark.parametrize("kind", sorted(_SUMS))
+    def test_size_below_n_still_draws(self, kind):
+        oracle = _SUMS[kind]
+        rng, twin = rng_mod.stream(3, "gradient"), rng_mod.stream(3, "gradient")
+        sample = oracle.draw_sample(rng, oracle.n_components - 1)
+        assert np.unique(sample).size == sample.size == oracle.n_components - 1
+        assert not np.array_equal(rng.random(8), twin.random(8))
 
 
 def _size_n_sample(rng, n, order):
