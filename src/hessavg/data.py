@@ -5,6 +5,12 @@ when known, a sha256 digest. Fetching is cache-first: a valid local copy
 is reused with zero network traffic. When a manifest carries no pinned
 digest, the digest observed on first fetch is recorded in a ``.sha256``
 sidecar next to the file and enforced from then on.
+
+A parsed dataset is the pair the logistic oracle reads: a dense float
+matrix ``x`` of shape ``(n, dim)``, in which the 1-based LIBSVM feature
+index ``j`` is column ``j - 1``, and a vector ``y`` of +-1 labels. The
+manifests' datasets are small enough to hold densely (mushrooms is
+5,500 x 112 after its split, ijcnn1 35,000 x 22).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import os
 import re
 import shutil
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,7 +30,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "SparseDataset",
     "DatasetManifest",
     "LibsvmParseError",
     "DatasetUnavailable",
@@ -52,29 +58,6 @@ class DatasetUnavailable(RuntimeError):
 
 class ChecksumMismatch(RuntimeError):
     """Downloaded or cached file does not match the expected sha256."""
-
-
-@dataclass
-class SparseDataset:
-    """Parsed LIBSVM data with 1-based feature indices preserved.
-
-    ``rows[i]`` is the list of ``(index, value)`` pairs of row ``i`` with
-    indices strictly increasing; ``labels`` is a +-1 vector. Conversion to
-    a dense 0-based matrix happens only at the oracle boundary via
-    :meth:`to_dense`.
-    """
-
-    n: int
-    dim: int
-    rows: list[list[tuple[int, float]]]
-    labels: NDArray
-
-    def to_dense(self) -> tuple[NDArray, NDArray]:
-        x = np.zeros((self.n, self.dim))
-        for i, row in enumerate(self.rows):
-            for idx, val in row:
-                x[i, idx - 1] = val
-        return x, np.asarray(self.labels, dtype=float)
 
 
 @dataclass
@@ -137,24 +120,25 @@ def parse_libsvm(
     text: str | bytes,
     label_map: Optional[dict] = None,
     dim: Optional[int] = None,
-) -> SparseDataset:
-    """Parse LIBSVM-format lines ``label idx:val idx:val ...``.
+) -> tuple[NDArray, NDArray]:
+    """Parse LIBSVM-format lines ``label idx:val idx:val ...`` into ``(x, y)``.
 
-    Indices must be 1-based and strictly increasing within a row. Labels
-    are remapped through ``label_map`` when given and must end up in
-    {-1, +1}. ``dim`` overrides the max index seen, guarding against
-    underestimation when rare features are absent.
+    Indices must be 1-based and strictly increasing within a row; index
+    ``j`` fills column ``j - 1`` of the dense ``x`` and absent features
+    are 0. Labels are remapped through ``label_map`` when given and must
+    end up in {-1, +1}. ``dim`` overrides the max index seen, guarding
+    against underestimation when rare features are absent.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows: list[list[tuple[int, float]]] = []
-    labels: list[float] = []
+    # Typed buffers, not lists of Python objects: each entry of the file is
+    # held in 16 bytes, its column and value, until one scatter into ``x``.
+    cols, vals, row_sizes, labels = array("q"), array("d"), array("q"), array("d")
     max_index = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         try:
             raw_label = float(parts[0])
         except ValueError as err:
@@ -169,7 +153,6 @@ def parse_libsvm(
             label = float(raw_label)
         if label not in (-1.0, 1.0):
             raise LibsvmParseError(f"line {lineno}: label {label} not in {{-1, +1}}")
-        row: list[tuple[int, float]] = []
         prev = 0
         for tok in parts[1:]:
             idx_str, _, val_str = tok.partition(":")
@@ -183,14 +166,18 @@ def parse_libsvm(
                     f"line {lineno}: indices must be strictly increasing (saw {idx} after {prev})"
                 )
             prev = idx
-            row.append((idx, val))
+            cols.append(idx - 1)
+            vals.append(val)
         max_index = max(max_index, prev)
-        rows.append(row)
+        row_sizes.append(len(parts) - 1)
         labels.append(label)
     out_dim = dim if dim is not None else max_index
     if max_index > out_dim:
         raise LibsvmParseError(f"feature index {max_index} exceeds declared dim {out_dim}")
-    return SparseDataset(n=len(rows), dim=out_dim, rows=rows, labels=np.asarray(labels))
+    x = np.zeros((len(labels), out_dim))
+    rows = np.repeat(np.arange(len(labels)), np.frombuffer(row_sizes, dtype=np.int64))
+    x[rows, np.frombuffer(cols, dtype=np.int64)] = np.frombuffer(vals)
+    return x, np.array(labels)
 
 
 def _format_value(val: float) -> str:
@@ -199,12 +186,13 @@ def _format_value(val: float) -> str:
     return repr(val)
 
 
-def serialize_libsvm(dataset: SparseDataset) -> str:
-    """Inverse of :func:`parse_libsvm` on the parsed representation."""
+def serialize_libsvm(x: NDArray, y: NDArray) -> str:
+    """Inverse of :func:`parse_libsvm`: each row's label and nonzero features."""
     lines = []
-    for label, row in zip(dataset.labels, dataset.rows):
-        toks = [_format_value(float(label))]
-        toks.extend(f"{idx}:{_format_value(val)}" for idx, val in row)
+    for label, row in zip(y.tolist(), x):
+        cols = np.flatnonzero(row)
+        toks = [_format_value(label)]
+        toks.extend(f"{j + 1}:{_format_value(val)}" for j, val in zip(cols.tolist(), row[cols].tolist()))
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -299,41 +287,35 @@ def _read_text(path: Path, compression: Optional[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def train_split(dataset: SparseDataset, k: int, seed: int) -> tuple[SparseDataset, SparseDataset]:
-    """Deterministic shuffled split: first ``k`` rows of a seeded permutation."""
-    if k > dataset.n:
-        raise ValueError(f"requested {k} rows from a dataset of {dataset.n}")
-    perm = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).permutation(dataset.n)
-    take = perm[:k]
-    rest = perm[k:]
-
-    def view(indices: NDArray) -> SparseDataset:
-        return SparseDataset(
-            n=len(indices),
-            dim=dataset.dim,
-            rows=[dataset.rows[i] for i in indices],
-            labels=dataset.labels[indices],
-        )
-
-    return view(take), view(rest)
+def train_split(
+    x: NDArray, y: NDArray, k: int, seed: int
+) -> tuple[tuple[NDArray, NDArray], tuple[NDArray, NDArray]]:
+    """Deterministic shuffled split: the rows at the first ``k`` entries of a
+    seeded permutation, in that order, and the remaining rows."""
+    n = len(y)
+    if k > n:
+        raise ValueError(f"requested {k} rows from a dataset of {n}")
+    perm = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).permutation(n)
+    take, rest = perm[:k], perm[k:]
+    return (x[take], y[take]), (x[rest], y[rest])
 
 
 def load_dataset(
     name: str,
     data_dir: Optional[str | Path] = None,
     split_seed: int = 0,
-) -> SparseDataset:
-    """Fetch (or reuse), parse, and train-split a manifest dataset."""
+) -> tuple[NDArray, NDArray]:
+    """Fetch (or reuse), parse, and train-split a manifest dataset into ``(x, y)``."""
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
     manifest = MANIFESTS[name]
     directory = default_data_dir(str(data_dir) if data_dir else None)
     path = fetch_dataset(manifest, directory)
-    parsed = parse_libsvm(_read_text(path, manifest.compression), manifest.label_map, manifest.dim)
-    if manifest.n is not None and parsed.n < (manifest.train_size or 0):
+    x, y = parse_libsvm(_read_text(path, manifest.compression), manifest.label_map, manifest.dim)
+    if manifest.n is not None and len(y) < (manifest.train_size or 0):
         raise LibsvmParseError(
-            f"{name}: parsed {parsed.n} rows, fewer than train size {manifest.train_size}"
+            f"{name}: parsed {len(y)} rows, fewer than train size {manifest.train_size}"
         )
-    if manifest.train_size is not None and manifest.train_size < parsed.n:
-        parsed, _ = train_split(parsed, manifest.train_size, split_seed)
-    return parsed
+    if manifest.train_size is not None and manifest.train_size < len(y):
+        (x, y), _ = train_split(x, y, manifest.train_size, split_seed)
+    return x, y

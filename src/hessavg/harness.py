@@ -45,6 +45,7 @@ from .optimizers import (
     ThetaConstant,
     ThetaLocalDet,
     ThetaLocalStoch,
+    _check_a_mode,
     run,
 )
 from .problems import (
@@ -54,7 +55,7 @@ from .problems import (
     make_synthetic_logistic,
     quadratic_generate,
 )
-from .sampling import ALL_MODES, CyclicSampler, GradSampleController, IidSampler
+from .sampling import ALL_MODES, DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -192,14 +193,10 @@ class ExperimentConfig:
             raise ConfigError("gradient mode 'geometric_epochs' needs a nonempty 'sizes' table")
         if _number(grad, "cap", "grad sampling", 1, int) < 1:
             raise ConfigError(f"gradient cap must be >= 1, got {grad['cap']}")
-        a_mode = grad.get("a_mode", "identity")
-        if a_mode not in ("identity", "inverse_hessian"):
-            raise ConfigError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
-        if a_mode == "inverse_hessian" and (mode != "exact_norm_test" or not method.uses_full_hessian):
-            raise ConfigError(
-                "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; "
-                "it needs mode 'exact_norm_test' and method fan or subnewton"
-            )
+        try:
+            _check_a_mode(grad.get("a_mode", "identity"), mode, method)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         hess = _section(self.sampling, "hess", "sampling", {})
         if hess.get("kind", "iid") not in ("iid", "cyclic"):
             raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")
@@ -229,12 +226,11 @@ def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> Fini
             seed=_number(spec, "seed", "problem", cfg.seed, int),
         )
     if kind == "logistic":
-        dataset = load_dataset(
+        x, y = load_dataset(
             _require(spec, "dataset", "problem"),
             data_dir=spec.get("data_dir", data_dir),
             split_seed=_number(spec, "split_seed", "problem", 0, int),
         )
-        x, y = dataset.to_dense()
         return LogisticProblem(x, y)
     if kind == "synthetic_logistic":
         x, y = make_synthetic_logistic(
@@ -325,7 +321,7 @@ def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSam
     grad = _section(cfg.sampling, "grad", "sampling", {})
     mode = grad.get("mode", "fixed")
     n = oracle.n_components
-    default_cap = n if n is not None else 2**16
+    default_cap = n if n is not None else DEFAULT_EXPECTATION_CAP
     cap = _number(grad, "cap", "grad sampling", default_cap, int)
     if n is not None:
         cap = min(cap, n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -327,9 +327,9 @@ class RunContext:
     method: MethodSpec
     controller: GradSampleController
     hess_sampler: object
+    rngs: dict  # named streams from :func:`hessavg.rng.streams`; a missing one is a KeyError
     schedules: ScheduleSet = DEFAULT_SCHEDULES
     policy: UpdateFrequencyPolicy = UpdateFrequencyPolicy()
-    rngs: dict = field(default_factory=dict)
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
     a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
@@ -352,14 +352,14 @@ class RunContext:
 def _update_hessian(ctx: RunContext, state: OptState) -> None:
     method = ctx.method
     oracle = ctx.oracle
-    s_sample = ctx.hess_sampler.next_block(oracle, ctx.rngs.get("hessian"))
+    s_sample = ctx.hess_sampler.next_block(oracle, ctx.rngs["hessian"])
     s_size = s_sample.size
     state.last_s_size = s_size
     if method.uses_full_hessian:
         estimate = oracle.hessian_sub(state.w, s_sample)
         probes = oracle.dim
     else:
-        config = HutchinsonConfig(rank=method.rank, rng=ctx.rngs.get("probes"))
+        config = HutchinsonConfig(rank=method.rank, rng=ctx.rngs["probes"])
         estimate = hutchinson_diag(
             lambda v: oracle.hvp_sub(state.w, s_sample, v), oracle.dim, config
         )
@@ -382,16 +382,21 @@ def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
     return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
 
 
-def _check_a_mode(ctx: RunContext) -> None:
+def _check_a_mode(a_mode: str, grad_mode: str, method: MethodSpec) -> None:
     """Reject a norm-test weighting the run could not apply.
 
-    Checked once per run, not when a test runs: a run whose batch starts
-    at its cap runs no test at all.
+    ``inverse_hessian`` weights the exact test by the modified averaged
+    Hessian, so it needs that test and a full-matrix method. Checked once
+    per run, not when a test runs: a run whose batch starts at its cap
+    runs no test at all. Config validation applies the same rule.
     """
-    if ctx.a_mode not in ("identity", "inverse_hessian"):
-        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {ctx.a_mode!r}")
-    if ctx.a_mode == "inverse_hessian" and not ctx.method.uses_full_hessian:
-        raise ValueError(f"a_mode='inverse_hessian' requires a full-matrix method, not {ctx.method.name}")
+    if a_mode not in ("identity", "inverse_hessian"):
+        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
+    if a_mode == "inverse_hessian" and (grad_mode != "exact_norm_test" or not method.uses_full_hessian):
+        raise ValueError(
+            "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; it needs mode "
+            f"'exact_norm_test' and method fan or subnewton, not {grad_mode!r} and {method.name!r}"
+        )
 
 
 def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
@@ -436,7 +441,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     t0 = time.perf_counter()
     oracle = ctx.oracle
     x_size = ctx.controller.size(ctx.epoch_of(state))
-    sample = oracle.draw_sample(ctx.rngs.get("gradient"), x_size)
+    sample = oracle.draw_sample(ctx.rngs["gradient"], x_size)
 
     # A norm test runs only while it can still grow the batch; a step at
     # the cap computes what a fixed-size step does. One full pass at w_k at
@@ -523,7 +528,7 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     One record is emitted per iteration plus a terminal record for the
     final iterate, so a zero-epoch run yields exactly the initial record.
     """
-    _check_a_mode(ctx)
+    _check_a_mode(ctx.a_mode, ctx.controller.mode, ctx.method)
     state = init_state(ctx.method, ctx.oracle, w0)
     if ctx.f0 is None:
         ctx.f0 = ctx.oracle.loss_full(state.w)
@@ -531,7 +536,7 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     while ctx.epoch_of(state) < epochs and not state.diverged:
         state, record = step(ctx, state)
         records.append(record)
-    final_sample = ctx.oracle.draw_sample(ctx.rngs.get("gradient"), ctx.controller.current_size)
+    final_sample = ctx.oracle.draw_sample(ctx.rngs["gradient"], ctx.controller.current_size)
     f_final, _, full_grad = ctx.oracle.loss_grad_sub_full(state.w, final_sample)
     grad_norm, dist = _snapshot(ctx, state, full_grad)
     records.append(

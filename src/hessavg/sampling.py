@@ -233,6 +233,8 @@ class GradSampleController:
             raise ValueError("initial_size must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        if self.epochs_per_block < 1:
+            raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
         self.current_size = min(self.initial_size, self.cap)
 
     @property

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessavg.data import (
     MANIFESTS,
@@ -23,22 +25,22 @@ SAMPLE = "+1 1:0.5 3:2.0\n-1 2:1 4:-0.25\n\n+1 1:1\n"
 
 class TestParse:
     def test_basic_row(self):
-        ds = parse_libsvm("+1 1:0.5 3:2.0\n")
-        assert ds.n == 1
-        assert ds.dim == 3
-        assert ds.labels[0] == 1.0
-        assert ds.rows[0] == [(1, 0.5), (3, 2.0)]
+        x, y = parse_libsvm("+1 1:0.5 3:2.0\n")
+        assert x.shape == (1, 3)
+        assert y[0] == 1.0
+        assert np.array_equal(x[0], [0.5, 0.0, 2.0])
 
     def test_label_map(self):
-        ds = parse_libsvm("2 4:1\n", label_map={1: 1, 2: -1})
-        assert ds.labels[0] == -1.0
-        assert ds.dim == 4
+        x, y = parse_libsvm("2 4:1\n", label_map={1: 1, 2: -1})
+        assert y[0] == -1.0
+        assert x.shape[1] == 4
 
     def test_blank_lines_skipped(self):
-        assert parse_libsvm(SAMPLE).n == 3
+        x, y = parse_libsvm(SAMPLE)
+        assert x.shape[0] == len(y) == 3
 
     def test_dim_override(self):
-        assert parse_libsvm("+1 1:1\n", dim=22).dim == 22
+        assert parse_libsvm("+1 1:1\n", dim=22)[0].shape == (1, 22)
 
     def test_malformed_token_reports_line(self):
         with pytest.raises(LibsvmParseError, match="line 2"):
@@ -57,20 +59,47 @@ class TestParse:
             parse_libsvm("3 1:1\n", label_map={1: 1, 2: -1})
 
     def test_roundtrip(self):
-        ds = parse_libsvm(SAMPLE)
-        again = parse_libsvm(serialize_libsvm(ds))
-        assert again.rows == ds.rows
-        assert np.array_equal(again.labels, ds.labels)
-        assert again.dim == ds.dim
+        x, y = parse_libsvm(SAMPLE)
+        x_again, y_again = parse_libsvm(serialize_libsvm(x, y))
+        assert np.array_equal(x_again, x)
+        assert np.array_equal(y_again, y)
 
     def test_indices_within_dim(self):
-        ds = parse_libsvm(SAMPLE)
-        assert all(idx <= ds.dim for row in ds.rows for idx, _ in row)
+        # the largest index in SAMPLE is 4, and each of its 5 entries has a column
+        x, _ = parse_libsvm(SAMPLE)
+        assert x.shape[1] == 4
+        assert np.count_nonzero(x) == 5
+        assert x[1, 3] == -0.25
 
-    def test_to_dense(self):
-        x, y = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1\n").to_dense()
+    def test_parse_fills_dense_matrix(self):
+        x, y = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1\n")
         np.testing.assert_allclose(x, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(y, [1.0, -1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([-1, 1]),
+                st.dictionaries(st.integers(1, 9), st.floats(-1e3, 1e3, allow_nan=False)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_parse_matches_a_per_entry_loop(self, rows):
+        text = "".join(
+            " ".join([str(label)] + [f"{idx}:{val!r}" for idx, val in sorted(entries.items())]) + "\n"
+            for label, entries in rows
+        )
+        x, y = parse_libsvm(text, dim=9)
+        expected = np.zeros((len(rows), 9))
+        for i, (_, entries) in enumerate(rows):
+            for idx, val in entries.items():
+                expected[i, idx - 1] = val
+        assert np.array_equal(x, expected)
+        assert np.array_equal(y, [label for label, _ in rows])
+        x_again, y_again = parse_libsvm(serialize_libsvm(x, y), dim=9)
+        assert np.array_equal(x_again, x) and np.array_equal(y_again, y)
 
 
 class TestTrainSplit:
@@ -79,33 +108,33 @@ class TestTrainSplit:
         return parse_libsvm(text)
 
     def test_full_split_leaves_nothing(self):
-        ds = self._dataset()
-        train, rest = train_split(ds, ds.n, seed=0)
-        assert train.n == ds.n
-        assert rest.n == 0
+        x, y = self._dataset()
+        (x_train, y_train), (x_rest, y_rest) = train_split(x, y, len(y), seed=0)
+        assert x_train.shape == x.shape and len(y_train) == len(y)
+        assert x_rest.shape == (0, 1) and len(y_rest) == 0
 
     def test_deterministic(self):
-        ds = self._dataset()
-        t1, _ = train_split(ds, 7, seed=42)
-        t2, _ = train_split(ds, 7, seed=42)
-        assert t1.rows == t2.rows
-        assert np.array_equal(t1.labels, t2.labels)
+        x, y = self._dataset()
+        (x1, y1), _ = train_split(x, y, 7, seed=42)
+        (x2, y2), _ = train_split(x, y, 7, seed=42)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(y1, y2)
 
     def test_seed_changes_split(self):
-        ds = self._dataset()
-        t1, _ = train_split(ds, 7, seed=1)
-        t2, _ = train_split(ds, 7, seed=2)
-        assert t1.rows != t2.rows
+        x, y = self._dataset()
+        (x1, _), _ = train_split(x, y, 7, seed=1)
+        (x2, _), _ = train_split(x, y, 7, seed=2)
+        assert not np.array_equal(x1, x2)
 
     def test_partition(self):
-        ds = self._dataset()
-        train, rest = train_split(ds, 12, seed=3)
-        values = sorted(row[0][1] for row in train.rows + rest.rows)
-        assert values == sorted(row[0][1] for row in ds.rows)
+        x, y = self._dataset()
+        (x_train, _), (x_rest, _) = train_split(x, y, 12, seed=3)
+        values = sorted(np.concatenate([x_train[:, 0], x_rest[:, 0]]))
+        assert values == sorted(x[:, 0])
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):
-            train_split(self._dataset(), 21, seed=0)
+            train_split(*self._dataset(), 21, seed=0)
 
 
 @pytest.fixture()

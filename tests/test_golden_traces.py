@@ -5,7 +5,9 @@ methods, the fixed, geometric, exact and approximate gradient modes, both
 Hessian samplers, and the inverse-Hessian norm-test weighting. A change
 that alters floating-point results on purpose says so and re-pins these
 digests in the same change, and keeps the previous traces under
-``data/golden_prev/`` so a test can bound how far the floats moved.
+``data/golden_prev/`` so a test can bound how far the floats moved. The
+traces as first pinned stay under ``data/golden_anchor/``, so the drift
+over all re-pins is bounded too.
 """
 
 import csv
@@ -144,6 +146,10 @@ def test_trace_matches_golden_digest(name, tmp_path):
 # from the mean of ``component_grads``. The counters must not move; the
 # floats may move by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
+# All eight traces as first pinned, when the golden digests were added and
+# before any re-pin. Each re-pin is checked against its parent's trace
+# above; this fixed anchor bounds the drift summed over every re-pin.
+ANCHOR = Path(__file__).parent / "data" / "golden_anchor"
 EXACT_COLUMNS = ("k", "epoch", "x_size", "s_size", "hvp_probes", "eec")
 FLOAT_COLUMNS = ("f", "grad_norm", "dist_to_opt")
 RTOL, ATOL = 1e-10, 1e-12
@@ -154,10 +160,10 @@ def _read_trace(path):
     return header, list(csv.DictReader(rows))
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in PREVIOUS.glob("*.csv")))
-def test_trace_within_rounding_of_previous(name, tmp_path):
+def _assert_within_rounding(name, old_trace, tmp_path):
+    """Run golden config ``name``: the same header and counters as ``old_trace``, floats within rounding."""
     run_experiment(ExperimentConfig.from_dict(GOLDEN[name][0]), out_dir=str(tmp_path))
-    old_header, old_rows = _read_trace(PREVIOUS / f"{name}.csv")
+    old_header, old_rows = _read_trace(old_trace)
     new_header, new_rows = _read_trace(tmp_path / "trace.csv")
     assert new_header == old_header
     assert len(new_rows) == len(old_rows)
@@ -171,3 +177,13 @@ def test_trace_within_rounding_of_previous(name, tmp_path):
                 continue
             a, b = float(old[c]), float(new[c])
             assert abs(b - a) <= RTOL * abs(a) + ATOL, (c, old["k"], a, b)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PREVIOUS.glob("*.csv")))
+def test_trace_within_rounding_of_previous(name, tmp_path):
+    _assert_within_rounding(name, PREVIOUS / f"{name}.csv", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_within_rounding_of_anchor(name, tmp_path):
+    _assert_within_rounding(name, ANCHOR / f"{name}.csv", tmp_path)

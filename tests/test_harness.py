@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -341,6 +342,63 @@ class TestSweep:
         assert serial[0]["finals"] == parallel[0]["finals"]
 
 
+def _write_mushrooms_like(path, n_rows=5600, seed=12345):
+    """A LIBSVM file shaped like the ``mushrooms`` manifest, written offline.
+
+    Each row one-hot encodes 22 categorical attributes (20 with 5 values,
+    2 with 6), so 22 of the 112 features are set. The label is 1 or 2 from
+    a fixed integer linear rule plus a small integer noise. Every value
+    comes from a 64-bit LCG in Python integers, so the file is the same
+    byte for byte on any platform and numpy version.
+    """
+    cards = [5] * 20 + [6] * 2
+    offsets = [sum(cards[:j]) for j in range(len(cards))]
+    weights = [(7 * f) % 13 - 6 for f in range(sum(cards))]
+    state = seed
+    lines = []
+    for _ in range(n_rows):
+        features = []
+        for offset, card in zip(offsets, cards):
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            features.append(offset + (state >> 33) % card)
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        score = sum(weights[f] for f in features) + (state >> 33) % 9 - 4
+        label = 1 if score >= 0 else 2
+        lines.append(" ".join([str(label)] + [f"{f + 1}:1" for f in features]))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestRealDataPath:
+    # Taken with the parser that kept each row as (index, value) tuples and
+    # densified afterwards, so the pin guards the parsed form, the split and
+    # the run together.
+    TRACE_SHA256 = "68aca002d29c27887eded1b1aec04a3ffb3dd5b565f1fe811d231fa9116c8c29"
+
+    def test_logistic_dataset_runs_end_to_end_offline(self, tmp_path):
+        # fetch_dataset reuses a cached file, so nothing is downloaded
+        _write_mushrooms_like(tmp_path / "data" / "mushrooms" / "mushrooms")
+        cfg = {
+            "problem": {"kind": "logistic", "dataset": "mushrooms"},
+            "method": {"name": "fan", "mu_tilde": 1e-3},
+            "sampling": {
+                "grad": {"mode": "exact_norm_test", "initial_size": 64},
+                "hess": {"kind": "iid", "size": 256},
+            },
+            "schedules": {"alpha": {"kind": "constant", "alpha": 1.0}, "theta": {"kind": "constant", "theta": 0.9}},
+            "init": {"kind": "zeros"},
+            "epochs": 1,
+            "trace_interval": 5,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert cli_dispatch(["run", str(path), "--out", str(out), "--data-dir", str(tmp_path / "data")]) == 0
+        assert json.loads((out / "summary.json").read_text())["diverged"] is False
+        digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+        assert digest == self.TRACE_SHA256
+
+
 class TestCli:
     def test_eec_table_value(self, capsys):
         assert cli_dispatch(["eec", "--epochs", "1000", "--rank", "1", "--hf", "10"]) == 0
@@ -375,6 +433,16 @@ class TestCli:
         assert cli_dispatch(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_epochs_per_block_below_one_is_usage_error(self, tmp_path, capsys):
+        grad = {"mode": "geometric_epochs", "sizes": [10, 30], "epochs_per_block": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base_config().to_dict(), "sampling": {"grad": grad}}))
+        assert cli_dispatch(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "epochs_per_block" in err
         assert "Traceback" not in err
 
     def test_no_command_prints_usage(self, capsys):

@@ -296,6 +296,15 @@ class TestStepBehavior:
         assert state.k == 16
         assert state.hvp_probes == 8
 
+    def test_a_missing_stream_is_a_key_error(self):
+        # a full batch and the cyclic sampler draw nothing, so a missing
+        # stream read as None went unnoticed on this run
+        prob = SyntheticSumProblem.generate(16, 5, seed=7)
+        ctx = make_ctx(prob, MethodSpec(name="fan"), grad_size=16, hess="cyclic", hess_size=4)
+        ctx.rngs = {}
+        with pytest.raises(KeyError, match="gradient"):
+            run(ctx, np.zeros(5), epochs=3)
+
     def test_zero_epochs_single_record(self):
         prob = SyntheticSumProblem.generate(8, 5, seed=7)
         ctx = make_ctx(prob, MethodSpec(name="sgd"), alpha=0.1, grad_size=4)
@@ -407,6 +416,14 @@ class TestFullGradientSharing:
         prob = quadratic_generate(d=8, seed=1)
         ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hesian")
         with pytest.raises(ValueError, match="a_mode"):
+            run(ctx, np.ones(8), epochs=0.05)
+
+    def test_inverse_hessian_a_mode_needs_the_exact_test(self):
+        # the approximate test reads no weighting, so it would run unweighted
+        prob = quadratic_generate(d=8, seed=1)
+        ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hessian")
+        ctx.controller = GradSampleController(mode="approx_norm_test", initial_size=4, cap=64)
+        with pytest.raises(ValueError, match="a_mode 'inverse_hessian'.*'approx_norm_test'"):
             run(ctx, np.ones(8), epochs=0.05)
 
 

@@ -266,6 +266,12 @@ class TestController:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             GradSampleController(mode="fixed", initial_size=4, cap=0)
 
+    @pytest.mark.parametrize("epochs_per_block", [0, -1])
+    def test_epochs_per_block_at_least_one(self, epochs_per_block):
+        # 0 divided by zero at the first size(); -1 read the table's last size from epoch 1
+        with pytest.raises(ValueError, match="epochs_per_block must be >= 1"):
+            GradSampleController(mode="geometric_epochs", sizes=(8, 16, 32), epochs_per_block=epochs_per_block)
+
 
 class TestNormConditionHolds:
     def test_sized_batches_meet_expected_condition(self):
