@@ -19,6 +19,7 @@ from .harness import (
     ExperimentConfig,
     estimate_rates,
     run_experiment,
+    strict_json,
     sweep,
     sweep_to_csv,
 )
@@ -118,7 +119,7 @@ def _load_config(path: Path, seed_override=None) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     result = run_experiment(cfg, data_dir=args.data_dir, out_dir=args.out)
-    print(json.dumps({k: v for k, v in result.summary.items() if k != "config"}, indent=2))
+    print(strict_json({k: v for k, v in result.summary.items() if k != "config"}, indent=2))
     return 0
 
 

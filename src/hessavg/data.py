@@ -305,17 +305,20 @@ def load_dataset(
     data_dir: Optional[str | Path] = None,
     split_seed: int = 0,
 ) -> tuple[NDArray, NDArray]:
-    """Fetch (or reuse), parse, and train-split a manifest dataset into ``(x, y)``."""
+    """Fetch (or reuse), parse, and train-split a manifest dataset into ``(x, y)``.
+
+    A file whose row count differs from the manifest's ``n`` is refused
+    with :class:`LibsvmParseError`, so a truncated or different file never
+    loads under the manifest's name.
+    """
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
     manifest = MANIFESTS[name]
     directory = default_data_dir(str(data_dir) if data_dir else None)
     path = fetch_dataset(manifest, directory)
     x, y = parse_libsvm(_read_text(path, manifest.compression), manifest.label_map, manifest.dim)
-    if manifest.n is not None and len(y) < (manifest.train_size or 0):
-        raise LibsvmParseError(
-            f"{name}: parsed {len(y)} rows, fewer than train size {manifest.train_size}"
-        )
+    if manifest.n is not None and len(y) != manifest.n:
+        raise LibsvmParseError(f"{name}: parsed {len(y)} rows, but the manifest declares {manifest.n}")
     if manifest.train_size is not None and manifest.train_size < len(y):
         (x, y), _ = train_split(x, y, manifest.train_size, split_seed)
     return x, y

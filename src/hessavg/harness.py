@@ -436,6 +436,26 @@ def _atomic_write(path: Path, text: str) -> None:
             os.unlink(tmp)
 
 
+def _finite_or_none(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def strict_json(value, **kwargs) -> str:
+    """``json.dumps`` with every non-finite float written as ``null``.
+
+    RFC 8259 has no ``NaN`` or ``Infinity`` token, and a diverged run's
+    losses and norms can be either; strict parsers reject a file that
+    holds one.
+    """
+    return json.dumps(_finite_or_none(value), allow_nan=False, **kwargs)
+
+
 def run_experiment(
     cfg: ExperimentConfig, data_dir: Optional[str] = None, out_dir: Optional[str] = None
 ) -> RunResult:
@@ -471,7 +491,7 @@ def run_experiment(
     if target:
         base = Path(target)
         _atomic_write(base / "trace.csv", format_trace(records, cfg.hash(), cfg.seed))
-        _atomic_write(base / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _atomic_write(base / "summary.json", strict_json(summary, indent=2, sort_keys=True) + "\n")
     return RunResult(config=cfg, records=records, summary=summary, w_final=state.w)
 
 

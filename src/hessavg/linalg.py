@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 __all__ = [
     "EigDecomposition",
@@ -161,22 +161,35 @@ def pd_modify(h_hat: NDArray, mu_tilde: float) -> tuple[NDArray, bool]:
 def spd_solve(h: NDArray, g: NDArray) -> NDArray:
     """Solve ``H x = g`` for symmetric positive-definite ``H`` via Cholesky.
 
-    ``g`` may be a vector or a matrix of stacked right-hand sides.
+    ``g`` may be a vector or a matrix of stacked right-hand sides. LAPACK
+    ``dpotrf``/``dpotrs`` are called directly, with the arguments scipy's
+    ``cho_factor``/``cho_solve`` pass them, so the result has the same bits
+    without those wrappers' checks and copies. Neither ``h`` nor ``g`` is
+    overwritten.
 
     Raises
     ------
     NotPositiveDefiniteError
         If the factorization fails; the caller should :func:`pd_modify`
         first.
+    ValueError
+        If ``g`` is not a vector or matrix with as many rows as ``h``.
     """
     h = check_symmetric(h)
-    try:
-        factor = cho_factor(h, lower=True, check_finite=False)
-    except LinAlgError as err:
+    g = np.asarray(g, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] != h.shape[0]:
+        raise ValueError(f"right-hand side of shape {g.shape} does not fit a matrix of shape {h.shape}")
+    factor, info = dpotrf(h, lower=1, clean=0)
+    if info > 0:
         raise NotPositiveDefiniteError(
-            "Cholesky factorization failed; matrix is not positive definite"
-        ) from err
-    return cho_solve(factor, np.asarray(g, dtype=float), check_finite=False)
+            f"Cholesky factorization failed at leading minor {info}; matrix is not positive definite"
+        )
+    if info < 0:
+        raise LinAlgError(f"dpotrf: illegal value in argument {-info}")
+    x, info = dpotrs(factor, g, lower=1)
+    if info != 0:
+        raise LinAlgError(f"dpotrs: illegal value in argument {-info}")
+    return x
 
 
 def weighted_norm_sq(v: NDArray, inverse_of: Optional[NDArray] = None) -> float:

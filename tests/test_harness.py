@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hessavg.cli import cli_dispatch
+from hessavg.data import LibsvmParseError, load_dataset
 from hessavg.harness import (
     ConfigError,
     ExperimentConfig,
@@ -342,9 +343,10 @@ class TestSweep:
         assert serial[0]["finals"] == parallel[0]["finals"]
 
 
-def _write_mushrooms_like(path, n_rows=5600, seed=12345):
+def _write_mushrooms_like(path, n_rows=8124, seed=12345):
     """A LIBSVM file shaped like the ``mushrooms`` manifest, written offline.
 
+    It has the manifest's 8,124 rows unless ``n_rows`` says otherwise.
     Each row one-hot encodes 22 categorical attributes (20 with 5 values,
     2 with 6), so 22 of the 112 features are set. The label is 1 or 2 from
     a fixed integer linear rule plus a small integer noise. Every value
@@ -370,10 +372,16 @@ def _write_mushrooms_like(path, n_rows=5600, seed=12345):
 
 
 class TestRealDataPath:
-    # Taken with the parser that kept each row as (index, value) tuples and
-    # densified afterwards, so the pin guards the parsed form, the split and
-    # the run together.
-    TRACE_SHA256 = "68aca002d29c27887eded1b1aec04a3ffb3dd5b565f1fe811d231fa9116c8c29"
+    # Taken with a loader that did not yet compare the row count with the
+    # manifest and loads this file the same way, so the pin guards the
+    # parsed form, the split and the run together.
+    TRACE_SHA256 = "4652edd581f0f18253215e23e21d5a3ccf00d06abe7b0cb7870409d742aa0917"
+
+    @pytest.mark.parametrize("n_rows", [5600, 8125])
+    def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):
+        _write_mushrooms_like(tmp_path / "mushrooms" / "mushrooms", n_rows=n_rows)
+        with pytest.raises(LibsvmParseError, match=f"parsed {n_rows} rows, but the manifest declares 8124"):
+            load_dataset("mushrooms", tmp_path)
 
     def test_logistic_dataset_runs_end_to_end_offline(self, tmp_path):
         # fetch_dataset reuses a cached file, so nothing is downloaded
@@ -444,6 +452,46 @@ class TestCli:
         assert err.startswith("error: ")
         assert "epochs_per_block" in err
         assert "Traceback" not in err
+
+    def test_coupled_sum_with_one_component_is_usage_error(self, tmp_path, capsys):
+        raw = {
+            **base_config().to_dict(),
+            "problem": {"kind": "synthetic_sum", "n_components": 1, "d": 4, "coupling": 0.5, "seed": 0},
+            "sampling": {"grad": {"mode": "fixed", "size": 1}, "hess": {"kind": "iid", "size": 1}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_dispatch(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "n_components=1" in err and "coupling=0.5" in err
+        assert not out.exists()
+
+    def test_summary_of_a_run_that_overflows_is_strict_json(self, tmp_path, capsys):
+        # alpha 1e200 overflows the loss to inf on the second step
+        raw = {
+            **base_config().to_dict(),
+            "epochs": 1,
+            "problem": {"kind": "quadratic", "d": 60, "keep_prob": 0.5, "seed": 0},
+            "method": {"name": "sgd"},
+            "schedules": {"alpha": {"kind": "constant", "alpha": 1e200}},
+            "sampling": {"grad": {"mode": "fixed", "size": 4}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_dispatch(["run", str(path), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not RFC 8259 JSON: {token}")
+
+        for text in ((out / "summary.json").read_text(), capsys.readouterr().out):
+            summary = json.loads(text, parse_constant=reject)
+            assert summary["diverged"] is True
+            assert summary["final_f"] is None and summary["final_grad_norm"] is None
+            assert math.isfinite(summary["best_f"])
 
     def test_no_command_prints_usage(self, capsys):
         assert cli_dispatch([]) == 1

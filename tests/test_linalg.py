@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from hessavg import linalg
 from hessavg.linalg import (
@@ -304,6 +305,24 @@ class TestSpdSolve:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("d", [1, 3, 50, 200, 500])
+    @pytest.mark.parametrize("n_rhs", [None, 4])
+    def test_bitwise_scipy_cho_factor_and_cho_solve(self, d, n_rhs):
+        rng = np.random.default_rng(d)
+        h = random_spd(rng, d)
+        g = rng.standard_normal(d if n_rhs is None else (d, n_rhs))
+        h_in, g_in = h.copy(), g.copy()
+        ref = cho_solve(cho_factor(h, lower=True, check_finite=False), g, check_finite=False)
+        x = spd_solve(h, g)
+        assert x.shape == g.shape
+        assert np.array_equal(x, ref)
+        assert np.array_equal(h, h_in) and np.array_equal(g, g_in)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 2, 2), ()])
+    def test_rejects_a_right_hand_side_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="right-hand side"):
+            spd_solve(np.eye(3), np.ones(shape))
 
 
 class TestWeightedNorm:

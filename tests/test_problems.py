@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,101 @@ class TestSyntheticSum:
             for _ in range(5):
                 v = rng.standard_normal(6)
                 np.testing.assert_allclose(h @ v, prob.hvp_sub(w, sample, v), atol=1e-10)
+
+    @pytest.mark.parametrize("n_components", [0, 1])
+    def test_coupling_needs_two_components(self, n_components):
+        # centring makes a lone G zero, and scaling by 1/0 made H all NaN
+        with pytest.raises(ValueError, match=f"coupling=0.5 .*n_components={n_components}"):
+            SyntheticSumProblem.generate(n_components, 4, seed=0, coupling=0.5)
+
+    def test_bench_sized_instance_keeps_its_bits(self):
+        # Pinned from the loop that took all 1024 SVDs. The goldens cover
+        # only N=64, d=20.
+        prob = SyntheticSumProblem.generate(1024, 50, seed=0, curvature=2.0, coupling=0.5)
+        digest = hashlib.sha256()
+        for arr in (prob.h, prob.b, prob.a_dirs, prob.phases):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918"
+
+
+def _svd_max(gs):
+    return max(np.linalg.norm(g, 2) for g in gs)
+
+
+def _coupling_stack(n, d, seed):
+    """Symmetric stacks built as the coupled sum builds its ``G_i``."""
+    gs = np.random.default_rng(seed).standard_normal((n, d, d))
+    gs = 0.5 * (gs + np.transpose(gs, (0, 2, 1)))
+    if n > 1:
+        gs -= gs.mean(axis=0)
+    assert np.array_equal(gs, np.transpose(gs, (0, 2, 1)))
+    return gs
+
+
+class TestMaxSpectralNorm:
+    """``_max_spectral_norm`` is ``max(norm(g, 2))`` with ``==``."""
+
+    @pytest.mark.parametrize("d", [1, 5, 50])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_random_symmetric_stacks(self, n, d):
+        for seed in range(3):
+            gs = _coupling_stack(n, d, seed)
+            assert problems._max_spectral_norm(gs) == _svd_max(gs)
+
+    def test_exact_ties(self):
+        g = _coupling_stack(2, 7, 0)[0]
+        repeated = np.repeat(g[None], 70, axis=0)
+        assert problems._max_spectral_norm(repeated) == _svd_max(repeated)
+        gs = 0.5 * _coupling_stack(70, 7, 1)
+        gs[[3, 66]] = 4.0 * g
+        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_near_ties(self, first):
+        g = _coupling_stack(2, 9, 2)[0]
+        gs = 0.5 * _coupling_stack(66, 9, 3)
+        gs[[first, 65 - first]] = 4.0 * g, (1 + 2**-52) * 4.0 * g
+        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+
+    def test_dominant_eigenvalue_negative(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(12)
+        gs = _coupling_stack(40, 12, 5)
+        gs[17] -= 10.0 * np.outer(v, v)
+        assert np.linalg.eigvalsh(gs[17])[0] < -np.linalg.eigvalsh(gs[17])[-1]
+        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+
+    def test_rank_one_ties_where_the_bound_is_tight(self):
+        # A rank-one bound equals the norm up to rounding; without the
+        # margin, the screen stops before a copy a few ulps larger.
+        for seed in range(200):
+            v = np.random.default_rng(seed).standard_normal(8)
+            gs = np.stack([(1 + k * 2**-52) * np.outer(v, v) for k in (0, 0, 1, 2, 3)])
+            assert problems._max_spectral_norm(gs) == _svd_max(gs)
+
+    def test_decomposes_few_matrices(self, monkeypatch):
+        gs = _coupling_stack(256, 30, 7)
+        norm, orders = np.linalg.norm, []
+
+        def counting_norm(x, ord=None, axis=None):
+            orders.append(ord)
+            return norm(x, ord, axis)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        top = problems._max_spectral_norm(gs)
+        monkeypatch.undo()
+        assert top == _svd_max(gs)
+        assert 1 <= orders.count(2) <= 16
+
+    def test_peak_memory_below_one_copy_of_the_stack(self):
+        gs = _coupling_stack(1024, 20, 8)
+        tracemalloc.start()
+        try:
+            problems._max_spectral_norm(gs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gs.nbytes
 
 
 def _dense_hessian_cases(seed):
