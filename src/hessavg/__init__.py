@@ -3,7 +3,6 @@
 from .averaging import (
     DiagAverageState,
     FullAverageState,
-    HutchinsonConfig,
     UpdateFrequencyPolicy,
     decaying_step,
     hutchinson_diag,

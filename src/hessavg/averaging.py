@@ -22,7 +22,6 @@ from .linalg import matrix_abs, pd_modify, spd_solve
 __all__ = [
     "FullAverageState",
     "DiagAverageState",
-    "HutchinsonConfig",
     "UpdateFrequencyPolicy",
     "decaying_step",
     "hutchinson_diag",
@@ -158,19 +157,9 @@ class DiagAverageState:
         return np.asarray(g, dtype=float) / (self.preconditioner() + floor)
 
 
-@dataclass
-class HutchinsonConfig:
-    """Probe count and stream for randomized diagonal estimation."""
-
-    rank: int = 1
-    rng: Optional[np.random.Generator] = None
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-
-
-def hutchinson_diag(hvp: Callable[[NDArray], NDArray], dim: int, config: HutchinsonConfig) -> NDArray:
+def hutchinson_diag(
+    hvp: Callable[[NDArray], NDArray], dim: int, rank: int, rng: Optional[np.random.Generator]
+) -> NDArray:
     """Unbiased randomized estimate of ``diag(H)`` from ``rank`` products.
 
     Draws Rademacher probes ``z`` and averages ``z * (H z)``; since
@@ -179,9 +168,11 @@ def hutchinson_diag(hvp: Callable[[NDArray], NDArray], dim: int, config: Hutchin
     order, so results are deterministic given the stream, which must be
     supplied: a shared default would reuse the same probes on every call.
     """
-    if config.rng is None:
-        raise ValueError("hutchinson_diag needs a probe stream; set HutchinsonConfig.rng")
-    z = config.rng.integers(0, 2, size=(dim, config.rank)).astype(float) * 2.0 - 1.0
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if rng is None:
+        raise ValueError("hutchinson_diag needs a probe stream")
+    z = rng.integers(0, 2, size=(dim, rank)).astype(float) * 2.0 - 1.0
     hz = hvp(z)
     if hz.shape != z.shape:
         raise ValueError(f"hvp returned shape {hz.shape}, expected {z.shape}")

@@ -7,6 +7,7 @@ failures (network, I/O, numerical breakdown).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -152,7 +153,7 @@ def _cmd_rates(args) -> int:
     }[args.col]
     series = [v for v in values if v is not None]
     report = estimate_rates(series, k_start=args.k_start, k_end=args.k_end)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 

@@ -570,16 +570,6 @@ class RateReport:
     intercept: float
     rho_bar: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "n_points": self.n_points,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rho_bar": self.rho_bar,
-        }
-
 
 def estimate_rates(errors: Sequence[float], k_start: int = 1, k_end: Optional[int] = None) -> RateReport:
     """Fit the decay rate of an error sequence ``e_k`` indexed from 0.

@@ -27,7 +27,6 @@ from numpy.typing import NDArray
 from .averaging import (
     DiagAverageState,
     FullAverageState,
-    HutchinsonConfig,
     UpdateFrequencyPolicy,
     hutchinson_diag,
 )
@@ -333,7 +332,6 @@ class RunContext:
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
     a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
-    divergence_factor: float = DIVERGENCE_FACTOR
     f0: Optional[float] = None
 
     def epoch_of(self, state: OptState) -> float:
@@ -359,9 +357,8 @@ def _update_hessian(ctx: RunContext, state: OptState) -> None:
         estimate = oracle.hessian_sub(state.w, s_sample)
         probes = oracle.dim
     else:
-        config = HutchinsonConfig(rank=method.rank, rng=ctx.rngs["probes"])
         estimate = hutchinson_diag(
-            lambda v: oracle.hvp_sub(state.w, s_sample, v), oracle.dim, config
+            lambda v: oracle.hvp_sub(state.w, s_sample, v), oracle.dim, method.rank, ctx.rngs["probes"]
         )
         probes = method.rank
     state.hvp_probes += probes
@@ -378,7 +375,7 @@ def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
             state.avg.update(g)
         state.m = method.beta1 * state.m + (1 - method.beta1) * g
         m_hat = state.m / (1 - method.beta1 ** (state.k + 1))
-        return m_hat / (state.avg.preconditioner() + method.adam_eps)
+        return state.avg.precondition(m_hat, method.adam_eps)
     return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
 
 
@@ -418,9 +415,9 @@ def _run_controller(
 ) -> None:
     """Run this iteration's norm test and hand the outcome to the controller.
 
-    The approximate test reads the batch's per-component gradients
-    ``comps``; the exact test reads ``full_grad``, the full gradient at
-    ``w_k``.
+    Both tests read the batch gradient ``g``. The approximate test reads the
+    batch's per-component gradients ``comps`` for its variance only; the
+    exact test reads ``full_grad``, the full gradient at ``w_k``.
     """
     if ctx.controller.mode == "approx_norm_test":
         lhs, rhs_norm = approx_norm_terms(comps, g)
@@ -444,23 +441,20 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     sample = oracle.draw_sample(ctx.rngs["gradient"], x_size)
 
     # A norm test runs only while it can still grow the batch; a step at
-    # the cap computes what a fixed-size step does. One full pass at w_k at
-    # most, shared by the trace snapshot and the exact test. Outside the
-    # approximate test, which needs the per-component gradients, the batch
-    # values come out of that pass.
+    # the cap computes what a fixed-size step does. The batch loss and
+    # gradient come from one call, with one full pass at w_k at most, shared
+    # by the trace snapshot and the exact test. The approximate test reads
+    # the per-component gradients for its variance only.
     traced = state.k % ctx.trace_interval == 0
     testing = ctx.controller.can_grow
-    comps = full_grad = None
-    if testing and ctx.controller.mode == "approx_norm_test":
-        comps = oracle.component_grads(state.w, sample)
-        g = comps.mean(axis=0)
-        f_batch = oracle.loss_sub(state.w, sample)
-        if traced:
-            full_grad = oracle.grad_full(state.w)
-    elif traced or testing:
+    approx = testing and ctx.controller.mode == "approx_norm_test"
+    full_grad = comps = None
+    if traced or (testing and not approx):
         f_batch, g, full_grad = oracle.loss_grad_sub_full(state.w, sample)
     else:
         f_batch, g = oracle.loss_grad_sub(state.w, sample)
+    if approx:
+        comps = oracle.component_grads(state.w, sample)
 
     alpha, theta, iota = schedule_eval(ctx.schedules, state.k)
 
@@ -468,7 +462,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     # (with a unit floor so near-zero or negative baselines stay usable)
     # marks the run diverged and halts it.
     f0 = ctx.f0 if ctx.f0 is not None else f_batch
-    threshold = f0 + ctx.divergence_factor * max(abs(f0), 1.0)
+    threshold = f0 + DIVERGENCE_FACTOR * max(abs(f0), 1.0)
     diverged = not math.isfinite(f_batch) or f_batch > threshold
 
     grad_norm, dist = _snapshot(ctx, state, full_grad if traced else None)
@@ -489,10 +483,25 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
             state.w = w_new
 
     state.grad_samples += x_size
-    record = TraceRecord(
+    record = _record(ctx, state, f_batch, grad_norm, x_size, dist)
+    state.k += 1
+    state.wall_ms += (time.perf_counter() - t0) * 1e3
+    return state, record
+
+
+def _record(
+    ctx: RunContext,
+    state: OptState,
+    f: float,
+    grad_norm: Optional[float],
+    x_size: int,
+    dist: Optional[float],
+) -> TraceRecord:
+    """The trace record of ``state``'s iterate and counters so far."""
+    return TraceRecord(
         k=state.k,
         epoch=ctx.epoch_of(state),
-        f=f_batch,
+        f=f,
         grad_norm=grad_norm,
         x_size=x_size,
         s_size=state.last_s_size,
@@ -501,9 +510,6 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
         wall_ms=state.wall_ms,
         dist_to_opt=dist,
     )
-    state.k += 1
-    state.wall_ms += (time.perf_counter() - t0) * 1e3
-    return state, record
 
 
 def _snapshot(
@@ -539,18 +545,5 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     final_sample = ctx.oracle.draw_sample(ctx.rngs["gradient"], ctx.controller.current_size)
     f_final, _, full_grad = ctx.oracle.loss_grad_sub_full(state.w, final_sample)
     grad_norm, dist = _snapshot(ctx, state, full_grad)
-    records.append(
-        TraceRecord(
-            k=state.k,
-            epoch=ctx.epoch_of(state),
-            f=f_final,
-            grad_norm=grad_norm,
-            x_size=ctx.controller.current_size,
-            s_size=state.last_s_size,
-            hvp_probes=state.hvp_probes,
-            eec=ctx.eec_of(state),
-            wall_ms=state.wall_ms,
-            dist_to_opt=dist,
-        )
-    )
+    records.append(_record(ctx, state, f_final, grad_norm, ctx.controller.current_size, dist))
     return state, records

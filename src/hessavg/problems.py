@@ -4,12 +4,15 @@ Three problems share one oracle interface: a masked quadratic (an
 expectation problem where each "component" is a fresh random mask draw),
 l2-regularized logistic regression over a dataset, and a small synthetic
 strongly convex finite sum used as a convergence-rate testbed. Each
-oracle gives full and batch losses and gradients, per-component gradients
-for the norm tests, batch Hessian-vector products and dense batch
-Hessians, batch draws, and the optimum where it is known. Each oracle
-assembles its dense Hessian as one rank-k product ``B^T B``, which numpy
-hands to BLAS ``syrk``: half the flops of a general product, and exactly
-symmetric with no symmetrization pass.
+oracle gives full losses and gradients, a batch's loss and gradient from
+one call (:meth:`~FiniteSumOracle.loss_grad_sub`, or
+:meth:`~FiniteSumOracle.loss_grad_sub_full` with the full gradient too),
+per-component gradients for the approximate norm test's variance, batch
+Hessian-vector products and dense batch Hessians, batch draws, and the
+optimum where it is known. Each oracle assembles its dense Hessian as one
+rank-k product ``B^T B``, which numpy hands to BLAS ``syrk``: half the
+flops of a general product, and exactly symmetric with no symmetrization
+pass.
 :class:`ProblemConstants` carries the gradient-noise constants that the
 batch-size bounds in :mod:`hessavg.sampling` read.
 
@@ -85,6 +88,12 @@ class FiniteSumOracle(ABC):
     finite-sum problems, a :class:`MaskSample` for the masked quadratic.
     ``n_components`` is ``None`` for expectation problems, where sampling
     is unbounded.
+
+    A batch's loss and gradient have one source, :meth:`loss_grad_sub`
+    (or :meth:`loss_grad_sub_full`, which adds the full gradient); a caller
+    that wants only the gradient reads ``loss_grad_sub(w, sample)[1]``.
+    :meth:`component_grads` serves the approximate norm test's variance;
+    its rows' mean is the batch gradient up to rounding.
     """
 
     n_components: Optional[int]
@@ -97,19 +106,10 @@ class FiniteSumOracle(ABC):
     def grad_full(self, w: NDArray) -> NDArray: ...
 
     @abstractmethod
-    def loss_sub(self, w: NDArray, sample) -> float: ...
-
-    @abstractmethod
-    def grad_sub(self, w: NDArray, sample) -> NDArray: ...
-
     def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
-        """Batch loss and gradient at ``w`` over ``sample``, in one call.
-
-        Equal bit for bit to ``(loss_sub(w, sample), grad_sub(w, sample))``.
-        Oracles override it to compute the work the two values share
-        (margins, residuals, ``H_i w``) once.
-        """
-        return self.loss_sub(w, sample), self.grad_sub(w, sample)
+        """Batch loss and gradient at ``w`` over ``sample``, in one call
+        that computes the work the two share (margins, residuals, ``H_i w``)
+        once."""
 
     def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
         """Batch loss, batch gradient and full gradient at ``w``.
@@ -237,15 +237,9 @@ class QuadraticProblem(FiniteSumOracle):
     def _grad_of(self, r: NDArray, sample: MaskSample) -> NDArray:
         return (2.0 / sample.size) * self.a.T @ np.einsum("mi,mi->i", sample.a_keep, r)
 
-    def loss_sub(self, w: NDArray, sample: MaskSample) -> float:
-        return self._loss_of(self._residuals(w, sample))
-
     def component_grads(self, w: NDArray, sample: MaskSample) -> NDArray:
         r = self._residuals(w, sample)
         return 2.0 * (sample.a_keep * r) @ self.a
-
-    def grad_sub(self, w: NDArray, sample: MaskSample) -> NDArray:
-        return self._grad_of(self._residuals(w, sample), sample)
 
     def loss_grad_sub(self, w: NDArray, sample: MaskSample) -> tuple[float, NDArray]:
         r = self._residuals(w, sample)
@@ -356,17 +350,18 @@ class LogisticProblem(FiniteSumOracle):
     coefficients times its rows are added to the full gradient sum. For a
     batch, the same coefficients weighted by each row's count in the sample
     give the batch sum, so a sample with repeats still gives the gathered
-    mean and no batch row is gathered. The batch values of
-    :meth:`loss_sub`, :meth:`grad_sub` and :meth:`loss_grad_sub` come from
-    one routine that gathers the sample's rows a block at a time, so a
-    large batch never holds a copy of all its rows; a repeated index is
-    gathered, and counted, once per occurrence.
+    mean and no batch row is gathered. :meth:`loss_grad_sub` gathers the
+    sample's rows a block at a time, so a large batch never holds a copy
+    of all its rows; a repeated index is gathered, and counted, once per
+    occurrence.
 
     The blocked margins equal those of ``X @ w``. The blocked sums can
     differ in the last bits from one product over all the rows, and the
     batch values read from the full pass from those of the gathered batch.
-    A batch that fits in one block sums as one product, and ``grad_sub``
-    over every row in order equals :meth:`grad_full` bit for bit.
+    A batch that fits in one block sums as one product. The gathered pass
+    over every row in order adds the same blocks in the same order as
+    :meth:`grad_full`, so its batch gradient is the full gradient bit for
+    bit.
     """
 
     def __init__(self, x: NDArray, y: NDArray):
@@ -413,33 +408,20 @@ class LogisticProblem(FiniteSumOracle):
         """``d/dz_i`` of the loss terms, times ``y_i``: row ``i``'s gradient is this times ``x_i``."""
         return -ys * (1.0 - expit(z))
 
-    def _batch(self, w: NDArray, sample: NDArray, grad: bool = True) -> tuple[float, Optional[NDArray]]:
-        """Batch loss and, with ``grad``, batch gradient at ``w``.
-
-        The sample's rows are gathered one block at a time, and each
-        block's margins and coefficient sum are computed while it is in
-        cache.
-        """
+    def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
+        """Batch loss and gradient; the sample's rows are gathered one block
+        at a time, and each block's margins and coefficient sum are computed
+        while it is in cache."""
         idx = _check_indices(sample, self.n)
         z = np.empty(idx.size)
-        total = np.zeros(self.dim) if grad else None
+        total = np.zeros(self.dim)
         for start in range(0, idx.size, self._block_rows):
             rows = idx[start : start + self._block_rows]
             xb, yb = self.x[rows], self.y[rows]
             zb = z[start : start + self._block_rows]
             np.multiply(yb, xb @ w, out=zb)
-            if grad:
-                total += self._coeff(yb, zb) @ xb
-        return self._loss_of(w, z), None if total is None else total / idx.size + w / self.n
-
-    def loss_sub(self, w: NDArray, sample: NDArray) -> float:
-        return self._batch(w, sample, grad=False)[0]
-
-    def grad_sub(self, w: NDArray, sample: NDArray) -> NDArray:
-        return self._batch(w, sample)[1]
-
-    def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
-        return self._batch(w, sample)
+            total += self._coeff(yb, zb) @ xb
+        return self._loss_of(w, z), total / idx.size + w / self.n
 
     def component_grads(self, w: NDArray, sample: NDArray) -> NDArray:
         xs, ys, z = self._margins(w, sample)
@@ -757,14 +739,8 @@ class SyntheticSumProblem(FiniteSumOracle):
             grad = grad + (self.curvature / (self.freq * t.size)) * (np.tanh(t) @ a)
         return grad
 
-    def loss_sub(self, w: NDArray, sample) -> float:
-        return self._loss_of(w, self._terms(w, self._gather_indices(sample)))
-
     def component_grads(self, w: NDArray, sample) -> NDArray:
         return self._grads_of(self._terms(w, _check_indices(sample, self.n_components)))
-
-    def grad_sub(self, w: NDArray, sample) -> NDArray:
-        return self._mean_grad(self._terms(w, self._gather_indices(sample)))
 
     def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
         terms = self._terms(w, self._gather_indices(sample))

@@ -120,8 +120,12 @@ def exact_norm_test(
 
 def approx_norm_terms(component_grads: NDArray, g_batch: NDArray) -> tuple[float, float]:
     """The two sides of the approximate norm test, ``(mean_i ||grad_i -
-    g_batch||^2, ||g_batch||^2)``, where ``g_batch`` is the mean of the
-    component gradients."""
+    g_batch||^2, ||g_batch||^2)``.
+
+    ``g_batch`` is the batch gradient, the mean of the component gradients
+    up to rounding; the step loop passes the oracle's
+    :meth:`~hessavg.problems.FiniteSumOracle.loss_grad_sub` value, so the
+    component gradients serve the variance only."""
     grads = np.asarray(component_grads, dtype=float)
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise ValueError("component_grads must be a nonempty (m, d) array")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hessavg.averaging import (
     DiagAverageState,
     FullAverageState,
-    HutchinsonConfig,
     UpdateFrequencyPolicy,
     _Accumulator,
     decaying_step,
@@ -216,7 +215,7 @@ class TestHutchinson:
     def test_exact_on_diagonal(self):
         d = np.array([3.0, -1.0, 0.5, 2.0])
         rng = rng_mod.stream(0, "probes")
-        est = hutchinson_diag(lambda z: d[:, None] * z, 4, HutchinsonConfig(rank=1, rng=rng))
+        est = hutchinson_diag(lambda z: d[:, None] * z, 4, 1, rng)
         np.testing.assert_allclose(est, d, atol=1e-14)
 
     def test_sign_pattern_average_cancels_offdiagonal(self):
@@ -235,7 +234,7 @@ class TestHutchinson:
         rng = rng_mod.stream(1, "probes")
         draws = np.array(
             [
-                hutchinson_diag(lambda z: h @ z, 16, HutchinsonConfig(rank=1, rng=rng))
+                hutchinson_diag(lambda z: h @ z, 16, 1, rng)
                 for _ in range(10_000)
             ]
         )
@@ -252,7 +251,7 @@ class TestHutchinson:
         def variance(rank, trials=3000):
             draws = np.array(
                 [
-                    hutchinson_diag(lambda z: h @ z, 24, HutchinsonConfig(rank=rank, rng=rng))
+                    hutchinson_diag(lambda z: h @ z, 24, rank, rng)
                     for _ in range(trials)
                 ]
             )
@@ -264,15 +263,15 @@ class TestHutchinson:
     def test_rejects_nonfinite_hvp(self):
         rng = rng_mod.stream(3, "probes")
         with pytest.raises(ValueError):
-            hutchinson_diag(lambda z: z * np.nan, 3, HutchinsonConfig(rank=1, rng=rng))
+            hutchinson_diag(lambda z: z * np.nan, 3, 1, rng)
 
     def test_missing_probe_stream_rejected(self):
         with pytest.raises(ValueError, match="probe stream"):
-            hutchinson_diag(lambda z: z, 3, HutchinsonConfig(rank=1))
+            hutchinson_diag(lambda z: z, 3, 1, None)
 
     def test_rank_validated(self):
-        with pytest.raises(ValueError):
-            HutchinsonConfig(rank=0)
+        with pytest.raises(ValueError, match="rank"):
+            hutchinson_diag(lambda z: z, 3, 0, rng_mod.stream(4, "probes"))
 
 
 class TestUpdatePolicy:

@@ -155,6 +155,8 @@ def http_dir(tmp_path):
     thread.start()
     yield root, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestFetch:

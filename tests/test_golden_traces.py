@@ -98,7 +98,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "96a93268b72f60d7eca0b8f897cb32c0a244b797d4faeecccca9c56ba9e1f550",
+        "693067e51485833e1097c73214c1f035776c8cad2ced05f5c3e6804745f0787a",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -112,7 +112,7 @@ GOLDEN = {
             "init": {"kind": "near_optimum", "radius": 0.5},
             "epochs": 0.3,
         },
-        "bcb384adf744731898fb6fa602a1ea8e0e9170eeea4404c83a442297930b49bd",
+        "f1aff06315f0943a6d17df25403a5023715ef4e47c1488e4b121eb4444db7306",
     ),
     "adahessian_sum_cyclic_fixed": (
         {
@@ -141,10 +141,11 @@ def test_trace_matches_golden_digest(name, tmp_path):
 # the abs-fan logistic trace from before the logistic dense Hessian became
 # one rank-k product; the adam logistic trace from before the logistic
 # oracle read its batch out of one blocked pass over X; the two
-# approximate-test traces from before a step at the batch cap stopped
-# running the test, and so took its batch from ``loss_grad_sub`` and not
-# from the mean of ``component_grads``. The counters must not move; the
-# floats may move by rounding only.
+# approximate-test traces from before a step below the batch cap took its
+# batch loss and gradient from ``loss_grad_sub`` (``loss_grad_sub_full``
+# when traced) and not its gradient from the mean of ``component_grads``,
+# which now serve the test's variance only. The counters must not move;
+# the floats may move by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 # All eight traces as first pinned, when the golden digests were added and
 # before any re-pin. Each re-pin is checked against its parent's trace

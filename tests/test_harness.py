@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -497,15 +498,18 @@ class TestCli:
         assert cli_dispatch([]) == 1
 
     def test_run_and_rates_pipeline(self, tmp_path, capsys):
+        # dist_to_opt falls from 0.5 to the 1e-13 floor in 13 steps: 11
+        # usable ratios, where the fit needs 10
         cfg = {
-            "problem": {"kind": "synthetic_sum", "n_components": 16, "d": 8, "seed": 0},
+            "problem": {"kind": "synthetic_sum", "n_components": 64, "d": 10, "curvature": 2.0, "coupling": 0.9, "seed": 0},
             "method": {"name": "fan", "mu_tilde": 1e-6},
             "sampling": {
-                "grad": {"mode": "fixed", "size": 16},
+                "grad": {"mode": "fixed", "size": 64},
                 "hess": {"kind": "cyclic", "size": 4},
             },
             "schedules": {"alpha": {"kind": "constant", "alpha": 1.0}},
-            "epochs": 60,
+            "trace_interval": 1,
+            "epochs": 40,
             "seed": 0,
             "init": {"kind": "near_optimum", "radius": 0.5},
         }
@@ -514,12 +518,12 @@ class TestCli:
         out = tmp_path / "run"
         assert cli_dispatch(["run", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
-        code = cli_dispatch(["rates", str(out / "trace.csv"), "--col", "dist_to_opt", "--k-start", "1"])
-        captured = capsys.readouterr()
-        assert code in (0, 1)  # rate fit may legitimately refuse with few points
-        if code == 0:
-            report = json.loads(captured.out)
-            assert "slope" in report
+        trace = out / "trace.csv"
+        assert cli_dispatch(["rates", str(trace), "--col", "dist_to_opt", "--k-start", "1"]) == 0
+        _, records = parse_trace(trace.read_text())
+        expected = estimate_rates([r.dist_to_opt for r in records], k_start=1)
+        assert expected.n_points >= 10
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(expected)
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = {

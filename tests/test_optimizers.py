@@ -437,6 +437,12 @@ class _CountingComponentSum(_CountingSum):
         return super().component_grads(w, sample)
 
 
+class _RecordingLogistic(LogisticProblem):
+    def draw_sample(self, rng, size):
+        self.last_sample = super().draw_sample(rng, size)
+        return self.last_sample
+
+
 class _CountingController(GradSampleController):
     tests = 0
 
@@ -479,7 +485,27 @@ class TestNormTestOnlyBelowTheCap:
             if mode == "exact_norm_test":
                 assert calls == {"loss_grad_sub_full": 1}
             else:
-                assert calls == ({"component_grads": 1, "grad_full": 1} if traced else {"component_grads": 1})
+                # the batch values come from the fused call; the components serve the variance only
+                batch = "loss_grad_sub_full" if traced else "loss_grad_sub"
+                assert calls == {batch: 1, "component_grads": 1}
+
+    def test_an_untraced_approx_step_moves_along_the_batch_gradient(self):
+        prob = _RecordingLogistic(*make_synthetic_logistic(n=400, d=12, seed=3))
+        ctx = make_ctx(prob, MethodSpec(name="sgd"), alpha=0.5, trace_interval=1000)
+        ctx.controller = GradSampleController(mode="approx_norm_test", initial_size=4, cap=400)
+        # batch sizes 4, 5, 19, 111, then the cap: three untraced steps below it
+        ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(1.0), IotaGeometric(0.0, 0.0))
+        state = init_state(ctx.method, prob, np.ones(12))
+        ctx.f0 = prob.loss_full(state.w)
+        checked = 0
+        for _ in range(8):
+            w, below, traced = state.w.copy(), ctx.controller.can_grow, state.k % ctx.trace_interval == 0
+            state, _ = step(ctx, state)
+            if below and not traced:
+                # bit for bit the oracle's batch gradient, not the mean of the component gradients
+                assert np.array_equal(state.w, w - 0.5 * prob.loss_grad_sub(w, prob.last_sample)[1])
+                checked += 1
+        assert checked >= 3
 
     @pytest.mark.parametrize("mode", ["exact_norm_test", "approx_norm_test"])
     def test_a_step_at_the_cap_computes_what_a_fixed_step_does(self, mode):
