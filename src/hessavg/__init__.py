@@ -4,7 +4,6 @@ from .averaging import (
     DiagAverageState,
     FullAverageState,
     UpdateFrequencyPolicy,
-    decaying_step,
     hutchinson_diag,
 )
 from .harness import (
@@ -48,9 +47,7 @@ from .sampling import (
     GradSampleController,
     IidSampler,
     approx_norm_terms,
-    approx_norm_test,
     exact_norm_terms,
-    exact_norm_test,
     required_size_deterministic,
     required_size_stochastic,
 )

@@ -1,12 +1,13 @@
 """Path-averaged Hessian state, Hutchinson diagonals, update policies.
 
-Averages are maintained either as running means (uniform weights) or as
-bias-corrected exponential moving averages (decaying weights); both
-expose weights that are nonnegative and sum to one. Full-matrix state
-supports a plain average (made positive definite on demand) and an
-absolute-value average (each incoming matrix replaced by its spectral
-absolute value, floored by a fixed shift when preconditioning). Diagonal
-state averages ``|D|`` (p=1) or ``D^2`` (p=2), exposing the p-th root.
+Every average the methods keep, the Hessian averages and adam's two
+moments, is one ``_Accumulator``: a running mean (uniform weights) or a
+bias-corrected exponential moving average (decaying weights). Both give
+weights that are nonnegative and sum to one. Full-matrix state supports a
+plain average (made positive definite on demand) and an absolute-value
+average (each incoming matrix replaced by its spectral absolute value,
+floored by a fixed shift when preconditioning). Diagonal state averages
+``|D|`` (p=1) or ``D^2`` (p=2), exposing the p-th root.
 """
 
 from __future__ import annotations
@@ -23,37 +24,18 @@ __all__ = [
     "FullAverageState",
     "DiagAverageState",
     "UpdateFrequencyPolicy",
-    "decaying_step",
     "hutchinson_diag",
 ]
-
-
-def decaying_step(prev_corrected: NDArray | float, d_new: NDArray | float, beta2: float, k: int):
-    """One bias-corrected EMA step.
-
-    Given the corrected average after ``k-1`` terms, returns the corrected
-    average after folding in term ``k`` (1-based): with the raw recurrence
-    ``S_k = beta2 S_{k-1} + (1 - beta2) D_k`` and ``S_0 = 0``, the
-    corrected value is ``S_k / (1 - beta2^k)``. The implied weights on
-    ``D_1..D_k`` are nonnegative and sum to one.
-    """
-    if not 0 < beta2 < 1:
-        raise ValueError(f"beta2 must lie in (0, 1), got {beta2}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        s_prev = 0.0
-    else:
-        s_prev = np.asarray(prev_corrected) * (1.0 - beta2 ** (k - 1))
-    s_new = beta2 * s_prev + (1.0 - beta2) * np.asarray(d_new)
-    return s_new / (1.0 - beta2**k)
 
 
 class _Accumulator:
     """Uniform running mean or raw EMA with lazy bias correction.
 
-    ``decay=0.0`` keeps only the newest value: the EMA step is then
-    ``acc = value`` and the correction divides by exactly 1.
+    With a decay ``beta`` the raw recurrence is ``S_k = beta S_{k-1} +
+    (1 - beta) D_k`` from ``S_0 = 0``, and :meth:`value` is the corrected
+    ``S_k / (1 - beta^k)``: weight ``(1 - beta) beta^(k-i) / (1 - beta^k)``
+    on ``D_i``. ``decay=0.0`` keeps only the newest value: the EMA step is
+    then ``acc = value`` and the correction divides by exactly 1.
     """
 
     def __init__(self, decay: Optional[float]):

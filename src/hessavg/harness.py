@@ -22,9 +22,9 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -252,69 +252,49 @@ def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> Fini
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
+# Schedule kinds by config section; the first is the section's default kind.
+SCHEDULE_KINDS = {
+    "alpha": {"constant": AlphaConstant, "two_phase": AlphaTwoPhase, "step_decay": AlphaStepDecay},
+    "theta": {"constant": ThetaConstant, "local_det": ThetaLocalDet, "local_stoch": ThetaLocalStoch},
+    "iota": {"geometric": IotaGeometric, "super_det": IotaSuperDet, "super_stoch": IotaSuperStoch},
+}
+
+
+def _build_schedule(spec: dict, section: str):
+    """The schedule that ``spec[section]`` describes.
+
+    The section's keys are the schedule class's fields plus ``kind``. A
+    field with a default is optional, and each is read as its annotation
+    says: ``float`` and ``int`` by :func:`_number`, a tuple of ints by
+    :func:`_numbers`.
+    """
+    raw = _section(spec, section, "schedules", {})
+    kinds = SCHEDULE_KINDS[section]
+    kind = raw.pop("kind", next(iter(kinds)))
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown {section} schedule kind {kind!r}")
+    where = f"{section} schedule"
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where} of kind {kind!r}; expected {names}")
+    values = {}
+    for f in fields(cls):
+        default = _REQUIRED if f.default is MISSING else f.default
+        if hints[f.name] in (float, int):
+            values[f.name] = _number(raw, f.name, where, default, hints[f.name])
+        else:
+            values[f.name] = _numbers(raw, f.name, where, default)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"bad {where}: {err}") from err
+
+
 def _build_schedules(spec: dict) -> ScheduleSet:
-    alpha_spec = _section(spec, "alpha", "schedules", {"kind": "constant", "alpha": 0.1})
-    theta_spec = _section(spec, "theta", "schedules", {"kind": "constant", "theta": 0.5})
-    iota_spec = _section(spec, "iota", "schedules", {"kind": "geometric", "iota0": 0.0, "a": 0.0})
-
-    def bad(which, s):
-        return ConfigError(f"unknown {which} schedule kind {s.get('kind')!r}")
-
-    kind = alpha_spec.get("kind", "constant")
-    if kind == "constant":
-        alpha = AlphaConstant(_number(alpha_spec, "alpha", "alpha schedule", 0.1))
-    elif kind == "two_phase":
-        alpha = AlphaTwoPhase(
-            _number(alpha_spec, "alpha_global", "alpha schedule"),
-            _number(alpha_spec, "k_switch", "alpha schedule", kind=int),
-            _number(alpha_spec, "alpha_local", "alpha schedule", 1.0),
-        )
-    elif kind == "step_decay":
-        alpha = AlphaStepDecay(
-            _number(alpha_spec, "alpha0", "alpha schedule"),
-            _number(alpha_spec, "factor", "alpha schedule", 0.25),
-            _numbers(alpha_spec, "milestones", "alpha schedule", ()),
-        )
-    else:
-        raise bad("alpha", alpha_spec)
-
-    kind = theta_spec.get("kind", "constant")
-    if kind == "constant":
-        theta = ThetaConstant(_number(theta_spec, "theta", "theta schedule", 0.5))
-    elif kind == "local_det":
-        theta = ThetaLocalDet(
-            _number(theta_spec, "theta_l", "theta schedule"),
-            _number(theta_spec, "k_switch", "theta schedule", 0, int),
-        )
-    elif kind == "local_stoch":
-        theta = ThetaLocalStoch(
-            _number(theta_spec, "theta_l", "theta schedule"),
-            _number(theta_spec, "k_switch", "theta schedule", 0, int),
-        )
-    else:
-        raise bad("theta", theta_spec)
-
-    kind = iota_spec.get("kind", "geometric")
-    if kind == "geometric":
-        iota = IotaGeometric(
-            _number(iota_spec, "iota0", "iota schedule", 0.0), _number(iota_spec, "a", "iota schedule", 0.0)
-        )
-    elif kind == "super_det":
-        iota = IotaSuperDet(
-            _number(iota_spec, "iota0", "iota schedule"),
-            _number(iota_spec, "a_l", "iota schedule"),
-            _number(iota_spec, "k_switch", "iota schedule", 0, int),
-        )
-    elif kind == "super_stoch":
-        iota = IotaSuperStoch(
-            _number(iota_spec, "iota0", "iota schedule"),
-            _number(iota_spec, "a_l", "iota schedule"),
-            _number(iota_spec, "k_switch", "iota schedule", 0, int),
-        )
-    else:
-        raise bad("iota", iota_spec)
-
-    return ScheduleSet(alpha=alpha, theta=theta, iota=iota)
+    return ScheduleSet(**{section: _build_schedule(spec, section) for section in SCHEDULE_KINDS})
 
 
 def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSampleController:
@@ -617,7 +597,10 @@ def sweep(
     data_dir: Optional[str] = None,
     parallel: int = 1,
 ) -> tuple[list[dict], str]:
-    """Run a config grid and reduce to one row per (method, alpha, rank).
+    """Run a config grid and reduce to one row per (method, alpha schedule,
+    rank, gradient mode).
+
+    A row's ``alpha`` is its schedule's first step size.
 
     Diverged runs are marked with an 'x' and excluded from means. Returns
     the raw rows plus an aligned-text table.
@@ -628,11 +611,11 @@ def sweep(
     groups: dict[tuple, list[dict]] = {}
     order: list[tuple] = []
     for cfg, summ in zip(configs, summaries):
-        alpha = cfg.schedules.get("alpha", {}).get("alpha", cfg.schedules.get("alpha", {}).get("alpha0"))
+        method = MethodSpec(**cfg.method)
         key = (
-            cfg.method.get("name"),
-            alpha,
-            cfg.method.get("rank", 1),
+            method.name,
+            _build_schedule(cfg.schedules, "alpha"),
+            method.rank,
             cfg.sampling.get("grad", {}).get("mode", "fixed"),
         )
         if key not in groups:
@@ -645,7 +628,7 @@ def sweep(
         finals = [s["final_f"] for s in summs if not s["diverged"]]
         row = {
             "method": key[0],
-            "alpha": key[1],
+            "alpha": key[1].at(0),
             "rank": key[2],
             "grad_mode": key[3],
             "seeds": len(summs),

@@ -6,9 +6,12 @@ Newton (fan), diagonally-averaged Newton with l1 or l2 averaging (dan,
 dan2), and adahessian. Every method but sgd keeps its curvature estimate
 in one averaging state: subnewton is the full-matrix average that keeps
 only the newest Hessian, and adam's second moment is a diagonal average
-of squared gradients. Each iteration: the controller fixes the gradient
-batch, the update policy optionally refreshes the Hessian estimate, the
-method turns the batch gradient into a direction, and the iterate moves
+of squared gradients. adam's and adahessian's first moment is the same
+bias-corrected EMA, an ``averaging._Accumulator``. Each iteration: the
+controller fixes the gradient batch, the update policy optionally
+refreshes the Hessian estimate, the method turns the batch gradient into
+a direction, the norm test (its rule written once, in
+:func:`_run_controller`) may grow the next batch, and the iterate moves
 by the scheduled step size. Runs that blow up (non-finite batch loss or
 loss exceeding a fixed multiple of the starting value) are flagged as
 diverged and halted rather than raising.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,6 +31,7 @@ from .averaging import (
     DiagAverageState,
     FullAverageState,
     UpdateFrequencyPolicy,
+    _Accumulator,
     hutchinson_diag,
 )
 # Unused here; kept because bench/test_bench.py reads ``optimizers.pd_modify``.
@@ -117,13 +121,14 @@ class MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# Schedules
+# Schedules: each one's fields are its config keys, and a field's default is
+# the value a config that omits the key gets.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AlphaConstant:
-    alpha: float
+    alpha: float = 0.1
 
     def at(self, k: int) -> float:
         return self.alpha
@@ -144,8 +149,8 @@ class AlphaTwoPhase:
 @dataclass(frozen=True)
 class AlphaStepDecay:
     alpha0: float
-    factor: float
-    milestones: tuple[int, ...]
+    factor: float = 0.25
+    milestones: tuple[int, ...] = ()
 
     def at(self, k: int) -> float:
         drops = sum(1 for m in self.milestones if k >= m)
@@ -154,7 +159,7 @@ class AlphaStepDecay:
 
 @dataclass(frozen=True)
 class ThetaConstant:
-    theta: float
+    theta: float = 0.5
 
     def at(self, k: int) -> float:
         return self.theta
@@ -184,8 +189,8 @@ class ThetaLocalStoch:
 
 @dataclass(frozen=True)
 class IotaGeometric:
-    iota0: float
-    a: float
+    iota0: float = 0.0
+    a: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.a < 1:
@@ -197,6 +202,7 @@ class IotaGeometric:
         return self.iota0 * self.a**k
 
 
+@dataclass(frozen=True)
 class _IotaSuper:
     """Recurrence ``iota_{k+1} = iota_k * a_l / (k + 1)^power`` past the switch.
 
@@ -205,16 +211,16 @@ class _IotaSuper:
     which underflows gracefully to zero.
     """
 
-    power: int = 4
+    iota0: float
+    a_l: float
+    k_switch: int = 0
+    power: ClassVar[int]
 
-    def __init__(self, iota0: float, a_l: float, k_switch: int = 0):
-        if not 0 <= a_l < 1:
+    def __post_init__(self) -> None:
+        if not 0 <= self.a_l < 1:
             raise ValueError("decay factor a_l must lie in [0, 1)")
-        if iota0 < 0:
+        if self.iota0 < 0:
             raise ValueError("iota0 must be nonnegative")
-        self.iota0 = iota0
-        self.a_l = a_l
-        self.k_switch = k_switch
 
     def at(self, k: int) -> float:
         if k <= self.k_switch or self.iota0 == 0.0:
@@ -254,11 +260,7 @@ def schedule_eval(schedules: ScheduleSet, k: int) -> tuple[float, float, float]:
     return schedules.alpha.at(k), schedules.theta.at(k), schedules.iota.at(k)
 
 
-DEFAULT_SCHEDULES = ScheduleSet(
-    alpha=AlphaConstant(0.1),
-    theta=ThetaConstant(0.5),
-    iota=IotaGeometric(0.0, 0.0),
-)
+DEFAULT_SCHEDULES = ScheduleSet(AlphaConstant(), ThetaConstant(), IotaGeometric())
 
 
 def eec(epochs: float, rank: int, hessian_freq: int = 1) -> float:
@@ -287,7 +289,7 @@ class OptState:
     w: NDArray
     k: int = 0
     diverged: bool = False
-    m: Optional[NDArray] = None
+    m: Optional[_Accumulator] = None  # adam and adahessian: the first moment
     avg: Optional[Union[FullAverageState, DiagAverageState]] = None
     grad_samples: int = 0
     hess_sample_units: int = 0
@@ -314,7 +316,7 @@ def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptS
     elif method.name in ("adam", "adahessian"):
         # Squared gradients (adam) or squared Hessian diagonals (adahessian).
         state.avg = DiagAverageState(d, p=2, decay=method.beta2)
-        state.m = np.zeros(d)
+        state.m = _Accumulator(method.beta1)
     return state
 
 
@@ -373,9 +375,8 @@ def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
     if method.name in ("adam", "adahessian"):
         if method.name == "adam":
             state.avg.update(g)
-        state.m = method.beta1 * state.m + (1 - method.beta1) * g
-        m_hat = state.m / (1 - method.beta1 ** (state.k + 1))
-        return state.avg.precondition(m_hat, method.adam_eps)
+        state.m.update(g)
+        return state.avg.precondition(state.m.value(), method.adam_eps)
     return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
 
 
@@ -413,18 +414,20 @@ def _run_controller(
     theta: float,
     iota: float,
 ) -> None:
-    """Run this iteration's norm test and hand the outcome to the controller.
+    """Run this iteration's norm test ``lhs <= theta^2 ||.||_A^2 + iota`` and
+    hand the outcome to the controller.
 
-    Both tests read the batch gradient ``g``. The approximate test reads the
-    batch's per-component gradients ``comps`` for its variance only; the
-    exact test reads ``full_grad``, the full gradient at ``w_k``.
+    This is the one place the test's rule is written. Both tests read the
+    batch gradient ``g``. The approximate test reads the batch's
+    per-component gradients ``comps`` for its variance only; the exact test
+    reads ``full_grad``, the full gradient at ``w_k``.
     """
     if ctx.controller.mode == "approx_norm_test":
         lhs, rhs_norm = approx_norm_terms(comps, g)
     else:
         lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
-    passed = lhs <= theta**2 * rhs_norm + iota
-    ctx.controller.record_test(passed, lhs, rhs_norm, theta, iota)
+    rhs = theta**2 * rhs_norm + iota
+    ctx.controller.record_test(lhs <= rhs, lhs, rhs)
 
 
 def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:

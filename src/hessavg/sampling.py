@@ -9,7 +9,10 @@ Gradient batch sizing is a one-way ratchet: sizes never decrease within a
 run, and never pass the cap. The adaptive modes run a norm test on each
 iteration that starts below the cap and grow the batch by the observed
 violation ratio on failure; at the cap no test can change the batch, so
-none is run.
+none is run. This module gives the two sides of each test, ``lhs`` and
+``||g||_A^2``; the step loop (:func:`hessavg.optimizers._run_controller`)
+forms ``rhs = theta^2 ||g||_A^2 + iota`` and applies ``lhs <= rhs``, and
+:meth:`GradSampleController.record_test` reads its outcome.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ __all__ = [
     "IidSampler",
     "GradSampleController",
     "exact_norm_terms",
-    "exact_norm_test",
     "approx_norm_terms",
-    "approx_norm_test",
     "required_size_stochastic",
     "required_size_deterministic",
 ]
@@ -105,19 +106,6 @@ def exact_norm_terms(
     return weighted_norm_sq(g - grad_full, inverse_of), weighted_norm_sq(grad_full, inverse_of)
 
 
-def exact_norm_test(
-    g: NDArray,
-    grad_full: NDArray,
-    theta: float,
-    iota: float,
-    inverse_of: Optional[NDArray] = None,
-) -> bool:
-    """Check ``||g - grad_full||_A^2 <= theta^2 ||grad_full||_A^2 + iota``;
-    see :func:`exact_norm_terms` for the weighting."""
-    lhs, rhs_norm = exact_norm_terms(g, grad_full, inverse_of)
-    return bool(lhs <= theta**2 * rhs_norm + iota)
-
-
 def approx_norm_terms(component_grads: NDArray, g_batch: NDArray) -> tuple[float, float]:
     """The two sides of the approximate norm test, ``(mean_i ||grad_i -
     g_batch||^2, ||g_batch||^2)``.
@@ -132,18 +120,6 @@ def approx_norm_terms(component_grads: NDArray, g_batch: NDArray) -> tuple[float
     g_batch = np.asarray(g_batch, dtype=float)
     dev = grads - g_batch
     return float(np.mean(np.sum(dev * dev, axis=1))), float(g_batch @ g_batch)
-
-
-def approx_norm_test(
-    component_grads: NDArray, g_batch: NDArray, theta: float, iota: float
-) -> bool:
-    """Sample-variance surrogate for the norm test, Euclidean weighting.
-
-    Checks ``mean_i ||grad_i - g_batch||^2 <= theta^2 ||g_batch||^2 +
-    iota``; see :func:`approx_norm_terms`.
-    """
-    variance, g_norm_sq = approx_norm_terms(component_grads, g_batch)
-    return variance <= theta**2 * g_norm_sq + iota
 
 
 def required_size_stochastic(
@@ -215,10 +191,10 @@ class GradSampleController:
     geometric_epochs
         ``sizes[min(epoch // epochs_per_block, last)]``, clamped to the cap.
     exact_norm_test / approx_norm_test
-        Keep the current size while the test passes; on failure grow to
-        ``ceil(current * observed_variance / (theta^2 ||g||^2 + iota))``,
-        clamped to the cap. The test runs only while :attr:`can_grow`:
-        once the batch is at the cap its outcome could not change it.
+        Keep the current size while the test ``lhs <= rhs`` passes; on
+        failure grow to ``ceil(current * lhs / rhs)``, clamped to the cap.
+        The test runs only while :attr:`can_grow`: once the batch is at
+        the cap its outcome could not change it.
     """
 
     mode: str
@@ -261,23 +237,18 @@ class GradSampleController:
             self.current_size = max(self.current_size, size)
         return self.current_size
 
-    def record_test(
-        self, passed: bool, observed_variance: float, g_norm_sq: float, theta: float, iota: float
-    ) -> int:
-        """Update the size after a norm test; returns the new size.
+    def record_test(self, passed: bool, lhs: float, rhs: float) -> int:
+        """Update the size after the norm test ``lhs <= rhs``; returns the new size.
 
         A passing test leaves the size unchanged. On failure the size
-        grows by the violation ratio ``observed_variance / (theta^2
-        ||g||^2 + iota)``, never decreasing and never exceeding the cap.
+        grows by the violation ratio ``lhs / rhs``, never decreasing and
+        never exceeding the cap.
         """
-        if not self.adaptive:
+        if not self.adaptive or passed:
             return self.current_size
-        if passed:
-            return self.current_size
-        rhs = theta**2 * g_norm_sq + iota
         if rhs <= 0:
             proposed = self.cap
         else:
-            proposed = math.ceil(self.current_size * observed_variance / rhs)
+            proposed = math.ceil(self.current_size * lhs / rhs)
         self.current_size = min(self.cap, max(self.current_size, proposed))
         return self.current_size

@@ -8,7 +8,6 @@ from hessavg.averaging import (
     FullAverageState,
     UpdateFrequencyPolicy,
     _Accumulator,
-    decaying_step,
     hutchinson_diag,
 )
 from hessavg import rng as rng_mod
@@ -146,23 +145,31 @@ class TestDiagAverage:
         np.testing.assert_allclose(state.preconditioner(), expected, atol=1e-12)
 
 
+def ema_values(decay, values):
+    """The accumulator's value after each of ``values``."""
+    acc = _Accumulator(decay)
+    out = []
+    for value in values:
+        acc.update(value)
+        out.append(acc.value())
+    return out
+
+
 class TestDecayingStep:
+    """The bias-corrected EMA, the one the averaging states and adam share."""
+
     def test_constant_sequence_reproduced(self):
         value = np.array([2.0, -1.0])
-        corrected = None
-        for k in range(1, 12):
-            corrected = decaying_step(corrected if k > 1 else 0.0, value, 0.9, k)
+        for corrected in ema_values(0.9, [value] * 11):
             np.testing.assert_allclose(corrected, value, atol=1e-12)
 
     def test_first_step_returns_input(self):
-        out = decaying_step(0.0, np.array([5.0]), beta2=0.3, k=1)
-        np.testing.assert_allclose(out, [5.0])
+        np.testing.assert_allclose(ema_values(0.3, [np.array([5.0])])[0], [5.0])
 
     def test_two_step_scalar(self):
-        # beta2=0.5, D1=0, D2=4: S2 = 0.5*S1 + 0.5*4 = 2, corrected = 2/0.75
+        # decay 0.5, D1=0, D2=4: S2 = 0.5*S1 + 0.5*4 = 2, corrected = 2/0.75
         # (equals the weight-oracle value: (1/3)*0 + (2/3)*4)
-        c1 = decaying_step(0.0, 0.0, beta2=0.5, k=1)
-        c2 = decaying_step(c1, 4.0, beta2=0.5, k=2)
+        c2 = ema_values(0.5, [0.0, 4.0])[1]
         weights = ema_weights(0.5, 2)
         assert c2 == pytest.approx(weights[0] * 0.0 + weights[1] * 4.0)
         assert c2 == pytest.approx(8.0 / 3.0)
@@ -172,29 +179,25 @@ class TestDecayingStep:
     def test_matches_weight_oracle(self, beta2, k):
         rng = np.random.default_rng(7)
         ds = rng.standard_normal(k)
-        corrected = 0.0
-        for j in range(1, k + 1):
-            corrected = decaying_step(corrected, ds[j - 1], beta2, j)
+        corrected = ema_values(beta2, ds)[-1]
         weights = ema_weights(beta2, k)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert corrected == pytest.approx(float(weights @ ds), rel=1e-9, abs=1e-9)
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
-            decaying_step(0.0, 1.0, beta2=1.0, k=1)
+            _Accumulator(1.0)
 
     @pytest.mark.parametrize("decay", [0.05, 0.5, 0.9, 0.999])
     def test_matches_the_accumulator(self, decay):
-        # the averaging states' lazily corrected EMA and the closed-form step
-        # are two definitions of one average
+        # the raw recurrence S_k = decay S_{k-1} + (1 - decay) D_k, corrected
+        # at every step, is the accumulator's lazily corrected value
         rng = np.random.default_rng(11)
-        acc = _Accumulator(decay)
-        corrected = 0.0
-        for k in range(1, 51):
-            d_new = rng.standard_normal(5)
-            acc.update(d_new)
-            corrected = decaying_step(corrected, d_new, decay, k)
-            np.testing.assert_allclose(acc.value(), corrected, rtol=1e-12, atol=0)
+        ds = rng.standard_normal((50, 5))
+        s = np.zeros(5)
+        for k, (d_new, value) in enumerate(zip(ds, ema_values(decay, ds)), start=1):
+            s = decay * s + (1 - decay) * d_new
+            np.testing.assert_allclose(value, s / (1 - decay**k), rtol=1e-12, atol=0)
 
     def test_zero_decay_keeps_only_the_newest(self):
         # subnewton's average: after each update the value is that update, bit for bit

@@ -13,11 +13,24 @@ from hessavg.data import LibsvmParseError, load_dataset
 from hessavg.harness import (
     ConfigError,
     ExperimentConfig,
+    _build_schedules,
     build_context,
     estimate_rates,
     run_experiment,
     run_many,
     sweep,
+)
+from hessavg.optimizers import (
+    DEFAULT_SCHEDULES,
+    AlphaConstant,
+    AlphaStepDecay,
+    AlphaTwoPhase,
+    IotaGeometric,
+    IotaSuperDet,
+    IotaSuperStoch,
+    ThetaConstant,
+    ThetaLocalDet,
+    ThetaLocalStoch,
 )
 from hessavg.trace import parse_trace
 
@@ -202,6 +215,63 @@ class TestConfig:
         assert base_config().hash() != base_config(seed=1).hash()
 
 
+# Each case: a schedules section, its config, and the schedule built directly.
+SCHEDULE_CASES = {
+    "alpha-constant": ("alpha", {"kind": "constant", "alpha": 0.5}, AlphaConstant(0.5)),
+    "alpha-two_phase": ("alpha", {"kind": "two_phase", "alpha_global": 0.01, "k_switch": 7}, AlphaTwoPhase(0.01, 7)),
+    "alpha-step_decay": (
+        "alpha",
+        {"kind": "step_decay", "alpha0": 1.0, "factor": 0.5, "milestones": [5, 9]},
+        AlphaStepDecay(1.0, 0.5, (5, 9)),
+    ),
+    "theta-constant": ("theta", {"kind": "constant", "theta": 0.9}, ThetaConstant(0.9)),
+    "theta-local_det": ("theta", {"kind": "local_det", "theta_l": 0.8, "k_switch": 3}, ThetaLocalDet(0.8, 3)),
+    "theta-local_stoch": ("theta", {"kind": "local_stoch", "theta_l": 0.7}, ThetaLocalStoch(0.7, 0)),
+    "iota-geometric": ("iota", {"kind": "geometric", "iota0": 1.0, "a": 0.5}, IotaGeometric(1.0, 0.5)),
+    "iota-super_det": ("iota", {"kind": "super_det", "iota0": 1.0, "a_l": 0.5, "k_switch": 2}, IotaSuperDet(1.0, 0.5, 2)),
+    "iota-super_stoch": ("iota", {"kind": "super_stoch", "iota0": 2.0, "a_l": 0.25}, IotaSuperStoch(2.0, 0.25, 0)),
+}
+REQUIRED_SCHEDULE_KEYS = [
+    (case, f.name)
+    for case, (_, _, built) in SCHEDULE_CASES.items()
+    for f in dataclasses.fields(built)
+    if f.default is dataclasses.MISSING
+]
+
+
+class TestSchedulesFromConfig:
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_each_kind_builds_its_class(self, case):
+        section, raw, built = SCHEDULE_CASES[case]
+        ctx, _ = build_context(base_config(schedules={section: raw}))
+        assert getattr(ctx.schedules, section) == built
+        assert type(getattr(ctx.schedules, section)) is type(built)
+
+    def test_no_schedules_are_the_defaults(self):
+        assert _build_schedules({}) == DEFAULT_SCHEDULES
+        assert _build_schedules({"alpha": {}, "theta": {}, "iota": {}}) == DEFAULT_SCHEDULES
+
+    @pytest.mark.parametrize("case, key", REQUIRED_SCHEDULE_KEYS)
+    def test_a_missing_required_key_names_the_key_and_the_section(self, case, key):
+        section, raw, _ = SCHEDULE_CASES[case]
+        spec = {k: v for k, v in raw.items() if k != key}
+        with pytest.raises(ConfigError, match=f"missing key '{key}' in {section} schedule"):
+            base_config(schedules={section: spec})
+
+    @pytest.mark.parametrize(
+        "section, raw, key",
+        [
+            ("alpha", {"kind": "constant", "alhpa": 0.5}, "alhpa"),
+            ("theta", {"kind": "local_det", "theta_l": 0.5, "k_swtich": 10}, "k_swtich"),
+        ],
+        ids=["alhpa", "k_swtich"],
+    )
+    def test_a_misspelt_key_is_rejected(self, section, raw, key):
+        # these ran with the default step 0.1 and a switch at 0
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\] in {section} schedule of kind '{raw['kind']}'"):
+            base_config(schedules={section: raw})
+
+
 class TestRunExperiment:
     def test_zero_epochs_initial_record_only(self):
         result = run_experiment(base_config(epochs=0))
@@ -320,6 +390,17 @@ class TestSweep:
         rows, table = sweep([diverging])
         assert rows[0]["diverged"] == 1
         assert "x" in table
+
+    def test_rows_keyed_on_the_built_alpha_schedule(self):
+        # the raw-dict key merged these two-phase runs into one row and
+        # printed the default step as None
+        two_phase = [
+            base_config(epochs=0.2, schedules={"alpha": {"kind": "two_phase", "alpha_global": a, "k_switch": 1000}})
+            for a in (0.01, 1.0)
+        ]
+        rows, table = sweep(two_phase + [base_config(epochs=0.2, schedules={})])
+        assert [(row["alpha"], row["seeds"]) for row in rows] == [(0.01, 1), (1.0, 1), (0.1, 1)]
+        assert "None" not in table
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,16 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessavg.optimizers import MethodSpec, _run_controller
 from hessavg.problems import ProblemConstants, SyntheticSumProblem
 from hessavg.sampling import (
     CyclicSampler,
     GradSampleController,
     approx_norm_terms,
-    approx_norm_test,
     exact_norm_terms,
-    exact_norm_test,
     IidSampler,
     required_size_deterministic,
     required_size_stochastic,
@@ -78,48 +79,74 @@ class TestIidSampler:
             IidSampler(0)
 
 
+class _RecordingController(GradSampleController):
+    def record_test(self, passed, lhs, rhs):
+        self.recorded = (passed, lhs, rhs)
+        return super().record_test(passed, lhs, rhs)
+
+
+def step_rule(g, theta, iota, full_grad=None, comps=None, inverse_of=None):
+    """The norm test as a step runs it: the ``(passed, lhs, rhs)`` that
+    ``optimizers._run_controller`` hands the controller.
+
+    ``comps`` selects the approximate test, ``full_grad`` the exact one, and
+    ``inverse_of`` stands in for the modified averaged Hessian that weights
+    the exact test.
+    """
+    mode = "exact_norm_test" if comps is None else "approx_norm_test"
+    ctx = SimpleNamespace(
+        controller=_RecordingController(mode=mode),
+        method=MethodSpec(name="fan"),
+        a_mode="identity" if inverse_of is None else "inverse_hessian",
+    )
+    state = SimpleNamespace(avg=SimpleNamespace(modified=lambda floor: (inverse_of, False)))
+    _run_controller(ctx, state, np.asarray(g, dtype=float), comps, full_grad, theta, iota)
+    return ctx.controller.recorded
+
+
 class TestNormTests:
     def test_exact_gradient_always_passes(self):
         g = np.array([1.0, 2.0])
-        assert exact_norm_test(g, g, theta=0.0, iota=0.0)
+        assert step_rule(g, theta=0.0, iota=0.0, full_grad=g) == (True, 0.0, 0.0)
 
     def test_zero_tolerance_fails_on_mismatch(self):
-        assert not exact_norm_test(np.array([1.0, 0.0]), np.array([1.0, 0.1]), 0.0, 0.0)
+        passed, _, _ = step_rule(np.array([1.0, 0.0]), 0.0, 0.0, full_grad=np.array([1.0, 0.1]))
+        assert not passed
 
     def test_boundary_case(self):
         # ||delta||^2 = 0.25 vs theta^2 ||grad||^2 = 0.01 * 25 = 0.25
         g = np.array([3.0, 4.5])
         full = np.array([3.0, 4.0])
-        assert exact_norm_test(g, full, theta=0.1, iota=0.0)
-        assert not exact_norm_test(g, full, theta=0.0999, iota=0.0)
+        assert step_rule(g, theta=0.1, iota=0.0, full_grad=full)[0]
+        assert not step_rule(g, theta=0.0999, iota=0.0, full_grad=full)[0]
 
     def test_weighted_mode(self):
         h = np.diag([4.0, 1.0])
         g = np.array([1.2, 0.0])
         full = np.array([1.0, 0.0])
         # ||delta||_{H^{-1}}^2 = 0.04/4 = 0.01; rhs = theta^2 * 1/4
-        assert exact_norm_test(g, full, theta=0.2, iota=0.0, inverse_of=h)
-        assert not exact_norm_test(g, full, theta=0.19, iota=0.0, inverse_of=h)
+        assert step_rule(g, theta=0.2, iota=0.0, full_grad=full, inverse_of=h)[0]
+        assert not step_rule(g, theta=0.19, iota=0.0, full_grad=full, inverse_of=h)[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            exact_norm_test(np.ones(2), np.ones(3), 0.1, 0.0)
+            exact_norm_terms(np.ones(2), np.ones(3))
 
     def test_approx_equal_components_pass(self):
         comps = np.tile([1.0, 2.0], (5, 1))
-        assert approx_norm_test(comps, comps.mean(axis=0), theta=0.0, iota=0.0)
+        assert step_rule(comps.mean(axis=0), theta=0.0, iota=0.0, comps=comps)[0]
 
     def test_approx_single_component(self):
         comps = np.array([[3.0, -1.0]])
-        assert approx_norm_test(comps, comps.mean(axis=0), theta=0.0, iota=0.0)
+        assert step_rule(comps.mean(axis=0), theta=0.0, iota=0.0, comps=comps)[0]
 
     def test_approx_opposing_components_fail(self):
         comps = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert not approx_norm_test(comps, comps.mean(axis=0), theta=1.0, iota=0.0)
+        assert not step_rule(comps.mean(axis=0), theta=1.0, iota=0.0, comps=comps)[0]
 
     def test_approx_empty_rejected(self):
         with pytest.raises(ValueError):
-            approx_norm_test(np.zeros((0, 3)), np.zeros(3), 0.5, 0.0)
+            approx_norm_terms(np.zeros((0, 3)), np.zeros(3))
 
     def test_exact_terms(self):
         h = np.diag([4.0, 1.0])
@@ -138,12 +165,15 @@ class TestNormTests:
     )
     @settings(max_examples=100, deadline=None)
     def test_tests_compare_their_terms(self, xs, theta, iota):
+        # the step compares the terms with one right side, theta^2 ||.||^2 + iota
         comps = np.array(xs).reshape(-1, 3)
         g = comps.mean(axis=0)
         variance, g_norm_sq = approx_norm_terms(comps, g)
-        assert approx_norm_test(comps, g, theta, iota) == (variance <= theta**2 * g_norm_sq + iota)
+        rhs = theta**2 * g_norm_sq + iota
+        assert step_rule(g, theta, iota, comps=comps) == (variance <= rhs, variance, rhs)
         lhs, rhs_norm = exact_norm_terms(comps[0], g)
-        assert exact_norm_test(comps[0], g, theta, iota) == (lhs <= theta**2 * rhs_norm + iota)
+        rhs = theta**2 * rhs_norm + iota
+        assert step_rule(comps[0], theta, iota, full_grad=g) == (lhs <= rhs, lhs, rhs)
 
 
 class TestRequiredSizes:
@@ -218,23 +248,23 @@ class TestController:
 
     def test_pass_leaves_size(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
-        ctrl.record_test(True, observed_variance=99.0, g_norm_sq=1.0, theta=0.5, iota=0.0)
+        ctrl.record_test(True, lhs=99.0, rhs=0.25)
         assert ctrl.current_size == 8
 
     def test_fail_at_threshold_unchanged(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
         # variance exactly equals rhs: ratio 1
-        ctrl.record_test(False, observed_variance=0.25, g_norm_sq=1.0, theta=0.5, iota=0.0)
+        ctrl.record_test(False, lhs=0.25, rhs=0.25)
         assert ctrl.current_size == 8
 
     def test_fail_grows_by_ratio(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
-        ctrl.record_test(False, observed_variance=1.0, g_norm_sq=1.0, theta=0.5, iota=0.0)
+        ctrl.record_test(False, lhs=1.0, rhs=0.25)
         assert ctrl.current_size == 32
 
     def test_cap_respected(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=20)
-        ctrl.record_test(False, observed_variance=100.0, g_norm_sq=1.0, theta=0.5, iota=0.0)
+        ctrl.record_test(False, lhs=100.0, rhs=0.25)
         assert ctrl.current_size == 20
 
     @given(
@@ -249,7 +279,7 @@ class TestController:
         ctrl = GradSampleController(mode="exact_norm_test", initial_size=4, cap=4096)
         last = ctrl.current_size
         for passed, variance, gsq in outcomes:
-            ctrl.record_test(passed, variance, gsq, theta=0.5, iota=1e-3)
+            ctrl.record_test(passed, variance, 0.5**2 * gsq + 1e-3)
             assert ctrl.current_size >= last
             assert ctrl.current_size <= 4096
             last = ctrl.current_size
@@ -363,6 +393,6 @@ class TestDeterministicSizeWorstCase:
                         g_worst = comps[worst].mean(axis=0)
                         worst_lhs = self._a_norm_sq((g_worst - gf)[None], inverse_of)[0]
                         assert lhs.max() <= worst_lhs <= worst_case(m)
-                        assert exact_norm_test(g_worst, gf, theta, iota, inverse_of)
+                        assert step_rule(g_worst, theta, iota, full_grad=gf, inverse_of=inverse_of)[0]
         # the bound is exercised away from its clamps at 1 and N
         assert min(sizes) > 1 and max(sizes) < n
