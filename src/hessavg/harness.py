@@ -1,13 +1,24 @@
 """Experiment configuration, execution, persistence, and rate fitting.
 
-Configs are JSON documents validated into dataclasses. A run writes two
-artifacts atomically into its output directory: ``trace.csv`` (versioned
-schema, byte-reproducible given config and seed) and ``summary.json``
-(final/best objective, divergence flag, epoch-equivalent compute, seed,
-config echo and hash, and the ``OPENBLAS_NUM_THREADS`` the run saw).
-Sweeps execute many configs, optionally across spawned worker processes
-that start with one BLAS thread each, and reduce to a summary table in
-config order.
+A config is a JSON document of sections, and each section has one reader.
+Loading a config (:meth:`ExperimentConfig.from_dict`) and building its run
+(:func:`build_context`) call the same readers, through
+:func:`_read_sections`. A reader takes each key of its section once, with
+its default written once, and reads it as its type says; a key left over
+is a ConfigError, and so is a value the built object rejects. Where a
+section's keys are a class's fields (the top level, ``method``, the update
+policy, each schedule) :func:`_read` reads them from the class. What needs
+the problem is a function of it, so loading leaves out three checks: a
+cyclic sampler's block divides the problem's size, cyclic sampling needs a
+finite sum, and ``near_optimum`` needs a known optimum.
+
+A run writes two artifacts atomically into its output directory:
+``trace.csv`` (versioned schema, byte-reproducible given config and seed)
+and ``summary.json`` (final/best objective, divergence flag,
+epoch-equivalent compute, seed, config echo and hash, and the
+``OPENBLAS_NUM_THREADS`` the run saw). Sweeps execute many configs,
+optionally across spawned worker processes that start with one BLAS thread
+each, and reduce to a table with one row per config but its seed.
 """
 
 from __future__ import annotations
@@ -20,11 +31,13 @@ import numbers
 import os
 import tempfile
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,7 +68,7 @@ from .problems import (
     make_synthetic_logistic,
     quadratic_generate,
 )
-from .sampling import ALL_MODES, DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler
+from .sampling import DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -77,12 +90,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
-
-
 _REQUIRED = object()
 
 
@@ -101,34 +108,70 @@ def _as_number(value, name: str, kind: type = float):
     return kind(value)
 
 
-def _number(mapping: dict, key: str, where: str, default=_REQUIRED, kind: type = float):
-    """The numeric config field ``mapping[key]``, or ``default`` when the key is absent.
+def _take(section: dict, key: str, where: str, hint, default=_REQUIRED):
+    """Remove ``section[key]`` and read it as the annotation ``hint``; ``default`` when absent.
 
-    Without a default the key is required. The value, and the default, go
-    through :func:`_as_number`.
+    Without a default the key is required. ``float`` and ``int`` go through
+    :func:`_as_number`, ``str`` and ``dict`` (copied) must be a JSON string
+    and object, ``tuple[int, ...]`` is a list of integers, and
+    ``Optional[...]`` also takes ``null``.
     """
-    value = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
-    return _as_number(value, f"{key!r} in {where}", kind)
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        return default
+    value = section.pop(key)
+    name = f"{key!r} in {where}"
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if hint in (float, int):
+        return _as_number(value, name, hint)
+    if hint in (str, dict):
+        if not isinstance(value, hint):
+            raise ConfigError(f"{name} must be {'a string' if hint is str else 'an object'}, got {value!r}")
+        return dict(value) if hint is dict else value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_as_number(v, f"entries of {name}", int) for v in value)
 
 
-def _section(mapping: dict, key: str, where: str, default=_REQUIRED) -> dict:
-    """The config section ``mapping[key]`` as a new dict, or ``default`` when the key is absent.
+def _done(section: dict, where: str) -> None:
+    """Reject the keys left in ``section`` once its reader has taken its own."""
+    if section:
+        raise ConfigError(f"unknown keys {sorted(section)} in {where}")
 
-    Without a default the key is required. A section that is not a JSON
-    object (``null``, a number, a list) is a ConfigError naming the key.
+
+_type_hints = cache(get_type_hints)  # a class's annotations, evaluated once
+
+
+def _read(cls, section: dict, where: str):
+    """``cls`` built from a config section whose keys are its fields.
+
+    A field with a default is optional, and each value is read as its
+    annotation says. A key that is no field, or a value the class rejects,
+    is a ConfigError naming ``where``.
     """
-    value = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} in {where} must be an object, got {value!r}")
-    return dict(value)
+    hints = _type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        values[f.name] = _take(section, f.name, where, hints[f.name], _REQUIRED if default is MISSING else default)
+    _done(section, where)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"bad {where}: {err}") from err
 
 
-def _numbers(mapping: dict, key: str, where: str, default=_REQUIRED) -> tuple[int, ...]:
-    """A list-valued integer config field, each entry read as by :func:`_number`."""
-    values = _require(mapping, key, where) if default is _REQUIRED else mapping.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key!r} in {where} must be a list of numbers, got {values!r}")
-    return tuple(_as_number(v, f"entries of {key!r} in {where}", int) for v in values)
+# Initial-point kinds, each with its keys' defaults; the first is the default kind.
+INIT_KINDS = {"gaussian": {"scale": 1.0}, "zeros": {}, "near_optimum": {"radius": 0.5}}
+
+
+def _default_init() -> dict:
+    kind, keys = next(iter(INIT_KINDS.items()))
+    return {"kind": kind, **keys}
 
 
 @dataclass
@@ -142,66 +185,24 @@ class ExperimentConfig:
     trace_interval: int = 10
     rolling_f: int = 0
     iters_per_epoch: int = 100
-    init: dict = field(default_factory=lambda: {"kind": "gaussian", "scale": 1.0})
+    init: dict = field(default_factory=_default_init)
     out_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.trace_interval < 1:
+            raise ValueError("trace_interval must be >= 1")
+        if self.iters_per_epoch < 1:
+            raise ValueError("iters_per_epoch must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(
-            problem=_section(raw, "problem", "config"),
-            method=_section(raw, "method", "config"),
-            sampling=_section(raw, "sampling", "config", {}),
-            schedules=_section(raw, "schedules", "config", {}),
-            epochs=_number(raw, "epochs", "config", 1.0),
-            seed=_number(raw, "seed", "config", 0, int),
-            trace_interval=_number(raw, "trace_interval", "config", 10, int),
-            rolling_f=_number(raw, "rolling_f", "config", 0, int),
-            iters_per_epoch=_number(raw, "iters_per_epoch", "config", 100, int),
-            init=_section(raw, "init", "config", {"kind": "gaussian", "scale": 1.0}),
-            out_dir=raw.get("out_dir"),
-        )
-        cfg.validate()
+        cfg = _read(cls, dict(raw), "config")
+        _read_sections(cfg)
         return cfg
-
-    def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.trace_interval < 1:
-            raise ConfigError("trace_interval must be >= 1")
-        if self.iters_per_epoch < 1:
-            raise ConfigError("iters_per_epoch must be >= 1")
-        kind = _require(self.problem, "kind", "problem")
-        if kind not in ("quadratic", "logistic", "synthetic_sum", "synthetic_logistic"):
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        try:
-            method = MethodSpec(**self.method)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad method spec: {err}") from err
-        _build_schedules(self.schedules)  # validates
-        _build_policy(self)  # validates
-        grad = _section(self.sampling, "grad", "sampling", {})
-        mode = grad.get("mode", "fixed")
-        if mode not in ALL_MODES:
-            raise ConfigError(f"unknown gradient sampling mode {mode!r}")
-        if mode == "geometric_epochs" and not grad.get("sizes"):
-            raise ConfigError("gradient mode 'geometric_epochs' needs a nonempty 'sizes' table")
-        if _number(grad, "cap", "grad sampling", 1, int) < 1:
-            raise ConfigError(f"gradient cap must be >= 1, got {grad['cap']}")
-        try:
-            _check_a_mode(grad.get("a_mode", "identity"), mode, method)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        hess = _section(self.sampling, "hess", "sampling", {})
-        if hess.get("kind", "iid") not in ("iid", "cyclic"):
-            raise ConfigError(f"unknown Hessian sampler kind {hess.get('kind')!r}")
-        if _number(hess, "size", "hess sampling", 32, int) < 1:
-            raise ConfigError(f"Hessian sample size must be >= 1, got {hess['size']}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -212,44 +213,64 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Section readers
 # ---------------------------------------------------------------------------
 
+# A config's sections, read. ``problem`` builds the oracle and ``init`` the
+# initial point from the oracle and a stream. ``controller`` and
+# ``hess_sampler`` take the problem's component count: None for an
+# expectation, and 0 before the problem is built, which runs every check
+# that does not need the count.
+_Sections = namedtuple("_Sections", "problem method schedules policy a_mode controller hess_sampler init")
 
-def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> FiniteSumOracle:
-    spec = cfg.problem
-    kind = spec["kind"]
-    if kind == "quadratic":
-        return quadratic_generate(
-            d=_number(spec, "d", "problem", 100, int),
-            keep_prob=_number(spec, "keep_prob", "problem", 0.5),
-            seed=_number(spec, "seed", "problem", cfg.seed, int),
-        )
-    if kind == "logistic":
-        x, y = load_dataset(
-            _require(spec, "dataset", "problem"),
-            data_dir=spec.get("data_dir", data_dir),
-            split_seed=_number(spec, "split_seed", "problem", 0, int),
-        )
-        return LogisticProblem(x, y)
-    if kind == "synthetic_logistic":
-        x, y = make_synthetic_logistic(
-            n=_number(spec, "n", "problem", 400, int),
-            d=_number(spec, "d", "problem", 12, int),
-            seed=_number(spec, "seed", "problem", 0, int),
-        )
-        return LogisticProblem(x, y)
-    if kind == "synthetic_sum":
-        return SyntheticSumProblem.generate(
-            n_components=_number(spec, "n_components", "problem", 16, int),
-            d=_number(spec, "d", "problem", 20, int),
-            seed=_number(spec, "seed", "problem", 0, int),
-            curvature=_number(spec, "curvature", "problem", 0.0),
-            coupling=_number(spec, "coupling", "problem", 0.0),
-            freq=_number(spec, "freq", "problem", 10.0),
-            n_ripples=_number(spec, "n_ripples", "problem", 4, int),
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
+
+def _read_sections(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> _Sections:
+    top = cfg.to_dict()
+    sampling = _take(top, "sampling", "config", dict)
+    method = _read(MethodSpec, _take(top, "method", "config", dict), "method")
+    a_mode, controller = _read_grad(sampling, method)
+    sections = _Sections(
+        problem=_read_problem(_take(top, "problem", "config", dict), cfg.seed, data_dir),
+        method=method,
+        schedules=_build_schedules(_take(top, "schedules", "config", dict)),
+        policy=_read(UpdateFrequencyPolicy, _take(sampling, "policy", "sampling", dict, {}), "update policy"),
+        a_mode=a_mode,
+        controller=controller,
+        hess_sampler=_read_hess(sampling),
+        init=_read_init(_take(top, "init", "config", dict)),
+    )
+    _done(sampling, "sampling")
+    return sections
+
+
+def _read_problem(spec: dict, seed: int, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
+    """A builder of the problem. The quadratic's seed defaults to the run's
+    ``seed``, and a dataset's directory to ``data_dir``."""
+    # Each kind's builder, and its keys with their types and defaults.
+    kinds = {
+        "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (int, seed)}),
+        "logistic": (
+            lambda dataset, **args: LogisticProblem(*load_dataset(dataset, **args)),
+            {"dataset": (str, _REQUIRED), "data_dir": (Optional[str], data_dir), "split_seed": (int, 0)},
+        ),
+        "synthetic_logistic": (
+            lambda **args: LogisticProblem(*make_synthetic_logistic(**args)),
+            {"n": (int, 400), "d": (int, 12), "seed": (int, 0)},
+        ),
+        "synthetic_sum": (
+            SyntheticSumProblem.generate,
+            {"n_components": (int, 16), "d": (int, 20), "seed": (int, 0), "curvature": (float, 0.0),
+             "coupling": (float, 0.0), "freq": (float, 10.0), "n_ripples": (int, 4)},
+        ),
+    }
+    kind = _take(spec, "kind", "problem", str)
+    if kind not in kinds:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    where = f"problem of kind {kind!r}"
+    make, keys = kinds[kind]
+    args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
+    _done(spec, where)
+    return partial(make, **args)
 
 
 # Schedule kinds by config section; the first is the section's default kind.
@@ -260,124 +281,129 @@ SCHEDULE_KINDS = {
 }
 
 
-def _build_schedule(spec: dict, section: str):
-    """The schedule that ``spec[section]`` describes.
-
-    The section's keys are the schedule class's fields plus ``kind``. A
-    field with a default is optional, and each is read as its annotation
-    says: ``float`` and ``int`` by :func:`_number`, a tuple of ints by
-    :func:`_numbers`.
-    """
-    raw = _section(spec, section, "schedules", {})
-    kinds = SCHEDULE_KINDS[section]
-    kind = raw.pop("kind", next(iter(kinds)))
-    cls = kinds.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"unknown {section} schedule kind {kind!r}")
-    where = f"{section} schedule"
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(raw) - set(names))
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where} of kind {kind!r}; expected {names}")
-    values = {}
-    for f in fields(cls):
-        default = _REQUIRED if f.default is MISSING else f.default
-        if hints[f.name] in (float, int):
-            values[f.name] = _number(raw, f.name, where, default, hints[f.name])
-        else:
-            values[f.name] = _numbers(raw, f.name, where, default)
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ConfigError(f"bad {where}: {err}") from err
-
-
 def _build_schedules(spec: dict) -> ScheduleSet:
-    return ScheduleSet(**{section: _build_schedule(spec, section) for section in SCHEDULE_KINDS})
+    """The schedules: each section's keys are ``kind`` and that kind's class's fields."""
+    spec = dict(spec)
+    schedules = {}
+    for section, kinds in SCHEDULE_KINDS.items():
+        raw = _take(spec, section, "schedules", dict, {})
+        kind = _take(raw, "kind", f"{section} schedule", str, next(iter(kinds)))
+        if kind not in kinds:
+            raise ConfigError(f"unknown {section} schedule kind {kind!r}")
+        schedules[section] = _read(kinds[kind], raw, f"{section} schedule of kind {kind!r}")
+    _done(spec, "schedules")
+    return ScheduleSet(**schedules)
 
 
-def _build_controller(cfg: ExperimentConfig, oracle: FiniteSumOracle) -> GradSampleController:
-    grad = _section(cfg.sampling, "grad", "sampling", {})
-    mode = grad.get("mode", "fixed")
-    n = oracle.n_components
-    default_cap = n if n is not None else DEFAULT_EXPECTATION_CAP
-    cap = _number(grad, "cap", "grad sampling", default_cap, int)
-    if n is not None:
-        cap = min(cap, n)
-    size = _number(grad, "size", "grad sampling", 32, int)
-    kwargs = dict(mode=mode, initial_size=_number(grad, "initial_size", "grad sampling", size, int), cap=cap)
+def _read_grad(sampling: dict, method: MethodSpec):
+    """The norm-test weighting ``a_mode`` and a builder of the gradient batch
+    controller. The cap defaults to the problem's size, and the batch is
+    clamped to it."""
+    where = "grad sampling"
+    grad = _take(sampling, "grad", "sampling", dict, {})
+    mode = _take(grad, "mode", where, str, "fixed")
+    a_mode = _take(grad, "a_mode", where, str, "identity")
+    cap = _take(grad, "cap", where, Optional[int], None)
     if mode == "geometric_epochs":
-        sizes = _numbers(grad, "sizes", "grad sampling")
-        kwargs.update(sizes=sizes, epochs_per_block=_number(grad, "epochs_per_block", "grad sampling", 20, int))
-        if sizes:  # an empty table is rejected by the controller
-            kwargs["initial_size"] = min(sizes[0], cap)
-    try:
-        return GradSampleController(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"bad gradient controller: {err}") from err
+        table = {"sizes": _take(grad, "sizes", where, tuple[int, ...])}
+        table["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, 20)
+        initial_size = table["sizes"][0] if table["sizes"] else 1  # the controller rejects an empty table
+    else:
+        table = {}
+        initial_size = _take(grad, "initial_size", where, int, _take(grad, "size", where, int, 32))
+    _done(grad, f"{where} of mode {mode!r}")
+
+    def controller(n: Optional[int]) -> GradSampleController:
+        limit = cap if cap is not None else n or DEFAULT_EXPECTATION_CAP
+        if n:
+            limit = min(limit, n)
+        # a table's first size is clamped to the cap, as the table's sizes are
+        first = min(initial_size, limit) if table else initial_size
+        try:
+            built = GradSampleController(mode=mode, initial_size=first, cap=limit, **table)
+            _check_a_mode(a_mode, mode, method)
+        except ValueError as err:
+            raise ConfigError(f"bad {where}: {err}") from err
+        return built
+
+    controller(0)
+    return a_mode, controller
 
 
-def _build_hess_sampler(cfg: ExperimentConfig, oracle: FiniteSumOracle):
-    hess = _section(cfg.sampling, "hess", "sampling", {})
-    kind = hess.get("kind", "iid")
-    size = _number(hess, "size", "hess sampling", 32, int)
-    if oracle.n_components is not None:
-        size = min(size, oracle.n_components)
-    if kind == "cyclic" and oracle.n_components is None:
-        raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
-    try:
-        if kind == "cyclic":
-            return CyclicSampler(oracle.n_components, size, hess.get("seed"))
-        return IidSampler(size)
-    except ValueError as err:
-        raise ConfigError(f"bad Hessian sampler: {err}") from err
+def _read_hess(sampling: dict) -> Callable[[Optional[int]], object]:
+    """A builder of the Hessian sampler; its sample size is clamped to the problem's."""
+    where = "hess sampling"
+    hess = _take(sampling, "hess", "sampling", dict, {})
+    kind = _take(hess, "kind", where, str, "iid")
+    if kind not in ("iid", "cyclic"):
+        raise ConfigError(f"unknown Hessian sampler kind {kind!r}")
+    size = _take(hess, "size", where, int, 32)
+    seed = _take(hess, "seed", where, Optional[int], None) if kind == "cyclic" else None
+    _done(hess, f"{where} of kind {kind!r}")
+
+    def sampler(n: Optional[int]):
+        if kind == "cyclic" and n is None:
+            raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
+        block = min(size, n) if n else size
+        try:
+            return CyclicSampler(n, block, seed) if kind == "cyclic" else IidSampler(block)
+        except ValueError as err:
+            raise ConfigError(f"bad {where} of kind {kind!r} with Hessian sample size {size}: {err}") from err
+
+    sampler(0)
+    return sampler
 
 
-def _build_policy(cfg: ExperimentConfig) -> UpdateFrequencyPolicy:
-    pol = _section(cfg.sampling, "policy", "sampling", {})
-    try:
-        return UpdateFrequencyPolicy(
-            warmup=_number(pol, "warmup", "update policy", 0, int), hf=_number(pol, "hf", "update policy", 1, int)
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad update policy: {err}") from err
+def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], NDArray]:
+    """A builder of the initial point from the oracle and the init stream."""
+    kind = _take(spec, "kind", "init", str, next(iter(INIT_KINDS)))
+    if kind not in INIT_KINDS:
+        raise ConfigError(f"unknown init kind {kind!r}")
+    where = f"init of kind {kind!r}"
+    values = {key: _take(spec, key, where, float, default) for key, default in INIT_KINDS[kind].items()}
+    _done(spec, where)
 
-
-def _initial_point(cfg: ExperimentConfig, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
-    kind = cfg.init.get("kind", "gaussian")
-    if kind == "gaussian":
-        return _number(cfg.init, "scale", "init", 1.0) * rng.standard_normal(oracle.dim)
-    if kind == "zeros":
-        return np.zeros(oracle.dim)
-    if kind == "near_optimum":
+    def point(oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
+        if kind == "gaussian":
+            return values["scale"] * rng.standard_normal(oracle.dim)
+        if kind == "zeros":
+            return np.zeros(oracle.dim)
         opt = oracle.optimum()
         if opt is None:
             raise ConfigError("init kind 'near_optimum' needs a problem with a known optimum")
         direction = rng.standard_normal(oracle.dim)
         direction /= np.linalg.norm(direction)
-        return opt[0] + _number(cfg.init, "radius", "init", 0.5) * direction
-    raise ConfigError(f"unknown init kind {kind!r}")
+        return opt[0] + values["radius"] * direction
+
+    return point
+
+
+# ---------------------------------------------------------------------------
+# Builders
+# ---------------------------------------------------------------------------
+
+
+def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> FiniteSumOracle:
+    return _read_sections(cfg, data_dir).problem()
 
 
 def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tuple[RunContext, NDArray]:
-    oracle = build_problem(cfg, data_dir)
+    read = _read_sections(cfg, data_dir)
+    oracle = read.problem()
     streams = rng_mod.streams(cfg.seed)
-    controller = _build_controller(cfg, oracle)
     ctx = RunContext(
         oracle=oracle,
-        method=MethodSpec(**cfg.method),
-        controller=controller,
-        hess_sampler=_build_hess_sampler(cfg, oracle),
-        schedules=_build_schedules(cfg.schedules),
-        policy=_build_policy(cfg),
+        method=read.method,
+        controller=read.controller(oracle.n_components),
+        hess_sampler=read.hess_sampler(oracle.n_components),
+        schedules=read.schedules,
+        policy=read.policy,
         rngs=streams,
         iters_per_epoch=cfg.iters_per_epoch,
         trace_interval=cfg.trace_interval,
-        a_mode=_section(cfg.sampling, "grad", "sampling", {}).get("a_mode", "identity"),
+        a_mode=read.a_mode,
     )
-    w0 = _initial_point(cfg, oracle, streams["init"])
-    return ctx, w0
+    return ctx, read.init(oracle, streams["init"])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +479,7 @@ def run_experiment(
         "schema": "hessavg-summary-v1",
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "method": cfg.method.get("name"),
+        "method": ctx.method.name,
         "final_f": f_final,
         "best_f": min(measured + [f_final]) if measured else f_final,
         "diverged": bool(state.diverged),
@@ -592,86 +618,65 @@ def estimate_rates(errors: Sequence[float], k_start: int = 1, k_end: Optional[in
 # ---------------------------------------------------------------------------
 
 
+# The columns of a sweep's table and CSV. ``config`` is the hash of the
+# config with its seed and output directory cleared, the row's key.
+SWEEP_COLUMNS = ("method", "alpha", "rank", "grad_mode", "config", "seeds", "diverged", "mean_final_f")
+
+
 def sweep(
     configs: Sequence[ExperimentConfig],
     data_dir: Optional[str] = None,
     parallel: int = 1,
 ) -> tuple[list[dict], str]:
-    """Run a config grid and reduce to one row per (method, alpha schedule,
-    rank, gradient mode).
+    """Run a config grid and reduce to one row per config but its seed.
 
-    A row's ``alpha`` is its schedule's first step size.
+    Configs that differ in anything but ``seed`` and ``out_dir`` get rows of
+    their own, told apart by the ``config`` column when the shown columns
+    agree. A row's ``alpha`` is its schedule's first step size.
 
-    Diverged runs are marked with an 'x' and excluded from means. Returns
-    the raw rows plus an aligned-text table.
+    Diverged runs are counted in ``diverged`` and excluded from means; a
+    row whose runs all diverged shows an 'x'. Returns the raw rows plus an
+    aligned-text table.
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
     summaries = run_many(configs, data_dir=data_dir, parallel=parallel)
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
+    rows: dict[str, dict] = {}
     for cfg, summ in zip(configs, summaries):
-        method = MethodSpec(**cfg.method)
-        key = (
-            method.name,
-            _build_schedule(cfg.schedules, "alpha"),
-            method.rank,
-            cfg.sampling.get("grad", {}).get("mode", "fixed"),
+        key = replace(cfg, seed=0, out_dir=None).hash()
+        if key not in rows:
+            read = _read_sections(cfg)
+            rows[key] = {
+                "method": read.method.name,
+                "alpha": read.schedules.alpha.at(0),
+                "rank": read.method.rank,
+                "grad_mode": read.controller(0).mode,
+                "config": key,
+                "finals": [],
+            }
+        rows[key]["finals"].append(None if summ["diverged"] else summ["final_f"])
+    for row in rows.values():
+        finals = [f for f in row["finals"] if f is not None]
+        row.update(
+            seeds=len(row["finals"]),
+            diverged=len(row["finals"]) - len(finals),
+            mean_final_f=float(np.mean(finals)) if finals else None,
         )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(summ)
-    rows = []
-    for key in order:
-        summs = groups[key]
-        finals = [s["final_f"] for s in summs if not s["diverged"]]
-        row = {
-            "method": key[0],
-            "alpha": key[1].at(0),
-            "rank": key[2],
-            "grad_mode": key[3],
-            "seeds": len(summs),
-            "diverged": sum(1 for s in summs if s["diverged"]),
-            "mean_final_f": float(np.mean(finals)) if finals else None,
-            "finals": [None if s["diverged"] else s["final_f"] for s in summs],
-        }
-        rows.append(row)
-    return rows, _format_table(rows)
+    return list(rows.values()), _format_table(list(rows.values()))
 
 
 def _format_table(rows: list[dict]) -> str:
-    headers = ["method", "alpha", "rank", "grad_mode", "seeds", "mean_final_f"]
-    table = [headers]
+    table = [list(SWEEP_COLUMNS)]
     for row in rows:
-        if row["mean_final_f"] is None:
-            mean = "x"
-        else:
-            mean = f"{row['mean_final_f']:.6g}"
-            if row["diverged"]:
-                mean += f" ({row['diverged']}x)"
-        table.append(
-            [
-                str(row["method"]),
-                str(row["alpha"]),
-                str(row["rank"]),
-                str(row["grad_mode"]),
-                str(row["seeds"]),
-                mean,
-            ]
-        )
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+        mean = row["mean_final_f"]
+        table.append([str(row[h]) for h in SWEEP_COLUMNS[:-1]] + ["x" if mean is None else f"{mean:.6g}"])
+    widths = [max(len(r[i]) for r in table) for i in range(len(SWEEP_COLUMNS))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    headers = ["method", "alpha", "rank", "grad_mode", "seeds", "diverged", "mean_final_f"]
-    lines = [",".join(headers)]
+    lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                "" if row[h] is None else str(row[h]) for h in headers
-            )
-        )
+        lines.append(",".join("" if row[h] is None else str(row[h]) for h in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"

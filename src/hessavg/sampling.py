@@ -208,7 +208,7 @@ class GradSampleController:
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "geometric_epochs" and not self.sizes:
-            raise ValueError("geometric_epochs mode requires a size table")
+            raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
         if self.initial_size < 1:
             raise ValueError("initial_size must be >= 1")
         if self.cap < 1:
@@ -246,9 +246,8 @@ class GradSampleController:
         """
         if not self.adaptive or passed:
             return self.current_size
-        if rhs <= 0:
-            proposed = self.cap
-        else:
-            proposed = math.ceil(self.current_size * lhs / rhs)
+        # A tiny rhs can overflow the ratio to inf, which ceil() rejects.
+        proposed = self.current_size * lhs / rhs if rhs > 0 else math.inf
+        proposed = self.cap if proposed >= self.cap else math.ceil(proposed)
         self.current_size = min(self.cap, max(self.current_size, proposed))
         return self.current_size

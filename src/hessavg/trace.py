@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 TRACE_SCHEMA = "hessavg-trace-v1"
 
@@ -50,6 +50,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse(cell: str, kind):
+    """A CSV cell read as its :class:`TraceRecord` annotation; an empty
+    ``Optional`` cell is None."""
+    if get_origin(kind) is Union:
+        if not cell:
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    return kind(cell)
+
+
 def format_trace(records: list[TraceRecord], config_hash: str, seed: int) -> str:
     buf = io.StringIO()
     buf.write(f"# schema={TRACE_SCHEMA} config={config_hash} seed={seed}\n")
@@ -68,21 +78,6 @@ def parse_trace(text: str) -> tuple[dict, list[TraceRecord]]:
     meta = dict(item.split("=", 1) for item in lines[0][2:].split())
     if meta.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unsupported trace schema {meta.get('schema')!r}")
-    reader = csv.DictReader(lines[1:])
-    records = []
-    for row in reader:
-        records.append(
-            TraceRecord(
-                k=int(row["k"]),
-                epoch=float(row["epoch"]),
-                f=float(row["f"]),
-                grad_norm=float(row["grad_norm"]) if row["grad_norm"] else None,
-                x_size=int(row["x_size"]),
-                s_size=int(row["s_size"]),
-                hvp_probes=int(row["hvp_probes"]),
-                eec=float(row["eec"]),
-                wall_ms=0.0,
-                dist_to_opt=float(row["dist_to_opt"]) if row["dist_to_opt"] else None,
-            )
-        )
-    return meta, records
+    hints = get_type_hints(TraceRecord)
+    rows = csv.DictReader(lines[1:])
+    return meta, [TraceRecord(wall_ms=0.0, **{c: _parse(row[c], hints[c]) for c in _COLUMNS}) for row in rows]

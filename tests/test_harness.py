@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hessavg.harness import (
     run_experiment,
     run_many,
     sweep,
+    sweep_to_csv,
 )
 from hessavg.optimizers import (
     DEFAULT_SCHEDULES,
@@ -35,7 +37,7 @@ from hessavg.optimizers import (
 from hessavg.trace import parse_trace
 
 
-def base_config(**overrides):
+def base_raw(**overrides):
     raw = {
         "problem": {"kind": "synthetic_logistic", "n": 300, "d": 10, "seed": 0},
         "method": {"name": "fan", "mu_tilde": 1e-3},
@@ -45,7 +47,11 @@ def base_config(**overrides):
         "seed": 0,
     }
     raw.update(overrides)
-    return ExperimentConfig.from_dict(raw)
+    return raw
+
+
+def base_config(**overrides):
+    return ExperimentConfig.from_dict(base_raw(**overrides))
 
 
 # Each case: a pattern the ConfigError message must match, and the config
@@ -86,8 +92,14 @@ BAD_BATCH_SETTINGS = {
 NOT_A_NUMBER = {
     "epochs_null": ("'epochs' in config", {"epochs": None}),
     "epochs_true": ("'epochs' in config", {"epochs": True}),
-    "problem_d_null": ("'d' in problem", {"problem": {"kind": "synthetic_logistic", "n": 300, "d": None}}),
-    "problem_d_string": ("'d' in problem", {"problem": {"kind": "synthetic_logistic", "n": 300, "d": "12"}}),
+    "problem_d_null": (
+        "'d' in problem of kind 'synthetic_logistic'",
+        {"problem": {"kind": "synthetic_logistic", "n": 300, "d": None}},
+    ),
+    "problem_d_string": (
+        "'d' in problem of kind 'synthetic_logistic'",
+        {"problem": {"kind": "synthetic_logistic", "n": 300, "d": "12"}},
+    ),
     "grad_size_null": (
         "'size' in grad sampling",
         {"sampling": {"grad": {"mode": "fixed", "size": None}, "hess": {"kind": "iid", "size": 25}}},
@@ -119,7 +131,7 @@ NOT_AN_OBJECT = {
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\] in config"):
             ExperimentConfig.from_dict({"problem": {}, "method": {}, "bogus": 1})
 
     def test_unknown_problem_kind(self):
@@ -160,8 +172,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("case", sorted(BAD_BATCH_SETTINGS))
     def test_builders_reject_bad_batch_setting(self, case):
-        # an ExperimentConfig made directly skips validate; building it
-        # still fails with a ConfigError, before any step runs
+        # an ExperimentConfig made directly is not read at load; building
+        # it reads every section and fails with a ConfigError, before any
+        # step runs
         raw = {
             "problem": {"kind": "synthetic_logistic", "n": 300, "d": 10, "seed": 0},
             "method": {"name": "fan", "mu_tilde": 1e-3},
@@ -213,6 +226,109 @@ class TestConfig:
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()
         assert base_config().hash() != base_config(seed=1).hash()
+
+
+# Each case: config keys that replace base_raw's, and the key and the
+# section a ConfigError must name. Each case ran without a word before
+# every section rejected the keys it does not read.
+GRAD_8 = {"mode": "fixed", "size": 8}
+MISSPELT_KEYS = {
+    "config": ({"epoch": 2}, "epoch", "config"),
+    "sampling": ({"sampling": {"gard": GRAD_8, "hess": HESS_25}}, "gard", "sampling"),
+    "grad": ({"sampling": {"grad": {"mode": "fixed", "intial_size": 8}}}, "intial_size", "grad sampling of mode 'fixed'"),
+    "grad_size_with_table": (
+        {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": [8, 16], "size": 8}}},
+        "size",
+        "grad sampling of mode 'geometric_epochs'",
+    ),
+    "hess": ({"sampling": {"grad": GRAD_8, "hess": {"kind": "iid", "sise": 4}}}, "sise", "hess sampling of kind 'iid'"),
+    "hess_seed_of_iid": ({"sampling": {"grad": GRAD_8, "hess": {"kind": "iid", "seed": 3}}}, "seed", "hess sampling of kind 'iid'"),
+    "policy": ({"sampling": {"grad": GRAD_8, "policy": {"hff": 2}}}, "hff", "update policy"),
+    "method": ({"method": {"name": "dan", "rnak": 2}}, "rnak", "method"),
+    "schedules": ({"schedules": {"alpah": {"kind": "constant"}}}, "alpah", "schedules"),
+    "init_gaussian": ({"init": {"kind": "gaussian", "radius": 1.0}}, "radius", "init of kind 'gaussian'"),
+    "init_zeros": ({"init": {"kind": "zeros", "scale": 1.0}}, "scale", "init of kind 'zeros'"),
+    "init_near_optimum": ({"init": {"kind": "near_optimum", "scael": 1.0}}, "scael", "init of kind 'near_optimum'"),
+    "problem_quadratic": ({"problem": {"kind": "quadratic", "dd": 4}}, "dd", "problem of kind 'quadratic'"),
+    "problem_logistic": (
+        {"problem": {"kind": "logistic", "dataset": "mushrooms", "split": 1}},
+        "split",
+        "problem of kind 'logistic'",
+    ),
+    "problem_synthetic_logistic": ({"problem": {"kind": "synthetic_logistic", "dd": 4}}, "dd", "problem of kind 'synthetic_logistic'"),
+    "problem_synthetic_sum": ({"problem": {"kind": "synthetic_sum", "n_component": 8}}, "n_component", "problem of kind 'synthetic_sum'"),
+}
+
+
+# Each case: config keys that replace base_raw's, and the key and the
+# section a ConfigError must name. "TypeError" cases raised a bare
+# TypeError before: rank 1.5 at dan's first Hessian update, a cyclic seed
+# inside SeedSequence, and out_dir when the run wrote its files.
+WRONG_TYPES = {
+    "config_out_dir_TypeError": ({"out_dir": 5}, "out_dir", "config"),
+    "sampling_hess": ({"sampling": {"grad": GRAD_8, "hess": 3}}, "hess", "sampling"),
+    "grad_mode": ({"sampling": {"grad": {"mode": 3}}}, "mode", "grad sampling"),
+    "grad_cap": ({"sampling": {"grad": {"mode": "fixed", "cap": "64"}}}, "cap", "grad sampling"),
+    "hess_seed_fraction_TypeError": (
+        {"sampling": {"grad": GRAD_8, "hess": {"kind": "cyclic", "size": 25, "seed": 1.5}}},
+        "seed",
+        "hess sampling",
+    ),
+    "hess_seed_string_TypeError": (
+        {"sampling": {"grad": GRAD_8, "hess": {"kind": "cyclic", "size": 25, "seed": "a"}}},
+        "seed",
+        "hess sampling",
+    ),
+    "policy_hf": ({"sampling": {"grad": GRAD_8, "policy": {"hf": 1.5}}}, "hf", "update policy"),
+    "method_rank_fraction_TypeError": ({"method": {"name": "dan", "rank": 1.5}}, "rank", "method"),
+    "method_rank_string": ({"method": {"name": "dan", "rank": "2"}}, "rank", "method"),
+    "method_mu_tilde_null": ({"method": {"name": "fan", "mu_tilde": None}}, "mu_tilde", "method"),
+    "method_name": ({"method": {"name": ["fan"]}}, "name", "method"),
+    "schedule_kind": ({"schedules": {"alpha": {"kind": 1}}}, "kind", "alpha schedule"),
+    "init_kind": ({"init": {"kind": None}}, "kind", "init"),
+    "init_gaussian": ({"init": {"kind": "gaussian", "scale": "1"}}, "scale", "init of kind 'gaussian'"),
+    "init_near_optimum": ({"init": {"kind": "near_optimum", "radius": None}}, "radius", "init of kind 'near_optimum'"),
+    "problem_kind": ({"problem": {"kind": 1}}, "kind", "problem"),
+    "problem_quadratic": ({"problem": {"kind": "quadratic", "keep_prob": "0.5"}}, "keep_prob", "problem of kind 'quadratic'"),
+    "problem_logistic": ({"problem": {"kind": "logistic", "dataset": 5}}, "dataset", "problem of kind 'logistic'"),
+    "problem_synthetic_logistic": ({"problem": {"kind": "synthetic_logistic", "n": 1.5}}, "n", "problem of kind 'synthetic_logistic'"),
+    "problem_synthetic_sum": ({"problem": {"kind": "synthetic_sum", "coupling": None}}, "coupling", "problem of kind 'synthetic_sum'"),
+}
+
+
+class TestEveryKeyRead:
+    @pytest.mark.parametrize("case", sorted(MISSPELT_KEYS))
+    def test_a_misspelt_key_is_rejected(self, case):
+        overrides, key, where = MISSPELT_KEYS[case]
+        with pytest.raises(ConfigError, match=re.escape(f"unknown keys ['{key}'] in {where}")):
+            ExperimentConfig.from_dict(base_raw(**overrides))
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_a_wrong_type_is_rejected(self, case):
+        overrides, key, where = WRONG_TYPES[case]
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' in {where} must be")):
+            ExperimentConfig.from_dict(base_raw(**overrides))
+
+    @pytest.mark.parametrize("case", sorted(c for c in WRONG_TYPES if c.endswith("TypeError")))
+    def test_cli_run_reports_a_wrong_type_without_a_traceback(self, case, tmp_path, capsys):
+        overrides, key, where = WRONG_TYPES[case]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_raw(epochs=0.2, **overrides)))
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{key}' in {where} must be")
+        assert "Traceback" not in err
+
+    def test_the_readers_leave_the_config_as_given(self):
+        # each reader takes keys from its own copy, so the hash in every
+        # trace header still covers the config as written
+        raw = base_raw(init={"kind": "near_optimum"}, problem={"kind": "synthetic_sum", "n_components": 8, "d": 4})
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
+        before = json.dumps(cfg.to_dict(), sort_keys=True)
+        build_context(cfg)
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == before
+        assert cfg.init == {"kind": "near_optimum"} and cfg.sampling == raw["sampling"]
+        assert base_config().init == {"kind": "gaussian", "scale": 1.0}
 
 
 # Each case: a schedules section, its config, and the schedule built directly.
@@ -401,6 +517,23 @@ class TestSweep:
         rows, table = sweep(two_phase + [base_config(epochs=0.2, schedules={})])
         assert [(row["alpha"], row["seeds"]) for row in rows] == [(0.01, 1), (1.0, 1), (0.1, 1)]
         assert "None" not in table
+
+    def test_rows_keyed_on_the_whole_config_but_the_seed(self):
+        # the two theta values printed one row with seeds 2 and one mean
+        grad = {"mode": "exact_norm_test", "initial_size": 8}
+        configs = [
+            base_config(epochs=0.5, seed=seed, sampling={"grad": grad, "hess": HESS_25}, schedules={"theta": {"theta": theta}})
+            for theta in (0.1, 0.9)
+            for seed in (0, 1)
+        ]
+        rows, table = sweep(configs)
+        assert [(row["seeds"], row["config"]) for row in rows] == [
+            (2, dataclasses.replace(configs[0], seed=0).hash()),
+            (2, dataclasses.replace(configs[2], seed=0).hash()),
+        ]
+        assert rows[0]["config"] != rows[1]["config"]
+        assert all(row["config"] in table for row in rows)
+        assert sweep_to_csv(rows).splitlines()[0].split(",") == table.splitlines()[0].split()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):

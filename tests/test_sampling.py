@@ -288,6 +288,11 @@ class TestController:
         with pytest.raises(ValueError):
             GradSampleController(mode="bogus")
 
+    def test_a_violation_ratio_that_overflows_grows_to_the_cap(self):
+        # 0.25 / 1.07e-320 is inf, which math.ceil raised an OverflowError on
+        ctrl = GradSampleController(mode="approx_norm_test", initial_size=1, cap=64)
+        assert ctrl.record_test(False, 0.25, 1.07e-320) == 64
+
     def test_geometric_requires_sizes(self):
         with pytest.raises(ValueError):
             GradSampleController(mode="geometric_epochs")
