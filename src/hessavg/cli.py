@@ -37,11 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fetch.add_argument("name", choices=sorted(MANIFESTS))
     p_fetch.add_argument("--data-dir", default=None)
 
-    p_gen = sub.add_parser("gen-quadratic", help="generate a masked quadratic problem")
+    p_gen = sub.add_parser("gen-quadratic", help="print the spectrum and optimum of a masked quadratic problem")
     p_gen.add_argument("--d", type=int, default=100)
     p_gen.add_argument("--keep-prob", type=float, default=0.5)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default=None, help="optional .npz path for (A, b)")
 
     p_run = sub.add_parser("run", help="run one experiment config (JSON)")
     p_run.add_argument("config", type=Path)
@@ -84,7 +83,7 @@ def _cmd_gen_quadratic(args) -> int:
     problem = quadratic_generate(d=args.d, keep_prob=args.keep_prob, seed=args.seed)
     eigs = np.linalg.eigvalsh(problem.a)
     kappa = (eigs[-1] / eigs[0]) ** 2
-    w_star, f_star = problem.optimum()
+    _, f_star = problem.optimum()
     print(
         json.dumps(
             {
@@ -99,9 +98,6 @@ def _cmd_gen_quadratic(args) -> int:
             indent=2,
         )
     )
-    if args.out:
-        np.savez(args.out, a=problem.a, b=problem.b, keep_prob=problem.keep_prob, w_star=w_star)
-        print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -130,10 +126,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"no *.json configs in {args.config_dir}")
     configs = [_load_config(p) for p in paths]
     out_base = Path(args.out) if args.out else None
-    if out_base:
-        for cfg, path in zip(configs, paths):
-            cfg.out_dir = str(out_base / path.stem)
-    rows, table = sweep(configs, data_dir=args.data_dir, parallel=args.parallel)
+    out_dirs = [str(out_base / path.stem) for path in paths] if out_base else None
+    rows, table = sweep(configs, data_dir=args.data_dir, out_dirs=out_dirs, parallel=args.parallel)
     print(table, end="")
     if out_base:
         (out_base / "sweep.csv").parent.mkdir(parents=True, exist_ok=True)

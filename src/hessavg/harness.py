@@ -12,13 +12,14 @@ the problem is a function of it, so loading leaves out three checks: a
 cyclic sampler's block divides the problem's size, cyclic sampling needs a
 finite sum, and ``near_optimum`` needs a known optimum.
 
-A run writes two artifacts atomically into its output directory:
-``trace.csv`` (versioned schema, byte-reproducible given config and seed)
-and ``summary.json`` (final/best objective, divergence flag,
-epoch-equivalent compute, seed, config echo and hash, and the
-``OPENBLAS_NUM_THREADS`` the run saw). Sweeps execute many configs,
-optionally across spawned worker processes that start with one BLAS thread
-each, and reduce to a table with one row per config but its seed.
+The output and data directories are arguments of a run, not config keys.
+Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
+given config and seed) and ``summary.json`` (final/best objective,
+divergence flag, epoch-equivalent compute, seed, config echo and hash, and
+the ``OPENBLAS_NUM_THREADS`` the run saw) atomically into it. Sweeps execute
+many configs, optionally across spawned worker processes that start with
+one BLAS thread each, and reduce to a table with one row per config but its
+seed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "RateReport",
-    "build_problem",
     "run_experiment",
     "run_many",
     "estimate_rates",
@@ -186,7 +186,6 @@ class ExperimentConfig:
     rolling_f: int = 0
     iters_per_epoch: int = 100
     init: dict = field(default_factory=_default_init)
-    out_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -208,6 +207,7 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def hash(self) -> str:
+        """Short SHA-256 of every field, seed included; output and data paths are run arguments, not in it."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -245,13 +245,13 @@ def _read_sections(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> _Se
 
 def _read_problem(spec: dict, seed: int, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
     """A builder of the problem. The quadratic's seed defaults to the run's
-    ``seed``, and a dataset's directory to ``data_dir``."""
+    ``seed``, and a dataset is read from ``data_dir``."""
     # Each kind's builder, and its keys with their types and defaults.
     kinds = {
         "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (int, seed)}),
         "logistic": (
-            lambda dataset, **args: LogisticProblem(*load_dataset(dataset, **args)),
-            {"dataset": (str, _REQUIRED), "data_dir": (Optional[str], data_dir), "split_seed": (int, 0)},
+            lambda dataset, split_seed: LogisticProblem(*load_dataset(dataset, data_dir, split_seed)),
+            {"dataset": (str, _REQUIRED), "split_seed": (int, 0)},
         ),
         "synthetic_logistic": (
             lambda **args: LogisticProblem(*make_synthetic_logistic(**args)),
@@ -297,8 +297,9 @@ def _build_schedules(spec: dict) -> ScheduleSet:
 
 def _read_grad(sampling: dict, method: MethodSpec):
     """The norm-test weighting ``a_mode`` and a builder of the gradient batch
-    controller. The cap defaults to the problem's size, and the batch is
-    clamped to it."""
+    controller. Each mode has one batch-size key: ``size`` when fixed,
+    ``sizes`` for the epoch table, ``initial_size`` for the norm tests. The
+    cap defaults to the problem's size, and the batch is clamped to it."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
@@ -310,7 +311,7 @@ def _read_grad(sampling: dict, method: MethodSpec):
         initial_size = table["sizes"][0] if table["sizes"] else 1  # the controller rejects an empty table
     else:
         table = {}
-        initial_size = _take(grad, "initial_size", where, int, _take(grad, "size", where, int, 32))
+        initial_size = _take(grad, "size" if mode == "fixed" else "initial_size", where, int, 32)
     _done(grad, f"{where} of mode {mode!r}")
 
     def controller(n: Optional[int]) -> GradSampleController:
@@ -381,10 +382,6 @@ def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], N
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-
-
-def build_problem(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> FiniteSumOracle:
-    return _read_sections(cfg, data_dir).problem()
 
 
 def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tuple[RunContext, NDArray]:
@@ -465,7 +462,7 @@ def strict_json(value, **kwargs) -> str:
 def run_experiment(
     cfg: ExperimentConfig, data_dir: Optional[str] = None, out_dir: Optional[str] = None
 ) -> RunResult:
-    """Execute one config; persist trace + summary if an output dir is set."""
+    """Execute one config; persist trace + summary if ``out_dir`` is given."""
     t0 = time.perf_counter()
     ctx, w0 = build_context(cfg, data_dir)
     state, records = run(ctx, w0, cfg.epochs)
@@ -493,9 +490,8 @@ def run_experiment(
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "config": cfg.to_dict(),
     }
-    target = out_dir or cfg.out_dir
-    if target:
-        base = Path(target)
+    if out_dir:
+        base = Path(out_dir)
         _atomic_write(base / "trace.csv", format_trace(records, cfg.hash(), cfg.seed))
         _atomic_write(base / "summary.json", strict_json(summary, indent=2, sort_keys=True) + "\n")
     return RunResult(config=cfg, records=records, summary=summary, w_final=state.w)
@@ -546,6 +542,8 @@ def run_many(
     """
     if out_dirs is None:
         out_dirs = [None] * len(configs)
+    if len(out_dirs) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(out_dirs)} out_dirs")
     jobs = [(cfg.to_dict(), data_dir, out) for cfg, out in zip(configs, out_dirs)]
     if parallel <= 1 or len(jobs) <= 1:
         return [_run_one(job) for job in jobs]
@@ -619,20 +617,22 @@ def estimate_rates(errors: Sequence[float], k_start: int = 1, k_end: Optional[in
 
 
 # The columns of a sweep's table and CSV. ``config`` is the hash of the
-# config with its seed and output directory cleared, the row's key.
+# config with its seed cleared, the row's key.
 SWEEP_COLUMNS = ("method", "alpha", "rank", "grad_mode", "config", "seeds", "diverged", "mean_final_f")
 
 
 def sweep(
     configs: Sequence[ExperimentConfig],
     data_dir: Optional[str] = None,
+    out_dirs: Optional[Sequence[Optional[str]]] = None,
     parallel: int = 1,
 ) -> tuple[list[dict], str]:
     """Run a config grid and reduce to one row per config but its seed.
 
-    Configs that differ in anything but ``seed`` and ``out_dir`` get rows of
-    their own, told apart by the ``config`` column when the shown columns
-    agree. A row's ``alpha`` is its schedule's first step size.
+    Configs that differ in anything but ``seed`` get rows of their own, told
+    apart by the ``config`` column when the shown columns agree. A row's
+    ``alpha`` is its schedule's first step size. Runs write as in
+    :func:`run_many`.
 
     Diverged runs are counted in ``diverged`` and excluded from means; a
     row whose runs all diverged shows an 'x'. Returns the raw rows plus an
@@ -640,10 +640,10 @@ def sweep(
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
-    summaries = run_many(configs, data_dir=data_dir, parallel=parallel)
+    summaries = run_many(configs, data_dir=data_dir, out_dirs=out_dirs, parallel=parallel)
     rows: dict[str, dict] = {}
     for cfg, summ in zip(configs, summaries):
-        key = replace(cfg, seed=0, out_dir=None).hash()
+        key = replace(cfg, seed=0).hash()
         if key not in rows:
             read = _read_sections(cfg)
             rows[key] = {

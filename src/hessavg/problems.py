@@ -544,7 +544,8 @@ class SyntheticSumProblem(FiniteSumOracle):
     dependence on ``w`` (with Lipschitz constant growing like
     ``curvature * freq``) while its gradient contribution stays bounded by
     ``curvature / freq``, so convergence rates can be observed over many
-    iterations instead of collapsing within one sampling cycle.
+    iterations instead of collapsing within one sampling cycle. A negative
+    ``curvature`` is refused.
 
     The full values come from the stored means ``H̄`` and ``b̄``: the full
     sum is itself one such component, with ``H̄``, ``b̄`` and all N·J
@@ -572,6 +573,8 @@ class SyntheticSumProblem(FiniteSumOracle):
         self.b = np.ascontiguousarray(b, dtype=float)  # (N, d)
         self.n_components = self.h.shape[0]
         self.dim = self.h.shape[1]
+        if not curvature >= 0:
+            raise ValueError(f"curvature must be >= 0, got {curvature}")
         self.curvature = float(curvature)
         self.freq = float(freq)
         if curvature > 0:

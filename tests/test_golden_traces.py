@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from hessavg.harness import ExperimentConfig, run_experiment
+from hessavg.trace import parse_trace
 
 ALPHA_05 = {"alpha": {"kind": "constant", "alpha": 0.5}}
 ONE = {"alpha": {"kind": "constant", "alpha": 1.0}}
@@ -33,7 +34,7 @@ GOLDEN = {
             "epochs": 0.4,
             "trace_interval": 3,
         },
-        "05b77087d0f4049b0a0524163920bc8bc73e0d80cca3ab4dd523c2054cbed200",
+        "b764f5896bdb3348cf147b16fd72b1d19b107f9db0143d5b56231d7a14b28e4d",
     ),
     "adam_logistic_geometric": (
         {
@@ -44,7 +45,7 @@ GOLDEN = {
             "epochs": 3,
             "seed": 4,
         },
-        "d36f3ae83f1a9d609066eea1764ff81cfe1c397133ff3a9046456ebd86ff15e0",
+        "363393e782f2b8be50699b9d72782849174705d78f61c08d73a992f3ec283c58",
     ),
     "subnewton_sum_exact_inverse_hessian": (
         {
@@ -58,7 +59,7 @@ GOLDEN = {
             "epochs": 4,
             "trace_interval": 1,
         },
-        "25821f669ecadf124bded53c44842561676bdcdd0f1fdd205bffecfdefce573c",
+        "4d1a614fa3af0c429a970c61b67ed49375690e0fa589fc8c4e2d1896d0278893",
     ),
     "fan_sum_cyclic_exact_inverse_hessian": (
         {
@@ -72,7 +73,7 @@ GOLDEN = {
             "epochs": 10,
             "seed": 3,
         },
-        "d00183d6bacda5b55fb4eadd8cf7dc6d19c075b314f829b0ac90e52e0048fed1",
+        "94748fd63cee0d0151809e01e290d4c23868b18621302bb275fc542a3e0652aa",
     ),
     "fan_abs_logistic_exact_decaying": (
         {
@@ -87,7 +88,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "dabeadeb740304747d5ee23b36428d7d5f41662f11a98df43ad60ffc1bd17b1b",
+        "adea892d21ff5d2be75ed9af6e04ad23216800a801eb10b9cd73ab522aff67d6",
     ),
     "dan_logistic_approx": (
         {
@@ -98,7 +99,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "693067e51485833e1097c73214c1f035776c8cad2ced05f5c3e6804745f0787a",
+        "41cd2179dbd3065d224aba59d4d596f576d1af4056f9402794500041d2a21aea",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -112,7 +113,7 @@ GOLDEN = {
             "init": {"kind": "near_optimum", "radius": 0.5},
             "epochs": 0.3,
         },
-        "f1aff06315f0943a6d17df25403a5023715ef4e47c1488e4b121eb4444db7306",
+        "4e11567cab086de364a23f9a472565d4dc24b2d85f1b71fd0d461d417d4c2f08",
     ),
     "adahessian_sum_cyclic_fixed": (
         {
@@ -123,7 +124,7 @@ GOLDEN = {
             "epochs": 4,
             "rolling_f": 3,
         },
-        "28b910e86259d2d11e0c3eb377c7a715d8e36f5d7066d2b222e7f348b1f13e80",
+        "289b6e4a6c216da400d92c53e329792235dd0332f2e5e95b19f003186b476495",
     ),
 }
 
@@ -157,16 +158,22 @@ RTOL, ATOL = 1e-10, 1e-12
 
 
 def _read_trace(path):
-    header, *rows = path.read_text().splitlines()
-    return header, list(csv.DictReader(rows))
+    text = path.read_text()
+    return parse_trace(text)[0], list(csv.DictReader(text.splitlines()[1:]))
 
 
 def _assert_within_rounding(name, old_trace, tmp_path):
-    """Run golden config ``name``: the same header and counters as ``old_trace``, floats within rounding."""
-    run_experiment(ExperimentConfig.from_dict(GOLDEN[name][0]), out_dir=str(tmp_path))
-    old_header, old_rows = _read_trace(old_trace)
-    new_header, new_rows = _read_trace(tmp_path / "trace.csv")
-    assert new_header == old_header
+    """Run golden config ``name``: the same schema, seed and counters as ``old_trace``, floats within rounding.
+
+    The header's config hash is checked against the config's own: the old
+    traces were written when the hash also covered the output directory.
+    """
+    cfg = ExperimentConfig.from_dict(GOLDEN[name][0])
+    run_experiment(cfg, out_dir=str(tmp_path))
+    old_meta, old_rows = _read_trace(old_trace)
+    new_meta, new_rows = _read_trace(tmp_path / "trace.csv")
+    assert (new_meta["schema"], new_meta["seed"]) == (old_meta["schema"], old_meta["seed"])
+    assert new_meta["config"] == cfg.hash()
     assert len(new_rows) == len(old_rows)
     for old, new in zip(old_rows, new_rows):
         assert list(new) == list(old)

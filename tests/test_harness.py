@@ -156,7 +156,7 @@ class TestConfig:
         [("dan", "exact_norm_test"), ("fan", "approx_norm_test"), ("subnewton", "fixed")],
     )
     def test_inverse_hessian_needs_exact_test_and_full_matrix(self, method, mode):
-        grad = {"mode": mode, "initial_size": 8, "a_mode": "inverse_hessian"}
+        grad = {"mode": mode, "size" if mode == "fixed" else "initial_size": 8, "a_mode": "inverse_hessian"}
         with pytest.raises(ConfigError, match="inverse_hessian"):
             base_config(method={"name": method}, sampling={"grad": grad})
 
@@ -227,15 +227,34 @@ class TestConfig:
         assert base_config().hash() == base_config().hash()
         assert base_config().hash() != base_config(seed=1).hash()
 
+    def test_negative_curvature_is_refused(self):
+        # it ran the curvature-0 problem, with the same loss bit for bit
+        cfg = base_config(problem={"kind": "synthetic_sum", "n_components": 8, "d": 4, "curvature": -40})
+        with pytest.raises(ValueError, match="curvature must be >= 0, got -40"):
+            run_experiment(cfg)
+
 
 # Each case: config keys that replace base_raw's, and the key and the
 # section a ConfigError must name. Each case ran without a word before
-# every section rejected the keys it does not read.
+# every section rejected the keys it does not read. The output and data
+# directories are run arguments, not keys, and each grad mode reads only
+# its own batch-size key.
 GRAD_8 = {"mode": "fixed", "size": 8}
 MISSPELT_KEYS = {
     "config": ({"epoch": 2}, "epoch", "config"),
+    "config_out_dir": ({"out_dir": "out/run0"}, "out_dir", "config"),
     "sampling": ({"sampling": {"gard": GRAD_8, "hess": HESS_25}}, "gard", "sampling"),
     "grad": ({"sampling": {"grad": {"mode": "fixed", "intial_size": 8}}}, "intial_size", "grad sampling of mode 'fixed'"),
+    "grad_initial_size_when_fixed": (
+        {"sampling": {"grad": {"mode": "fixed", "size": 8, "initial_size": 16}}},
+        "initial_size",
+        "grad sampling of mode 'fixed'",
+    ),
+    "grad_size_with_exact_test": (
+        {"sampling": {"grad": {"mode": "exact_norm_test", "size": 8}}},
+        "size",
+        "grad sampling of mode 'exact_norm_test'",
+    ),
     "grad_size_with_table": (
         {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": [8, 16], "size": 8}}},
         "size",
@@ -255,6 +274,11 @@ MISSPELT_KEYS = {
         "split",
         "problem of kind 'logistic'",
     ),
+    "problem_logistic_data_dir": (
+        {"problem": {"kind": "logistic", "dataset": "mushrooms", "data_dir": "data"}},
+        "data_dir",
+        "problem of kind 'logistic'",
+    ),
     "problem_synthetic_logistic": ({"problem": {"kind": "synthetic_logistic", "dd": 4}}, "dd", "problem of kind 'synthetic_logistic'"),
     "problem_synthetic_sum": ({"problem": {"kind": "synthetic_sum", "n_component": 8}}, "n_component", "problem of kind 'synthetic_sum'"),
 }
@@ -262,10 +286,9 @@ MISSPELT_KEYS = {
 
 # Each case: config keys that replace base_raw's, and the key and the
 # section a ConfigError must name. "TypeError" cases raised a bare
-# TypeError before: rank 1.5 at dan's first Hessian update, a cyclic seed
-# inside SeedSequence, and out_dir when the run wrote its files.
+# TypeError before: rank 1.5 at dan's first Hessian update, and a cyclic
+# seed inside SeedSequence.
 WRONG_TYPES = {
-    "config_out_dir_TypeError": ({"out_dir": 5}, "out_dir", "config"),
     "sampling_hess": ({"sampling": {"grad": GRAD_8, "hess": 3}}, "hess", "sampling"),
     "grad_mode": ({"sampling": {"grad": {"mode": 3}}}, "mode", "grad sampling"),
     "grad_cap": ({"sampling": {"grad": {"mode": "fixed", "cap": "64"}}}, "cap", "grad sampling"),
@@ -551,6 +574,13 @@ class TestSweep:
         assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
         assert "OMP_NUM_THREADS" not in os.environ
 
+    def test_run_many_rejects_out_dirs_of_another_length(self, tmp_path):
+        # zip ran the first config only and returned one summary
+        configs = [base_config(epochs=0.1, seed=s) for s in (0, 1, 2)]
+        with pytest.raises(ValueError, match="3 configs but 1 out_dirs"):
+            run_many(configs, out_dirs=[str(tmp_path / "run0")])
+        assert not any(tmp_path.iterdir())
+
     def test_parallel_matches_serial(self):
         configs = [base_config(epochs=1, seed=s) for s in (0, 1)]
         serial, _ = sweep(configs, parallel=1)
@@ -590,7 +620,7 @@ class TestRealDataPath:
     # Taken with a loader that did not yet compare the row count with the
     # manifest and loads this file the same way, so the pin guards the
     # parsed form, the split and the run together.
-    TRACE_SHA256 = "4652edd581f0f18253215e23e21d5a3ccf00d06abe7b0cb7870409d742aa0917"
+    TRACE_SHA256 = "c314a5863f2517268cb1d6a7bcf6f81ec63fd6d52d3c7ca7f6055ad7eb8cd9df"
 
     @pytest.mark.parametrize("n_rows", [5600, 8125])
     def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):
@@ -753,12 +783,10 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["seed"] == 3
 
-    def test_gen_quadratic(self, capsys, tmp_path):
-        out = tmp_path / "prob.npz"
-        assert cli_dispatch(["gen-quadratic", "--d", "40", "--seed", "1", "--out", str(out)]) == 0
+    def test_gen_quadratic(self, capsys):
+        assert cli_dispatch(["gen-quadratic", "--d", "40", "--seed", "1"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert 1e4 <= info["kappa_ata"] <= 1e7
-        assert out.exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg = {
@@ -779,3 +807,13 @@ class TestCli:
         assert (out / "sweep.csv").exists()
         assert (out / "run0" / "trace.csv").exists()
         assert "sgd" in capsys.readouterr().out
+
+    def test_run_and_sweep_write_the_same_trace(self, tmp_path, capsys):
+        # sweep --out wrote each run's directory into its config, and so
+        # into the hash in the trace header
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "one.json").write_text(json.dumps(base_raw(epochs=0.5)))
+        assert cli_dispatch(["run", str(cfg_dir / "one.json"), "--out", str(tmp_path / "A")]) == 0
+        assert cli_dispatch(["sweep", str(cfg_dir), "--out", str(tmp_path / "B")]) == 0
+        assert (tmp_path / "A" / "trace.csv").read_bytes() == (tmp_path / "B" / "one" / "trace.csv").read_bytes()

@@ -290,6 +290,12 @@ class TestSyntheticSum:
                 v = rng.standard_normal(6)
                 np.testing.assert_allclose(h @ v, prob.hvp_sub(w, sample, v), atol=1e-10)
 
+    @pytest.mark.parametrize("curvature", [-40.0, float("nan")])
+    def test_negative_or_nan_curvature_is_refused(self, curvature):
+        # the ripple gates read curvature > 0, so these ran the curvature-0 problem
+        with pytest.raises(ValueError, match="curvature must be >= 0"):
+            SyntheticSumProblem.generate(8, 4, seed=0, curvature=curvature)
+
     @pytest.mark.parametrize("n_components", [0, 1])
     def test_coupling_needs_two_components(self, n_components):
         # centring makes a lone G zero, and scaling by 1/0 made H all NaN
