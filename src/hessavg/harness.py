@@ -69,7 +69,7 @@ from .problems import (
     make_synthetic_logistic,
     quadratic_generate,
 )
-from .sampling import DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler
+from .sampling import DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -299,20 +299,22 @@ def _read_grad(sampling: dict, method: MethodSpec):
     """The norm-test weighting ``a_mode`` and a builder of the gradient batch
     controller. Each mode has one batch-size key: ``size`` when fixed,
     ``sizes`` for the epoch table, ``initial_size`` for the norm tests. The
-    cap defaults to the problem's size, and the batch is clamped to it."""
+    cap defaults to the problem's size, and the batch is clamped to it. An
+    unknown mode is refused before the section's keys are checked, and a
+    batch size below 1 is refused under the key it was read from."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
     a_mode = _take(grad, "a_mode", where, str, "identity")
     cap = _take(grad, "cap", where, Optional[int], None)
     if mode == "geometric_epochs":
-        table = {"sizes": _take(grad, "sizes", where, tuple[int, ...])}
+        key, table = "sizes", {"sizes": _take(grad, "sizes", where, tuple[int, ...])}
         table["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, 20)
-        initial_size = table["sizes"][0] if table["sizes"] else 1  # the controller rejects an empty table
+        sizes = table["sizes"]
     else:
-        table = {}
-        initial_size = _take(grad, "size" if mode == "fixed" else "initial_size", where, int, 32)
-    _done(grad, f"{where} of mode {mode!r}")
+        key, table = "size" if mode == "fixed" else "initial_size", {}
+        sizes = (_take(grad, key, where, int, 32),)
+    initial_size = sizes[0] if sizes else 1  # the controller rejects an empty table
 
     def controller(n: Optional[int]) -> GradSampleController:
         limit = cap if cap is not None else n or DEFAULT_EXPECTATION_CAP
@@ -321,6 +323,7 @@ def _read_grad(sampling: dict, method: MethodSpec):
         # a table's first size is clamped to the cap, as the table's sizes are
         first = min(initial_size, limit) if table else initial_size
         try:
+            check_batch_sizes(key, sizes)
             built = GradSampleController(mode=mode, initial_size=first, cap=limit, **table)
             _check_a_mode(a_mode, mode, method)
         except ValueError as err:
@@ -328,6 +331,7 @@ def _read_grad(sampling: dict, method: MethodSpec):
         return built
 
     controller(0)
+    _done(grad, f"{where} of mode {mode!r}")
     return a_mode, controller
 
 

@@ -497,7 +497,16 @@ def make_synthetic_logistic(
 # ---------------------------------------------------------------------------
 
 
-_SCREEN_CHUNK = 64
+# Matrices per chunk wherever the synthetic sum works through its N·d²
+# Hessian stack: the norm screen, the build in place, and the batch reads.
+# Every temporary then holds at most this many d×d matrices, far below one
+# copy of the stack at the bench's N=1024.
+_CHUNK = 64
+
+
+def _chunks(n: int) -> list[slice]:
+    """``range(n)`` as consecutive slices of ``_CHUNK`` items, the last shorter."""
+    return [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
 
 
 def _max_spectral_norm(gs: NDArray) -> float:
@@ -511,15 +520,16 @@ def _max_spectral_norm(gs: NDArray) -> float:
     far. The rounding in the powers and in the SVD is orders of magnitude
     below that margin for d up to a few thousand, so every skipped
     matrix's computed norm is below that maximum, and the result is the
-    same ``max`` over the same values. The squarings run ``_SCREEN_CHUNK`` matrices at a time, so the
-    temporaries stay far below one copy of ``gs``.
+    same ``max`` over the same values. The squarings run ``_CHUNK``
+    matrices at a time, so the temporaries stay far below one copy of
+    ``gs``.
     """
     bounds = np.empty(gs.shape[0])
-    for lo in range(0, gs.shape[0], _SCREEN_CHUNK):
-        p = gs[lo : lo + _SCREEN_CHUNK]
+    for c in _chunks(gs.shape[0]):
+        p = gs[c]
         for _ in range(3):
             p = p @ p
-        bounds[lo : lo + _SCREEN_CHUNK] = np.linalg.norm(p, axis=(1, 2)) ** 0.125
+        bounds[c] = np.linalg.norm(p, axis=(1, 2)) ** 0.125
     order = np.argsort(bounds)[::-1]
     top = np.linalg.norm(gs[order[0]], 2)
     for i in order[1:]:
@@ -557,6 +567,14 @@ class SyntheticSumProblem(FiniteSumOracle):
     (``idx.size == N`` and no repeat), has the full values bit for bit,
     in any order; its dense Hessian and Hessian-vector products start from
     a copy of ``H̄``. Any other batch gathers its own ``m`` components.
+
+    The stack ``h`` of the ``H_i`` is the one N·d² array, from
+    :meth:`generate` through every oracle call: any other temporary holds
+    at most ``_CHUNK`` matrices. A batch that does not cover the sum reads
+    its ``H_i`` that many at a time into its ``(m, d)`` products ``H_i w``.
+    Two gathers stay whole: the ``H_i`` of a batch's mean Hessian, a
+    Hessian sample, and a batch's ``b_i`` and ``(m, J, d)`` ripple
+    directions, J/d of its ``H_i``.
     """
 
     def __init__(
@@ -625,6 +643,14 @@ class SyntheticSumProblem(FiniteSumOracle):
         values, so ``top`` has the bits a loop over all N SVDs gives. A
         coupled sum needs at least two components: centring makes a lone
         ``G`` zero.
+
+        The ``G_i`` are drawn into the returned stack and every later step
+        works in place: centring and scaling on the whole stack, and
+        symmetrizing, the norm screen and the build of each ``H_i`` in its
+        ``G_i``'s slot on ``_CHUNK`` matrices at a time. So the build holds
+        one N·d² array. Each chunked step acts on each matrix alone, with
+        the bits of a loop over single matrices. The ripple directions and
+        phases are drawn last, and only when ``curvature > 0``.
         """
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -632,7 +658,6 @@ class SyntheticSumProblem(FiniteSumOracle):
             q, r = np.linalg.qr(rng.standard_normal((d, d)))
             return q * np.sign(np.diag(r))
 
-        hs = np.empty((n_components, d, d))
         if coupling > 0:
             if not coupling < 1:
                 raise ValueError("coupling must lie in (0, 1)")
@@ -642,23 +667,28 @@ class SyntheticSumProblem(FiniteSumOracle):
                 )
             lam = np.geomspace(eig_range[0], eig_range[1], d)
             frame = random_frame()
-            gs = rng.standard_normal((n_components, d, d))
-            # Both steps act elementwise, so every G_i is exactly symmetric.
-            gs = 0.5 * (gs + np.transpose(gs, (0, 2, 1)))
-            gs -= gs.mean(axis=0)
-            top = _max_spectral_norm(gs)
-            gs *= coupling / top
+            # Symmetrizing acts elementwise, so every G_i is exactly symmetric.
+            hs = rng.standard_normal((n_components, d, d))
+            for c in _chunks(n_components):
+                g = hs[c]
+                hs[c] = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+            hs -= hs.mean(axis=0)
+            top = _max_spectral_norm(hs)
+            hs *= coupling / top
             root = np.sqrt(lam)
-            for i in range(n_components):
-                inner = (root[:, None] * (np.eye(d) + gs[i])) * root[None, :]
+            for c in _chunks(n_components):
+                inner = (root[:, None] * (np.eye(d) + hs[c])) * root[None, :]
                 h = frame @ inner @ frame.T
-                hs[i] = 0.5 * (h + h.T)
+                hs[c] = 0.5 * (h + np.transpose(h, (0, 2, 1)))
         else:
+            hs = np.empty((n_components, d, d))
             for i in range(n_components):
                 q = random_frame()
                 m = (q * rng.uniform(*eig_range, size=d)) @ q.T
                 hs[i] = 0.5 * (m + m.T)
         b = rng.standard_normal((n_components, d))
+        if not curvature > 0:
+            return cls(hs, b, None, curvature, freq=freq)
         a = rng.standard_normal((n_components, n_ripples, d))
         a /= np.linalg.norm(a, axis=2, keepdims=True)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_components, n_ripples))
@@ -700,12 +730,16 @@ class SyntheticSumProblem(FiniteSumOracle):
         ``idx=None`` gives the whole sum as one component with N·J ripples:
         ``H̄ w`` and ``b̄`` from the stored means, and the ripples of
         :meth:`_ripples`. No ``H_i`` is read. The ripple pair is ``None``
-        unless ``curvature > 0``.
+        unless ``curvature > 0``. The ``H_i`` of a batch are gathered
+        ``_CHUNK`` at a time, each ``H_i w`` its own product as in
+        ``self.h[idx] @ w``.
         """
         if idx is None:
             hw, b = self._h_mean @ w, self._b_mean
         else:
-            hw, b = self.h[idx] @ w, self.b[idx]
+            hw, b = np.empty((idx.size, self.dim)), self.b[idx]
+            for c in _chunks(idx.size):
+                np.matmul(self.h[idx[c]], w, out=hw[c])
         if self.curvature <= 0:
             return hw, b, None, None
         return (hw, b, *self._ripples(w, idx))

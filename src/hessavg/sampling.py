@@ -180,6 +180,12 @@ ADAPTIVE_MODES = ("exact_norm_test", "approx_norm_test")
 ALL_MODES = ("fixed", "geometric_epochs") + ADAPTIVE_MODES
 
 
+def check_batch_sizes(key: str, sizes: Sequence[int]) -> None:
+    """Refuse a batch size below 1, naming the setting ``key`` it was read from."""
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"{key!r} must be >= 1, got {min(sizes)}")
+
+
 @dataclass
 class GradSampleController:
     """State machine deciding the gradient batch size each iteration.
@@ -209,8 +215,8 @@ class GradSampleController:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "geometric_epochs" and not self.sizes:
             raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
-        if self.initial_size < 1:
-            raise ValueError("initial_size must be >= 1")
+        check_batch_sizes("sizes", self.sizes)
+        check_batch_sizes("initial_size", (self.initial_size,))
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
         if self.epochs_per_block < 1:

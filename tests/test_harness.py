@@ -83,6 +83,24 @@ BAD_BATCH_SETTINGS = {
         "sizes",
         {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": []}, "hess": {"kind": "iid", "size": 25}}},
     ),
+    "norm_test_initial_size_0": (
+        r"bad grad sampling: 'initial_size' must be >= 1, got 0$",
+        {"sampling": {"grad": {"mode": "exact_norm_test", "initial_size": 0}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+    # each was reported as initial_size, a key these modes do not read
+    "fixed_size_0": (
+        r"bad grad sampling: 'size' must be >= 1, got 0$",
+        {"sampling": {"grad": {"mode": "fixed", "size": 0}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+    "geometric_first_size_0": (
+        r"bad grad sampling: 'sizes' must be >= 1, got 0$",
+        {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": [0, 8]}, "hess": {"kind": "iid", "size": 25}}},
+    ),
+    # a later size below 1 was taken, and ignored
+    "geometric_later_size_0": (
+        r"bad grad sampling: 'sizes' must be >= 1, got 0$",
+        {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": [8, 0]}, "hess": {"kind": "iid", "size": 25}}},
+    ),
 }
 
 
@@ -143,8 +161,14 @@ class TestConfig:
             base_config(method={"name": "unknown"})
 
     def test_bad_sampling_mode(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^bad grad sampling: unknown controller mode 'psychic'$"):
             base_config(sampling={"grad": {"mode": "psychic"}})
+
+    @pytest.mark.parametrize("key", ["size", "initial_size", "sizes", "bogus"])
+    def test_bad_sampling_mode_is_named_whatever_keys_follow(self, key):
+        # it was reported as an unknown key of its section
+        with pytest.raises(ConfigError, match=r"^bad grad sampling: unknown controller mode 'psychic'$"):
+            base_config(sampling={"grad": {"mode": "psychic", key: 8}})
 
     def test_misspelt_a_mode_rejected(self):
         grad = {"mode": "exact_norm_test", "initial_size": 8, "a_mode": "inverse_hesian"}

@@ -392,6 +392,121 @@ class TestMaxSpectralNorm:
         assert peak < gs.nbytes
 
 
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _coupled_reference(n, d, seed, coupling=0.5, eig_range=(0.5, 3.0), n_ripples=4):
+    """``(h, b, a, phases)`` of a coupled sum, each step on the whole stack
+    and the ``H_i`` from a loop over single matrices."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    frame = q * np.sign(np.diag(r))
+    gs = rng.standard_normal((n, d, d))
+    gs = 0.5 * (gs + np.transpose(gs, (0, 2, 1)))
+    gs -= gs.mean(axis=0)
+    gs *= coupling / _svd_max(gs)
+    root = np.sqrt(np.geomspace(eig_range[0], eig_range[1], d))
+    hs = np.empty((n, d, d))
+    for i in range(n):
+        inner = (root[:, None] * (np.eye(d) + gs[i])) * root[None, :]
+        h = frame @ inner @ frame.T
+        hs[i] = 0.5 * (h + h.T)
+    b = rng.standard_normal((n, d))
+    a = rng.standard_normal((n, n_ripples, d))
+    a /= np.linalg.norm(a, axis=2, keepdims=True)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, n_ripples))
+    return hs, b, a, phases
+
+
+class _GatheredSum(SyntheticSumProblem):
+    """A synthetic sum whose batches gather all their ``H_i`` at once."""
+
+    def _terms(self, w, idx):
+        terms = super()._terms(w, idx)
+        return terms if idx is None else (self.h[idx] @ w, *terms[1:])
+
+
+# More than two chunks of components, and a last chunk that is not full.
+_MANY = 3 * problems._CHUNK + 7
+
+
+class TestChunkedStack:
+    """The synthetic sum builds its ``H_i`` in place and reads a batch's
+    ``H_i`` a chunk at a time, with the bits of the whole-stack formulas."""
+
+    @pytest.mark.parametrize("d, seed", [(6, 0), (3, 1), (1, 2)])
+    def test_generate_is_the_whole_stack_build(self, d, seed):
+        prob = SyntheticSumProblem.generate(_MANY, d, seed=seed, curvature=2.0, coupling=0.5)
+        for got, want in zip((prob.h, prob.b, prob.a_dirs, prob.phases), _coupled_reference(_MANY, d, seed)):
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("d", [5, 1])
+    @pytest.mark.parametrize("curvature", [0.0, 2.0])
+    @pytest.mark.parametrize("size, repeats", [(_MANY - 1, False), (2 * problems._CHUNK + 1, False), (_MANY, True), (_MANY + 70, True)])
+    def test_batch_values_are_the_gathered_formulas(self, d, curvature, size, repeats):
+        prob = SyntheticSumProblem.generate(_MANY, d, seed=4, curvature=curvature, coupling=0.5)
+        ref = _GatheredSum(prob.h, prob.b, prob.a_dirs, prob.curvature, prob.freq, prob.phases)
+        rng = rng_mod.stream(size, "gradient")
+        idx = rng.choice(_MANY, size=size, replace=repeats)
+        assert np.unique(idx).size < _MANY  # not a cover
+        w = rng.standard_normal(d)
+        for call in (
+            lambda p: p.loss_grad_sub(w, idx),
+            lambda p: p.loss_grad_sub_full(w, idx),
+            lambda p: (p.component_grads(w, idx),),
+        ):
+            for got, want in zip(call(prob), call(ref), strict=True):
+                assert _same_bits(got, want)
+
+    @staticmethod
+    def _generate_peak(n, d, curvature):
+        tracemalloc.start()
+        try:
+            prob = SyntheticSumProblem.generate(n, d, seed=0, curvature=curvature, coupling=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return prob, peak
+
+    @pytest.mark.parametrize("curvature", [0.0, 2.0])
+    def test_generate_holds_one_stack(self, curvature):
+        # the bench's shape: the stack, the ripple directions (J/d of it)
+        # and chunk temporaries; a second N·d² array would need 2
+        prob, peak = self._generate_peak(1024, 50, curvature)
+        assert peak <= 1.5 * prob.h.nbytes
+
+    def test_generate_draws_no_ripples_at_curvature_0(self):
+        # it drew and normalised (N, J, d) directions, a quarter of the
+        # stack at d=16, and then dropped them
+        prob, peak = self._generate_peak(2048, 16, 0.0)
+        assert peak <= 1.25 * prob.h.nbytes
+        rippled = SyntheticSumProblem.generate(2048, 16, seed=0, curvature=2.0, coupling=0.5)
+        assert _same_bits(prob.h, rippled.h) and _same_bits(prob.b, rippled.b)
+        assert not prob.a_dirs.any() and prob.a_dirs.shape == (2048, 1, 16)
+
+    def test_a_batch_gathers_a_chunk_at_a_time(self):
+        prob = SyntheticSumProblem.generate(2048, 16, seed=0, coupling=0.5)
+        idx = np.arange(prob.n_components - 1)
+        w = np.ones(prob.dim)
+        # one gathered chunk of H_i, and four (m, d) arrays: b_i, H_i w,
+        # the gradients and one temporary
+        budget = problems._CHUNK * prob.h[0].nbytes + 4 * idx.size * w.nbytes
+        for call in (
+            lambda: prob.loss_grad_sub(w, idx),
+            lambda: prob.loss_grad_sub_full(w, idx),
+            lambda: prob.component_grads(w, idx),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget  # a whole gather holds nearly one more stack
+
+
 def _dense_hessian_cases(seed):
     """(problem, w, sample, reference Hessian) for the three rank-k
     hessian_sub overrides; the references are the formulas those overrides

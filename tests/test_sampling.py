@@ -297,6 +297,20 @@ class TestController:
         with pytest.raises(ValueError):
             GradSampleController(mode="geometric_epochs")
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mode": "fixed", "initial_size": 0}, r"^'initial_size' must be >= 1, got 0$"),
+            ({"mode": "geometric_epochs", "sizes": (0, 8)}, r"^'sizes' must be >= 1, got 0$"),
+            # a later entry below 1 was accepted, and never applied
+            ({"mode": "geometric_epochs", "sizes": (8, 0)}, r"^'sizes' must be >= 1, got 0$"),
+        ],
+        ids=["initial_size_0", "first_size_0", "later_size_0"],
+    )
+    def test_batch_sizes_at_least_one(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GradSampleController(**kwargs)
+
     def test_cap_at_least_one(self):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             GradSampleController(mode="fixed", initial_size=4, cap=0)
