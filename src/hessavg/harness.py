@@ -2,15 +2,19 @@
 
 A config is a JSON document of sections, and each section has one reader.
 Loading a config (:meth:`ExperimentConfig.from_dict`) and building its run
-(:func:`build_context`) call the same readers, through
-:func:`_read_sections`. A reader takes each key of its section once, with
-its default written once, and reads it as its type says; a key left over
-is a ConfigError, and so is a value the built object rejects. Where a
-section's keys are a class's fields (the top level, ``method``, the update
-policy, each schedule) :func:`_read` reads them from the class. What needs
-the problem is a function of it, so loading leaves out three checks: a
-cyclic sampler's block divides the problem's size, cyclic sampling needs a
-finite sum, and ``near_optimum`` needs a known optimum.
+(:func:`build_context`) call the same readers, through :func:`_read_sections`.
+A reader takes once each key the run reads, with its default written once,
+and reads it as its type says; a key left over is a ConfigError, and so is a
+value the built object rejects. :func:`_read` reads a class's fields: the top
+level, the update policy, each schedule, and ``method``, which takes ``name``
+and then only that method's keys (``optimizers.METHODS``): sgd none; adam the
+betas and ``adam_eps``; subnewton ``mu_tilde`` and ``variant``; fan those and
+``decay``; dan and dan2 ``rank``, ``eps`` and ``decay``; adahessian ``rank``,
+the betas and ``adam_eps``. Only the norm tests read ``cap``, only the exact
+one ``a_mode``, and sgd and adam, which keep no Hessian estimate, read no
+``hess`` or ``policy``. What needs the problem is a function of it, so loading
+leaves out three checks: a cyclic sampler's block divides the problem's size,
+cyclic sampling needs a finite sum, and ``near_optimum`` needs a known optimum.
 
 The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
@@ -53,6 +57,7 @@ from .optimizers import (
     IotaGeometric,
     IotaSuperDet,
     IotaSuperStoch,
+    METHODS,
     MethodSpec,
     RunContext,
     ScheduleSet,
@@ -69,7 +74,7 @@ from .problems import (
     make_synthetic_logistic,
     quadratic_generate,
 )
-from .sampling import DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
+from .sampling import ADAPTIVE_MODES, DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -98,11 +103,13 @@ def _as_number(value, name: str, kind: type = float):
 
     JSON ``null``, ``true``/``false``, strings and containers are not
     numbers; ``int()``/``float()`` would raise a bare TypeError on some of
-    them and silently accept the others. An ``int`` field takes an integral
-    float such as ``16.0`` but not ``2.9``, which ``int()`` would truncate.
+    them and silently accept the others, as ``json`` accepts ``NaN``. An
+    ``int`` field takes ``16.0`` but not ``2.9``, which ``int()`` truncates.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return kind(value)
@@ -146,18 +153,19 @@ def _done(section: dict, where: str) -> None:
 _type_hints = cache(get_type_hints)  # a class's annotations, evaluated once
 
 
-def _read(cls, section: dict, where: str):
-    """``cls`` built from a config section whose keys are its fields.
+def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
+    """``cls`` built from a config section whose keys are its fields, or those in ``keys``.
 
     A field with a default is optional, and each value is read as its
-    annotation says. A key that is no field, or a value the class rejects,
-    is a ConfigError naming ``where``.
+    annotation says. A key not read, or a value the class rejects, is a
+    ConfigError naming ``where``; a field not read keeps its default.
     """
     hints = _type_hints(cls)
     values = {}
     for f in fields(cls):
-        default = f.default_factory() if f.default_factory is not MISSING else f.default
-        values[f.name] = _take(section, f.name, where, hints[f.name], _REQUIRED if default is MISSING else default)
+        if keys is None or f.name in keys:
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            values[f.name] = _take(section, f.name, where, hints[f.name], _REQUIRED if default is MISSING else default)
     _done(section, where)
     try:
         return cls(**values)
@@ -188,11 +196,11 @@ class ExperimentConfig:
     init: dict = field(default_factory=_default_init)
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
-        if self.trace_interval < 1:
+        if not self.trace_interval >= 1:
             raise ValueError("trace_interval must be >= 1")
-        if self.iters_per_epoch < 1:
+        if not self.iters_per_epoch >= 1:
             raise ValueError("iters_per_epoch must be >= 1")
 
     @classmethod
@@ -227,20 +235,29 @@ _Sections = namedtuple("_Sections", "problem method schedules policy a_mode cont
 def _read_sections(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> _Sections:
     top = cfg.to_dict()
     sampling = _take(top, "sampling", "config", dict)
-    method = _read(MethodSpec, _take(top, "method", "config", dict), "method")
+    method = _read_method(_take(top, "method", "config", dict))
     a_mode, controller = _read_grad(sampling, method)
+    policy, hess_sampler = _read_hess(sampling) if method.keeps_hessian else (None, lambda n: None)
     sections = _Sections(
         problem=_read_problem(_take(top, "problem", "config", dict), cfg.seed, data_dir),
         method=method,
         schedules=_build_schedules(_take(top, "schedules", "config", dict)),
-        policy=_read(UpdateFrequencyPolicy, _take(sampling, "policy", "sampling", dict, {}), "update policy"),
+        policy=policy,
         a_mode=a_mode,
         controller=controller,
-        hess_sampler=_read_hess(sampling),
+        hess_sampler=hess_sampler,
         init=_read_init(_take(top, "init", "config", dict)),
     )
-    _done(sampling, "sampling")
+    _done(sampling, f"sampling for method {method.name!r}")
     return sections
+
+
+def _read_method(spec: dict) -> MethodSpec:
+    """The method: ``name``, then only the keys :data:`METHODS` lists for it.
+    An unknown name reads every key, and ``MethodSpec`` refuses the name."""
+    name = _take(dict(spec), "name", "method", str)
+    keys = ("name", *METHODS[name]) if name in METHODS else None
+    return _read(MethodSpec, spec, f"method {name!r}", keys)
 
 
 def _read_problem(spec: dict, seed: int, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
@@ -298,15 +315,15 @@ def _build_schedules(spec: dict) -> ScheduleSet:
 def _read_grad(sampling: dict, method: MethodSpec):
     """The norm-test weighting ``a_mode`` and a builder of the gradient batch
     controller. Each mode has one batch-size key: ``size`` when fixed,
-    ``sizes`` for the epoch table, ``initial_size`` for the norm tests. The
-    cap defaults to the problem's size, and the batch is clamped to it. An
-    unknown mode is refused before the section's keys are checked, and a
-    batch size below 1 is refused under the key it was read from."""
+    ``sizes`` for the epoch table, ``initial_size`` for the norm tests, which
+    alone read ``cap`` (default: the problem's size, which clamps the batch);
+    the exact test alone reads ``a_mode``. An unknown mode is refused before
+    the section's keys are checked, and a batch size below 1 under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
-    a_mode = _take(grad, "a_mode", where, str, "identity")
-    cap = _take(grad, "cap", where, Optional[int], None)
+    a_mode = _take(grad, "a_mode", where, str, "identity") if mode == "exact_norm_test" else "identity"
+    cap = _take(grad, "cap", where, Optional[int], None) if mode in ADAPTIVE_MODES else None
     if mode == "geometric_epochs":
         key, table = "sizes", {"sizes": _take(grad, "sizes", where, tuple[int, ...])}
         table["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, 20)
@@ -335,8 +352,9 @@ def _read_grad(sampling: dict, method: MethodSpec):
     return a_mode, controller
 
 
-def _read_hess(sampling: dict) -> Callable[[Optional[int]], object]:
-    """A builder of the Hessian sampler; its sample size is clamped to the problem's."""
+def _read_hess(sampling: dict) -> tuple[UpdateFrequencyPolicy, Callable[[Optional[int]], object]]:
+    """The update policy and a builder of the Hessian sampler, its size clamped to the problem's."""
+    policy = _read(UpdateFrequencyPolicy, _take(sampling, "policy", "sampling", dict, {}), "update policy")
     where = "hess sampling"
     hess = _take(sampling, "hess", "sampling", dict, {})
     kind = _take(hess, "kind", where, str, "iid")
@@ -356,7 +374,7 @@ def _read_hess(sampling: dict) -> Callable[[Optional[int]], object]:
             raise ConfigError(f"bad {where} of kind {kind!r} with Hessian sample size {size}: {err}") from err
 
     sampler(0)
-    return sampler
+    return policy, sampler
 
 
 def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], NDArray]:
@@ -653,7 +671,7 @@ def sweep(
             rows[key] = {
                 "method": read.method.name,
                 "alpha": read.schedules.alpha.at(0),
-                "rank": read.method.rank,
+                "rank": read.method.rank if "rank" in METHODS[read.method.name] else None,
                 "grad_mode": read.controller(0).mode,
                 "config": key,
                 "finals": [],
@@ -673,7 +691,7 @@ def _format_table(rows: list[dict]) -> str:
     table = [list(SWEEP_COLUMNS)]
     for row in rows:
         mean = row["mean_final_f"]
-        table.append([str(row[h]) for h in SWEEP_COLUMNS[:-1]] + ["x" if mean is None else f"{mean:.6g}"])
+        table.append(["" if row[h] is None else str(row[h]) for h in SWEEP_COLUMNS[:-1]] + ["x" if mean is None else f"{mean:.6g}"])
     widths = [max(len(r[i]) for r in table) for i in range(len(SWEEP_COLUMNS))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"

@@ -62,7 +62,15 @@ __all__ = [
     "run",
 ]
 
-METHODS = ("sgd", "adam", "subnewton", "fan", "dan", "dan2", "adahessian")
+METHODS = {  # each method and the ``MethodSpec`` fields it reads
+    "sgd": (),
+    "adam": ("beta1", "beta2", "adam_eps"),
+    "subnewton": ("mu_tilde", "variant"),
+    "fan": ("mu_tilde", "variant", "decay"),
+    "dan": ("rank", "eps", "decay"),
+    "dan2": ("rank", "eps", "decay"),
+    "adahessian": ("rank", "beta1", "beta2", "adam_eps"),
+}
 FULL_HESSIAN_DIM_LIMIT = 2048
 DIVERGENCE_FACTOR = 1e6
 
@@ -76,18 +84,16 @@ DIVERGENCE_FACTOR = 1e6
 class MethodSpec:
     """A method tag plus its hyperparameters.
 
-    Fields not used by a method are ignored: ``mu_tilde``/``variant`` only
-    matter for fan and subnewton, ``rank`` for the Hutchinson-based
-    methods, ``eps`` for dan/dan2, the betas for adam/adahessian, and
-    ``weights``/``decay`` for fan/dan/dan2. subnewton is fan's average
-    with all the weight on the newest Hessian, so it takes no weights.
+    A config sets ``name`` and only the fields :data:`METHODS` lists for it:
+    sgd none; adam the betas and ``adam_eps``; subnewton ``mu_tilde`` and
+    ``variant``; fan those and ``decay`` (None: uniform averaging); dan and
+    dan2 ``rank``, ``eps`` and ``decay``; adahessian ``rank``, the betas and ``adam_eps``.
     """
 
     name: str
     mu_tilde: float = 1e-4
     variant: str = "plain"  # fan/subnewton: "plain" (spectral modification) or "abs"
-    weights: str = "uniform"  # fan/dan/dan2 averaging: "uniform" or "decaying"
-    decay: float = 0.999
+    decay: Optional[float] = None  # fan/dan/dan2 averaging: None is uniform
     rank: int = 1
     eps: float = 1e-6
     beta1: float = 0.9
@@ -96,19 +102,17 @@ class MethodSpec:
 
     def __post_init__(self) -> None:
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}; expected one of {METHODS}")
+            raise ValueError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
         if self.variant not in ("plain", "abs"):
             raise ValueError(f"variant must be 'plain' or 'abs', got {self.variant!r}")
-        if self.weights not in ("uniform", "decaying"):
-            raise ValueError(f"weights must be 'uniform' or 'decaying', got {self.weights!r}")
-        if self.mu_tilde <= 0:
+        if not self.mu_tilde > 0:
             raise ValueError("mu_tilde must be positive")
-        if self.rank < 1:
+        if not self.rank >= 1:
             raise ValueError("rank must be >= 1")
-        if self.eps < 0 or self.adam_eps < 0:
+        if not (self.eps >= 0 and self.adam_eps >= 0):
             raise ValueError("eps values must be nonnegative")
         for b in (self.beta1, self.beta2, self.decay):
-            if not 0 < b < 1:
+            if b is not None and not 0 < b < 1:
                 raise ValueError("beta/decay parameters must lie in (0, 1)")
 
     @property
@@ -116,8 +120,8 @@ class MethodSpec:
         return self.name in ("fan", "subnewton")
 
     @property
-    def uses_diag_hessian(self) -> bool:
-        return self.name in ("dan", "dan2", "adahessian")
+    def keeps_hessian(self) -> bool:
+        return self.name not in ("sgd", "adam")
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +309,12 @@ def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptS
             f"{method.name} assembles dense {d}x{d} Hessians; refusing d > {FULL_HESSIAN_DIM_LIMIT}"
         )
     state = OptState(w=np.array(w0, dtype=float))
-    decay = method.decay if method.weights == "decaying" else None
-    if method.name == "subnewton":
-        # Decay 0 puts all the weight on the newest Hessian.
-        state.avg = FullAverageState(d, decay=0.0, variant=method.variant)
-    elif method.name == "fan":
+    if method.uses_full_hessian:
+        # subnewton's decay 0 puts all the weight on the newest Hessian.
+        decay = 0.0 if method.name == "subnewton" else method.decay
         state.avg = FullAverageState(d, decay=decay, variant=method.variant)
     elif method.name in ("dan", "dan2"):
-        state.avg = DiagAverageState(d, p=1 if method.name == "dan" else 2, decay=decay)
+        state.avg = DiagAverageState(d, p=1 if method.name == "dan" else 2, decay=method.decay)
     elif method.name in ("adam", "adahessian"):
         # Squared gradients (adam) or squared Hessian diagonals (adahessian).
         state.avg = DiagAverageState(d, p=2, decay=method.beta2)
@@ -327,10 +329,10 @@ class RunContext:
     oracle: FiniteSumOracle
     method: MethodSpec
     controller: GradSampleController
-    hess_sampler: object
+    hess_sampler: object  # None, with ``policy``, for a method that keeps no Hessian estimate
     rngs: dict  # named streams from :func:`hessavg.rng.streams`; a missing one is a KeyError
     schedules: ScheduleSet = DEFAULT_SCHEDULES
-    policy: UpdateFrequencyPolicy = UpdateFrequencyPolicy()
+    policy: Optional[UpdateFrequencyPolicy] = UpdateFrequencyPolicy()
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
     a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
@@ -473,8 +475,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     if diverged:
         state.diverged = True
     else:
-        needs_hessian = ctx.method.uses_full_hessian or ctx.method.uses_diag_hessian
-        if needs_hessian and ctx.policy.should_update(state.k):
+        if ctx.method.keeps_hessian and ctx.policy.should_update(state.k):
             _update_hessian(ctx, state)
         p = _direction(ctx, state, g)
         if testing:

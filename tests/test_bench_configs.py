@@ -1,0 +1,29 @@
+"""The benchmark's workload configs load and build under the config readers.
+
+The benchmark's own self-tests run only small configs of their own, so a
+stricter reader could refuse a workload the benchmark runs without any test
+failing. Here each workload's config, at seeds 0-2, is loaded and its run
+built (problem, controller, samplers and initial point), without running it.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from hessavg.harness import ExperimentConfig, build_context
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+sys.path.insert(0, BENCH)
+try:
+    from workloads import WORKLOADS
+finally:
+    sys.path.remove(BENCH)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_config_builds(name, seed):
+    cfg = ExperimentConfig.from_dict(WORKLOADS[name].config(seed))
+    ctx, w0 = build_context(cfg)
+    assert ctx.method.name == cfg.method["name"] and w0.shape == (ctx.oracle.dim,)

@@ -78,7 +78,7 @@ GOLDEN = {
     "fan_abs_logistic_exact_decaying": (
         {
             "problem": {"kind": "synthetic_logistic", "n": 400, "d": 12, "seed": 0},
-            "method": {"name": "fan", "variant": "abs", "weights": "decaying", "decay": 0.9, "mu_tilde": 1e-3},
+            "method": {"name": "fan", "variant": "abs", "decay": 0.9, "mu_tilde": 1e-3},
             "sampling": {
                 "grad": {"mode": "exact_norm_test", "initial_size": 8},
                 "hess": {"kind": "iid", "size": 40},
@@ -88,7 +88,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "adea892d21ff5d2be75ed9af6e04ad23216800a801eb10b9cd73ab522aff67d6",
+        "0e018218e7fe8f7a15d7cdb423b0b1fe64d0419f80e264de4b0dd7f38671d574",
     ),
     "dan_logistic_approx": (
         {
@@ -104,7 +104,7 @@ GOLDEN = {
     "dan2_quadratic_approx_near_optimum": (
         {
             "problem": {"kind": "quadratic", "d": 16, "seed": 2},
-            "method": {"name": "dan2", "weights": "decaying", "decay": 0.95, "eps": 1e-3},
+            "method": {"name": "dan2", "decay": 0.95, "eps": 1e-3},
             "sampling": {
                 "grad": {"mode": "approx_norm_test", "initial_size": 8, "cap": 256},
                 "hess": {"kind": "iid", "size": 8},
@@ -113,7 +113,7 @@ GOLDEN = {
             "init": {"kind": "near_optimum", "radius": 0.5},
             "epochs": 0.3,
         },
-        "4e11567cab086de364a23f9a472565d4dc24b2d85f1b71fd0d461d417d4c2f08",
+        "fa0a709240b4f3ac3d4d3fad9d97b1c9348ec225764c667ed97ead991b68fdce",
     ),
     "adahessian_sum_cyclic_fixed": (
         {

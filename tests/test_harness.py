@@ -24,16 +24,19 @@ from hessavg.harness import (
 )
 from hessavg.optimizers import (
     DEFAULT_SCHEDULES,
+    METHODS,
     AlphaConstant,
     AlphaStepDecay,
     AlphaTwoPhase,
     IotaGeometric,
     IotaSuperDet,
     IotaSuperStoch,
+    MethodSpec,
     ThetaConstant,
     ThetaLocalDet,
     ThetaLocalStoch,
 )
+from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES
 from hessavg.trace import parse_trace
 
 
@@ -77,7 +80,7 @@ BAD_BATCH_SETTINGS = {
     ),
     "grad_cap_0": (
         "cap",
-        {"sampling": {"grad": {"mode": "fixed", "size": 25, "cap": 0}, "hess": {"kind": "iid", "size": 25}}},
+        {"sampling": {"grad": {"mode": "exact_norm_test", "initial_size": 25, "cap": 0}, "hess": {"kind": "iid", "size": 25}}},
     ),
     "geometric_sizes_empty": (
         "sizes",
@@ -180,8 +183,10 @@ class TestConfig:
         [("dan", "exact_norm_test"), ("fan", "approx_norm_test"), ("subnewton", "fixed")],
     )
     def test_inverse_hessian_needs_exact_test_and_full_matrix(self, method, mode):
+        # only the exact test reads a_mode; the other modes refuse the key
         grad = {"mode": mode, "size" if mode == "fixed" else "initial_size": 8, "a_mode": "inverse_hessian"}
-        with pytest.raises(ConfigError, match="inverse_hessian"):
+        refused = re.escape(f"unknown keys ['a_mode'] in grad sampling of mode '{mode}'")
+        with pytest.raises(ConfigError, match="inverse_hessian" if mode == "exact_norm_test" else refused):
             base_config(method={"name": method}, sampling={"grad": grad})
 
     def test_theoretical_mode_rejected(self):
@@ -287,7 +292,7 @@ MISSPELT_KEYS = {
     "hess": ({"sampling": {"grad": GRAD_8, "hess": {"kind": "iid", "sise": 4}}}, "sise", "hess sampling of kind 'iid'"),
     "hess_seed_of_iid": ({"sampling": {"grad": GRAD_8, "hess": {"kind": "iid", "seed": 3}}}, "seed", "hess sampling of kind 'iid'"),
     "policy": ({"sampling": {"grad": GRAD_8, "policy": {"hff": 2}}}, "hff", "update policy"),
-    "method": ({"method": {"name": "dan", "rnak": 2}}, "rnak", "method"),
+    "method": ({"method": {"name": "dan", "rnak": 2}}, "rnak", "method 'dan'"),
     "schedules": ({"schedules": {"alpah": {"kind": "constant"}}}, "alpah", "schedules"),
     "init_gaussian": ({"init": {"kind": "gaussian", "radius": 1.0}}, "radius", "init of kind 'gaussian'"),
     "init_zeros": ({"init": {"kind": "zeros", "scale": 1.0}}, "scale", "init of kind 'zeros'"),
@@ -315,7 +320,7 @@ MISSPELT_KEYS = {
 WRONG_TYPES = {
     "sampling_hess": ({"sampling": {"grad": GRAD_8, "hess": 3}}, "hess", "sampling"),
     "grad_mode": ({"sampling": {"grad": {"mode": 3}}}, "mode", "grad sampling"),
-    "grad_cap": ({"sampling": {"grad": {"mode": "fixed", "cap": "64"}}}, "cap", "grad sampling"),
+    "grad_cap": ({"sampling": {"grad": {"mode": "exact_norm_test", "cap": "64"}}}, "cap", "grad sampling"),
     "hess_seed_fraction_TypeError": (
         {"sampling": {"grad": GRAD_8, "hess": {"kind": "cyclic", "size": 25, "seed": 1.5}}},
         "seed",
@@ -327,9 +332,9 @@ WRONG_TYPES = {
         "hess sampling",
     ),
     "policy_hf": ({"sampling": {"grad": GRAD_8, "policy": {"hf": 1.5}}}, "hf", "update policy"),
-    "method_rank_fraction_TypeError": ({"method": {"name": "dan", "rank": 1.5}}, "rank", "method"),
-    "method_rank_string": ({"method": {"name": "dan", "rank": "2"}}, "rank", "method"),
-    "method_mu_tilde_null": ({"method": {"name": "fan", "mu_tilde": None}}, "mu_tilde", "method"),
+    "method_rank_fraction_TypeError": ({"method": {"name": "dan", "rank": 1.5}}, "rank", "method 'dan'"),
+    "method_rank_string": ({"method": {"name": "dan", "rank": "2"}}, "rank", "method 'dan'"),
+    "method_mu_tilde_null": ({"method": {"name": "fan", "mu_tilde": None}}, "mu_tilde", "method 'fan'"),
     "method_name": ({"method": {"name": ["fan"]}}, "name", "method"),
     "schedule_kind": ({"schedules": {"alpha": {"kind": 1}}}, "kind", "alpha schedule"),
     "init_kind": ({"init": {"kind": None}}, "kind", "init"),
@@ -340,6 +345,23 @@ WRONG_TYPES = {
     "problem_logistic": ({"problem": {"kind": "logistic", "dataset": 5}}, "dataset", "problem of kind 'logistic'"),
     "problem_synthetic_logistic": ({"problem": {"kind": "synthetic_logistic", "n": 1.5}}, "n", "problem of kind 'synthetic_logistic'"),
     "problem_synthetic_sum": ({"problem": {"kind": "synthetic_sum", "coupling": None}}, "coupling", "problem of kind 'synthetic_sum'"),
+    # json reads NaN and Infinity: epochs NaN ran 0 iterations, Infinity
+    # never ended, coupling NaN built the uncoupled sum, and mu_tilde NaN
+    # failed mid-run
+    "epochs_nan": ({"epochs": math.nan}, "epochs", "config"),
+    "epochs_infinity": ({"epochs": math.inf}, "epochs", "config"),
+    "trace_interval_minus_infinity": ({"trace_interval": -math.inf}, "trace_interval", "config"),
+    "problem_coupling_nan": (
+        {"problem": {"kind": "synthetic_sum", "coupling": math.nan}},
+        "coupling",
+        "problem of kind 'synthetic_sum'",
+    ),
+    "method_mu_tilde_nan": ({"method": {"name": "fan", "mu_tilde": math.nan}}, "mu_tilde", "method 'fan'"),
+    "grad_sizes_infinity": (
+        {"sampling": {"grad": {"mode": "geometric_epochs", "sizes": [8, math.inf]}}},
+        "sizes",
+        "grad sampling",
+    ),
 }
 
 
@@ -366,6 +388,19 @@ class TestEveryKeyRead:
         assert err.startswith(f"error: '{key}' in {where} must be")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_cli_run_refuses_a_non_finite_number(self, token, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_raw()).replace('"epochs": 2', f'"epochs": {token}'))
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: 'epochs' in config must be a finite number")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["epochs", "trace_interval", "iters_per_epoch"])
+    def test_nan_fails_the_range_checks(self, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(problem={}, method={}, **{key: math.nan})
+
     def test_the_readers_leave_the_config_as_given(self):
         # each reader takes keys from its own copy, so the hash in every
         # trace header still covers the config as written
@@ -376,6 +411,95 @@ class TestEveryKeyRead:
         assert json.dumps(cfg.to_dict(), sort_keys=True) == before
         assert cfg.init == {"kind": "near_optimum"} and cfg.sampling == raw["sampling"]
         assert base_config().init == {"kind": "gaussian", "scale": 1.0}
+
+
+# Which keys each method reads, written out apart from ``METHODS``, and a
+# value for each that is not its default.
+METHOD_KEYS = {
+    "sgd": (),
+    "adam": ("beta1", "beta2", "adam_eps"),
+    "subnewton": ("mu_tilde", "variant"),
+    "fan": ("mu_tilde", "variant", "decay"),
+    "dan": ("rank", "eps", "decay"),
+    "dan2": ("rank", "eps", "decay"),
+    "adahessian": ("rank", "beta1", "beta2", "adam_eps"),
+}
+METHOD_VALUES = {"mu_tilde": 1.0, "variant": "abs", "decay": 0.5, "rank": 3, "eps": 1e-2, "beta1": 0.5, "beta2": 0.9, "adam_eps": 1e-3}
+HESSIAN_METHODS = ("subnewton", "fan", "dan", "dan2", "adahessian")
+# Each grad mode's batch-size key. For cap and a_mode: the modes that read
+# the key, a value for those, and a value the other modes used to ignore.
+GRAD_SIZES = {"fixed": ("size", 8), "geometric_epochs": ("sizes", [8, 16]), "exact_norm_test": ("initial_size", 8),
+              "approx_norm_test": ("initial_size", 8)}
+GRAD_KEYS = {"cap": (ADAPTIVE_MODES, 64, 64), "a_mode": (("exact_norm_test",), "inverse_hessian", "identity")}
+
+
+def method_raw(name, sampling=None, **method):
+    """A short traced run of method ``name`` with the ``method`` keys given.
+
+    Its sampling gives a Hessian sampler only to a method that keeps a
+    Hessian estimate, unless ``sampling`` is given.
+    """
+    if sampling is None:
+        sampling = {"grad": GRAD_8, **({"hess": HESS_25} if name in HESSIAN_METHODS else {})}
+    return base_raw(method={"name": name, **method}, sampling=sampling, epochs=0.5, trace_interval=1)
+
+
+def trace_rows(raw, tmp_path):
+    """The rows of the trace ``raw`` writes, without the header that holds its hash."""
+    run_experiment(ExperimentConfig.from_dict(raw), out_dir=str(tmp_path))
+    return (tmp_path / "trace.csv").read_text().splitlines()[1:]
+
+
+class TestEveryKeyActs:
+    """A config loads a key only where the run reads it, and every key it loads changes the run.
+
+    Each refused case loaded before, and ran as if the key were absent.
+    """
+
+    def test_the_table_covers_every_method_field(self):
+        assert set(METHOD_KEYS) == set(METHODS)
+        assert set(METHOD_VALUES) == {f.name for f in dataclasses.fields(MethodSpec)} - {"name"}
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in METHOD_KEYS for key in METHOD_VALUES])
+    def test_a_method_loads_only_its_own_keys(self, name, key):
+        raw = method_raw(name, **{key: METHOD_VALUES[key]})
+        if key in METHOD_KEYS[name]:
+            assert getattr(build_context(ExperimentConfig.from_dict(raw))[0].method, key) == METHOD_VALUES[key]
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"unknown keys ['{key}'] in method '{name}'")):
+                ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name, keys in METHOD_KEYS.items() for key in keys])
+    def test_each_method_key_changes_the_trace(self, name, key, tmp_path):
+        plain = trace_rows(method_raw(name), tmp_path / "plain")
+        assert trace_rows(method_raw(name, **{key: METHOD_VALUES[key]}), tmp_path / "set") != plain
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("key", sorted(GRAD_KEYS))
+    def test_cap_and_a_mode_load_only_where_read(self, mode, key):
+        modes, read, ignored = GRAD_KEYS[key]
+        value = read if mode in modes else ignored
+        size_key, size = GRAD_SIZES[mode]
+        raw = base_raw(sampling={"grad": {"mode": mode, size_key: size, key: value}, "hess": HESS_25})
+        if mode in modes:
+            ctx = build_context(ExperimentConfig.from_dict(raw))[0]
+            assert (ctx.controller.cap if key == "cap" else ctx.a_mode) == value
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"unknown keys ['{key}'] in grad sampling of mode '{mode}'")):
+                ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("name", sorted(METHOD_KEYS))
+    @pytest.mark.parametrize("key, value", [("hess", HESS_25), ("policy", {"hf": 2})])
+    def test_hess_and_policy_load_only_for_a_method_that_keeps_a_hessian(self, name, key, value):
+        raw = method_raw(name, sampling={"grad": GRAD_8, key: value})
+        if name in HESSIAN_METHODS:
+            ctx = build_context(ExperimentConfig.from_dict(raw))[0]
+            assert (ctx.hess_sampler.block_size, ctx.policy.hf) == ((25, 1) if key == "hess" else (32, 2))
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"unknown keys ['{key}'] in sampling for method '{name}'")):
+                ExperimentConfig.from_dict(raw)
+            ctx = build_context(ExperimentConfig.from_dict(method_raw(name)))[0]
+            assert (ctx.hess_sampler, ctx.policy) == (None, None)
 
 
 # Each case: a schedules section, its config, and the schedule built directly.
@@ -581,6 +705,17 @@ class TestSweep:
         assert rows[0]["config"] != rows[1]["config"]
         assert all(row["config"] in table for row in rows)
         assert sweep_to_csv(rows).splitlines()[0].split(",") == table.splitlines()[0].split()
+
+    def test_rank_shown_only_for_a_method_that_reads_it(self):
+        # sgd, adam, subnewton and fan, which take no rank, showed rank 1
+        configs = [ExperimentConfig.from_dict(method_raw(name, rank=3) if name == "dan" else method_raw(name))
+                   for name in ("sgd", "adam", "subnewton", "fan", "dan")]
+        rows, table = sweep(configs)
+        assert [row["rank"] for row in rows] == [None, None, None, None, 3]
+        header, *lines = table.splitlines()
+        at = header.index("rank")
+        assert [line[at:at + 4].strip() for line in lines] == ["", "", "", "", "3"]
+        assert [line.split(",")[2] for line in sweep_to_csv(rows).splitlines()[1:]] == ["", "", "", "", "3"]
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):

@@ -154,7 +154,20 @@ class TestMethodSpec:
             MethodSpec(name="fan", variant="weird")
         # decay 0 is subnewton's internal average, not a weighting option
         with pytest.raises(ValueError):
-            MethodSpec(name="fan", weights="decaying", decay=0.0)
+            MethodSpec(name="fan", decay=0.0)
+
+    @pytest.mark.parametrize("key", ["mu_tilde", "rank", "eps", "adam_eps", "beta1", "beta2", "decay"])
+    def test_nan_fails_the_range_checks(self, key):
+        # mu_tilde NaN passed and failed mid-run, in pd_modify
+        with pytest.raises(ValueError):
+            MethodSpec(name="fan", **{key: float("nan")})
+
+    @pytest.mark.parametrize("name", ["fan", "dan", "dan2"])
+    def test_decay_sets_the_average_and_none_is_uniform(self, name):
+        # decay acted only with weights "decaying"; weights is gone
+        prob = SyntheticSumProblem(np.eye(2)[None], np.zeros((1, 2)))
+        for decay in (None, 0.5):
+            assert init_state(MethodSpec(name=name, decay=decay), prob, np.zeros(2)).avg._acc.decay == decay
 
 
 class TestStepBehavior:
