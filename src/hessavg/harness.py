@@ -105,6 +105,8 @@ def _as_number(value, name: str, kind: type = float):
     numbers; ``int()``/``float()`` would raise a bare TypeError on some of
     them and silently accept the others, as ``json`` accepts ``NaN``. An
     ``int`` field takes ``16.0`` but not ``2.9``, which ``int()`` truncates.
+    A ``float`` field refuses an integer too large for a float, on which
+    ``float()`` raises a bare OverflowError.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -112,7 +114,11 @@ def _as_number(value, name: str, kind: type = float):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        # no repr: one of more than 4300 digits raises a ValueError itself
+        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
 
 
 def _take(section: dict, key: str, where: str, hint, default=_REQUIRED):
@@ -239,7 +245,7 @@ def _read_sections(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> _Se
     a_mode, controller = _read_grad(sampling, method)
     policy, hess_sampler = _read_hess(sampling) if method.keeps_hessian else (None, lambda n: None)
     sections = _Sections(
-        problem=_read_problem(_take(top, "problem", "config", dict), cfg.seed, data_dir),
+        problem=_read_problem(_take(top, "problem", "config", dict), cfg, data_dir),
         method=method,
         schedules=_build_schedules(_take(top, "schedules", "config", dict)),
         policy=policy,
@@ -260,9 +266,13 @@ def _read_method(spec: dict) -> MethodSpec:
     return _read(MethodSpec, spec, f"method {name!r}", keys)
 
 
-def _read_problem(spec: dict, seed: int, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
+def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
     """A builder of the problem. The quadratic's seed defaults to the run's
-    ``seed``, and a dataset is read from ``data_dir``."""
+    ``seed``, and a dataset is read from ``data_dir``. Only the quadratic,
+    an expectation, reads the config's ``iters_per_epoch``: a finite sum
+    counts its epochs in components, so it refuses any other value than
+    the default."""
+    seed = cfg.seed
     # Each kind's builder, and its keys with their types and defaults.
     kinds = {
         "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (int, seed)}),
@@ -284,6 +294,11 @@ def _read_problem(spec: dict, seed: int, data_dir: Optional[str]) -> Callable[[]
     if kind not in kinds:
         raise ConfigError(f"unknown problem kind {kind!r}")
     where = f"problem of kind {kind!r}"
+    if kind != "quadratic" and cfg.iters_per_epoch != ExperimentConfig.iters_per_epoch:
+        raise ConfigError(
+            f"'iters_per_epoch' in config acts only on the quadratic problem, not on a {where}; "
+            f"got {cfg.iters_per_epoch}"
+        )
     make, keys = kinds[kind]
     args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
     _done(spec, where)

@@ -31,13 +31,18 @@ blocked sums (see :class:`LogisticProblem`). The synthetic sum's full
 values come from its stored mean ``H̄`` and ``b̄`` and one flat pass over
 the ripple directions, so no full value reads the N component Hessians;
 a batch that holds every component exactly once has those full values
-(see :class:`SyntheticSumProblem`).
+(see :class:`SyntheticSumProblem`). The synthetic sum stores each exactly
+symmetric component Hessian as its packed upper triangle: its one large
+array holds N·d(d+1)/2 values. Its build adds two reused buffers of
+``_CHUNK`` matrices, and every other temporary of the build or of a batch
+read holds at most ``_CHUNK`` matrices.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -497,46 +502,128 @@ def make_synthetic_logistic(
 # ---------------------------------------------------------------------------
 
 
-# Matrices per chunk wherever the synthetic sum works through its N·d²
-# Hessian stack: the norm screen, the build in place, and the batch reads.
-# Every temporary then holds at most this many d×d matrices, far below one
-# copy of the stack at the bench's N=1024.
+# Matrices per chunk wherever the synthetic sum works through its Hessian
+# stack: the draw, the norm screen, the build, and the batch reads. Every
+# temporary then holds at most this many d×d matrices, far below one copy of
+# the stack at the bench's N=1024.
 _CHUNK = 64
 
 
 def _chunks(n: int) -> list[slice]:
     """``range(n)`` as consecutive slices of ``_CHUNK`` items, the last shorter."""
-    return [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
-def _max_spectral_norm(gs: NDArray) -> float:
-    """``max(np.linalg.norm(g, 2) for g in gs)`` bit for bit, from few SVDs.
+@cache
+def _triu_maps(d: int) -> tuple[NDArray, NDArray]:
+    """Flat index maps between d×d matrices and their packed upper triangles.
 
-    Each ``g`` must be exactly symmetric, with ``‖g‖₂`` far enough above
-    1e-38 that ``g⁸`` does not underflow. Then ``‖g‖₂⁸ ≤ ‖g⁸‖_F``, so three
-    stacked squarings bound every matrix's norm from above, within a factor
-    ``d^{1/16}``. The matrices are decomposed in descending order of bound
-    until the next bound, times ``1 + 1e-6``, is below the largest norm so
-    far. The rounding in the powers and in the SVD is orders of magnitude
-    below that margin for d up to a few thousand, so every skipped
-    matrix's computed norm is below that maximum, and the result is the
-    same ``max`` over the same values. The squarings run ``_CHUNK``
-    matrices at a time, so the temporaries stay far below one copy of
-    ``gs``.
+    The first picks the entries ``(i, j)``, ``i <= j``, of a flattened
+    matrix in ``np.triu_indices`` order, LAPACK's packed-symmetric layout;
+    the second gives each entry of a flattened matrix its packed position,
+    the same for ``(i, j)`` and ``(j, i)``.
     """
-    bounds = np.empty(gs.shape[0])
-    for c in _chunks(gs.shape[0]):
-        p = gs[c]
+    rows, cols = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    up, full = rows * d + cols, pos.ravel()
+    up.flags.writeable = full.flags.writeable = False
+    return up, full
+
+
+def _pack(mats: NDArray) -> NDArray:
+    """The upper triangles of the d×d matrices ``mats`` (``(..., d, d)``), as ``(..., d(d+1)/2)``."""
+    d = mats.shape[-1]
+    return np.take(mats.reshape(*mats.shape[:-2], d * d), _triu_maps(d)[0], axis=-1)
+
+
+def _unpack(packed: NDArray, d: int, out: Optional[NDArray] = None) -> NDArray:
+    """The exactly symmetric d×d matrices whose upper triangles are ``packed``.
+
+    ``out``, when given, is a C-ordered ``(..., d, d)`` array that receives
+    them and is returned.
+    """
+    shape = (*packed.shape[:-1], d, d)
+    if out is None:
+        return np.take(packed, _triu_maps(d)[1], axis=-1).reshape(shape)
+    # "clip" writes into ``out`` directly; the default "raise" would buffer.
+    np.take(packed, _triu_maps(d)[1], axis=-1, out=out.reshape(*shape[:-2], d * d), mode="clip")
+    return out
+
+
+def _max_spectral_norm(packed: NDArray, d: int) -> float:
+    """``max(np.linalg.norm(g, 2) for g in _unpack(packed, d))`` bit for bit, from few SVDs.
+
+    Each ``g`` is exactly symmetric, and its ``‖g‖₂`` must be far enough
+    above 1e-38 that ``g⁸`` does not underflow. Then ``‖g‖₂⁸ ≤ ‖g⁸‖_F``,
+    so three stacked squarings bound every matrix's norm from above, within
+    a factor ``d^{1/16}``. The matrices are decomposed in descending order
+    of bound until the next bound, times ``1 + 1e-6``, is below the largest
+    norm so far. The rounding in the powers and in the SVD is orders of
+    magnitude below that margin for d up to a few thousand, so every
+    skipped matrix's computed norm is below that maximum, and the result is
+    the same ``max`` over the same values. The squarings unpack and run
+    ``_CHUNK`` matrices at a time, so the temporaries stay far below one
+    copy of the stack.
+    """
+    bounds = np.empty(packed.shape[0])
+    for c in _chunks(packed.shape[0]):
+        p = _unpack(packed[c], d)
         for _ in range(3):
             p = p @ p
         bounds[c] = np.linalg.norm(p, axis=(1, 2)) ** 0.125
     order = np.argsort(bounds)[::-1]
-    top = np.linalg.norm(gs[order[0]], 2)
+    top = np.linalg.norm(_unpack(packed[order[0]], d), 2)
     for i in order[1:]:
         if bounds[i] * (1 + 1e-6) < top:
             break
-        top = max(top, np.linalg.norm(gs[i], 2))
+        top = max(top, np.linalg.norm(_unpack(packed[i], d), 2))
     return top
+
+
+def _chunk_buffers(n: int, d: int) -> tuple[NDArray, NDArray]:
+    """Two ``(min(_CHUNK, n), d, d)`` buffers for a pass over n matrices."""
+    size = min(_CHUNK, n)
+    return np.empty((size, d, d)), np.empty((size, d, d))
+
+
+def _symmetrized_upper(g: NDArray, out: NDArray) -> NDArray:
+    """Packed ``0.5 (g + g^T)`` of the matrices ``g``, formed in ``out``.
+    It acts elementwise, so each matrix is exactly symmetric."""
+    np.add(g, np.transpose(g, (0, 2, 1)), out=out)
+    out *= 0.5
+    return _pack(out)
+
+
+def _symmetric_normals(rng: np.random.Generator, n: int, d: int) -> NDArray:
+    """Packed ``0.5 (G_i + G_i^T)`` for ``G = rng.standard_normal((n, d, d))``.
+
+    The ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, which
+    reads the generator's stream in the same order as the one draw and so
+    has its bits.
+    """
+    packed = np.empty((n, d * (d + 1) // 2))
+    g_buf, h_buf = _chunk_buffers(n, d)
+    for c in _chunks(n):
+        g = rng.standard_normal(out=g_buf[: c.stop - c.start])
+        packed[c] = _symmetrized_upper(g, h_buf[: len(g)])
+    return packed
+
+
+def _conjugate_in_place(packed: NDArray, root: NDArray, frame: NDArray) -> None:
+    """Replace each packed ``G_i`` by the packed, symmetrized
+    ``frame (root_j (I + G_i)_jk root_k) frame^T``, ``_CHUNK`` matrices at a
+    time, each with the bits of that formula on the matrix alone."""
+    d = root.size
+    g_buf, h_buf = _chunk_buffers(packed.shape[0], d)
+    for c in _chunks(packed.shape[0]):
+        inner = _unpack(packed[c], d, out=g_buf[: c.stop - c.start])
+        inner += np.eye(d)
+        inner *= root[:, None]
+        inner *= root[None, :]
+        h = np.matmul(frame, inner, out=h_buf[: len(inner)])
+        np.matmul(h, frame.T, out=inner)
+        packed[c] = _symmetrized_upper(inner, h)
 
 
 class SyntheticSumProblem(FiniteSumOracle):
@@ -568,13 +655,18 @@ class SyntheticSumProblem(FiniteSumOracle):
     in any order; its dense Hessian and Hessian-vector products start from
     a copy of ``H̄``. Any other batch gathers its own ``m`` components.
 
-    The stack ``h`` of the ``H_i`` is the one N·d² array, from
-    :meth:`generate` through every oracle call: any other temporary holds
-    at most ``_CHUNK`` matrices. A batch that does not cover the sum reads
-    its ``H_i`` that many at a time into its ``(m, d)`` products ``H_i w``.
-    Two gathers stay whole: the ``H_i`` of a batch's mean Hessian, a
-    Hessian sample, and a batch's ``b_i`` and ``(m, J, d)`` ripple
-    directions, J/d of its ``H_i``.
+    Each ``H_i`` is exactly symmetric, so the stack ``h`` holds only its
+    upper triangle: ``h`` is ``(N, d(d+1)/2)``, row ``i`` the entries
+    ``(j, k)``, ``j <= k``, of ``H_i`` in ``np.triu_indices`` order
+    (LAPACK's packed-symmetric layout). :func:`_unpack` restores the
+    matrices with the same bits. ``h`` is the one array of N·d(d+1)/2
+    values, from :meth:`generate` through every oracle call: any other
+    temporary holds at most ``_CHUNK`` matrices. A batch that does not
+    cover the sum unpacks its ``H_i`` that many at a time into its
+    ``(m, d)`` products ``H_i w``. A Hessian sample averages its batch's
+    packed rows and unpacks that one mean. Two gathers stay whole: the
+    packed rows of a batch's mean Hessian, and a batch's ``b_i`` and
+    ``(m, J, d)`` ripple directions, 2J/(d+1) of its packed ``H_i``.
     """
 
     def __init__(
@@ -587,10 +679,14 @@ class SyntheticSumProblem(FiniteSumOracle):
         phases: Optional[NDArray] = None,
     ):
         # C order, as for LogisticProblem.x: full passes read these in place.
-        self.h = np.ascontiguousarray(h, dtype=float)  # (N, d, d)
+        self.h = np.ascontiguousarray(h, dtype=float)  # (N, d(d+1)/2), packed
         self.b = np.ascontiguousarray(b, dtype=float)  # (N, d)
-        self.n_components = self.h.shape[0]
-        self.dim = self.h.shape[1]
+        self.n_components, self.dim = self.b.shape
+        if self.h.shape != (self.n_components, self.dim * (self.dim + 1) // 2):
+            raise ValueError(
+                f"h must be the packed upper triangles of {self.n_components} {self.dim}x{self.dim} "
+                f"matrices, shape {(self.n_components, self.dim * (self.dim + 1) // 2)}, got {self.h.shape}"
+            )
         if not curvature >= 0:
             raise ValueError(f"curvature must be >= 0, got {curvature}")
         self.curvature = float(curvature)
@@ -607,7 +703,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         else:
             self.a_dirs = np.zeros((self.n_components, 1, self.dim))
             self.phases = np.zeros((self.n_components, 1))
-        self._h_mean = self.h.mean(axis=0)
+        self._h_mean = _unpack(self.h.mean(axis=0), self.dim)
         self._b_mean = self.b.mean(axis=0)
         self._optimum: Optional[tuple[NDArray, float]] = None
 
@@ -644,13 +740,18 @@ class SyntheticSumProblem(FiniteSumOracle):
         coupled sum needs at least two components: centring makes a lone
         ``G`` zero.
 
-        The ``G_i`` are drawn into the returned stack and every later step
-        works in place: centring and scaling on the whole stack, and
-        symmetrizing, the norm screen and the build of each ``H_i`` in its
-        ``G_i``'s slot on ``_CHUNK`` matrices at a time. So the build holds
-        one N·d² array. Each chunked step acts on each matrix alone, with
-        the bits of a loop over single matrices. The ripple directions and
-        phases are drawn last, and only when ``curvature > 0``.
+        The returned stack is packed (see the class docstring). Besides
+        it, the build holds two reused ``_CHUNK``-matrix buffers, and any
+        other temporary holds at most ``_CHUNK`` matrices. The
+        ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, with the
+        bits of one ``(N, d, d)`` draw, and symmetrized into the other
+        before their upper triangles are packed into the stack. Centring
+        and scaling act on the packed stack in place. The norm screen, and
+        the build of each ``H_i`` in its ``G_i``'s row, unpack ``_CHUNK``
+        matrices at a time. Each step acts on each entry, or on each
+        matrix, alone, with the bits of the whole-stack formulas. The
+        ripple directions and phases are drawn last, and only when
+        ``curvature > 0``.
         """
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -667,25 +768,17 @@ class SyntheticSumProblem(FiniteSumOracle):
                 )
             lam = np.geomspace(eig_range[0], eig_range[1], d)
             frame = random_frame()
-            # Symmetrizing acts elementwise, so every G_i is exactly symmetric.
-            hs = rng.standard_normal((n_components, d, d))
-            for c in _chunks(n_components):
-                g = hs[c]
-                hs[c] = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+            hs = _symmetric_normals(rng, n_components, d)
             hs -= hs.mean(axis=0)
-            top = _max_spectral_norm(hs)
+            top = _max_spectral_norm(hs, d)
             hs *= coupling / top
-            root = np.sqrt(lam)
-            for c in _chunks(n_components):
-                inner = (root[:, None] * (np.eye(d) + hs[c])) * root[None, :]
-                h = frame @ inner @ frame.T
-                hs[c] = 0.5 * (h + np.transpose(h, (0, 2, 1)))
+            _conjugate_in_place(hs, np.sqrt(lam), frame)
         else:
-            hs = np.empty((n_components, d, d))
+            hs = np.empty((n_components, d * (d + 1) // 2))
             for i in range(n_components):
                 q = random_frame()
                 m = (q * rng.uniform(*eig_range, size=d)) @ q.T
-                hs[i] = 0.5 * (m + m.T)
+                hs[i] = _pack(0.5 * (m + m.T))
         b = rng.standard_normal((n_components, d))
         if not curvature > 0:
             return cls(hs, b, None, curvature, freq=freq)
@@ -730,16 +823,16 @@ class SyntheticSumProblem(FiniteSumOracle):
         ``idx=None`` gives the whole sum as one component with N·J ripples:
         ``H̄ w`` and ``b̄`` from the stored means, and the ripples of
         :meth:`_ripples`. No ``H_i`` is read. The ripple pair is ``None``
-        unless ``curvature > 0``. The ``H_i`` of a batch are gathered
-        ``_CHUNK`` at a time, each ``H_i w`` its own product as in
-        ``self.h[idx] @ w``.
+        unless ``curvature > 0``. The packed ``H_i`` of a batch are
+        gathered and unpacked ``_CHUNK`` at a time, each ``H_i w`` its own
+        product as in ``_unpack(self.h[idx], d) @ w``.
         """
         if idx is None:
             hw, b = self._h_mean @ w, self._b_mean
         else:
             hw, b = np.empty((idx.size, self.dim)), self.b[idx]
             for c in _chunks(idx.size):
-                np.matmul(self.h[idx[c]], w, out=hw[c])
+                np.matmul(_unpack(self.h[idx[c]], self.dim), w, out=hw[c])
         if self.curvature <= 0:
             return hw, b, None, None
         return (hw, b, *self._ripples(w, idx))
@@ -797,11 +890,12 @@ class SyntheticSumProblem(FiniteSumOracle):
     def _hessian_terms(self, w: NDArray, sample) -> tuple[NDArray, Optional[NDArray], Optional[NDArray]]:
         """Mean of the batch's ``H_i`` as a fresh array, and the batch's
         ripple arguments and directions shaped ``(m, J)`` and ``(m, J, d)``
-        (``None`` unless ``curvature > 0``). A batch that covers the sum
-        starts from a copy of ``H̄`` and takes all N·J ripples as one
-        component."""
+        (``None`` unless ``curvature > 0``). The mean is taken over the
+        packed rows, entry by entry as over the matrices, and unpacked
+        once. A batch that covers the sum starts from a copy of ``H̄`` and
+        takes all N·J ripples as one component."""
         idx = self._gather_indices(sample)
-        h = self._h_mean.copy() if idx is None else self.h[idx].mean(axis=0)
+        h = self._h_mean.copy() if idx is None else _unpack(self.h[idx].mean(axis=0), self.dim)
         if self.curvature <= 0:
             return h, None, None
         t, a = self._ripples(w, idx)

@@ -396,6 +396,44 @@ class TestEveryKeyRead:
         assert capsys.readouterr().err.startswith("error: 'epochs' in config must be a finite number")
         assert not (tmp_path / "run").exists()
 
+    def test_an_integer_too_large_for_a_float_is_a_config_error(self):
+        # float() raised a bare OverflowError out of from_dict
+        raw = json.loads(json.dumps(base_raw()).replace('"epochs": 2', '"epochs": 1' + "0" * 400))
+        with pytest.raises(ConfigError, match="'epochs' in config must be a finite number"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_cli_run_refuses_an_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_raw()).replace('"epochs": 2', '"epochs": 1' + "0" * 400))
+        assert cli_dispatch(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'epochs' in config must be a finite number")
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"kind": "logistic", "dataset": "a9a"},
+            {"kind": "synthetic_logistic", "n": 300, "d": 10},
+            {"kind": "synthetic_sum", "n_components": 8, "d": 4},
+        ],
+        ids=lambda p: p["kind"],
+    )
+    def test_a_finite_sum_refuses_iters_per_epoch(self, problem):
+        # a finite sum counts epochs in components; 7 ran the default run
+        # under another hash
+        with pytest.raises(ConfigError, match=f"'iters_per_epoch' in config .* of kind '{problem['kind']}'"):
+            base_config(problem=problem, iters_per_epoch=7)
+        assert base_config(problem=problem, iters_per_epoch=100).iters_per_epoch == 100
+
+    def test_the_quadratic_reads_iters_per_epoch(self):
+        cfg = base_config(problem={"kind": "quadratic", "d": 6}, iters_per_epoch=7)
+        ctx, _ = build_context(cfg)
+        assert ctx.iters_per_epoch == 7
+        # one step of a quadratic is 1/iters_per_epoch of an epoch
+        result = run_experiment(dataclasses.replace(cfg, epochs=3 / 7))
+        assert [r.k for r in result.records][-1] == 3
+
     @pytest.mark.parametrize("key", ["epochs", "trace_interval", "iters_per_epoch"])
     def test_nan_fails_the_range_checks(self, key):
         with pytest.raises(ValueError, match=key):

@@ -35,6 +35,7 @@ from hessavg.problems import (
     quadratic_generate,
 )
 from hessavg.sampling import CyclicSampler, GradSampleController, IidSampler
+from hessavg import problems
 from hessavg import rng as rng_mod
 
 EXACT = ScheduleSet(AlphaConstant(1.0), ThetaConstant(0.0), IotaGeometric(0.0, 0.0))
@@ -165,7 +166,7 @@ class TestMethodSpec:
     @pytest.mark.parametrize("name", ["fan", "dan", "dan2"])
     def test_decay_sets_the_average_and_none_is_uniform(self, name):
         # decay acted only with weights "decaying"; weights is gone
-        prob = SyntheticSumProblem(np.eye(2)[None], np.zeros((1, 2)))
+        prob = SyntheticSumProblem(problems._pack(np.eye(2)[None]), np.zeros((1, 2)))
         for decay in (None, 0.5):
             assert init_state(MethodSpec(name=name, decay=decay), prob, np.zeros(2)).avg._acc.decay == decay
 
@@ -174,7 +175,7 @@ class TestStepBehavior:
     def test_sgd_contracts_quadratic(self):
         # f = 0.5 ||w||^2 via the synthetic testbed with identity Hessians
         h = np.repeat(np.eye(3)[None] / 2, 4, axis=0) * 2  # H_i = I
-        prob = SyntheticSumProblem(h, np.zeros((4, 3)))
+        prob = SyntheticSumProblem(problems._pack(h), np.zeros((4, 3)))
         ctx = make_ctx(prob, MethodSpec(name="sgd"), alpha=0.1)
         state, records = run(ctx, np.array([1.0, -2.0, 4.0]), epochs=1)
         np.testing.assert_allclose(state.w, 0.9 * np.array([1.0, -2.0, 4.0]))
@@ -223,7 +224,7 @@ class TestStepBehavior:
         h = np.zeros((2, 3, 3))
         h[:] = np.eye(3) * 1e-12
         b = np.tile([1.0, 2.0, -0.5], (2, 1))
-        prob = SyntheticSumProblem(h, b)
+        prob = SyntheticSumProblem(problems._pack(h), b)
         ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
         state, _ = run(ctx, np.zeros(3), epochs=6)
         g = -b[0]
@@ -235,7 +236,7 @@ class TestStepBehavior:
         h = np.zeros((2, 3, 3))
         h[:] = np.eye(3) * 1e-12
         b = np.tile([1.0, 2.0, -0.5], (2, 1))
-        prob = SyntheticSumProblem(h, b)
+        prob = SyntheticSumProblem(problems._pack(h), b)
         ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
         state, _ = run(ctx, np.zeros(3), epochs=6)
         assert isinstance(state.avg, DiagAverageState) and state.avg.count == state.k
@@ -246,7 +247,7 @@ class TestStepBehavior:
         # modification of H give different directions
         rng = rng_mod.stream(12, "init")
         a = rng.standard_normal((8, 5, 5))
-        prob = SyntheticSumProblem(a + a.transpose(0, 2, 1), rng.standard_normal((8, 5)))
+        prob = SyntheticSumProblem(problems._pack(a + a.transpose(0, 2, 1)), rng.standard_normal((8, 5)))
         w = rng.standard_normal(5)
         g = prob.grad_full(w)
         mu = 1e-2
@@ -272,7 +273,7 @@ class TestStepBehavior:
         # bound holds at every iteration
         prob = SyntheticSumProblem.generate(16, 10, seed=4)
         w_star, _ = prob.optimum()
-        lam_max = max(np.linalg.eigvalsh(h)[-1] for h in prob.h)
+        lam_max = max(np.linalg.eigvalsh(h)[-1] for h in problems._unpack(prob.h, prob.dim))
         mu_tilde = 0.05
         alpha = mu_tilde / lam_max
         method = MethodSpec(name="fan", mu_tilde=mu_tilde)
@@ -329,7 +330,7 @@ class TestStepBehavior:
 
     def test_fan_refuses_huge_dimension(self):
         h = np.repeat(np.eye(3)[None], 4, axis=0)
-        prob = SyntheticSumProblem(h, np.zeros((4, 3)))
+        prob = SyntheticSumProblem(problems._pack(h), np.zeros((4, 3)))
         prob.dim = 4096  # simulate a big problem
         from hessavg.optimizers import init_state
 
@@ -338,7 +339,7 @@ class TestStepBehavior:
 
     def test_subnewton_refuses_huge_dimension(self):
         h = np.repeat(np.eye(3)[None], 4, axis=0)
-        prob = SyntheticSumProblem(h, np.zeros((4, 3)))
+        prob = SyntheticSumProblem(problems._pack(h), np.zeros((4, 3)))
         prob.dim = 4096
         with pytest.raises(ValueError, match="^subnewton .* refusing"):
             init_state(MethodSpec(name="subnewton"), prob, np.zeros(3))

@@ -244,7 +244,7 @@ class TestSyntheticSum:
         prob = SyntheticSumProblem.generate(8, 6, seed=0)
         w_star, f_star = prob.optimum()
         assert np.linalg.norm(prob.grad_full(w_star)) <= 1e-10
-        expected = np.linalg.solve(prob.h.mean(axis=0), prob.b.mean(axis=0))
+        expected = np.linalg.solve(problems._unpack(prob.h, 6).mean(axis=0), prob.b.mean(axis=0))
         np.testing.assert_allclose(w_star, expected, atol=1e-10)
 
     def test_optimum_with_ripples(self):
@@ -254,14 +254,15 @@ class TestSyntheticSum:
 
     def test_component_hessians_distinct_and_pd(self):
         prob = SyntheticSumProblem.generate(16, 20, seed=5, coupling=0.9)
-        mins = [np.linalg.eigvalsh(h)[0] for h in prob.h]
+        hs = problems._unpack(prob.h, 20)
+        mins = [np.linalg.eigvalsh(h)[0] for h in hs]
         assert min(mins) > 0
         for i in range(1, 16):
-            assert np.linalg.norm(prob.h[i] - prob.h[0]) > 1e-6
+            assert np.linalg.norm(hs[i] - hs[0]) > 1e-6
 
     def test_coupled_mean_is_base(self):
         prob = SyntheticSumProblem.generate(16, 20, seed=5, coupling=0.9, eig_range=(0.02, 3.0))
-        eigs = np.linalg.eigvalsh(prob.h.mean(axis=0))
+        eigs = np.linalg.eigvalsh(problems._unpack(prob.h, 20).mean(axis=0))
         assert eigs[0] == pytest.approx(0.02, rel=1e-6)
         assert eigs[-1] == pytest.approx(3.0, rel=1e-6)
 
@@ -303,17 +304,22 @@ class TestSyntheticSum:
             SyntheticSumProblem.generate(n_components, 4, seed=0, coupling=0.5)
 
     def test_bench_sized_instance_keeps_its_bits(self):
-        # Pinned from the loop that took all 1024 SVDs. The goldens cover
-        # only N=64, d=20.
+        # Pinned from the loop that took all 1024 SVDs, over the full
+        # (N, d, d) stack. The goldens cover only N=64, d=20.
         prob = SyntheticSumProblem.generate(1024, 50, seed=0, curvature=2.0, coupling=0.5)
         digest = hashlib.sha256()
-        for arr in (prob.h, prob.b, prob.a_dirs, prob.phases):
+        for arr in (problems._unpack(prob.h, 50), prob.b, prob.a_dirs, prob.phases):
             digest.update(arr.tobytes())
         assert digest.hexdigest() == "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918"
 
 
 def _svd_max(gs):
     return max(np.linalg.norm(g, 2) for g in gs)
+
+
+def _screened_max(gs):
+    """``_max_spectral_norm`` of the full symmetric stack ``gs``, packed."""
+    return problems._max_spectral_norm(problems._pack(gs), gs.shape[-1])
 
 
 def _coupling_stack(n, d, seed):
@@ -334,22 +340,22 @@ class TestMaxSpectralNorm:
     def test_random_symmetric_stacks(self, n, d):
         for seed in range(3):
             gs = _coupling_stack(n, d, seed)
-            assert problems._max_spectral_norm(gs) == _svd_max(gs)
+            assert _screened_max(gs) == _svd_max(gs)
 
     def test_exact_ties(self):
         g = _coupling_stack(2, 7, 0)[0]
         repeated = np.repeat(g[None], 70, axis=0)
-        assert problems._max_spectral_norm(repeated) == _svd_max(repeated)
+        assert _screened_max(repeated) == _svd_max(repeated)
         gs = 0.5 * _coupling_stack(70, 7, 1)
         gs[[3, 66]] = 4.0 * g
-        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+        assert _screened_max(gs) == _svd_max(gs)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_near_ties(self, first):
         g = _coupling_stack(2, 9, 2)[0]
         gs = 0.5 * _coupling_stack(66, 9, 3)
         gs[[first, 65 - first]] = 4.0 * g, (1 + 2**-52) * 4.0 * g
-        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+        assert _screened_max(gs) == _svd_max(gs)
 
     def test_dominant_eigenvalue_negative(self):
         rng = np.random.default_rng(4)
@@ -357,7 +363,7 @@ class TestMaxSpectralNorm:
         gs = _coupling_stack(40, 12, 5)
         gs[17] -= 10.0 * np.outer(v, v)
         assert np.linalg.eigvalsh(gs[17])[0] < -np.linalg.eigvalsh(gs[17])[-1]
-        assert problems._max_spectral_norm(gs) == _svd_max(gs)
+        assert _screened_max(gs) == _svd_max(gs)
 
     def test_rank_one_ties_where_the_bound_is_tight(self):
         # A rank-one bound equals the norm up to rounding; without the
@@ -365,7 +371,7 @@ class TestMaxSpectralNorm:
         for seed in range(200):
             v = np.random.default_rng(seed).standard_normal(8)
             gs = np.stack([(1 + k * 2**-52) * np.outer(v, v) for k in (0, 0, 1, 2, 3)])
-            assert problems._max_spectral_norm(gs) == _svd_max(gs)
+            assert _screened_max(gs) == _svd_max(gs)
 
     def test_decomposes_few_matrices(self, monkeypatch):
         gs = _coupling_stack(256, 30, 7)
@@ -376,16 +382,17 @@ class TestMaxSpectralNorm:
             return norm(x, ord, axis)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        top = problems._max_spectral_norm(gs)
+        top = _screened_max(gs)
         monkeypatch.undo()
         assert top == _svd_max(gs)
         assert 1 <= orders.count(2) <= 16
 
     def test_peak_memory_below_one_copy_of_the_stack(self):
         gs = _coupling_stack(1024, 20, 8)
+        packed = problems._pack(gs)
         tracemalloc.start()
         try:
-            problems._max_spectral_norm(gs)
+            problems._max_spectral_norm(packed, 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -421,25 +428,73 @@ def _coupled_reference(n, d, seed, coupling=0.5, eig_range=(0.5, 3.0), n_ripples
 
 
 class _GatheredSum(SyntheticSumProblem):
-    """A synthetic sum whose batches gather all their ``H_i`` at once."""
+    """A synthetic sum that also holds its full ``(N, d, d)`` stack, and
+    whose batches gather all their ``H_i`` from it at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.full = problems._unpack(self.h, self.dim)
 
     def _terms(self, w, idx):
         terms = super()._terms(w, idx)
-        return terms if idx is None else (self.h[idx] @ w, *terms[1:])
+        return terms if idx is None else (self.full[idx] @ w, *terms[1:])
+
+    def _hessian_terms(self, w, sample):
+        h, t, a = super()._hessian_terms(w, sample)
+        idx = self._gather_indices(sample)
+        return (h if idx is None else self.full[idx].mean(axis=0)), t, a
 
 
 # More than two chunks of components, and a last chunk that is not full.
 _MANY = 3 * problems._CHUNK + 7
 
 
+class TestPackedStack:
+    """``_pack`` and ``_unpack`` move bits, and ``_unpack`` gives exactly
+    symmetric matrices."""
+
+    @given(d=st.integers(1, 12), n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_keeps_every_bit(self, d, n, seed):
+        # any 64-bit pattern: NaN payloads, infinities, -0.0 and subnormals too
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=(n, d * (d + 1) // 2), dtype=np.uint64)
+        packed = bits.view(np.float64)
+        full = problems._unpack(packed, d)
+        assert full.shape == (n, d, d)
+        assert np.array_equal(full.view(np.uint64), np.transpose(full, (0, 2, 1)).view(np.uint64))
+        assert _same_bits(problems._pack(full), packed)
+        out = np.empty((n, d, d))
+        assert problems._unpack(packed, d, out=out) is out and _same_bits(out, full)
+        g = rng.standard_normal((n, d, d))
+        sym = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+        assert _same_bits(problems._unpack(problems._pack(sym), d), sym)
+
+    def test_packed_rows_follow_triu_indices(self):
+        m = np.arange(16.0).reshape(4, 4)
+        m = m + m.T
+        assert _same_bits(problems._pack(m), m[np.triu_indices(4)])
+        assert _same_bits(problems._unpack(m[np.triu_indices(4)], 4), m)
+
+    def test_the_constructor_takes_only_the_packed_stack(self):
+        with pytest.raises(ValueError, match=r"packed upper triangles of 2 3x3 matrices, shape \(2, 6\)"):
+            SyntheticSumProblem(np.zeros((2, 3, 3)), np.zeros((2, 3)))
+
+
+def _full_stack_bytes(n, d):
+    return n * d * d * 8
+
+
 class TestChunkedStack:
-    """The synthetic sum builds its ``H_i`` in place and reads a batch's
-    ``H_i`` a chunk at a time, with the bits of the whole-stack formulas."""
+    """The synthetic sum builds its packed ``H_i`` in place and reads a
+    batch's ``H_i`` a chunk at a time, with the bits of the whole-stack
+    formulas over the full ``(N, d, d)`` stack."""
 
     @pytest.mark.parametrize("d, seed", [(6, 0), (3, 1), (1, 2)])
     def test_generate_is_the_whole_stack_build(self, d, seed):
         prob = SyntheticSumProblem.generate(_MANY, d, seed=seed, curvature=2.0, coupling=0.5)
-        for got, want in zip((prob.h, prob.b, prob.a_dirs, prob.phases), _coupled_reference(_MANY, d, seed)):
+        got = (problems._unpack(prob.h, d), prob.b, prob.a_dirs, prob.phases)
+        for got, want in zip(got, _coupled_reference(_MANY, d, seed), strict=True):
             assert _same_bits(got, want)
 
     @pytest.mark.parametrize("d", [5, 1])
@@ -456,6 +511,8 @@ class TestChunkedStack:
             lambda p: p.loss_grad_sub(w, idx),
             lambda p: p.loss_grad_sub_full(w, idx),
             lambda p: (p.component_grads(w, idx),),
+            lambda p: (p.hessian_sub(w, idx),),
+            lambda p: (p.hvp_sub(w, idx, w), p.hvp_sub(w, idx, np.eye(d))),
         ):
             for got, want in zip(call(prob), call(ref), strict=True):
                 assert _same_bits(got, want)
@@ -472,16 +529,18 @@ class TestChunkedStack:
 
     @pytest.mark.parametrize("curvature", [0.0, 2.0])
     def test_generate_holds_one_stack(self, curvature):
-        # the bench's shape: the stack, the ripple directions (J/d of it)
-        # and chunk temporaries; a second N·d² array would need 2
-        prob, peak = self._generate_peak(1024, 50, curvature)
-        assert peak <= 1.5 * prob.h.nbytes
+        # the bench's shape: the packed stack (about half a full one), the
+        # ripple directions (J/d of a full stack) and chunk buffers stay
+        # below one full N·d² stack, which the build held as its stack
+        _, peak = self._generate_peak(1024, 50, curvature)
+        assert peak < _full_stack_bytes(1024, 50)
 
     def test_generate_draws_no_ripples_at_curvature_0(self):
-        # it drew and normalised (N, J, d) directions, a quarter of the
-        # stack at d=16, and then dropped them
+        # it drew and normalised (N, J, d) directions, a quarter of a full
+        # stack at d=16, and then dropped them: 1.13 full stacks with them,
+        # 0.66 without
         prob, peak = self._generate_peak(2048, 16, 0.0)
-        assert peak <= 1.25 * prob.h.nbytes
+        assert peak <= _full_stack_bytes(2048, 16)
         rippled = SyntheticSumProblem.generate(2048, 16, seed=0, curvature=2.0, coupling=0.5)
         assert _same_bits(prob.h, rippled.h) and _same_bits(prob.b, rippled.b)
         assert not prob.a_dirs.any() and prob.a_dirs.shape == (2048, 1, 16)
@@ -492,7 +551,7 @@ class TestChunkedStack:
         w = np.ones(prob.dim)
         # one gathered chunk of H_i, and four (m, d) arrays: b_i, H_i w,
         # the gradients and one temporary
-        budget = problems._CHUNK * prob.h[0].nbytes + 4 * idx.size * w.nbytes
+        budget = _full_stack_bytes(problems._CHUNK, prob.dim) + 4 * idx.size * w.nbytes
         for call in (
             lambda: prob.loss_grad_sub(w, idx),
             lambda: prob.loss_grad_sub_full(w, idx),
@@ -545,12 +604,12 @@ class TestDenseHessians:
         idx = np.array([1, 4, 6])
         with np.errstate(over="raise"):
             h = prob.hessian_sub(1e6 * np.ones(5), idx)
-        np.testing.assert_allclose(h, prob.h[idx].mean(axis=0), rtol=0, atol=1e-300)
+        np.testing.assert_allclose(h, problems._unpack(prob.h, 5)[idx].mean(axis=0), rtol=0, atol=1e-300)
 
     def test_no_ripple_is_the_mean_component_hessian_bitwise(self):
         prob = SyntheticSumProblem.generate(8, 5, seed=2)
         idx = np.array([0, 3, 3, 7])
-        assert np.array_equal(prob.hessian_sub(np.ones(5), idx), prob.h[idx].mean(axis=0))
+        assert np.array_equal(prob.hessian_sub(np.ones(5), idx), problems._unpack(prob.h, 5)[idx].mean(axis=0))
 
 
 class TestConstants:
