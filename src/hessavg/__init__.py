@@ -1,55 +1,14 @@
-"""Hessian-averaged subsampled Newton methods with adaptive gradient sampling."""
+"""Hessian-averaged subsampled Newton methods with adaptive gradient sampling.
 
-from .averaging import (
-    DiagAverageState,
-    FullAverageState,
-    UpdateFrequencyPolicy,
-    hutchinson_diag,
-)
-from .harness import (
-    ExperimentConfig,
-    RateReport,
-    RunResult,
-    estimate_rates,
-    run_experiment,
-    run_many,
-    sweep,
-)
-from .linalg import (
-    EigDecomposition,
-    NotPositiveDefiniteError,
-    matrix_abs,
-    pd_modify,
-    spd_solve,
-    sym_eig,
-    weighted_norm_sq,
-)
-from .optimizers import (
-    MethodSpec,
-    RunContext,
-    ScheduleSet,
-    eec,
-    init_state,
-    run,
-    schedule_eval,
-    step,
-)
-from .problems import (
-    FiniteSumOracle,
-    LogisticProblem,
-    ProblemConstants,
-    QuadraticProblem,
-    SyntheticSumProblem,
-    quadratic_generate,
-)
-from .sampling import (
-    CyclicSampler,
-    GradSampleController,
-    IidSampler,
-    approx_norm_terms,
-    exact_norm_terms,
-    required_size_deterministic,
-    required_size_stochastic,
-)
+The package is its modules; importing it loads none of them, and no numpy.
+The ``hessavg`` command (``python -m hessavg`` in module form) runs with one
+BLAS thread unless the caller sets a variable of :data:`BLAS_THREAD_VARS`,
+and so do the workers of a parallel sweep.
+"""
 
 __version__ = "0.1.0"
+
+# OpenBLAS and OpenMP read these once, when numpy loads. Unset, a process
+# starts one BLAS thread per core: parallel sweep workers oversubscribe the
+# cores between them, and a run's floating-point results depend on the count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

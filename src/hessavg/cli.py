@@ -1,4 +1,9 @@
-"""Command-line entry points.
+"""The ``hessavg`` subcommands, dispatched by :func:`cli_dispatch`.
+
+The command's entry is ``hessavg.__main__``, with ``python -m hessavg`` as
+its module form. It runs with one BLAS thread unless the caller sets
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, so its traces are those of
+a pinned :func:`~hessavg.harness.run_experiment`.
 
 Exit codes: 0 on success, 1 on usage/validation errors, 2 on runtime
 failures (network, I/O, numerical breakdown).
@@ -182,11 +187,3 @@ def cli_dispatch(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-def main() -> None:
-    sys.exit(cli_dispatch())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bz2
 import hashlib
+import math
 import os
 import re
 import shutil
@@ -123,11 +124,12 @@ def parse_libsvm(
 ) -> tuple[NDArray, NDArray]:
     """Parse LIBSVM-format lines ``label idx:val idx:val ...`` into ``(x, y)``.
 
-    Indices must be 1-based and strictly increasing within a row; index
-    ``j`` fills column ``j - 1`` of the dense ``x`` and absent features
-    are 0. Labels are remapped through ``label_map`` when given and must
-    end up in {-1, +1}. ``dim`` overrides the max index seen, guarding
-    against underestimation when rare features are absent.
+    Labels and values must be finite. Indices must be 1-based and strictly
+    increasing within a row; index ``j`` fills column ``j - 1`` of the
+    dense ``x`` and absent features are 0. Labels are remapped through
+    ``label_map`` when given and must end up in {-1, +1}. ``dim``
+    overrides the max index seen, guarding against underestimation when
+    rare features are absent.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -143,6 +145,8 @@ def parse_libsvm(
             raw_label = float(parts[0])
         except ValueError as err:
             raise LibsvmParseError(f"line {lineno}: unparsable label {parts[0]!r}") from err
+        if not math.isfinite(raw_label):
+            raise LibsvmParseError(f"line {lineno}: non-finite label {parts[0]!r}")
         if raw_label == int(raw_label):
             raw_label = int(raw_label)
         if label_map is not None:
@@ -161,6 +165,8 @@ def parse_libsvm(
                 val = float(val_str)
             except ValueError as err:
                 raise LibsvmParseError(f"line {lineno}: malformed token {tok!r}") from err
+            if not math.isfinite(val):
+                raise LibsvmParseError(f"line {lineno}: non-finite value in {tok!r}")
             if idx <= prev:
                 raise LibsvmParseError(
                     f"line {lineno}: indices must be strictly increasing (saw {idx} after {prev})"

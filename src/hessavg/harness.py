@@ -21,9 +21,13 @@ Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag, epoch-equivalent compute, seed, config echo and hash, and
 the ``OPENBLAS_NUM_THREADS`` the run saw) atomically into it. Sweeps execute
-many configs, optionally across spawned worker processes that start with
-one BLAS thread each, and reduce to a table with one row per config but its
-seed.
+many configs, optionally across spawned worker processes, and reduce to a
+table with one row per config but its seed.
+
+BLAS threads: the ``hessavg`` command (``python -m hessavg``) and the
+workers :func:`run_many` spawns run with one BLAS thread unless the caller
+sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's
+own process uses the threads its numpy started with.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Callable, Optional, Sequence, Union, get_args, get_origin, ge
 import numpy as np
 from numpy.typing import NDArray
 
+from . import BLAS_THREAD_VARS
 from . import rng as rng_mod
 from .data import load_dataset
 from .averaging import UpdateFrequencyPolicy
@@ -541,21 +546,15 @@ def _run_one(args) -> dict:
     return result.summary
 
 
-# OpenBLAS and OpenMP read these once, when numpy loads. Unset, each worker
-# starts one BLAS thread per core, so parallel workers oversubscribe the
-# cores between them.
-_WORKER_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @contextmanager
 def _one_blas_thread_for_workers():
-    """Set each unset ``_WORKER_BLAS_THREAD_VARS`` to 1 while workers are spawned.
+    """Set each unset variable of ``BLAS_THREAD_VARS`` to 1 while workers are spawned.
 
     A spawned process inherits this environment and loads numpy afresh; a
     value the caller set is left as it is. The variables are unset again on
     exit.
     """
-    added = [var for var in _WORKER_BLAS_THREAD_VARS if var not in os.environ]
+    added = [var for var in BLAS_THREAD_VARS if var not in os.environ]
     for var in added:
         os.environ[var] = "1"
     try:

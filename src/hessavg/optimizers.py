@@ -20,7 +20,6 @@ diverged and halted rather than raising.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
@@ -299,7 +298,6 @@ class OptState:
     hess_sample_units: int = 0
     hvp_probes: int = 0
     last_s_size: int = 0
-    wall_ms: float = 0.0
 
 
 def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptState:
@@ -440,7 +438,6 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     counters (probes, samples, epoch-equivalent compute) include the work
     this iteration performed.
     """
-    t0 = time.perf_counter()
     oracle = ctx.oracle
     x_size = ctx.controller.size(ctx.epoch_of(state))
     sample = oracle.draw_sample(ctx.rngs["gradient"], x_size)
@@ -489,7 +486,6 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     state.grad_samples += x_size
     record = _record(ctx, state, f_batch, grad_norm, x_size, dist)
     state.k += 1
-    state.wall_ms += (time.perf_counter() - t0) * 1e3
     return state, record
 
 
@@ -511,7 +507,6 @@ def _record(
         s_size=state.last_s_size,
         hvp_probes=state.hvp_probes,
         eec=ctx.eec_of(state),
-        wall_ms=state.wall_ms,
         dist_to_opt=dist,
     )
 

@@ -1,31 +1,18 @@
 """Per-iteration telemetry records and their CSV persistence.
 
 The CSV layout is versioned through a leading comment line that also
-embeds the config hash and seed. Wall-clock times are kept on the records
-for interactive use but never written to the CSV, so identical
-(config, seed) pairs reproduce the file byte for byte.
+embeds the config hash and seed. Identical (config, seed) pairs reproduce
+the file byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 TRACE_SCHEMA = "hessavg-trace-v1"
-
-_COLUMNS = (
-    "k",
-    "epoch",
-    "f",
-    "grad_norm",
-    "x_size",
-    "s_size",
-    "hvp_probes",
-    "eec",
-    "dist_to_opt",
-)
 
 
 @dataclass
@@ -38,8 +25,11 @@ class TraceRecord:
     s_size: int
     hvp_probes: int
     eec: float
-    wall_ms: float
     dist_to_opt: Optional[float] = None
+
+
+# The CSV columns, in order: every field of a record.
+_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def _fmt(value) -> str:
@@ -80,4 +70,4 @@ def parse_trace(text: str) -> tuple[dict, list[TraceRecord]]:
         raise ValueError(f"unsupported trace schema {meta.get('schema')!r}")
     hints = get_type_hints(TraceRecord)
     rows = csv.DictReader(lines[1:])
-    return meta, [TraceRecord(wall_ms=0.0, **{c: _parse(row[c], hints[c]) for c in _COLUMNS}) for row in rows]
+    return meta, [TraceRecord(**{c: _parse(row[c], hints[c]) for c in _COLUMNS}) for row in rows]

@@ -1,5 +1,6 @@
 import hashlib
 import http.server
+import json
 import threading
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessavg.cli import cli_dispatch
 from hessavg.data import (
     MANIFESTS,
     ChecksumMismatch,
@@ -57,6 +59,34 @@ class TestParse:
     def test_unmapped_label(self):
         with pytest.raises(LibsvmParseError, match="label"):
             parse_libsvm("3 1:1\n", label_map={1: 1, 2: -1})
+
+    # A NaN label raised a bare ValueError and an infinite one an
+    # OverflowError, neither naming the line; non-finite values were kept.
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("label_map", [None, {1: 1, 2: -1}], ids=["unmapped", "mapped"])
+    def test_non_finite_label_reports_line(self, label, label_map):
+        with pytest.raises(LibsvmParseError, match=f"line 2: non-finite label '{label}'"):
+            parse_libsvm(f"1 1:1\n{label} 1:1\n", label_map=label_map)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_reports_line(self, value):
+        with pytest.raises(LibsvmParseError, match=f"line 2: non-finite value in '1:{value}'"):
+            parse_libsvm(f"+1 1:1\n-1 1:{value}\n")
+
+    def test_non_finite_label_through_the_cli_is_a_usage_error(self, tmp_path, capsys):
+        # fetch_dataset reuses a cached file, so nothing is downloaded
+        cached = tmp_path / "data" / "mushrooms" / "mushrooms"
+        cached.parent.mkdir(parents=True)
+        cached.write_text("1 1:1\ninf 1:1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": {"kind": "logistic", "dataset": "mushrooms"},
+            "method": {"name": "sgd"},
+            "sampling": {"grad": {"mode": "fixed", "size": 1}},
+            "schedules": {"alpha": {"kind": "constant", "alpha": 0.1}},
+        }))
+        assert cli_dispatch(["run", str(cfg), "--data-dir", str(tmp_path / "data")]) == 1
+        assert "line 2: non-finite label 'inf'" in capsys.readouterr().err
 
     def test_roundtrip(self):
         x, y = parse_libsvm(SAMPLE)

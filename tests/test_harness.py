@@ -610,6 +610,7 @@ class TestRunExperiment:
         csv_a = (tmp_path / "a" / "trace.csv").read_bytes()
         csv_b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert csv_a == csv_b
+        assert r1.records == r2.records
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["config_hash"] == cfg.hash()
         assert summary["seed"] == cfg.seed
@@ -617,9 +618,10 @@ class TestRunExperiment:
 
     def test_trace_roundtrip(self, tmp_path):
         cfg = base_config()
-        run_experiment(cfg, out_dir=str(tmp_path))
+        result = run_experiment(cfg, out_dir=str(tmp_path))
         meta, records = parse_trace((tmp_path / "trace.csv").read_text())
         assert meta["config"] == cfg.hash()
+        assert records == result.records
         assert records[0].k == 0
         assert records[-1].grad_norm is not None
 
