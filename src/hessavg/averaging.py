@@ -85,10 +85,6 @@ class FullAverageState:
         self.variant = variant
         self._acc = _Accumulator(decay)
 
-    @property
-    def count(self) -> int:
-        return self._acc.count
-
     def update(self, h_new: NDArray) -> None:
         h_new = np.asarray(h_new, dtype=float)
         if h_new.shape != (self.dim, self.dim):
@@ -120,10 +116,6 @@ class DiagAverageState:
         self.dim = dim
         self.p = p
         self._acc = _Accumulator(decay)
-
-    @property
-    def count(self) -> int:
-        return self._acc.count
 
     def update(self, d_new: NDArray) -> None:
         d_new = np.asarray(d_new, dtype=float)

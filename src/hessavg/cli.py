@@ -187,3 +187,9 @@ def cli_dispatch(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    # numpy loaded with this module's imports, too late to pin BLAS threads
+    print("error: hessavg.cli is not an entry point; run 'python -m hessavg'", file=sys.stderr)
+    sys.exit(1)

@@ -37,7 +37,6 @@ __all__ = [
     "ChecksumMismatch",
     "MANIFESTS",
     "parse_libsvm",
-    "serialize_libsvm",
     "fetch_dataset",
     "train_split",
     "load_dataset",
@@ -184,23 +183,6 @@ def parse_libsvm(
     rows = np.repeat(np.arange(len(labels)), np.frombuffer(row_sizes, dtype=np.int64))
     x[rows, np.frombuffer(cols, dtype=np.int64)] = np.frombuffer(vals)
     return x, np.array(labels)
-
-
-def _format_value(val: float) -> str:
-    if val == int(val):
-        return str(int(val))
-    return repr(val)
-
-
-def serialize_libsvm(x: NDArray, y: NDArray) -> str:
-    """Inverse of :func:`parse_libsvm`: each row's label and nonzero features."""
-    lines = []
-    for label, row in zip(y.tolist(), x):
-        cols = np.flatnonzero(row)
-        toks = [_format_value(label)]
-        toks.extend(f"{j + 1}:{_format_value(val)}" for j, val in zip(cols.tolist(), row[cols].tolist()))
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

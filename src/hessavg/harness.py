@@ -53,7 +53,7 @@ from numpy.typing import NDArray
 
 from . import BLAS_THREAD_VARS
 from . import rng as rng_mod
-from .data import load_dataset
+from .data import MANIFESTS, load_dataset
 from .averaging import UpdateFrequencyPolicy
 from .optimizers import (
     AlphaConstant,
@@ -273,10 +273,10 @@ def _read_method(spec: dict) -> MethodSpec:
 
 def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
     """A builder of the problem. The quadratic's seed defaults to the run's
-    ``seed``, and a dataset is read from ``data_dir``. Only the quadratic,
-    an expectation, reads the config's ``iters_per_epoch``: a finite sum
-    counts its epochs in components, so it refuses any other value than
-    the default."""
+    ``seed``, and a dataset, which must be one of ``data.MANIFESTS``, is
+    read from ``data_dir``. Only the quadratic, an expectation, reads the
+    config's ``iters_per_epoch``: a finite sum counts its epochs in
+    components, so it refuses any other value than the default."""
     seed = cfg.seed
     # Each kind's builder, and its keys with their types and defaults.
     kinds = {
@@ -307,6 +307,8 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     make, keys = kinds[kind]
     args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
     _done(spec, where)
+    if kind == "logistic" and args["dataset"] not in MANIFESTS:
+        raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
     return partial(make, **args)
 
 
@@ -520,14 +522,14 @@ def run_experiment(
         "seed": cfg.seed,
         "method": ctx.method.name,
         "final_f": f_final,
-        "best_f": min(measured + [f_final]) if measured else f_final,
+        "best_f": min(measured + [f_final]),
         "diverged": bool(state.diverged),
         "iterations": state.k,
-        "epochs": records[-1].epoch if records else 0.0,
-        "eec": records[-1].eec if records else 0.0,
+        "epochs": records[-1].epoch,
+        "eec": records[-1].eec,
         "hvp_probes": state.hvp_probes,
-        "final_grad_norm": records[-1].grad_norm if records else None,
-        "final_dist_to_opt": records[-1].dist_to_opt if records else None,
+        "final_grad_norm": records[-1].grad_norm,
+        "final_dist_to_opt": records[-1].dist_to_opt,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "config": cfg.to_dict(),

@@ -198,6 +198,8 @@ class IotaGeometric:
     def __post_init__(self) -> None:
         if not 0 <= self.a < 1:
             raise ValueError("decay factor a must lie in [0, 1)")
+        if self.iota0 < 0:
+            raise ValueError("iota0 must be nonnegative")
 
     def at(self, k: int) -> float:
         if self.a == 0.0:

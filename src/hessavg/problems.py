@@ -13,8 +13,6 @@ optimum where it is known. Each oracle assembles its dense Hessian as one
 rank-k product ``B^T B``, which numpy hands to BLAS ``syrk``: half the
 flops of a general product, and exactly symmetric with no symmetrization
 pass.
-:class:`ProblemConstants` carries the gradient-noise constants that the
-batch-size bounds in :mod:`hessavg.sampling` read.
 
 All oracles are immutable after construction, apart from the optimum,
 which is computed on the first :meth:`~FiniteSumOracle.optimum` call and
@@ -52,7 +50,6 @@ from scipy.special import expit
 from .linalg import spd_solve
 
 __all__ = [
-    "ProblemConstants",
     "FiniteSumOracle",
     "MaskSample",
     "QuadraticProblem",
@@ -62,28 +59,6 @@ __all__ = [
     "SyntheticSumProblem",
     "make_synthetic_logistic",
 ]
-
-
-@dataclass
-class ProblemConstants:
-    """Gradient-noise constants for the two batch-size bounds.
-
-    :func:`~hessavg.sampling.required_size_stochastic` reads the variance
-    bound ``E ||grad_i - grad||^2 <= sigma1_g^2 ||grad||^2 + sigma2_g^2``;
-    :func:`~hessavg.sampling.required_size_deterministic` reads the
-    component bound ``||grad_i||^2 <= beta1_g ||grad||^2 + beta2_g``. The
-    caller supplies them; nothing here estimates or certifies them.
-    """
-
-    sigma1_g: float = 0.0
-    sigma2_g: float = 0.0
-    beta1_g: float = 0.0
-    beta2_g: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("sigma1_g", "sigma2_g", "beta1_g", "beta2_g"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 class FiniteSumOracle(ABC):
@@ -212,8 +187,6 @@ class QuadraticProblem(FiniteSumOracle):
         self.keep_prob = float(keep_prob)
         self.dim = self.a.shape[0]
         self.n_components = None
-        # Row norms of A^2 enter the closed-form gradient noise.
-        self._a_sq_diag = np.einsum("ij,ij->i", self.a, self.a)
         self._optimum: Optional[tuple[NDArray, float]] = None
 
     # -- sampling ----------------------------------------------------------
@@ -280,24 +253,6 @@ class QuadraticProblem(FiniteSumOracle):
             w_star.flags.writeable = False
             self._optimum = (w_star, self.loss_full(w_star))
         return self._optimum
-
-    def grad_noise_second_moment(self, w: NDArray) -> float:
-        """Closed-form ``E ||grad_one_draw - grad_full||^2`` at ``w``.
-
-        Per coordinate the mask residual ``y_i = (m_i - p) u_i -
-        (m_i m'_i - p^2) v_i`` (with ``u = A w``, ``v = b``) has
-        independent entries, which reduces the second moment to a sum over
-        the diagonal of ``A^2``.
-        """
-        p = self.keep_prob
-        u = self.a @ w
-        v = self.b
-        ey2 = (
-            p * (1 - p) * u * u
-            - 2 * p * p * (1 - p) * u * v
-            + p * p * (1 - p * p) * v * v
-        )
-        return float(4.0 * self._a_sq_diag @ ey2)
 
 
 def quadratic_generate(

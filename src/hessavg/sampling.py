@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import weighted_norm_sq
-from .problems import FiniteSumOracle, ProblemConstants
+from .problems import FiniteSumOracle
 
 __all__ = [
     "CyclicSampler",
@@ -33,8 +33,6 @@ __all__ = [
     "GradSampleController",
     "exact_norm_terms",
     "approx_norm_terms",
-    "required_size_stochastic",
-    "required_size_deterministic",
 ]
 
 DEFAULT_EXPECTATION_CAP = 2**16
@@ -120,56 +118,6 @@ def approx_norm_terms(component_grads: NDArray, g_batch: NDArray) -> tuple[float
     g_batch = np.asarray(g_batch, dtype=float)
     dev = grads - g_batch
     return float(np.mean(np.sum(dev * dev, axis=1))), float(g_batch @ g_batch)
-
-
-def required_size_stochastic(
-    constants: ProblemConstants,
-    lambda_max_a: float,
-    grad_norm_sq: float,
-    grad_a_norm_sq: float,
-    theta: float,
-    iota: float,
-) -> int:
-    """Smallest i.i.d. batch size guaranteeing the expected norm condition.
-
-    Evaluates ``lambda_max(A) (sigma1^2 ||grad||^2 + sigma2^2) /
-    (theta^2 ||grad||_A^2 + iota)``, rounded up and clamped to >= 1.
-    """
-    denom = theta**2 * grad_a_norm_sq + iota
-    if denom <= 0:
-        raise ValueError("theta^2 * ||grad||_A^2 + iota must be positive")
-    numer = lambda_max_a * (constants.sigma1_g**2 * grad_norm_sq + constants.sigma2_g**2)
-    return max(1, math.ceil(numer / denom))
-
-
-def required_size_deterministic(
-    n_total: int,
-    constants: ProblemConstants,
-    lambda_max_a: float,
-    grad_norm_sq: float,
-    grad_a_norm_sq: float,
-    theta: float,
-    iota: float,
-) -> int:
-    """Batch size at which every subset of a finite sum meets the norm
-    condition.
-
-    If every component satisfies ``||grad_i||^2 <= beta1 ||grad||^2 +
-    beta2``, every subset S of the N components has ``||g_S - grad||^2 <=
-    4 (1 - |S|/N)^2 (beta1 ||grad||^2 + beta2)``. The returned size is the
-    smallest ``|S|`` at which that worst case, times ``lambda_max(A)``,
-    is at most ``theta^2 ||grad||_A^2 + iota``; so every subset of this
-    size or larger satisfies ``||g_S - grad||_A^2 <= theta^2 ||grad||_A^2 +
-    iota``. It evaluates ``N (1 - sqrt((theta^2 ||grad||_A^2 + iota) /
-    (4 lambda_max(A) (beta1 ||grad||^2 + beta2))))``, rounded up and
-    clamped to ``[1, N]``.
-    """
-    denom = 4.0 * lambda_max_a * (constants.beta1_g * grad_norm_sq + constants.beta2_g)
-    if denom <= 0:
-        raise ValueError("beta1_g * ||grad||^2 + beta2_g must be positive")
-    ratio = (theta**2 * grad_a_norm_sq + iota) / denom
-    bound = n_total * (1.0 - math.sqrt(ratio))
-    return min(n_total, max(1, math.ceil(bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,24 @@ from hessavg.data import (
     _download,
     fetch_dataset,
     parse_libsvm,
-    serialize_libsvm,
     train_split,
 )
 
 SAMPLE = "+1 1:0.5 3:2.0\n-1 2:1 4:-0.25\n\n+1 1:1\n"
+
+
+def serialize_libsvm(x, y):
+    """Inverse of :func:`parse_libsvm`: each row's label and nonzero features."""
+
+    def fmt(val):
+        return str(int(val)) if val == int(val) else repr(val)
+
+    lines = []
+    for label, row in zip(y.tolist(), x):
+        cols = np.flatnonzero(row)
+        toks = [fmt(label)] + [f"{j + 1}:{fmt(val)}" for j, val in zip(cols.tolist(), row[cols].tolist())]
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:

@@ -24,14 +24,14 @@ CONFIG = {
 }
 
 
-def _python(args, **env):
+def _python(args, code=0, **env):
     """Run ``python args`` on this checkout's source, with no BLAS variable
-    set but those in ``env``."""
+    set but those in ``env``, and check that it exits with ``code``."""
     child = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     child["PYTHONPATH"] = str(SRC)
     child.update(env)
     done = subprocess.run([sys.executable, *args], env=child, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return done
 
 
@@ -53,3 +53,12 @@ def test_the_console_script_is_the_pinning_entry():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
     assert scripts == {"hessavg": "hessavg.__main__:main"}
+
+
+def test_the_cli_module_is_not_an_entry(tmp_path):
+    # it exited 0 and wrote nothing; it cannot delegate, as numpy has loaded
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    done = _python(["-m", "hessavg.cli", "run", str(cfg), "--out", str(tmp_path / "run")], code=1)
+    assert "run 'python -m hessavg'" in done.stderr
+    assert not (tmp_path / "run").exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hessavg.cli import cli_dispatch
-from hessavg.data import LibsvmParseError, load_dataset
+from hessavg.data import MANIFESTS, LibsvmParseError, load_dataset
 from hessavg.harness import (
     ConfigError,
     ExperimentConfig,
@@ -158,6 +158,12 @@ class TestConfig:
     def test_unknown_problem_kind(self):
         with pytest.raises(ConfigError):
             base_config(problem={"kind": "nope"})
+
+    def test_unknown_dataset(self):
+        # it loaded and hashed, and its run died in load_dataset with a bare KeyError
+        known = re.escape(str(sorted(MANIFESTS)))
+        with pytest.raises(ConfigError, match=f"^unknown 'dataset' 'nope' in problem of kind 'logistic'; known: {known}$"):
+            base_config(problem={"kind": "logistic", "dataset": "nope"})
 
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="method"):
@@ -396,6 +402,16 @@ class TestEveryKeyRead:
         assert capsys.readouterr().err.startswith("error: 'epochs' in config must be a finite number")
         assert not (tmp_path / "run").exists()
 
+    def test_cli_run_refuses_an_unknown_dataset_before_any_fetch(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_raw(problem={"kind": "logistic", "dataset": "nope"})))
+        argv = ["run", str(path), "--out", str(tmp_path / "run"), "--data-dir", str(tmp_path / "data")]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown 'dataset' 'nope'")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "data").exists()
+
     def test_an_integer_too_large_for_a_float_is_a_config_error(self):
         # float() raised a bare OverflowError out of from_dict
         raw = json.loads(json.dumps(base_raw()).replace('"epochs": 2', '"epochs": 1' + "0" * 400))
@@ -413,7 +429,7 @@ class TestEveryKeyRead:
     @pytest.mark.parametrize(
         "problem",
         [
-            {"kind": "logistic", "dataset": "a9a"},
+            {"kind": "logistic", "dataset": "mushrooms"},
             {"kind": "synthetic_logistic", "n": 300, "d": 10},
             {"kind": "synthetic_sum", "n_components": 8, "d": 4},
         ],
@@ -582,6 +598,13 @@ class TestSchedulesFromConfig:
         spec = {k: v for k, v in raw.items() if k != key}
         with pytest.raises(ConfigError, match=f"missing key '{key}' in {section} schedule"):
             base_config(schedules={section: spec})
+
+    @pytest.mark.parametrize("case", [case for case in sorted(SCHEDULE_CASES) if case.startswith("iota-")])
+    def test_a_negative_iota0_is_refused_by_every_iota_kind(self, case):
+        # the geometric kind took it, and its negative rhs grew the first failing batch to the full sum
+        section, raw, _ = SCHEDULE_CASES[case]
+        with pytest.raises(ConfigError, match=f"^bad iota schedule of kind '{raw['kind']}': iota0 must be nonnegative$"):
+            base_config(schedules={section: {**raw, "iota0": -1.0}})
 
     @pytest.mark.parametrize(
         "section, raw, key",

@@ -237,7 +237,7 @@ class TestStepBehavior:
         prob = SyntheticSumProblem(problems._pack(h), b)
         ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
         state, _ = run(ctx, np.zeros(3), epochs=6)
-        assert isinstance(state.avg, DiagAverageState) and state.avg.count == state.k
+        assert isinstance(state.avg, DiagAverageState) and state.avg._acc.count == state.k
         np.testing.assert_allclose(state.avg.preconditioner(), np.abs(b[0]), rtol=1e-10)
 
     def test_subnewton_honours_variant(self):

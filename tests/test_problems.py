@@ -10,7 +10,6 @@ from scipy.special import expit
 from hessavg.problems import (
     FiniteSumOracle,
     LogisticProblem,
-    ProblemConstants,
     QuadraticProblem,
     SyntheticSumProblem,
     make_synthetic_logistic,
@@ -94,14 +93,6 @@ class TestQuadraticOracle:
         mean = comps.mean(axis=0)
         se = np.linalg.norm(comps.std(axis=0)) / np.sqrt(m)
         assert np.linalg.norm(mean) <= 3 * se
-
-    def test_noise_second_moment_matches_monte_carlo(self, quad):
-        rng = rng_mod.stream(12, "gradient")
-        w = rng.standard_normal(quad.dim)
-        gf = quad.grad_full(w)
-        comps = quad.component_grads(w, quad.draw_sample(rng, 100_000))
-        mc = np.mean(np.sum((comps - gf) ** 2, axis=1))
-        assert mc == pytest.approx(quad.grad_noise_second_moment(w), rel=0.02)
 
     def test_batch_mean_error_scales_inverse_sqrt(self, quad):
         # mean over repeated batches decays like 1/sqrt(m)
@@ -610,12 +601,6 @@ class TestDenseHessians:
         prob = SyntheticSumProblem.generate(8, 5, seed=2)
         idx = np.array([0, 3, 3, 7])
         assert np.array_equal(prob.hessian_sub(np.ones(5), idx), problems._unpack(prob.h, 5)[idx].mean(axis=0))
-
-
-class TestConstants:
-    def test_nonnegative_fields(self):
-        with pytest.raises(ValueError):
-            ProblemConstants(sigma2_g=-1.0)
 
 
 def _oracle_cases():
