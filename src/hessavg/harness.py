@@ -20,9 +20,10 @@ The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag, epoch-equivalent compute, seed, config echo and hash, and
-the ``OPENBLAS_NUM_THREADS`` the run saw) atomically into it. Sweeps execute
-many configs, optionally across spawned worker processes, and reduce to a
-table with one row per config but its seed.
+the thread count each loaded BLAS library reports, see :func:`_blas_threads`)
+atomically into it. Sweeps execute many configs, optionally across spawned
+worker processes, and reduce to a table with one row per config but its
+seed.
 
 BLAS threads: the ``hessavg`` command (``python -m hessavg``) and the
 workers :func:`run_many` spawns run with one BLAS thread unless the caller
@@ -32,6 +33,7 @@ own process uses the threads its numpy started with.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -454,10 +456,38 @@ def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tupl
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     records: list[TraceRecord]
     summary: dict
-    w_final: NDArray
+
+
+# The thread-count getter of each OpenBLAS build a run can load, by the
+# package that links it: numpy's ``libscipy_openblas64_`` runs its products
+# and ``eigh``, scipy's ``libscipy_openblas`` the LAPACK calls of ``linalg``.
+BLAS_THREAD_GETTERS = {"numpy": "scipy_openblas_get_num_threads64_", "scipy": "scipy_openblas_get_num_threads"}
+
+
+def _blas_threads() -> dict[str, Optional[int]]:
+    """The thread count each OpenBLAS library this process has mapped reports.
+
+    The libraries are found in ``/proc/self/maps``, so reading a count never
+    loads one. A count is None when its library is not loaded (scipy's, in a
+    run that factors nothing), when the library lacks the getter, or when
+    the process has no ``/proc/self/maps``.
+    """
+    counts = dict.fromkeys(BLAS_THREAD_GETTERS)
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [line.rstrip("\n").split(maxsplit=5) for line in fh if "openblas" in line]
+    except OSError:
+        return counts
+    for path in sorted({m[5] for m in maps if len(m) == 6}):
+        lib = ctypes.CDLL(path)
+        for package, symbol in BLAS_THREAD_GETTERS.items():
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[package] = getter()
+    return counts
 
 
 def _rolling(values: list[float], window: int) -> list[float]:
@@ -531,14 +561,14 @@ def run_experiment(
         "final_grad_norm": records[-1].grad_norm,
         "final_dist_to_opt": records[-1].dist_to_opt,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_threads": _blas_threads(),
         "config": cfg.to_dict(),
     }
     if out_dir:
         base = Path(out_dir)
         _atomic_write(base / "trace.csv", format_trace(records, cfg.hash(), cfg.seed))
         _atomic_write(base / "summary.json", strict_json(summary, indent=2, sort_keys=True) + "\n")
-    return RunResult(config=cfg, records=records, summary=summary, w_final=state.w)
+    return RunResult(records=records, summary=summary)
 
 
 def _run_one(args) -> dict:

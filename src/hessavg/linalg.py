@@ -12,16 +12,24 @@ eigenvalue (LAPACK ``dsyevr`` over an index range) and no
 ``U diag(vals) U^T`` rebuild; only a matrix that needs its absolute value
 or a shift pays for the full decomposition on top. Either way a call
 makes one or two eigensolves and no factorization.
+
+The LAPACK routines (``dsyevr``, ``dpotrf``, ``dpotrs``) come from
+``scipy.linalg``, which this module imports once per process, on the first
+eigensolve or factorization (:func:`_lapack`), and not at import: a run
+whose method factors nothing (sgd, adam, dan, dan2, adahessian) never loads
+scipy. :class:`NotPositiveDefiniteError` derives from
+``numpy.linalg.LinAlgError``, the class ``scipy.linalg`` exports under the
+same name.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 __all__ = [
     "EigDecomposition",
@@ -35,6 +43,14 @@ __all__ = [
 ]
 
 SYM_RTOL = 1e-12
+
+
+@cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first call in a process."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 class NotPositiveDefiniteError(LinAlgError):
@@ -104,7 +120,7 @@ def sym_eig(a: NDArray, vectors: bool = True) -> EigDecomposition:
     """
     a = check_symmetric(a)
     if not vectors:
-        w, _, _, _, info = dsyevr(a, compute_v=0, range="I", il=1, iu=1)
+        w, _, _, _, info = _lapack().dsyevr(a, compute_v=0, range="I", il=1, iu=1)
         if info != 0:
             raise LinAlgError(f"dsyevr failed with info={info}")
         return EigDecomposition(w[:1], None)
@@ -179,14 +195,15 @@ def spd_solve(h: NDArray, g: NDArray) -> NDArray:
     g = np.asarray(g, dtype=float)
     if g.ndim not in (1, 2) or g.shape[0] != h.shape[0]:
         raise ValueError(f"right-hand side of shape {g.shape} does not fit a matrix of shape {h.shape}")
-    factor, info = dpotrf(h, lower=1, clean=0)
+    lapack = _lapack()
+    factor, info = lapack.dpotrf(h, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed at leading minor {info}; matrix is not positive definite"
         )
     if info < 0:
         raise LinAlgError(f"dpotrf: illegal value in argument {-info}")
-    x, info = dpotrs(factor, g, lower=1)
+    x, info = lapack.dpotrs(factor, g, lower=1)
     if info != 0:
         raise LinAlgError(f"dpotrs: illegal value in argument {-info}")
     return x

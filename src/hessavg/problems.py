@@ -34,6 +34,17 @@ symmetric component Hessian as its packed upper triangle: its one large
 array holds N·d(d+1)/2 values. Its build adds two reused buffers of
 ``_CHUNK`` matrices, and every other temporary of the build or of a batch
 read holds at most ``_CHUNK`` matrices.
+
+The logistic link is computed with numpy, so this module imports no scipy.
+Of the three oracles only the synthetic sum factors a matrix, in the Newton
+refinement of its optimum (:func:`~hessavg.linalg.spd_solve`), and that call
+is what loads ``scipy.linalg``. A logistic row's gradient coefficient is
+``-y / (1 + exp(z))``, which is ``-y·σ(-z)`` with its relative accuracy kept
+in the tail, where ``1 - σ(z)`` rounds to 0 once ``z`` passes about 37. Its
+curvature weight ``σ(z)(1 - σ(z))`` is ``e / (1 + e)²`` with
+``e = exp(-|z|)``, which cannot overflow. ``exp(z)`` overflows to ``inf``
+above ``z`` of about 709, where the coefficient rounds to 0 anyway; that
+overflow is expected and silenced.
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import expit
 
 from .linalg import spd_solve
 
@@ -365,8 +375,18 @@ class LogisticProblem(FiniteSumOracle):
 
     @staticmethod
     def _coeff(ys: NDArray, z: NDArray) -> NDArray:
-        """``d/dz_i`` of the loss terms, times ``y_i``: row ``i``'s gradient is this times ``x_i``."""
-        return -ys * (1.0 - expit(z))
+        """``d/dz_i`` of the loss terms, times ``y_i``: row ``i``'s gradient is this times ``x_i``.
+
+        ``-y σ(-z)``; ``exp(z)`` may overflow to ``inf``, giving 0, so a
+        caller runs it under ``np.errstate(over="ignore")``.
+        """
+        return -ys / (1.0 + np.exp(z))
+
+    @staticmethod
+    def _weight(z: NDArray) -> NDArray:
+        """``σ(z)(1 - σ(z))``, the curvature of a loss term in its margin."""
+        e = np.exp(-np.abs(z))
+        return e / (1.0 + e) ** 2
 
     def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
         """Batch loss and gradient; the sample's rows are gathered one block
@@ -375,22 +395,24 @@ class LogisticProblem(FiniteSumOracle):
         idx = _check_indices(sample, self.n)
         z = np.empty(idx.size)
         total = np.zeros(self.dim)
-        for start in range(0, idx.size, self._block_rows):
-            rows = idx[start : start + self._block_rows]
-            xb, yb = self.x[rows], self.y[rows]
-            zb = z[start : start + self._block_rows]
-            np.multiply(yb, xb @ w, out=zb)
-            total += self._coeff(yb, zb) @ xb
+        with np.errstate(over="ignore"):
+            for start in range(0, idx.size, self._block_rows):
+                rows = idx[start : start + self._block_rows]
+                xb, yb = self.x[rows], self.y[rows]
+                zb = z[start : start + self._block_rows]
+                np.multiply(yb, xb @ w, out=zb)
+                total += self._coeff(yb, zb) @ xb
         return self._loss_of(w, z), total / idx.size + w / self.n
 
     def component_grads(self, w: NDArray, sample: NDArray) -> NDArray:
         xs, ys, z = self._margins(w, sample)
-        return self._coeff(ys, z)[:, None] * xs + w / self.n
+        with np.errstate(over="ignore"):
+            coeff = self._coeff(ys, z)
+        return coeff[:, None] * xs + w / self.n
 
     def hvp_sub(self, w: NDArray, sample: NDArray, v: NDArray) -> NDArray:
         xs, ys, z = self._margins(w, sample)
-        s = expit(z)
-        weight = s * (1.0 - s)
+        weight = self._weight(z)
         xv = xs @ v
         if xv.ndim == 1:
             return xs.T @ (weight * xv) / ys.size + v / self.n
@@ -399,8 +421,7 @@ class LogisticProblem(FiniteSumOracle):
     def hessian_sub(self, w: NDArray, sample: NDArray) -> NDArray:
         # X_S^T diag(s(1-s)) X_S / m as B^T B: one syrk, exactly symmetric.
         xs, ys, z = self._margins(w, sample)
-        s = expit(z)
-        b = np.sqrt(s * (1.0 - s) / ys.size)[:, None] * xs
+        b = np.sqrt(self._weight(z) / ys.size)[:, None] * xs
         h = b.T @ b
         h[np.diag_indices(self.dim)] += 1.0 / self.n
         return h
@@ -416,15 +437,16 @@ class LogisticProblem(FiniteSumOracle):
         """
         z = np.empty(self.n)
         sums = np.zeros((1 if counts is None else 2, self.dim))
-        for start in range(0, self.n, self._block_rows):
-            block = slice(start, start + self._block_rows)
-            xb, yb = self.x[block], self.y[block]
-            zb = z[block]
-            np.multiply(yb, xb @ w, out=zb)
-            coeff = self._coeff(yb, zb)
-            sums[0] += coeff @ xb
-            if counts is not None:
-                sums[1] += (coeff * counts[block]) @ xb
+        with np.errstate(over="ignore"):
+            for start in range(0, self.n, self._block_rows):
+                block = slice(start, start + self._block_rows)
+                xb, yb = self.x[block], self.y[block]
+                zb = z[block]
+                np.multiply(yb, xb @ w, out=zb)
+                coeff = self._coeff(yb, zb)
+                sums[0] += coeff @ xb
+                if counts is not None:
+                    sums[1] += (coeff * counts[block]) @ xb
         return z, sums
 
     def loss_full(self, w: NDArray) -> float:

@@ -45,7 +45,7 @@ GOLDEN = {
             "epochs": 3,
             "seed": 4,
         },
-        "363393e782f2b8be50699b9d72782849174705d78f61c08d73a992f3ec283c58",
+        "10b9d412cfba0ab5eff1295ca6adb0e2d3092afa5a6ededc8fc0c4397f4b3939",
     ),
     "subnewton_sum_exact_inverse_hessian": (
         {
@@ -88,7 +88,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "0e018218e7fe8f7a15d7cdb423b0b1fe64d0419f80e264de4b0dd7f38671d574",
+        "163cf90fc6838d7e2aab2c26efcde5e9182297bebfc330a8478dc8f1e8e0c56c",
     ),
     "dan_logistic_approx": (
         {
@@ -99,7 +99,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "41cd2179dbd3065d224aba59d4d596f576d1af4056f9402794500041d2a21aea",
+        "89bddd92e9c976156b7388702eda1aa7984fe1abd956609f8a0f859ca4cadfb7",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -139,14 +139,13 @@ def test_trace_matches_golden_digest(name, tmp_path):
 # Traces pinned before a change that moved floats on purpose: the three
 # synthetic-sum traces from before the synthetic sum's full values came
 # from its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
-# the abs-fan logistic trace from before the logistic dense Hessian became
-# one rank-k product; the adam logistic trace from before the logistic
-# oracle read its batch out of one blocked pass over X; the two
-# approximate-test traces from before a step below the batch cap took its
-# batch loss and gradient from ``loss_grad_sub`` (``loss_grad_sub_full``
-# when traced) and not its gradient from the mean of ``component_grads``,
-# which now serve the test's variance only. The counters must not move;
-# the floats may move by rounding only.
+# the three logistic traces from before the logistic link was computed with
+# numpy (``-y / (1 + exp(z))`` and ``e / (1 + e)²``, not from scipy's
+# ``expit``); the approximate-test quadratic trace from before a step below
+# the batch cap took its batch loss and gradient from ``loss_grad_sub``
+# (``loss_grad_sub_full`` when traced) and not its gradient from the mean of
+# ``component_grads``, which now serve the test's variance only. The
+# counters must not move; the floats may move by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 # All eight traces as first pinned, when the golden digests were added and
 # before any re-pin. Each re-pin is checked against its parent's trace

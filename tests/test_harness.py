@@ -784,7 +784,7 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep([])
 
-    @pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")])
+    @pytest.mark.parametrize("caller, seen", [(None, 1), ("2", min(2, len(os.sched_getaffinity(0))))])
     def test_parallel_workers_start_with_one_blas_thread(self, caller, seen, monkeypatch):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
@@ -792,7 +792,8 @@ class TestSweep:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
         configs = [base_config(epochs=0.1, seed=s) for s in (0, 1)]
         summaries = run_many(configs, parallel=2)
-        assert [s["openblas_num_threads"] for s in summaries] == [seen, seen]
+        # base_config's fan factors, so each worker has loaded both libraries
+        assert [s["blas_threads"] for s in summaries] == [{"numpy": seen, "scipy": seen}] * 2
         assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
         assert "OMP_NUM_THREADS" not in os.environ
 
@@ -839,10 +840,10 @@ def _write_mushrooms_like(path, n_rows=8124, seed=12345):
 
 
 class TestRealDataPath:
-    # Taken with a loader that did not yet compare the row count with the
-    # manifest and loads this file the same way, so the pin guards the
-    # parsed form, the split and the run together.
-    TRACE_SHA256 = "c314a5863f2517268cb1d6a7bcf6f81ec63fd6d52d3c7ca7f6055ad7eb8cd9df"
+    # Re-pinned when the logistic link moved to numpy (the floats moved by at
+    # most 2e-15 relative); the pin guards the parsed form, the split and the
+    # run together.
+    TRACE_SHA256 = "ca3eb611da3bea9f99c85116d24a7f2ef616ffffac620f17f29a23eab17b00be"
 
     @pytest.mark.parametrize("n_rows", [5600, 8125])
     def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,53 @@ class TestLogisticOracle:
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="labels"):
             LogisticProblem(np.ones((3, 2)), np.array([0.0, 1.0, -1.0]))
+
+
+TAIL_MARGINS = (40.0, -40.0, 700.0, -700.0, 1e4, -1e4)
+
+
+def _tail_problem():
+    """Rows ``[y z, 1]`` for each tail margin ``z`` and label ``y``, read at ``w = e_0``.
+
+    Row ``i``'s margin is ``y_i^2 z_i = z_i``, and ``w`` is 0 in column 1,
+    so column 1 of a one-row batch's gradient is the row's data term alone,
+    ``-y σ(-z)``, with no regularizer added to it.
+    """
+    z = np.repeat(TAIL_MARGINS, 2)
+    y = np.tile([1.0, -1.0], len(TAIL_MARGINS))
+    return LogisticProblem(np.column_stack([y * z, np.ones_like(z)]), y), np.array([1.0, 0.0]), z, y
+
+
+def _within_ulps(value, reference, ulps=4):
+    return abs(value - reference) <= ulps * np.finfo(float).eps * abs(reference)
+
+
+class TestLogisticLinkTails:
+    """One-row batches at margins far in the link's tails: finite values, no
+    overflow warning, and the tail coefficient to a few ulp, where ``1 - σ(z)``
+    rounds to 0 from ``z`` of about 37."""
+
+    @pytest.mark.parametrize("row", range(2 * len(TAIL_MARGINS)))
+    def test_finite_and_accurate_with_no_warning(self, row):
+        oracle, w, z, y = _tail_problem()
+        sample = np.array([row])
+        # -y σ(-z) = -y exp(-log(1 + e^z)), and σ(z)σ(-z) likewise
+        coeff = -y[row] * np.exp(-np.logaddexp(0.0, z[row]))
+        weight = np.exp(-np.logaddexp(0.0, z[row]) - np.logaddexp(0.0, -z[row]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = oracle.loss_grad_sub(w, sample)
+            _, grad_from_pass, _ = oracle.loss_grad_sub_full(w, sample)
+            row_grad = oracle.component_grads(w, sample)[0]
+            hv = oracle.hvp_sub(w, sample, np.array([1.0, 0.0]))
+            h = oracle.hessian_sub(w, sample)
+        assert np.isfinite(loss) and loss == pytest.approx(np.logaddexp(0.0, -z[row]) + 0.5 / oracle.n)
+        for g in (grad, grad_from_pass, row_grad):
+            assert np.all(np.isfinite(g))
+            assert _within_ulps(g[1], coeff), (g[1], coeff)
+        assert np.all(np.isfinite(hv)) and np.all(np.isfinite(h))
+        # column 1 of H e_0 is the weight times x_0 x_1 = y z, with no regularizer
+        assert _within_ulps(hv[1], weight * y[row] * z[row]), (hv[1], weight * y[row] * z[row])
 
 
 class TestSyntheticSum:
