@@ -20,7 +20,7 @@ The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag, epoch-equivalent compute, seed, config echo and hash, and
-the thread count each loaded BLAS library reports, see :func:`_blas_threads`)
+the thread count numpy's BLAS library reports, see :func:`_blas_threads`)
 atomically into it. Sweeps execute many configs, optionally across spawned
 worker processes, and reduce to a table with one row per config but its
 seed.
@@ -57,6 +57,7 @@ from . import BLAS_THREAD_VARS
 from . import rng as rng_mod
 from .data import MANIFESTS, load_dataset
 from .averaging import UpdateFrequencyPolicy
+from .linalg import numpy_blas
 from .optimizers import (
     AlphaConstant,
     AlphaStepDecay,
@@ -460,34 +461,19 @@ class RunResult:
     summary: dict
 
 
-# The thread-count getter of each OpenBLAS build a run can load, by the
-# package that links it: numpy's ``libscipy_openblas64_`` runs its products
-# and ``eigh``, scipy's ``libscipy_openblas`` the LAPACK calls of ``linalg``.
-BLAS_THREAD_GETTERS = {"numpy": "scipy_openblas_get_num_threads64_", "scipy": "scipy_openblas_get_num_threads"}
+# The thread-count getter of numpy's OpenBLAS (``libscipy_openblas64_``),
+# which runs numpy's products and ``eigh`` and the LAPACK calls of ``linalg``.
+BLAS_THREAD_GETTER = "scipy_openblas_get_num_threads64_"
 
 
-def _blas_threads() -> dict[str, Optional[int]]:
-    """The thread count each OpenBLAS library this process has mapped reports.
-
-    The libraries are found in ``/proc/self/maps``, so reading a count never
-    loads one. A count is None when its library is not loaded (scipy's, in a
-    run that factors nothing), when the library lacks the getter, or when
-    the process has no ``/proc/self/maps``.
-    """
-    counts = dict.fromkeys(BLAS_THREAD_GETTERS)
-    try:
-        with open("/proc/self/maps") as fh:
-            maps = [line.rstrip("\n").split(maxsplit=5) for line in fh if "openblas" in line]
-    except OSError:
-        return counts
-    for path in sorted({m[5] for m in maps if len(m) == 6}):
-        lib = ctypes.CDLL(path)
-        for package, symbol in BLAS_THREAD_GETTERS.items():
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts[package] = getter()
-    return counts
+def _blas_threads() -> Optional[int]:
+    """The thread count numpy's OpenBLAS reports, or None when it lacks the
+    getter. It is read through the handle ``linalg`` binds LAPACK with."""
+    getter = getattr(numpy_blas(), BLAS_THREAD_GETTER, None)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
 
 
 def _rolling(values: list[float], window: int) -> list[float]:

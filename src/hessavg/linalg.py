@@ -13,21 +13,20 @@ eigenvalue (LAPACK ``dsyevr`` over an index range) and no
 or a shift pays for the full decomposition on top. Either way a call
 makes one or two eigensolves and no factorization.
 
-The LAPACK routines (``dsyevr``, ``dpotrf``, ``dpotrs``) come from
-``scipy.linalg``, which this module imports once per process, on the first
-eigensolve or factorization (:func:`_lapack`), and not at import: a run
-whose method factors nothing (sgd, adam, dan, dan2, adahessian) never loads
-scipy. :class:`NotPositiveDefiniteError` derives from
-``numpy.linalg.LinAlgError``, the class ``scipy.linalg`` exports under the
-same name.
+The LAPACK routines (``dsyevr``, ``dpotrf``, ``dpotrs``) are those of the
+OpenBLAS that numpy links and has already loaded, called through ``ctypes``
+(:func:`_lapack`, bound on the first call in a process). Nothing else is
+loaded for them, and no scipy: no hessavg process imports it.
 """
 
 from __future__ import annotations
 
+import ctypes
 from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy._core import _multiarray_umath
 from numpy.linalg import LinAlgError
 from numpy.typing import NDArray
 
@@ -40,24 +39,122 @@ __all__ = [
     "pd_modify",
     "spd_solve",
     "weighted_norm_sq",
+    "numpy_blas",
 ]
 
 SYM_RTOL = 1e-12
 
 
 @cache
-def _lapack():
-    """``scipy.linalg.lapack``, imported on the first call in a process."""
-    from scipy.linalg import lapack
+def numpy_blas() -> ctypes.CDLL:
+    """numpy's core extension module, opened with ``ctypes``.
 
-    return lapack
+    Its symbols resolve through the libraries it links, so this handle finds
+    those of the OpenBLAS (``libscipy_openblas64_``) that runs numpy's
+    products and ``eigh``. Opening it maps nothing new.
+    """
+    return ctypes.CDLL(_multiarray_umath.__file__)
+
+
+def _address(a: NDArray) -> int:
+    """Where the data of a writable C-contiguous array starts (cheaper than
+    ``a.ctypes.data``, which builds an object on each access)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+# A routine's count of arguments, each passed by pointer, and of character
+# arguments among them: gfortran passes one hidden length per character
+# argument after the others.
+_ROUTINES = {"dsyevr": (21, 3), "dpotrf": (5, 1), "dpotrs": (8, 1)}
+# The zero passed as dsyevr's vl, vu and abstol, which it only reads.
+_ZERO = ctypes.c_double(0.0)
+
+
+class _Lapack:
+    """``dsyevr``, ``dpotrf`` and ``dpotrs`` of numpy's OpenBLAS.
+
+    The routines are the ILP64 Fortran ones (``scipy_<name>_64_``), so
+    every integer argument is 64-bit. A matrix passed in is one that
+    :func:`check_symmetric` accepted. Each call passes LAPACK fresh
+    C-ordered arrays, which LAPACK reads column-major, as their transposes;
+    the matrix is exactly symmetric, so that copy of it holds the same
+    values. Neither input is written to, and every argument, integers
+    included, is made anew in each call, so calls from several threads
+    share nothing.
+    """
+
+    def __init__(self, lib):
+        for name, (n_args, n_chars) in _ROUTINES.items():
+            symbol = f"scipy_{name}_64_"
+            try:
+                routine = getattr(lib, symbol)
+            except AttributeError:
+                raise ImportError(f"numpy's BLAS library lacks the LAPACK routine {symbol}") from None
+            routine.argtypes = [ctypes.c_void_p] * n_args + [ctypes.c_size_t] * n_chars
+            routine.restype = None
+            setattr(self, f"_{name}", routine)
+
+    def dsyevr(self, a: NDArray) -> tuple[NDArray, int]:
+        """The smallest eigenvalue of ``a``, as a length-1 array, and ``info``.
+
+        The arguments are those scipy's ``dsyevr(a, compute_v=0, range="I",
+        il=1, iu=1)`` passes, its workspace sizes included: ``lwork = 26n``
+        and ``liwork = 10n``. The optimal ``lwork`` moves the eigenvalue's
+        last bits at d of 200 and more.
+        """
+        n = a.shape[0]
+        # rows: the matrix, w, a dummy z (not referenced), 26 of work
+        buf = np.empty((n + 28, n))
+        buf[:n] = a
+        # n; il = iu = ldz = 1; lwork; liwork; m; info; then isuppz (2n), iwork (10n)
+        ints = (ctypes.c_int64 * (6 + 12 * n))(n, 1, 26 * n, 10 * n)
+        i, f, zero = ctypes.addressof(ints), _address(buf), ctypes.addressof(_ZERO)
+        row = 8 * n
+        self._dsyevr(b"N", b"I", b"U", i, f, i, zero, zero, i + 8, i + 8, zero, i + 32,
+                     f + n * row, f + (n + 1) * row, i + 8, i + 48, f + (n + 2) * row, i + 16,
+                     i + 48 + 16 * n, i + 24, i + 40, 1, 1, 1)
+        return buf[n, :1].copy(), ints[5]
+
+    def dpotrf(self, h: NDArray) -> tuple[NDArray, int]:
+        """The Cholesky factor ``L`` of ``h`` and ``info``, as scipy's
+        ``dpotrf(h, lower=1, clean=0)`` returns them: ``L`` in the lower
+        triangle of an F-ordered array whose strict upper triangle is ``h``'s."""
+        c = np.array(h, dtype=float, order="C")
+        ints = (ctypes.c_int64 * 2)(h.shape[0])
+        i = ctypes.addressof(ints)
+        self._dpotrf(b"L", i, _address(c), i, i + 8, 1)
+        return c.T, ints[1]
+
+    def dpotrs(self, factor: NDArray, g: NDArray) -> tuple[NDArray, int]:
+        """The solution of ``L L^T x = g`` for a factor from :meth:`dpotrf`,
+        in ``g``'s shape, and ``info``."""
+        b = np.array(g.T, dtype=float, order="C")
+        ints = (ctypes.c_int64 * 3)(factor.shape[0], 1 if g.ndim == 1 else g.shape[1])
+        i = ctypes.addressof(ints)
+        self._dpotrs(b"L", i, i + 8, _address(factor.T), i, _address(b), i, i + 16, 1)
+        return b.T, ints[2]
+
+
+@cache
+def _lapack() -> _Lapack:
+    """The LAPACK binding, made on the first call in a process.
+
+    Raises
+    ------
+    ImportError
+        If numpy's BLAS library lacks one of the routines; the message
+        names it.
+    """
+    return _Lapack(numpy_blas())
 
 
 class NotPositiveDefiniteError(LinAlgError):
-    """Raised when a Cholesky factorization hits a non-positive pivot.
+    """Raised when ``dpotrf`` finds a leading minor that is not positive
+    definite; the message names its order.
 
-    Callers should run the offending matrix through :func:`pd_modify`
-    and retry.
+    It derives from ``numpy.linalg.LinAlgError``, the class numpy raises
+    for the same failure. Callers should run the offending matrix through
+    :func:`pd_modify` and retry.
     """
 
 
@@ -84,12 +181,12 @@ def check_symmetric(a: NDArray, *, rtol: float = SYM_RTOL) -> NDArray:
     Raises
     ------
     ValueError
-        If ``a`` is not square, contains non-finite entries, or has an
-        asymmetry exceeding ``rtol * max(1, |a_ij|)`` in any entry.
+        If ``a`` is not square, is empty, contains non-finite entries, or
+        has an asymmetry exceeding ``rtol * max(1, |a_ij|)`` in any entry.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if np.array_equal(a, a.T):
@@ -120,10 +217,10 @@ def sym_eig(a: NDArray, vectors: bool = True) -> EigDecomposition:
     """
     a = check_symmetric(a)
     if not vectors:
-        w, _, _, _, info = _lapack().dsyevr(a, compute_v=0, range="I", il=1, iu=1)
+        w, info = _lapack().dsyevr(a)
         if info != 0:
             raise LinAlgError(f"dsyevr failed with info={info}")
-        return EigDecomposition(w[:1], None)
+        return EigDecomposition(w, None)
     vals, vecs = np.linalg.eigh(a)
     return EigDecomposition(vals, vecs)
 
@@ -178,10 +275,10 @@ def spd_solve(h: NDArray, g: NDArray) -> NDArray:
     """Solve ``H x = g`` for symmetric positive-definite ``H`` via Cholesky.
 
     ``g`` may be a vector or a matrix of stacked right-hand sides. LAPACK
-    ``dpotrf``/``dpotrs`` are called directly, with the arguments scipy's
-    ``cho_factor``/``cho_solve`` pass them, so the result has the same bits
-    without those wrappers' checks and copies. Neither ``h`` nor ``g`` is
-    overwritten.
+    ``dpotrf``/``dpotrs`` are called through :func:`_lapack` with the
+    arguments scipy's ``cho_factor``/``cho_solve`` pass them; the factor
+    has the bits of ``np.linalg.cholesky(h)``, which runs the same
+    ``dpotrf``. Neither ``h`` nor ``g`` is overwritten.
 
     Raises
     ------
@@ -196,14 +293,14 @@ def spd_solve(h: NDArray, g: NDArray) -> NDArray:
     if g.ndim not in (1, 2) or g.shape[0] != h.shape[0]:
         raise ValueError(f"right-hand side of shape {g.shape} does not fit a matrix of shape {h.shape}")
     lapack = _lapack()
-    factor, info = lapack.dpotrf(h, lower=1, clean=0)
+    factor, info = lapack.dpotrf(h)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed at leading minor {info}; matrix is not positive definite"
         )
     if info < 0:
         raise LinAlgError(f"dpotrf: illegal value in argument {-info}")
-    x, info = lapack.dpotrs(factor, g, lower=1)
+    x, info = lapack.dpotrs(factor, g)
     if info != 0:
         raise LinAlgError(f"dpotrs: illegal value in argument {-info}")
     return x

@@ -37,14 +37,14 @@ read holds at most ``_CHUNK`` matrices.
 
 The logistic link is computed with numpy, so this module imports no scipy.
 Of the three oracles only the synthetic sum factors a matrix, in the Newton
-refinement of its optimum (:func:`~hessavg.linalg.spd_solve`), and that call
-is what loads ``scipy.linalg``. A logistic row's gradient coefficient is
-``-y / (1 + exp(z))``, which is ``-y·σ(-z)`` with its relative accuracy kept
-in the tail, where ``1 - σ(z)`` rounds to 0 once ``z`` passes about 37. Its
-curvature weight ``σ(z)(1 - σ(z))`` is ``e / (1 + e)²`` with
-``e = exp(-|z|)``, which cannot overflow. ``exp(z)`` overflows to ``inf``
-above ``z`` of about 709, where the coefficient rounds to 0 anyway; that
-overflow is expected and silenced.
+refinement of its optimum (:func:`~hessavg.linalg.spd_solve`, which runs
+``dpotrf`` and ``dpotrs`` in numpy's OpenBLAS). A logistic row's gradient
+coefficient is ``-y / (1 + exp(z))``, which is ``-y·σ(-z)`` with its
+relative accuracy kept in the tail, where ``1 - σ(z)`` rounds to 0 once
+``z`` passes about 37. Its curvature weight ``σ(z)(1 - σ(z))`` is
+``e / (1 + e)²`` with ``e = exp(-|z|)``, which cannot overflow. ``exp(z)``
+overflows to ``inf`` above ``z`` of about 709, where the coefficient rounds
+to 0 anyway; that overflow is expected and silenced.
 """
 
 from __future__ import annotations

@@ -44,12 +44,12 @@ def test_importing_the_package_loads_no_numpy():
 @pytest.mark.parametrize("caller, seen", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, min(2, len(os.sched_getaffinity(0))))],
                          ids=["unset", "set"])
 def test_a_run_uses_one_blas_thread_unless_the_caller_sets_it(tmp_path, caller, seen):
-    # fan factors, so both numpy's and scipy's OpenBLAS are loaded and report
+    # one OpenBLAS runs numpy's products and fan's LAPACK calls
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
     _python(["-m", "hessavg", "run", str(cfg), "--out", str(tmp_path / "run")], **caller)
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["blas_threads"] == {"numpy": seen, "scipy": seen}
+    assert summary["blas_threads"] == seen
 
 
 def test_the_console_script_is_the_pinning_entry():

@@ -59,7 +59,7 @@ GOLDEN = {
             "epochs": 4,
             "trace_interval": 1,
         },
-        "4d1a614fa3af0c429a970c61b67ed49375690e0fa589fc8c4e2d1896d0278893",
+        "aab76c8c7efe4782b43c04bc94c57b9ad6db18186acca4542b457874df7aa097",
     ),
     "fan_sum_cyclic_exact_inverse_hessian": (
         {
@@ -73,7 +73,7 @@ GOLDEN = {
             "epochs": 10,
             "seed": 3,
         },
-        "94748fd63cee0d0151809e01e290d4c23868b18621302bb275fc542a3e0652aa",
+        "055a96e5ab91c09781a0834a2335feecac2751e9caf82f1ab21002b4294e1997",
     ),
     "fan_abs_logistic_exact_decaying": (
         {
@@ -88,7 +88,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "163cf90fc6838d7e2aab2c26efcde5e9182297bebfc330a8478dc8f1e8e0c56c",
+        "ad1ce4a85d3d95bbb89e3cf18e3849d6e5bdd848ab790086094f385de81b249e",
     ),
     "dan_logistic_approx": (
         {
@@ -137,11 +137,14 @@ def test_trace_matches_golden_digest(name, tmp_path):
 
 
 # Traces pinned before a change that moved floats on purpose: the three
-# synthetic-sum traces from before the synthetic sum's full values came
-# from its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
-# the three logistic traces from before the logistic link was computed with
-# numpy (``-y / (1 + exp(z))`` and ``e / (1 + e)²``, not from scipy's
-# ``expit``); the approximate-test quadratic trace from before a step below
+# traces of a method that factors (fan and subnewton) from before
+# ``dpotrf`` and ``dsyevr`` ran in numpy's OpenBLAS, not in scipy's older
+# one, whose Cholesky factors differ in their last bits; the synthetic-sum
+# adahessian trace from before the synthetic sum's full values came from
+# its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
+# the logistic adam and dan traces from before the logistic link was
+# computed with numpy (``-y / (1 + exp(z))`` and ``e / (1 + e)²``, not from
+# scipy's ``expit``); the approximate-test quadratic trace from before a step below
 # the batch cap took its batch loss and gradient from ``loss_grad_sub``
 # (``loss_grad_sub_full`` when traced) and not its gradient from the mean of
 # ``component_grads``, which now serve the test's variance only. The

@@ -792,8 +792,8 @@ class TestSweep:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
         configs = [base_config(epochs=0.1, seed=s) for s in (0, 1)]
         summaries = run_many(configs, parallel=2)
-        # base_config's fan factors, so each worker has loaded both libraries
-        assert [s["blas_threads"] for s in summaries] == [{"numpy": seen, "scipy": seen}] * 2
+        # base_config's fan factors, in the same OpenBLAS as numpy's products
+        assert [s["blas_threads"] for s in summaries] == [seen] * 2
         assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
         assert "OMP_NUM_THREADS" not in os.environ
 
@@ -840,10 +840,11 @@ def _write_mushrooms_like(path, n_rows=8124, seed=12345):
 
 
 class TestRealDataPath:
-    # Re-pinned when the logistic link moved to numpy (the floats moved by at
-    # most 2e-15 relative); the pin guards the parsed form, the split and the
-    # run together.
-    TRACE_SHA256 = "ca3eb611da3bea9f99c85116d24a7f2ef616ffffac620f17f29a23eab17b00be"
+    # Re-pinned when the logistic link moved to numpy, and again when the
+    # Cholesky factorization moved to numpy's OpenBLAS (the floats moved by
+    # at most 2e-15 relative each time); the pin guards the parsed form, the
+    # split and the run together.
+    TRACE_SHA256 = "b8851c7705b3ba67d60e9b292b19c4c6aca09dab5f2a9cac58ead95905dda32a"
 
     @pytest.mark.parametrize("n_rows", [5600, 8125])
     def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):

@@ -1,10 +1,10 @@
-"""What a hessavg process loads: scipy only once a run factors a matrix.
+"""No hessavg process loads scipy.
 
-``linalg`` imports scipy's LAPACK on its first eigensolve or factorization,
-and the logistic link is computed with numpy, so a run whose method factors
-nothing never loads scipy. The runs are checked in a fresh interpreter,
-since this one has loaded scipy already; the source check keeps a
-module-level scipy import from coming back.
+The logistic link is computed with numpy, and ``linalg`` calls ``dsyevr``,
+``dpotrf`` and ``dpotrs`` in the OpenBLAS numpy links, so no run needs
+scipy, whatever its method. The runs are checked in a fresh interpreter,
+since this one has loaded scipy already (the tests compare against it); the
+source check keeps a scipy import from coming back anywhere in the package.
 """
 
 import ast
@@ -21,6 +21,8 @@ PACKAGE = sorted((SRC / "hessavg").glob("*.py"))
 
 LOGISTIC = {"kind": "synthetic_logistic", "n": 300, "d": 10, "seed": 0}
 QUADRATIC = {"kind": "quadratic", "d": 12, "seed": 1}
+# curvature > 0: the optimum is polished by Newton steps through spd_solve
+RIPPLED_SUM = {"kind": "synthetic_sum", "n_components": 16, "d": 6, "curvature": 1.0, "seed": 0}
 HESS = {"hess": {"kind": "iid", "size": 8}}
 ALPHA = {"alpha": {"kind": "constant", "alpha": 0.1}}
 
@@ -36,62 +38,44 @@ def _config(problem, method, grad, hess=True):
     }
 
 
-# Every method that keeps no full Hessian, each through a norm test where it
-# can, so the runs read full gradients, component gradients and Hessian
-# samples. sgd and adam read no Hessian sampler.
-FACTOR_FREE = {
+# Every method, each through a norm test where it can, so the runs read full
+# gradients, component gradients and Hessian samples; fan and subnewton
+# factor on every step. sgd and adam read no Hessian sampler.
+RUNS = {
     "dan": _config(LOGISTIC, {"name": "dan", "eps": 1e-2}, {"mode": "approx_norm_test", "initial_size": 8}),
     "dan2": _config(LOGISTIC, {"name": "dan2", "eps": 1e-2}, {"mode": "exact_norm_test", "initial_size": 8}),
     "adahessian": _config(LOGISTIC, {"name": "adahessian"}, {"mode": "fixed", "size": 16}),
     "adam": _config(LOGISTIC, {"name": "adam"}, {"mode": "fixed", "size": 16}, hess=False),
     "sgd": _config(QUADRATIC, {"name": "sgd"}, {"mode": "fixed", "size": 16}, hess=False),
+    "sgd on a rippled sum": _config(RIPPLED_SUM, {"name": "sgd"}, {"mode": "fixed", "size": 8}, hess=False),
+    "subnewton": _config(LOGISTIC, {"name": "subnewton"}, {"mode": "exact_norm_test", "initial_size": 8}),
+    "fan": _config(QUADRATIC, {"name": "fan"}, {"mode": "fixed", "size": 16}),
 }
-FAN = _config(QUADRATIC, {"name": "fan"}, {"mode": "fixed", "size": 16})
 
 SCRIPT = """
 import json, sys
-from hessavg import optimizers
-from hessavg.harness import ExperimentConfig, build_context, run_experiment
+from hessavg import linalg
+from hessavg.harness import ExperimentConfig, run_experiment
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-factor_free, fan = json.loads(sys.argv[1])
 seen = {}
-for name, raw in factor_free.items():
+for name, raw in json.loads(sys.argv[1]).items():
     run_experiment(ExperimentConfig.from_dict(raw))
-    seen[name] = scipy_modules()
-ctx, w0 = build_context(ExperimentConfig.from_dict(fan))
-seen["fan built"] = scipy_modules()
-optimizers.step(ctx, optimizers.init_state(ctx.method, ctx.oracle, w0))
-seen["fan stepped"] = scipy_modules()
+    seen[name] = {
+        "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        "lapack bound": linalg._lapack.cache_info().currsize == 1,
+    }
 print(json.dumps(seen))
 """
 
 
-def test_only_a_factorization_loads_scipy():
+def test_no_run_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([FACTOR_FREE, FAN])], env=env, capture_output=True, text=True
-    )
+    done = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(RUNS)], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    for name in [*FACTOR_FREE, "fan built"]:
-        assert seen[name] == [], name
-    assert "scipy.linalg" in seen["fan stepped"]
-
-
-def _module_level_imports(tree):
-    """Import statements that run when the module is imported: those outside
-    any function body (class bodies and ``if``/``try`` blocks included)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
+    assert {name: s["scipy"] for name, s in seen.items()} == dict.fromkeys(RUNS, [])
+    # the rippled sum's optimum is the first factorization of the process
+    assert [s["lapack bound"] for s in seen.values()] == [False] * 5 + [True] * 3
 
 
 def _imported_roots(node):
@@ -101,7 +85,11 @@ def _imported_roots(node):
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
-def test_no_module_imports_scipy_at_import(path):
+def test_no_module_imports_scipy(path):
     tree = ast.parse(path.read_text(), str(path))
-    lines = [node.lineno for node in _module_level_imports(tree) if "scipy" in _imported_roots(node)]
-    assert not lines, f"{path.name} imports scipy at module level on lines {sorted(lines)}"
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in _imported_roots(node)
+    ]
+    assert not lines, f"{path.name} imports scipy on lines {sorted(lines)}"

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from hessavg import linalg
 from hessavg.linalg import (
@@ -308,12 +315,15 @@ class TestSpdSolve:
 
     @pytest.mark.parametrize("d", [1, 3, 50, 200, 500])
     @pytest.mark.parametrize("n_rhs", [None, 4])
-    def test_bitwise_scipy_cho_factor_and_cho_solve(self, d, n_rhs):
+    def test_bitwise_scipy_cho_solve_of_numpys_cholesky(self, d, n_rhs):
+        # numpy's dpotrf, the one spd_solve calls: scipy links an older
+        # OpenBLAS, whose factor differed in its last bits at d=200 on one
+        # BLAS thread; its dpotrs, given the same factor, does not
         rng = np.random.default_rng(d)
         h = random_spd(rng, d)
         g = rng.standard_normal(d if n_rhs is None else (d, n_rhs))
         h_in, g_in = h.copy(), g.copy()
-        ref = cho_solve(cho_factor(h, lower=True, check_finite=False), g, check_finite=False)
+        ref = cho_solve((np.linalg.cholesky(h), True), g, check_finite=False)
         x = spd_solve(h, g)
         assert x.shape == g.shape
         assert np.array_equal(x, ref)
@@ -323,6 +333,91 @@ class TestSpdSolve:
     def test_rejects_a_right_hand_side_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="right-hand side"):
             spd_solve(np.eye(3), np.ones(shape))
+
+
+def layouts(a):
+    """``a`` as C-ordered, F-ordered, a transposed view and a strided slice;
+    the transpose of a vector is the vector."""
+    strided = np.zeros(tuple(2 * n for n in a.shape), dtype=a.dtype)
+    view = strided[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "T": np.ascontiguousarray(a.T).T, "strided": view}
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("call", [
+        lambda h: sym_eig(h, vectors=False),
+        lambda h: pd_modify(h, 1e-3),
+        lambda h: spd_solve(h, np.zeros(0)),
+    ], ids=["sym_eig", "pd_modify", "spd_solve"])
+    def test_refused_with_its_shape(self, call):
+        # LAPACK's argument checks rejected it, from scipy as an f2py error
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            call(np.zeros((0, 0)))
+
+
+class TestLapackBinding:
+    @pytest.mark.parametrize("d", [1, 5, 40])
+    @pytest.mark.parametrize("n_rhs", [None, 1, 4])
+    def test_the_same_bits_from_every_layout(self, d, n_rhs):
+        rng = np.random.default_rng(10 + d)
+        h = random_spd(rng, d)
+        g = rng.integers(-9, 10, d if n_rhs is None else (d, n_rhs))
+        x_ref = spd_solve(h, g.astype(float))
+        eig_ref = sym_eig(h, vectors=False).eigenvalues
+        assert x_ref.shape == g.shape
+        for h_name, h_in in layouts(h).items():
+            h_before = h_in.copy()
+            assert sym_eig(h_in, vectors=False).eigenvalues.tobytes() == eig_ref.tobytes(), h_name
+            for g_name, g_in in layouts(g).items():
+                g_before = g_in.copy()
+                x = spd_solve(h_in, g_in)
+                assert x.shape == g.shape and np.array_equal(x, x_ref), (h_name, g_name)
+                assert np.array_equal(g_in, g_before)
+            assert np.array_equal(h_in, h_before)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
+    def test_the_factor_is_numpys_cholesky(self, d):
+        h = random_spd(np.random.default_rng(d), d)
+        factor, info = linalg._lapack().dpotrf(h)
+        assert info == 0
+        assert np.array_equal(np.tril(factor), np.linalg.cholesky(h))
+        # the strict upper triangle is left as it was
+        assert np.array_equal(np.triu(factor, 1), np.triu(h, 1))
+
+    @pytest.mark.parametrize("minor", [1, 3, 6])
+    def test_a_failed_factorization_names_its_minor(self, minor):
+        diag = np.ones(6)
+        diag[minor - 1] = -1.0
+        assert linalg._lapack().dpotrf(np.diag(diag))[1] == minor
+        with pytest.raises(NotPositiveDefiniteError, match=f"leading minor {minor};"):
+            spd_solve(np.diag(diag), np.ones(6))
+
+    def test_a_missing_routine_is_named(self):
+        with pytest.raises(ImportError, match="scipy_dsyevr_64_"):
+            linalg._Lapack(SimpleNamespace())
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_the_first_call_maps_no_new_library(self):
+        script = """
+import json
+import numpy as np
+from hessavg import linalg
+
+def mapped():
+    with open("/proc/self/maps") as fh:
+        return {line.split(maxsplit=5)[5].strip() for line in fh if len(line.split(maxsplit=5)) == 6}
+
+before = mapped()
+linalg.spd_solve(np.eye(3), np.ones(3))
+linalg.sym_eig(np.eye(3), vectors=False)
+print(json.dumps(sorted(mapped() - before)))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert [path for path in json.loads(done.stdout) if ".so" in path] == []
 
 
 class TestWeightedNorm:
