@@ -37,13 +37,11 @@ import ctypes
 import hashlib
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import tempfile
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, partial
@@ -601,6 +599,9 @@ def run_many(
     jobs = [(cfg.to_dict(), data_dir, out) for cfg, out in zip(configs, out_dirs)]
     if parallel <= 1 or len(jobs) <= 1:
         return [_run_one(job) for job in jobs]
+    # Imported here: only a parallel sweep needs the process machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread_for_workers(), ProcessPoolExecutor(max_workers=parallel, mp_context=spawn) as pool:
         return list(pool.map(_run_one, jobs))

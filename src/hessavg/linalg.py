@@ -1,8 +1,10 @@
 """Dense symmetric linear-algebra kernels.
 
 Everything here operates on plain ``numpy`` arrays. Matrices are small
-(d up to a few thousand), stored dense, and treated as exactly symmetric;
-callers are expected to go through :func:`pd_modify` before asking for a
+(d up to a few thousand), stored dense, and exactly symmetric: a matrix
+is made symmetric where it is built, and one with ``a != a^T`` in any bit
+is refused (:func:`check_symmetric`), never repaired. Callers are
+expected to go through :func:`pd_modify` before asking for a
 positive-definite solve.
 
 :func:`pd_modify` computes the smallest eigenvalue before any
@@ -42,8 +44,6 @@ __all__ = [
     "numpy_blas",
 ]
 
-SYM_RTOL = 1e-12
-
 
 @cache
 def numpy_blas() -> ctypes.CDLL:
@@ -74,11 +74,11 @@ class _Lapack:
     """``dsyevr``, ``dpotrf`` and ``dpotrs`` of numpy's OpenBLAS.
 
     The routines are the ILP64 Fortran ones (``scipy_<name>_64_``), so
-    every integer argument is 64-bit. A matrix passed in is one that
-    :func:`check_symmetric` accepted. Each call passes LAPACK fresh
-    C-ordered arrays, which LAPACK reads column-major, as their transposes;
-    the matrix is exactly symmetric, so that copy of it holds the same
-    values. Neither input is written to, and every argument, integers
+    every integer argument is 64-bit. A matrix passed in is exactly
+    symmetric, as its producer built it: :func:`check_symmetric` refused any
+    other. Each call passes LAPACK fresh C-ordered arrays, which LAPACK
+    reads column-major, as their transposes, so that copy of a matrix holds
+    its values. Neither input is written to, and every argument, integers
     included, is made anew in each call, so calls from several threads
     share nothing.
     """
@@ -171,38 +171,34 @@ class EigDecomposition(NamedTuple):
     eigenvectors: Optional[NDArray]
 
 
-def check_symmetric(a: NDArray, *, rtol: float = SYM_RTOL) -> NDArray:
-    """Validate that ``a`` is a finite, symmetric, square matrix.
+def check_symmetric(a: NDArray) -> NDArray:
+    """Validate that ``a`` is a finite, exactly symmetric, square matrix.
 
-    Returns the explicitly symmetrized matrix ``(a + a^T) / 2`` so that
-    downstream LAPACK calls see an exactly symmetric input. An input that
-    is already exactly symmetric is returned as is, not copied.
+    ``a`` is accepted only when ``a == a^T`` bit for bit, and is returned
+    as given (as a float array, not copied): its producer made it
+    symmetric, and nothing here repairs it.
 
     Raises
     ------
     ValueError
         If ``a`` is not square, is empty, contains non-finite entries, or
-        has an asymmetry exceeding ``rtol * max(1, |a_ij|)`` in any entry.
+        differs from its transpose in any entry; the message names the
+        pair with the largest gap.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if np.array_equal(a, a.T):
-        return a
-    gap = np.abs(a - a.T)
-    tol = rtol * np.maximum(1.0, np.abs(a))
-    if np.any(gap > tol):
-        i, j = np.unravel_index(np.argmax(gap - tol), a.shape)
-        raise ValueError(
-            f"matrix is not symmetric: |A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e}"
-        )
-    return 0.5 * (a + a.T)
+    if not np.array_equal(a, a.T):
+        gap = np.abs(a - a.T)
+        i, j = np.unravel_index(np.argmax(gap), a.shape)
+        raise ValueError(f"matrix is not symmetric: |A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e}")
+    return a
 
 
 def sym_eig(a: NDArray, vectors: bool = True) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of an exactly symmetric matrix.
 
     Eigenvalues come back in ascending order; the reconstruction
     ``U diag(vals) U^T`` matches the input to about 1e-9 relative in the
@@ -243,12 +239,14 @@ def pd_modify(h_hat: NDArray, mu_tilde: float) -> tuple[NDArray, bool]:
     eigenvalue still falls below ``mu_tilde``, shifts the whole spectrum
     up so the smallest eigenvalue equals ``mu_tilde``.
 
-    The smallest eigenvalue is computed first, on its own. When it is at
-    least ``mu_tilde``, ``|h_hat| = h_hat`` needs no shift, and a copy of
-    the symmetrized input is returned with no eigenvectors and no rebuild.
-    That copy is exact, where the rebuild ``U diag(vals) U^T`` carries
-    rounding in its last bits. Any other matrix pays for that one-eigenvalue
-    solve on top of the full decomposition.
+    The smallest eigenvalue is computed first, on its own, by the
+    eigensolve that also refuses an ``h_hat`` that is not exactly
+    symmetric. When it is at least ``mu_tilde``, ``|h_hat| = h_hat`` needs
+    no shift, and a copy of the input is returned with no eigenvectors and
+    no rebuild. That copy is exact, where the rebuild ``U diag(vals) U^T``
+    carries rounding in its last bits. Any other matrix pays for that
+    one-eigenvalue solve on top of the full decomposition; :func:`spd_solve`
+    validates the result again, as it does every matrix.
 
     Returns
     -------
@@ -258,7 +256,7 @@ def pd_modify(h_hat: NDArray, mu_tilde: float) -> tuple[NDArray, bool]:
     """
     if not mu_tilde > 0:
         raise ValueError(f"mu_tilde must be positive, got {mu_tilde}")
-    h = check_symmetric(h_hat)
+    h = np.asarray(h_hat, dtype=float)
     if sym_eig(h, vectors=False).eigenvalues[0] >= mu_tilde:
         return h.copy(), False
     vals, vecs = sym_eig(h)

@@ -5,6 +5,8 @@ The logistic link is computed with numpy, and ``linalg`` calls ``dsyevr``,
 scipy, whatever its method. The runs are checked in a fresh interpreter,
 since this one has loaded scipy already (the tests compare against it); the
 source check keeps a scipy import from coming back anywhere in the package.
+Nor does importing ``harness`` load ``multiprocessing``: only a parallel
+sweep starts worker processes.
 """
 
 import ast
@@ -76,6 +78,15 @@ def test_no_run_loads_scipy():
     assert {name: s["scipy"] for name, s in seen.items()} == dict.fromkeys(RUNS, [])
     # the rippled sum's optimum is the first factorization of the process
     assert [s["lapack bound"] for s in seen.values()] == [False] * 5 + [True] * 3
+
+
+def test_harness_loads_no_process_pool():
+    script = "import json, sys, hessavg.harness; print(json.dumps(sorted(set(sys.modules) & set(sys.argv[1:]))))"
+    modules = ["multiprocessing", "concurrent.futures.process"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script, *modules], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 def _imported_roots(node):

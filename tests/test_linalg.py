@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from hessavg import linalg
+from hessavg.averaging import FullAverageState
 from hessavg.linalg import (
     NotPositiveDefiniteError,
     check_symmetric,
@@ -169,9 +170,16 @@ def spectra(draw):
     return mu, mu * np.array(ratios), draw(st.integers(0, 2**32 - 1))
 
 
-def from_spectrum(vals, seed):
+def rotated(vals, seed):
+    """``Q diag(vals) Q^T`` for a random orthogonal ``Q``, as multiplied out:
+    its two triangles can differ in their last bits."""
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((vals.size, vals.size)))
     return (q * vals) @ q.T
+
+
+def from_spectrum(vals, seed):
+    h = rotated(vals, seed)
+    return 0.5 * (h + h.T)
 
 
 @st.composite
@@ -200,8 +208,7 @@ class TestSmallestEigenvalue:
     @settings(max_examples=300, deadline=None)
     def test_matches_eigvalsh(self, case):
         vals, seed = case
-        h = from_spectrum(vals, seed)
-        a = 0.5 * (h + h.T)
+        a = from_spectrum(vals, seed)
         smallest, vecs = sym_eig(a, vectors=False)
         assert vecs is None and smallest.shape == (1,)
         assert abs(smallest[0] - np.linalg.eigvalsh(a)[0]) <= 1e-12 * np.linalg.norm(a, 2)
@@ -233,19 +240,94 @@ class TestPdFloorProperties:
         lambda d: st.lists(st.floats(-1e300, 1e300), min_size=d * d, max_size=d * d).map(
             lambda xs: np.array(xs).reshape(d, d))))
     @settings(max_examples=200, deadline=None)
-    def test_check_symmetric_fast_path_is_exact(self, m):
+    def test_check_symmetric_returns_a_symmetric_input_itself(self, m):
         a = np.triu(m) + np.triu(m, 1).T
-        out = check_symmetric(a)
-        assert out is a
-        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert check_symmetric(a) is a
 
-    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(1e-9, 1e3))
+
+def nudged(a, i, j):
+    """``a`` with ``A[i, j]`` one ulp larger, so that only that pair differs."""
+    out = a.copy()
+    out[i, j] = np.nextafter(out[i, j], np.inf)
+    return out
+
+
+ENTRY_POINTS = {
+    "sym_eig": sym_eig,
+    "sym_eig values": lambda h: sym_eig(h, vectors=False),
+    "pd_modify": lambda h: pd_modify(h, 1e-3),
+    "spd_solve": lambda h: spd_solve(h, np.ones(len(h))),
+    "weighted_norm_sq": lambda h: weighted_norm_sq(np.ones(len(h)), inverse_of=h),
+}
+
+
+def refused_pair(i, j):
+    i, j = min(i, j), max(i, j)
+    return rf"matrix is not symmetric: \|A\[{i},{j}\] - A\[{j},{i}\]\| = "
+
+
+class TestExactSymmetry:
+    """A matrix is taken only when it equals its transpose bit for bit; any
+    other is refused, naming the pair with the largest gap, not repaired."""
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    @pytest.mark.parametrize("i, j", [(0, 1), (3, 1), (0, 4)])
+    def test_one_ulp_off_is_refused(self, call, i, j):
+        h = random_spd(np.random.default_rng(11), 5)
+        call(h)
+        with pytest.raises(ValueError, match=refused_pair(i, j)):
+            call(nudged(h, i, j))
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_an_unsymmetrized_rebuild_is_refused(self, call):
+        # from_spectrum's matrix before it is symmetrized
+        h = rotated(np.geomspace(1e-3, 1e3, 6), 0)
+        gap = np.abs(h - h.T)
+        assert gap.max() > 0
+        with pytest.raises(ValueError, match=refused_pair(*np.unravel_index(np.argmax(gap), gap.shape))):
+            call(h)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_check_symmetric_still_rejects_asymmetry(self, d, seed, gap):
+    def test_any_gap_is_refused(self, d, seed, data):
         a = random_symmetric(np.random.default_rng(seed), d, scale=10.0)
-        a[0, 1] += gap * max(1.0, abs(a[0, 1]))
-        with pytest.raises(ValueError, match="not symmetric"):
+        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        a[i, j] = data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != a[j, i]))
+        with pytest.raises(ValueError, match=refused_pair(i, j)):
             check_symmetric(a)
+
+
+class TestValidationCount:
+    """Each entry point validates its matrix once: pd_modify through its
+    first eigensolve, and spd_solve again, since it is an entry of its own."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+        original = linalg.check_symmetric
+
+        def spy(a):
+            seen.append(a)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "check_symmetric", spy)
+        return seen
+
+    def test_above_floor_once(self, checks):
+        pd_modify(random_spd(np.random.default_rng(6), 5, shift=1.0), 1e-3)
+        assert len(checks) == 1
+
+    def test_shift_path_twice(self, checks):
+        pd_modify(np.diag([-1.0, 2.0, 3.0]), 1e-3)
+        assert len(checks) == 2
+
+    def test_precondition_twice_per_call(self, checks):
+        rng = np.random.default_rng(12)
+        state = FullAverageState(5)
+        state.update(random_spd(rng, 5, shift=1.0))
+        for calls in (1, 2, 3):
+            state.precondition(rng.standard_normal(5), 1e-3)
+            assert len(checks) == 2 * calls
 
 
 class TestEigensolveCount:
