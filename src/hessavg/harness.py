@@ -212,6 +212,8 @@ class ExperimentConfig:
             raise ValueError("epochs must be nonnegative")
         if not self.trace_interval >= 1:
             raise ValueError("trace_interval must be >= 1")
+        if not self.rolling_f >= 0:
+            raise ValueError("rolling_f must be nonnegative")
         if not self.iters_per_epoch >= 1:
             raise ValueError("iters_per_epoch must be >= 1")
 
@@ -360,11 +362,11 @@ def _read_grad(sampling: dict, method: MethodSpec):
         limit = cap if cap is not None else n or DEFAULT_EXPECTATION_CAP
         if n:
             limit = min(limit, n)
-        # a table's first size is clamped to the cap, as the table's sizes are
-        first = min(initial_size, limit) if table else initial_size
         try:
             check_batch_sizes(key, sizes)
-            built = GradSampleController(mode=mode, initial_size=first, cap=limit, **table)
+            # the first batch is clamped to the cap, as every batch is, so
+            # an expectation's EEC divides by the batch a step draws
+            built = GradSampleController(mode=mode, initial_size=min(initial_size, limit), cap=limit, **table)
             _check_a_mode(a_mode, mode, method)
         except ValueError as err:
             raise ConfigError(f"bad {where}: {err}") from err

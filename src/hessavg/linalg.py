@@ -191,7 +191,9 @@ def check_symmetric(a: NDArray) -> NDArray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
-        gap = np.abs(a - a.T)
+        # finite entries of opposite sign near the float limit differ by inf
+        with np.errstate(over="ignore"):
+            gap = np.abs(a - a.T)
         i, j = np.unravel_index(np.argmax(gap), a.shape)
         raise ValueError(f"matrix is not symmetric: |A[{i},{j}] - A[{j},{i}]| = {gap[i, j]:.3e}")
     return a

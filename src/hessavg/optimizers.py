@@ -447,7 +447,8 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     # A norm test runs only while it can still grow the batch; a step at
     # the cap computes what a fixed-size step does. The batch loss and
     # gradient come from one call, with one full pass at w_k at most, shared
-    # by the trace snapshot and the exact test. The approximate test reads
+    # by the trace snapshot and the exact test. Both calls give the same
+    # batch values, so tracing a step never changes it. The approximate test reads
     # the per-component gradients for its variance only.
     traced = state.k % ctx.trace_interval == 0
     testing = ctx.controller.can_grow

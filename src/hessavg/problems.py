@@ -20,18 +20,21 @@ cached. Anything random (mask draws, batch index draws) is driven by an
 explicit ``numpy.random.Generator`` passed by the caller, so concurrent
 evaluation with independent streams is safe.
 
+On every oracle the batch values of
+:meth:`~FiniteSumOracle.loss_grad_sub_full` are those of
+:meth:`~FiniteSumOracle.loss_grad_sub` bit for bit, so whether a step also
+asks for the full gradient never changes its batch arithmetic.
+
 Full values never read a gathered copy of all rows. The logistic oracle's
-full pass streams over ``X`` in place, in row blocks that stay in cache, and
-:meth:`~FiniteSumOracle.loss_grad_sub_full` reads the batch loss and
-gradient out of that one pass, so a step reads ``X`` once; its batch
-values gather their rows in the same blocks, and all its sums round as
-blocked sums (see :class:`LogisticProblem`). The synthetic sum's full
-values come from its stored mean ``H̄`` and ``b̄`` and one flat pass over
-the ripple directions, so no full value reads the N component Hessians;
-a batch that holds every component exactly once has those full values
-(see :class:`SyntheticSumProblem`). The synthetic sum stores each exactly
-symmetric component Hessian as its packed upper triangle: its one large
-array holds N·d(d+1)/2 values. Its build adds two reused buffers of
+full gradient streams over ``X`` in place, in row blocks that stay in
+cache; its batch values gather their rows in the same blocks, so all its
+sums round as blocked sums (see :class:`LogisticProblem`). The synthetic
+sum's full values come from its stored mean ``H̄`` and ``b̄`` and one flat
+pass over the ripple directions, so no full value reads the N component
+Hessians; a batch that holds every component exactly once has those full
+values (see :class:`SyntheticSumProblem`). The synthetic sum stores each
+exactly symmetric component Hessian as its packed upper triangle: its one
+large array holds N·d(d+1)/2 values. Its build adds two reused buffers of
 ``_CHUNK`` matrices, and every other temporary of the build or of a batch
 read holds at most ``_CHUNK`` matrices.
 
@@ -79,9 +82,10 @@ class FiniteSumOracle(ABC):
     ``n_components`` is ``None`` for expectation problems, where sampling
     is unbounded.
 
-    A batch's loss and gradient have one source, :meth:`loss_grad_sub`
-    (or :meth:`loss_grad_sub_full`, which adds the full gradient); a caller
-    that wants only the gradient reads ``loss_grad_sub(w, sample)[1]``.
+    A batch's loss and gradient have one source, :meth:`loss_grad_sub`;
+    :meth:`loss_grad_sub_full` adds the full gradient and returns the same
+    batch values bit for bit. A caller that wants only the gradient reads
+    ``loss_grad_sub(w, sample)[1]``.
     :meth:`component_grads` serves the approximate norm test's variance;
     its rows' mean is the batch gradient up to rounding.
     """
@@ -104,14 +108,10 @@ class FiniteSumOracle(ABC):
     def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
         """Batch loss, batch gradient and full gradient at ``w``.
 
-        This default is equal bit for bit to ``(*loss_grad_sub(w, sample),
-        grad_full(w))``. Both finite-sum oracles override it, and their full
-        gradient stays bit for bit ``grad_full(w)``. ``LogisticProblem``
-        reads the batch out of its one pass over ``X``, so its batch values
-        can move in the last bits (see its docstring).
-        ``SyntheticSumProblem`` computes the full values once when the batch
-        covers the sum, and its batch values stay bitwise those of
-        ``loss_grad_sub``.
+        On every oracle the result equals ``(*loss_grad_sub(w, sample),
+        grad_full(w))`` bit for bit. The masked quadratic and the logistic
+        oracle use this default. ``SyntheticSumProblem`` overrides it only to
+        share the whole-sum terms when a batch covers the sum.
         """
         return (*self.loss_grad_sub(w, sample), self.grad_full(w))
 
@@ -296,7 +296,7 @@ def quadratic_generate(
 # ---------------------------------------------------------------------------
 
 
-# Bytes of X per block of the logistic oracle's one-pass stream: a block
+# Bytes of X per block of the logistic oracle's blocked pass: a block
 # must stay in one core's L2 cache (2 MiB on the 2-core Xeon measured)
 # between its margins and its gradient sums. For n=20000, d=300 and a batch
 # of 4096 on one BLAS thread, 512 KiB and 1 MiB tied; 256 KiB (more blocks,
@@ -312,24 +312,20 @@ class LogisticProblem(FiniteSumOracle):
     full objective is their mean. Labels must be +-1. The regularizer
     makes every subsampled Hessian at least ``I / n``, so ``mu = 1/n``.
 
-    Every pass over rows goes in blocks of whole groups of 8 rows,
-    ``_BLOCK_BYTES`` of ``X`` each, and finishes a block's margins and its
-    coefficient sum while the block is in cache. :meth:`grad_full` and
-    :meth:`loss_grad_sub_full` share one pass over ``X`` in place: each
-    block's margins go into the full margin vector, and the block's
-    coefficients times its rows are added to the full gradient sum. For a
-    batch, the same coefficients weighted by each row's count in the sample
-    give the batch sum, so a sample with repeats still gives the gathered
-    mean and no batch row is gathered. :meth:`loss_grad_sub` gathers the
-    sample's rows a block at a time, so a large batch never holds a copy
-    of all its rows; a repeated index is gathered, and counted, once per
-    occurrence.
+    :meth:`grad_full` and :meth:`loss_grad_sub` make one pass,
+    :meth:`_blocked_pass`, in blocks of whole groups of 8 rows,
+    ``_BLOCK_BYTES`` of ``X`` each, and finish a block's margins and its
+    coefficient sum while the block is in cache. The full gradient reads
+    ``X`` in place. A batch gathers its rows a block at a time, so a large
+    batch never holds a copy of all its rows; a repeated index is gathered,
+    and counted, once per occurrence. The fused
+    :meth:`~FiniteSumOracle.loss_grad_sub_full` is the interface default:
+    the batch call, then the full one.
 
     The blocked margins equal those of ``X @ w``. The blocked sums can
-    differ in the last bits from one product over all the rows, and the
-    batch values read from the full pass from those of the gathered batch.
-    A batch that fits in one block sums as one product. The gathered pass
-    over every row in order adds the same blocks in the same order as
+    differ in the last bits from one product over all the rows; a batch
+    that fits in one block sums as one product. The gathered pass over
+    every row in order adds the same blocks in the same order as
     :meth:`grad_full`, so its batch gradient is the full gradient bit for
     bit.
     """
@@ -388,20 +384,28 @@ class LogisticProblem(FiniteSumOracle):
         e = np.exp(-np.abs(z))
         return e / (1.0 + e) ** 2
 
-    def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
-        """Batch loss and gradient; the sample's rows are gathered one block
-        at a time, and each block's margins and coefficient sum are computed
-        while it is in cache."""
-        idx = _check_indices(sample, self.n)
-        z = np.empty(idx.size)
+    def _blocked_pass(self, w: NDArray, idx: Optional[NDArray] = None) -> tuple[NDArray, NDArray]:
+        """Margins of the rows ``idx`` and their coefficient sum ``sum_i c_i x_i``,
+        with ``c_i`` from :meth:`_coeff`, one block of rows at a time: each
+        block's margins and sum are computed while it is in cache.
+        ``idx=None`` reads every row of ``X`` in place; otherwise each block's
+        rows are gathered, once per occurrence of an index."""
+        m = self.n if idx is None else idx.size
+        z = np.empty(m)
         total = np.zeros(self.dim)
         with np.errstate(over="ignore"):
-            for start in range(0, idx.size, self._block_rows):
-                rows = idx[start : start + self._block_rows]
+            for start in range(0, m, self._block_rows):
+                block = slice(start, start + self._block_rows)
+                rows = block if idx is None else idx[block]
                 xb, yb = self.x[rows], self.y[rows]
-                zb = z[start : start + self._block_rows]
+                zb = z[block]
                 np.multiply(yb, xb @ w, out=zb)
                 total += self._coeff(yb, zb) @ xb
+        return z, total
+
+    def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
+        idx = _check_indices(sample, self.n)
+        z, total = self._blocked_pass(w, idx)
         return self._loss_of(w, z), total / idx.size + w / self.n
 
     def component_grads(self, w: NDArray, sample: NDArray) -> NDArray:
@@ -426,40 +430,11 @@ class LogisticProblem(FiniteSumOracle):
         h[np.diag_indices(self.dim)] += 1.0 / self.n
         return h
 
-    def _stream(self, w: NDArray, counts: Optional[NDArray] = None) -> tuple[NDArray, NDArray]:
-        """Margins of every row and the coefficient sums, in one blocked pass.
-
-        Row 0 of the sums is ``sum_i c_i x_i`` over all rows, with ``c_i``
-        from :meth:`_coeff`; row 1, present when per-row
-        ``counts`` are given, is ``sum_i counts_i c_i x_i``. Each row is
-        its own matrix-vector product, so row 0 rounds the same with or
-        without ``counts``.
-        """
-        z = np.empty(self.n)
-        sums = np.zeros((1 if counts is None else 2, self.dim))
-        with np.errstate(over="ignore"):
-            for start in range(0, self.n, self._block_rows):
-                block = slice(start, start + self._block_rows)
-                xb, yb = self.x[block], self.y[block]
-                zb = z[block]
-                np.multiply(yb, xb @ w, out=zb)
-                coeff = self._coeff(yb, zb)
-                sums[0] += coeff @ xb
-                if counts is not None:
-                    sums[1] += (coeff * counts[block]) @ xb
-        return z, sums
-
     def loss_full(self, w: NDArray) -> float:
         return self._loss_of(w, self._margins(w, None)[2])
 
     def grad_full(self, w: NDArray) -> NDArray:
-        return self._stream(w)[1][0] / self.n + w / self.n
-
-    def loss_grad_sub_full(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray, NDArray]:
-        idx = _check_indices(sample, self.n)
-        z, sums = self._stream(w, np.bincount(idx, minlength=self.n))
-        reg = w / self.n
-        return self._loss_of(w, z[idx]), sums[1] / idx.size + reg, sums[0] / self.n + reg
+        return self._blocked_pass(w)[1] / self.n + w / self.n
 
 
 def make_synthetic_logistic(

@@ -163,10 +163,11 @@ class GradSampleController:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "geometric_epochs" and not self.sizes:
             raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
-        check_batch_sizes("sizes", self.sizes)
-        check_batch_sizes("initial_size", (self.initial_size,))
+        # the cap first: a reader clamps the first batch to it
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
+        check_batch_sizes("sizes", self.sizes)
+        check_batch_sizes("initial_size", (self.initial_size,))
         if self.epochs_per_block < 1:
             raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
         self.current_size = min(self.initial_size, self.cap)

@@ -45,7 +45,7 @@ GOLDEN = {
             "epochs": 3,
             "seed": 4,
         },
-        "10b9d412cfba0ab5eff1295ca6adb0e2d3092afa5a6ededc8fc0c4397f4b3939",
+        "30f4d178915ea2d5f171da224a1338d3e1b3a7447b9a1eea1861b9a1c3f93b5d",
     ),
     "subnewton_sum_exact_inverse_hessian": (
         {
@@ -88,7 +88,7 @@ GOLDEN = {
             "epochs": 3,
             "trace_interval": 2,
         },
-        "ad1ce4a85d3d95bbb89e3cf18e3849d6e5bdd848ab790086094f385de81b249e",
+        "ad8c3de6c0312385f69e030df7fdd475b8d69fbdc9f1a3d1c1302f78b9ba9643",
     ),
     "dan_logistic_approx": (
         {
@@ -99,7 +99,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "89bddd92e9c976156b7388702eda1aa7984fe1abd956609f8a0f859ca4cadfb7",
+        "cfcae3cf242a4b71058ba8667812d60482d4eb12162e562745f927121412343f",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -136,19 +136,22 @@ def test_trace_matches_golden_digest(name, tmp_path):
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
 
 
-# Traces pinned before a change that moved floats on purpose: the three
-# traces of a method that factors (fan and subnewton) from before
-# ``dpotrf`` and ``dsyevr`` ran in numpy's OpenBLAS, not in scipy's older
-# one, whose Cholesky factors differ in their last bits; the synthetic-sum
-# adahessian trace from before the synthetic sum's full values came from
-# its stored means (H̄ w - b̄, not the mean of the N values H_i w - b_i);
-# the logistic adam and dan traces from before the logistic link was
-# computed with numpy (``-y / (1 + exp(z))`` and ``e / (1 + e)²``, not from
-# scipy's ``expit``); the approximate-test quadratic trace from before a step below
-# the batch cap took its batch loss and gradient from ``loss_grad_sub``
-# (``loss_grad_sub_full`` when traced) and not its gradient from the mean of
-# ``component_grads``, which now serve the test's variance only. The
-# counters must not move; the floats may move by rounding only.
+# Traces pinned before a change that moved floats on purpose: the two
+# synthetic-sum traces of a method that factors (fan and subnewton) from
+# before ``dpotrf`` and ``dsyevr`` ran in numpy's OpenBLAS, not in scipy's
+# older one, whose Cholesky factors differ in their last bits; the
+# synthetic-sum adahessian trace from before the synthetic sum's full values
+# came from its stored means (H̄ w - b̄, not the mean of the N values
+# H_i w - b_i); the three logistic traces (adam, dan and fan) from before a
+# traced or tested logistic step took its batch loss and gradient from
+# ``loss_grad_sub``, where they came from the full pass weighted by each
+# row's count in the batch, which rounded differently and so made the trace
+# interval change a run; the approximate-test quadratic trace from before a
+# step below the batch cap took its batch loss and gradient from
+# ``loss_grad_sub`` (``loss_grad_sub_full`` when traced) and not its
+# gradient from the mean of ``component_grads``, which now serve the test's
+# variance only. The counters must not move; the floats may move by
+# rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 # All eight traces as first pinned, when the golden digests were added and
 # before any re-pin. Each re-pin is checked against its parent's trace

@@ -450,10 +450,34 @@ class TestEveryKeyRead:
         result = run_experiment(dataclasses.replace(cfg, epochs=3 / 7))
         assert [r.k for r in result.records][-1] == 3
 
-    @pytest.mark.parametrize("key", ["epochs", "trace_interval", "iters_per_epoch"])
+    @pytest.mark.parametrize(
+        "grad",
+        [
+            {"mode": "exact_norm_test", "initial_size": 300, "cap": 256},
+            {"mode": "fixed", "size": 70000},  # above the default cap of 2**16
+            {"mode": "fixed", "size": 256},
+        ],
+        ids=["norm_test_above_its_cap", "fixed_above_the_default_cap", "fixed_below_the_cap"],
+    )
+    def test_an_expectation_epoch_is_one_eec(self, grad):
+        # EEC divides by the first batch a step draws, clamped to the cap:
+        # the first two read 0.853 and 0.936 when it divided by the size
+        # as written
+        cfg = base_config(
+            problem={"kind": "quadratic", "d": 4}, method={"name": "sgd"}, sampling={"grad": grad}, iters_per_epoch=10, epochs=1
+        )
+        last = run_experiment(cfg).records[-1]
+        assert (last.k, last.epoch, last.eec) == (10, 1.0, 1.0)
+
+    @pytest.mark.parametrize("key", ["epochs", "trace_interval", "rolling_f", "iters_per_epoch"])
     def test_nan_fails_the_range_checks(self, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(problem={}, method={}, **{key: math.nan})
+
+    @pytest.mark.parametrize("key, value", [("epochs", -1), ("trace_interval", 0), ("rolling_f", -3), ("iters_per_epoch", 0)])
+    def test_a_value_out_of_range_is_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            base_config(**{key: value})
 
     def test_the_readers_leave_the_config_as_given(self):
         # each reader takes keys from its own copy, so the hash in every
@@ -840,11 +864,13 @@ def _write_mushrooms_like(path, n_rows=8124, seed=12345):
 
 
 class TestRealDataPath:
-    # Re-pinned when the logistic link moved to numpy, and again when the
-    # Cholesky factorization moved to numpy's OpenBLAS (the floats moved by
-    # at most 2e-15 relative each time); the pin guards the parsed form, the
-    # split and the run together.
-    TRACE_SHA256 = "b8851c7705b3ba67d60e9b292b19c4c6aca09dab5f2a9cac58ead95905dda32a"
+    # Re-pinned when the logistic link moved to numpy, when the Cholesky
+    # factorization moved to numpy's OpenBLAS, and when a traced or tested
+    # logistic step took its batch values from loss_grad_sub, not from the
+    # count-weighted full pass (the floats moved by at most 3e-15 relative
+    # each time); the pin guards the parsed form, the split and the run
+    # together.
+    TRACE_SHA256 = "674a7af699c5a83626640b3b3865dff47e0ae2d4412e7738425321a548f8db2a"
 
     @pytest.mark.parametrize("n_rows", [5600, 8125])
     def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):

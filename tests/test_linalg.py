@@ -287,6 +287,13 @@ class TestExactSymmetry:
         with pytest.raises(ValueError, match=refused_pair(*np.unravel_index(np.argmax(gap), gap.shape))):
             call(h)
 
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_a_gap_past_the_float_limit_is_refused(self, call):
+        # finite mirrored entries whose difference overflows: the refusal,
+        # not an overflow warning, which the test config makes an error
+        with pytest.raises(ValueError, match=refused_pair(0, 1) + "inf"):
+            call(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=100, deadline=None)
     def test_any_gap_is_refused(self, d, seed, data):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hessavg.averaging import DiagAverageState, UpdateFrequencyPolicy
-from hessavg.harness import ExperimentConfig, RateReport, estimate_rates, run_experiment
+from hessavg.harness import ExperimentConfig, RateReport, build_context, estimate_rates, run_experiment
 from hessavg.linalg import matrix_abs, pd_modify, spd_solve
 from hessavg.optimizers import (
     AlphaConstant,
@@ -554,6 +554,61 @@ class TestNormTestOnlyBelowTheCap:
         ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=8, cap=8)
         with pytest.raises(ValueError, match="a_mode"):
             run(ctx, np.ones(8), epochs=0.05)
+
+
+# One small config of each problem kind, the rippled synthetic sum among them.
+_OBSERVED_PROBLEMS = {
+    "quadratic": ({"kind": "quadratic", "d": 8, "seed": 1}, 0.3),
+    "synthetic_sum": ({"kind": "synthetic_sum", "n_components": 64, "d": 6, "curvature": 2.0, "seed": 2}, 6),
+    "synthetic_logistic": ({"kind": "synthetic_logistic", "n": 400, "d": 12, "seed": 3}, 1),
+}
+_OBSERVED_METHODS = {"sgd": {"name": "sgd"}, "fan": {"name": "fan", "mu_tilde": 1e-3}, "dan": {"name": "dan", "rank": 2}}
+# The exact test reaches its cap within each run: a step below the cap makes
+# the fused call whether traced or not, one at the cap only when traced.
+_OBSERVED_GRADS = {
+    "fixed": {"mode": "fixed", "size": 16},
+    "exact_norm_test": {"mode": "exact_norm_test", "initial_size": 4, "cap": 32},
+}
+# grad_norm is written on traced steps only, so it is left out.
+_OBSERVED_FIELDS = ("k", "f", "x_size", "s_size", "hvp_probes", "eec", "dist_to_opt")
+
+
+class TestTraceIntervalOnlyObserves:
+    """A traced step makes the fused oracle call, an untraced one may not; both
+    give the same batch values, so how often a run is traced never changes it."""
+
+    @staticmethod
+    def _run(problem, method, grad, trace_interval):
+        spec, epochs = _OBSERVED_PROBLEMS[problem]
+        sampling = {"grad": _OBSERVED_GRADS[grad]}
+        if method != "sgd":
+            sampling["hess"] = {"kind": "iid", "size": 8}
+        cfg = ExperimentConfig.from_dict(
+            {
+                "problem": spec,
+                "method": _OBSERVED_METHODS[method],
+                "sampling": sampling,
+                "schedules": {"alpha": {"kind": "constant", "alpha": 0.5}, "theta": {"kind": "constant", "theta": 0.9}},
+                "epochs": epochs,
+                "trace_interval": trace_interval,
+                "seed": 5,
+            }
+        )
+        ctx, w0 = build_context(cfg)
+        return run(ctx, w0, cfg.epochs)
+
+    @pytest.mark.parametrize("grad", sorted(_OBSERVED_GRADS))
+    @pytest.mark.parametrize("method", sorted(_OBSERVED_METHODS))
+    @pytest.mark.parametrize("problem", sorted(_OBSERVED_PROBLEMS))
+    def test_every_step_traced_or_none_is_the_same_run(self, problem, method, grad):
+        every, every_records = self._run(problem, method, grad, 1)
+        rarely, rarely_records = self._run(problem, method, grad, 10**6)
+        assert every.k > 10
+        assert every_records[-1].x_size == (16 if grad == "fixed" else 32)  # the exact test ends at its cap
+        assert np.array_equal(every.w, rarely.w)
+        assert [[getattr(r, f) for f in _OBSERVED_FIELDS] for r in every_records] == [
+            [getattr(r, f) for f in _OBSERVED_FIELDS] for r in rarely_records
+        ]
 
 
 def _rate_report(method: str, seed: int, alpha: float = 1.0, norm_tested: bool = False) -> RateReport:
