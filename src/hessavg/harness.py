@@ -19,11 +19,11 @@ cyclic sampling needs a finite sum, and ``near_optimum`` needs a known optimum.
 The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
-divergence flag, epoch-equivalent compute, seed, config echo and hash, and
-the thread count numpy's BLAS library reports, see :func:`_blas_threads`)
-atomically into it. Sweeps execute many configs, optionally across spawned
-worker processes, and reduce to a table with one row per config but its
-seed.
+divergence flag and reason, epoch-equivalent compute, seed, config echo and
+hash, and the thread count numpy's BLAS library reports, see
+:func:`_blas_threads`) atomically into it. Sweeps execute many configs,
+optionally across spawned worker processes, and reduce to a table with one
+row per config but its seed.
 
 BLAS threads: the ``hessavg`` command (``python -m hessavg``) and the
 workers :func:`run_many` spawns run with one BLAS thread unless the caller
@@ -539,7 +539,8 @@ def run_experiment(
         "method": ctx.method.name,
         "final_f": f_final,
         "best_f": min(measured + [f_final]),
-        "diverged": bool(state.diverged),
+        "diverged": state.diverged is not None,
+        "divergence": state.diverged,
         "iterations": state.k,
         "epochs": records[-1].epoch,
         "eec": records[-1].eec,

@@ -12,9 +12,10 @@ controller fixes the gradient batch, the update policy optionally
 refreshes the Hessian estimate, the method turns the batch gradient into
 a direction, the norm test (its rule written once, in
 :func:`_run_controller`) may grow the next batch, and the iterate moves
-by the scheduled step size. Runs that blow up (non-finite batch loss or
-loss exceeding a fixed multiple of the starting value) are flagged as
-diverged and halted rather than raising.
+by the scheduled step size. Runs that blow up (a non-finite batch loss,
+a batch loss exceeding a fixed multiple of the starting value, or a
+non-finite iterate) are halted rather than raising, and their state says
+which of the three stopped them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .averaging import (
 # Unused here; kept because bench/test_bench.py reads ``optimizers.pd_modify``.
 from .linalg import pd_modify  # noqa: F401
 from .problems import FiniteSumOracle
-from .sampling import GradSampleController, approx_norm_terms, exact_norm_terms
+from .sampling import CyclicSampler, GradSampleController, IidSampler, approx_norm_terms, exact_norm_terms
 from .trace import TraceRecord
 
 __all__ = [
@@ -79,7 +80,7 @@ DIVERGENCE_FACTOR = 1e6
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodSpec:
     """A method tag plus its hyperparameters.
 
@@ -291,9 +292,22 @@ def eec(epochs: float, rank: int, hessian_freq: int = 1) -> float:
 
 @dataclass
 class OptState:
+    """Every value a run changes, but its random streams (``RunContext.rngs``).
+
+    ``w`` is the iterate ``w_k`` and ``k`` the steps taken. ``batch`` is the
+    gradient batch size the controller has reached (0 before the first
+    step), ``hess_updates`` the Hessian samples drawn, and ``f0`` the full
+    loss at ``w_0``, which the blow-up guard scales by. ``diverged`` is None
+    while the run is sound, else why it stopped: ``"non-finite batch
+    loss"``, ``"batch loss above threshold"`` or ``"non-finite iterate"``.
+    """
+
     w: NDArray
+    f0: float
     k: int = 0
-    diverged: bool = False
+    batch: int = 0
+    hess_updates: int = 0
+    diverged: Optional[str] = None
     m: Optional[_Accumulator] = None  # adam and adahessian: the first moment
     avg: Optional[Union[FullAverageState, DiagAverageState]] = None
     grad_samples: int = 0
@@ -308,7 +322,8 @@ def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptS
         raise ValueError(
             f"{method.name} assembles dense {d}x{d} Hessians; refusing d > {FULL_HESSIAN_DIM_LIMIT}"
         )
-    state = OptState(w=np.array(w0, dtype=float))
+    w = np.array(w0, dtype=float)
+    state = OptState(w=w, f0=oracle.loss_full(w))
     if method.uses_full_hessian:
         # subnewton's decay 0 puts all the weight on the newest Hessian.
         decay = 0.0 if method.name == "subnewton" else method.decay
@@ -322,21 +337,28 @@ def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptS
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunContext:
-    """Everything constant over one optimizer run."""
+    """What a run reads and never changes: the oracle, the method, the
+    schedules and the rules that size its samples.
+
+    The one exception is ``rngs``, whose generators advance as the run draws
+    from them; a run's other changing values live in its :class:`OptState`.
+    A context with fresh streams (``dataclasses.replace(ctx, rngs=...)``)
+    runs again as it first ran.
+    """
 
     oracle: FiniteSumOracle
     method: MethodSpec
     controller: GradSampleController
-    hess_sampler: object  # None, with ``policy``, for a method that keeps no Hessian estimate
+    # None, with ``policy``, for a method that keeps no Hessian estimate
+    hess_sampler: Optional[Union[CyclicSampler, IidSampler]]
     rngs: dict  # named streams from :func:`hessavg.rng.streams`; a missing one is a KeyError
     schedules: ScheduleSet = DEFAULT_SCHEDULES
     policy: Optional[UpdateFrequencyPolicy] = UpdateFrequencyPolicy()
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
     a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
-    f0: Optional[float] = None
 
     def epoch_of(self, state: OptState) -> float:
         n = self.oracle.n_components
@@ -354,7 +376,8 @@ class RunContext:
 def _update_hessian(ctx: RunContext, state: OptState) -> None:
     method = ctx.method
     oracle = ctx.oracle
-    s_sample = ctx.hess_sampler.next_block(oracle, ctx.rngs["hessian"])
+    s_sample = ctx.hess_sampler.next_block(state.hess_updates, oracle, ctx.rngs["hessian"])
+    state.hess_updates += 1
     s_size = s_sample.size
     state.last_s_size = s_size
     if method.uses_full_hessian:
@@ -417,7 +440,7 @@ def _run_controller(
     iota: float,
 ) -> None:
     """Run this iteration's norm test ``lhs <= theta^2 ||.||_A^2 + iota`` and
-    hand the outcome to the controller.
+    set the state's batch to the size the controller makes of its outcome.
 
     This is the one place the test's rule is written. Both tests read the
     batch gradient ``g``. The approximate test reads the batch's
@@ -429,7 +452,7 @@ def _run_controller(
     else:
         lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
     rhs = theta**2 * rhs_norm + iota
-    ctx.controller.record_test(lhs <= rhs, lhs, rhs)
+    state.batch = ctx.controller.record_test(lhs <= rhs, lhs, rhs, state.batch)
 
 
 def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
@@ -441,7 +464,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     this iteration performed.
     """
     oracle = ctx.oracle
-    x_size = ctx.controller.size(ctx.epoch_of(state))
+    x_size = state.batch = ctx.controller.size(ctx.epoch_of(state), state.batch)
     sample = oracle.draw_sample(ctx.rngs["gradient"], x_size)
 
     # A norm test runs only while it can still grow the batch; a step at
@@ -451,7 +474,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     # batch values, so tracing a step never changes it. The approximate test reads
     # the per-component gradients for its variance only.
     traced = state.k % ctx.trace_interval == 0
-    testing = ctx.controller.can_grow
+    testing = ctx.controller.can_grow(x_size)
     approx = testing and ctx.controller.mode == "approx_norm_test"
     full_grad = comps = None
     if traced or (testing and not approx):
@@ -463,17 +486,15 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
 
     alpha, theta, iota = schedule_eval(ctx.schedules, state.k)
 
-    # Blow-up guard: a batch loss a million times above the starting value
-    # (with a unit floor so near-zero or negative baselines stay usable)
-    # marks the run diverged and halts it.
-    f0 = ctx.f0 if ctx.f0 is not None else f_batch
-    threshold = f0 + DIVERGENCE_FACTOR * max(abs(f0), 1.0)
-    diverged = not math.isfinite(f_batch) or f_batch > threshold
-
     grad_norm, dist = _snapshot(ctx, state, full_grad if traced else None)
 
-    if diverged:
-        state.diverged = True
+    # Blow-up guard: a batch loss that is not finite, or is a million times
+    # above the starting value (with a unit floor so near-zero or negative
+    # baselines stay usable), halts the run.
+    if not math.isfinite(f_batch):
+        state.diverged = "non-finite batch loss"
+    elif f_batch > state.f0 + DIVERGENCE_FACTOR * max(abs(state.f0), 1.0):
+        state.diverged = "batch loss above threshold"
     else:
         if ctx.method.keeps_hessian and ctx.policy.should_update(state.k):
             _update_hessian(ctx, state)
@@ -482,7 +503,7 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
             _run_controller(ctx, state, g, comps, full_grad, theta, iota)
         w_new = state.w - alpha * p
         if not np.all(np.isfinite(w_new)):
-            state.diverged = True
+            state.diverged = "non-finite iterate"
         else:
             state.w = w_new
 
@@ -534,18 +555,19 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     """Run until the epoch budget is spent (or divergence halts the loop).
 
     One record is emitted per iteration plus a terminal record for the
-    final iterate, so a zero-epoch run yields exactly the initial record.
+    final iterate, drawn at the batch size the run reached, so a zero-epoch
+    run yields exactly the initial record. The run changes ``ctx`` only by
+    advancing its streams: all else it changes is in the returned state.
     """
     _check_a_mode(ctx.a_mode, ctx.controller.mode, ctx.method)
     state = init_state(ctx.method, ctx.oracle, w0)
-    if ctx.f0 is None:
-        ctx.f0 = ctx.oracle.loss_full(state.w)
     records: list[TraceRecord] = []
-    while ctx.epoch_of(state) < epochs and not state.diverged:
+    while ctx.epoch_of(state) < epochs and state.diverged is None:
         state, record = step(ctx, state)
         records.append(record)
-    final_sample = ctx.oracle.draw_sample(ctx.rngs["gradient"], ctx.controller.current_size)
+    batch = state.batch or ctx.controller.size(0.0, 0)  # a run of no step: its first batch
+    final_sample = ctx.oracle.draw_sample(ctx.rngs["gradient"], batch)
     f_final, _, full_grad = ctx.oracle.loss_grad_sub_full(state.w, final_sample)
     grad_norm, dist = _snapshot(ctx, state, full_grad)
-    records.append(_record(ctx, state, f_final, grad_norm, ctx.controller.current_size, dist))
+    records.append(_record(ctx, state, f_final, grad_norm, batch, dist))
     return state, records

@@ -1,9 +1,14 @@
 """Hessian sample-set generation and gradient sample-size control.
 
+Every object here is a rule, fixed for a run: what a run changes (its batch
+size and how many Hessian samples it has drawn) lives in its
+:class:`~hessavg.optimizers.OptState`, and the rules read it as an argument.
+
 Two Hessian samplers: a cyclic without-replacement sampler over a fixed
-partition (the partition order never changes across cycles, so block
-averages over whole cycles cancel exactly for constant component
-Hessians), and an i.i.d. sampler that defers to the oracle's own draw.
+partition, whose ``j``-th block is block ``j mod n_blocks`` (the partition
+order never changes across cycles, so block averages over whole cycles
+cancel exactly for constant component Hessians), and an i.i.d. sampler that
+defers to the oracle's own draw.
 
 Gradient batch sizing is a one-way ratchet: sizes never decrease within a
 run, and never pass the cap. The adaptive modes run a norm test on each
@@ -12,13 +17,13 @@ violation ratio on failure; at the cap no test can change the batch, so
 none is run. This module gives the two sides of each test, ``lhs`` and
 ``||g||_A^2``; the step loop (:func:`hessavg.optimizers._run_controller`)
 forms ``rhs = theta^2 ||g||_A^2 + iota`` and applies ``lhs <= rhs``, and
-:meth:`GradSampleController.record_test` reads its outcome.
+:meth:`GradSampleController.record_test` turns its outcome into the next size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,12 +67,10 @@ class CyclicSampler:
                 np.random.Philox(np.random.SeedSequence(seed))
             ).permutation(n)
         self._blocks = [order[i * block_size : (i + 1) * block_size] for i in range(self.n_blocks)]
-        self._cursor = 0
 
-    def next_block(self, oracle=None, rng=None) -> NDArray:
-        block = self._blocks[self._cursor]
-        self._cursor = (self._cursor + 1) % self.n_blocks
-        return block
+    def next_block(self, j: int, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
+        """The block of Hessian sample ``j`` (0-based); it draws nothing."""
+        return self._blocks[j % self.n_blocks]
 
 
 class IidSampler:
@@ -78,7 +81,8 @@ class IidSampler:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
 
-    def next_block(self, oracle: FiniteSumOracle, rng: np.random.Generator):
+    def next_block(self, j: int, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
+        """A fresh draw from ``rng``; the sample's index ``j`` is not read."""
         return oracle.draw_sample(rng, self.block_size)
 
 
@@ -134,29 +138,32 @@ def check_batch_sizes(key: str, sizes: Sequence[int]) -> None:
         raise ValueError(f"{key!r} must be >= 1, got {min(sizes)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradSampleController:
-    """State machine deciding the gradient batch size each iteration.
+    """The rule that sizes the gradient batch each iteration.
+
+    It is a rule, not a state machine: the run keeps its batch size
+    (``OptState.batch``, 0 before the first step) and hands it in as
+    ``current``.
 
     Modes
     -----
     fixed
-        Constant ``initial_size``.
+        Constant ``initial_size``, clamped to the cap.
     geometric_epochs
         ``sizes[min(epoch // epochs_per_block, last)]``, clamped to the cap.
     exact_norm_test / approx_norm_test
         Keep the current size while the test ``lhs <= rhs`` passes; on
         failure grow to ``ceil(current * lhs / rhs)``, clamped to the cap.
-        The test runs only while :attr:`can_grow`: once the batch is at
+        The test runs only while :meth:`can_grow`: once the batch is at
         the cap its outcome could not change it.
     """
 
     mode: str
     initial_size: int = 1
     cap: int = DEFAULT_EXPECTATION_CAP
-    sizes: Sequence[int] = field(default_factory=tuple)
+    sizes: Sequence[int] = ()
     epochs_per_block: int = 20
-    current_size: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ALL_MODES:
@@ -170,39 +177,36 @@ class GradSampleController:
         check_batch_sizes("initial_size", (self.initial_size,))
         if self.epochs_per_block < 1:
             raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
-        self.current_size = min(self.initial_size, self.cap)
 
     @property
     def adaptive(self) -> bool:
         return self.mode in ADAPTIVE_MODES
 
-    @property
-    def can_grow(self) -> bool:
-        """Whether a norm test can still change the batch: the mode is
-        adaptive and the batch is below the cap. Sizes never shrink, so
+    def can_grow(self, size: int) -> bool:
+        """Whether a norm test can still change a batch of ``size``: the mode
+        is adaptive and the batch is below the cap. Sizes never shrink, so
         once this is false it stays false for the run."""
-        return self.adaptive and self.current_size < self.cap
+        return self.adaptive and size < self.cap
 
-    def size(self, epoch: float) -> int:
-        """Batch size to use for the iteration starting at ``epoch``."""
+    def size(self, epoch: float, current: int) -> int:
+        """Batch size for the iteration starting at ``epoch``, from a run whose
+        batch is ``current``: the mode's size, clamped to the cap, and never
+        below ``current``."""
+        base = self.initial_size
         if self.mode == "geometric_epochs":
-            block = min(int(epoch) // self.epochs_per_block, len(self.sizes) - 1)
-            size = min(int(self.sizes[block]), self.cap)
-            # the table is consulted fresh each iteration but never shrinks
-            self.current_size = max(self.current_size, size)
-        return self.current_size
+            base = self.sizes[min(int(epoch) // self.epochs_per_block, len(self.sizes) - 1)]
+        return max(current, min(base, self.cap))
 
-    def record_test(self, passed: bool, lhs: float, rhs: float) -> int:
-        """Update the size after the norm test ``lhs <= rhs``; returns the new size.
+    def record_test(self, passed: bool, lhs: float, rhs: float, current: int) -> int:
+        """The size after the norm test ``lhs <= rhs`` on a batch of ``current``.
 
-        A passing test leaves the size unchanged. On failure the size
-        grows by the violation ratio ``lhs / rhs``, never decreasing and
-        never exceeding the cap.
+        A passing test keeps the size. On failure the size grows by the
+        violation ratio ``lhs / rhs``, never decreasing and never exceeding
+        the cap.
         """
         if not self.adaptive or passed:
-            return self.current_size
+            return current
         # A tiny rhs can overflow the ratio to inf, which ceil() rejects.
-        proposed = self.current_size * lhs / rhs if rhs > 0 else math.inf
+        proposed = current * lhs / rhs if rhs > 0 else math.inf
         proposed = self.cap if proposed >= self.cap else math.ceil(proposed)
-        self.current_size = min(self.cap, max(self.current_size, proposed))
-        return self.current_size
+        return min(self.cap, max(current, proposed))

@@ -321,7 +321,7 @@ class TestExpectationHessianError:
             exact = 2.0 * problem.keep_prob * problem.a.T @ problem.a
             sampler, rng, avg = IidSampler(4), rng_mod.stream(seed, "hessian"), FullAverageState(20)
             for k in range(1, 2049):
-                avg.update(problem.hessian_sub(np.zeros(20), sampler.next_block(problem, rng)))
+                avg.update(problem.hessian_sub(np.zeros(20), sampler.next_block(k - 1, problem, rng)))
                 if k >= 64 and k % 16 == 8:
                     ks.append(k)
                     errors.append(np.linalg.norm(avg.matrix() - exact, 2))
@@ -343,7 +343,7 @@ def _averaged_hessian_error_slope(sampler_kind: str, seed: int) -> float:
     avg = FullAverageState(20)
     ks, errors = [], []
     for k in range(1, 1025):
-        avg.update(problem.hessian_sub(w_star, sampler.next_block(problem, rng)))
+        avg.update(problem.hessian_sub(w_star, sampler.next_block(k - 1, problem, rng)))
         if k >= 64 and k % 16 == 8:
             ks.append(k)
             errors.append(np.linalg.norm(avg.matrix() - full, 2))

@@ -4,6 +4,9 @@ The benchmark's own self-tests run only small configs of their own, so a
 stricter reader could refuse a workload the benchmark runs without any test
 failing. Here each workload's config, at seeds 0-2, is loaded and its run
 built (problem, controller, samplers and initial point), without running it.
+Each workload's warm-up, which calls ``init_state`` and ``step`` directly
+rather than through ``run``, also runs at seed 0, so a change to those
+signatures fails here and not first in the benchmark.
 """
 
 import sys
@@ -16,6 +19,7 @@ from hessavg.harness import ExperimentConfig, build_context
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
 try:
+    from measure import warm_up
     from workloads import WORKLOADS
 finally:
     sys.path.remove(BENCH)
@@ -27,3 +31,8 @@ def test_bench_workload_config_builds(name, seed):
     cfg = ExperimentConfig.from_dict(WORKLOADS[name].config(seed))
     ctx, w0 = build_context(cfg)
     assert ctx.method.name == cfg.method["name"] and w0.shape == (ctx.oracle.dim,)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_warms_up(name):
+    warm_up(ExperimentConfig.from_dict(WORKLOADS[name].config(0)))

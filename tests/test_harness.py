@@ -256,7 +256,7 @@ class TestConfig:
     def test_integer_field_takes_an_integral_float(self):
         cfg = base_config(sampling={"grad": {"mode": "fixed", "size": 16.0}, "hess": HESS_25}, trace_interval=16.0)
         assert cfg.trace_interval == 16 and isinstance(cfg.trace_interval, int)
-        assert build_context(cfg)[0].controller.current_size == 16
+        assert build_context(cfg)[0].controller.size(0.0, 0) == 16
 
     def test_hash_stable_and_sensitive(self):
         assert base_config().hash() == base_config().hash()
@@ -897,7 +897,8 @@ class TestRealDataPath:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
         assert cli_dispatch(["run", str(path), "--out", str(out), "--data-dir", str(tmp_path / "data")]) == 0
-        assert json.loads((out / "summary.json").read_text())["diverged"] is False
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged"] is False and summary["divergence"] is None
         digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
         assert digest == self.TRACE_SHA256
 
@@ -984,7 +985,7 @@ class TestCli:
 
         for text in ((out / "summary.json").read_text(), capsys.readouterr().out):
             summary = json.loads(text, parse_constant=reject)
-            assert summary["diverged"] is True
+            assert summary["diverged"] is True and summary["divergence"] == "non-finite batch loss"
             assert summary["final_f"] is None and summary["final_grad_norm"] is None
             assert math.isfinite(summary["best_f"])
 

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def make_ctx(oracle, method, seed=0, alpha=1.0, grad_size=None, hess="iid", hess
     grad_size = grad_size or (n if n is not None else 8)
     hess_size = hess_size or grad_size
     cap = n if n is not None else 2**16
-    controller = GradSampleController(mode="fixed", initial_size=grad_size, cap=max(cap, grad_size))
+    fixed = GradSampleController(mode="fixed", initial_size=grad_size, cap=max(cap, grad_size))
     if hess == "cyclic":
         sampler = CyclicSampler(n, hess_size, seed=None)
     else:
@@ -53,7 +55,7 @@ def make_ctx(oracle, method, seed=0, alpha=1.0, grad_size=None, hess="iid", hess
     return RunContext(
         oracle=oracle,
         method=method,
-        controller=controller,
+        controller=kw.pop("controller", fixed),
         hess_sampler=sampler,
         schedules=schedules,
         policy=kw.pop("policy", UpdateFrequencyPolicy()),
@@ -257,7 +259,7 @@ class TestStepBehavior:
             _update_hessian(ctx, state)
             # the same stream in a twin context redraws the Hessian sample
             twin = make_ctx(prob, method, seed=4, hess_size=3)
-            hess = prob.hessian_sub(w, twin.hess_sampler.next_block(prob, twin.rngs.get("hessian")))
+            hess = prob.hessian_sub(w, twin.hess_sampler.next_block(0, prob, twin.rngs.get("hessian")))
             if variant == "abs":
                 expected = spd_solve(matrix_abs(hess) + mu * np.eye(5), g)
             else:
@@ -279,7 +281,6 @@ class TestStepBehavior:
         from hessavg.optimizers import init_state, step
 
         state = init_state(method, prob, w_star + rng_mod.stream(2, "init").standard_normal(10))
-        ctx.f0 = prob.loss_full(state.w)
         for _ in range(60):
             w_before = state.w.copy()
             f_before = prob.loss_full(w_before)
@@ -297,6 +298,26 @@ class TestStepBehavior:
         assert state.diverged
         assert records[-1].k < 5 * ctx.iters_per_epoch
 
+    @pytest.mark.parametrize(
+        "alpha, cause, steps",
+        [
+            (1.0, "batch loss above threshold", 3),
+            # the first step lands near 1e200, where the loss overflows
+            (1e200, "non-finite batch loss", 2),
+            (np.inf, "non-finite iterate", 1),
+        ],
+        ids=["threshold", "loss", "iterate"],
+    )
+    def test_divergence_names_its_cause(self, alpha, cause, steps):
+        prob = quadratic_generate(d=60, keep_prob=0.5, seed=2)
+        ctx = make_ctx(prob, MethodSpec(name="sgd"), seed=3, alpha=alpha, grad_size=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, records = run(ctx, rng_mod.stream(3, "init").standard_normal(60), epochs=5)
+        assert state.diverged == cause
+        assert state.k == steps and len(records) == steps + 1
+        # the step that diverged does not move the iterate
+        assert np.all(np.isfinite(state.w))
+
     def test_infrequent_updates_counted(self):
         prob = SyntheticSumProblem.generate(8, 5, seed=6)
         method = MethodSpec(name="dan", rank=1)
@@ -313,7 +334,7 @@ class TestStepBehavior:
         # stream read as None went unnoticed on this run
         prob = SyntheticSumProblem.generate(16, 5, seed=7)
         ctx = make_ctx(prob, MethodSpec(name="fan"), grad_size=16, hess="cyclic", hess_size=4)
-        ctx.rngs = {}
+        ctx = replace(ctx, rngs={})
         with pytest.raises(KeyError, match="gradient"):
             run(ctx, np.zeros(5), epochs=3)
 
@@ -398,10 +419,14 @@ class _CountingSum(SyntheticSumProblem):
 
 
 def _exact_test_ctx(oracle, method, a_mode="identity"):
-    ctx = make_ctx(oracle, method, alpha=0.5, trace_interval=1, a_mode=a_mode)
-    ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=4, cap=64)
-    ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.9), IotaGeometric(0.0, 0.0))
-    return ctx
+    return make_ctx(
+        oracle,
+        method,
+        trace_interval=1,
+        a_mode=a_mode,
+        controller=GradSampleController(mode="exact_norm_test", initial_size=4, cap=64),
+        schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.9), IotaGeometric(0.0, 0.0)),
+    )
 
 
 class TestFullGradientSharing:
@@ -418,8 +443,7 @@ class TestFullGradientSharing:
     def test_batch_read_from_the_full_pass(self):
         # curvature 0: the optimum is one solve, with no Newton-polish gradients
         prob = _CountingSum.generate(n_components=64, d=6, seed=2)
-        ctx = _exact_test_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3))
-        ctx.trace_interval = 5
+        ctx = replace(_exact_test_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3)), trace_interval=5)
         state, records = run(ctx, np.ones(6), epochs=3)
         assert state.k > 5
         assert prob.calls == {"loss_grad_sub": 0, "grad_full": 0, "loss_grad_sub_full": state.k + 1}
@@ -434,7 +458,7 @@ class TestFullGradientSharing:
         # the approximate test reads no weighting, so it would run unweighted
         prob = quadratic_generate(d=8, seed=1)
         ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hessian")
-        ctx.controller = GradSampleController(mode="approx_norm_test", initial_size=4, cap=64)
+        ctx = replace(ctx, controller=GradSampleController(mode="approx_norm_test", initial_size=4, cap=64))
         with pytest.raises(ValueError, match="a_mode 'inverse_hessian'.*'approx_norm_test'"):
             run(ctx, np.ones(8), epochs=0.05)
 
@@ -455,11 +479,12 @@ class _RecordingLogistic(LogisticProblem):
         return self.last_sample
 
 
+@dataclass(frozen=True)
 class _CountingController(GradSampleController):
-    tests = 0
+    tests: list = field(default_factory=list)  # one entry per norm test
 
     def record_test(self, *args):
-        self.tests += 1
+        self.tests.append(args)
         return super().record_test(*args)
 
 
@@ -467,21 +492,24 @@ def _steps_across_the_cap(mode, n_steps=24):
     """Per-step ``(started below the cap, traced, oracle calls, tests run)``
     over a run whose batch grows from 4 to its cap of 16 within a few steps."""
     prob = _CountingComponentSum.generate(n_components=64, d=6, seed=2, curvature=2.0)
-    ctx = make_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3), alpha=0.5, trace_interval=5)
-    ctx.controller = _CountingController(mode=mode, initial_size=4, cap=16)
-    ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0))
+    ctx = make_ctx(
+        prob,
+        MethodSpec(name="fan", mu_tilde=1e-3),
+        trace_interval=5,
+        controller=_CountingController(mode=mode, initial_size=4, cap=16),
+        schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0)),
+    )
     state = init_state(ctx.method, prob, np.ones(6))
-    ctx.f0 = prob.loss_full(state.w)
     prob.optimum()  # its Newton polish calls grad_full; the first snapshot would count it
     steps = []
     for _ in range(n_steps):
-        below = ctx.controller.current_size < ctx.controller.cap
+        below = ctx.controller.size(ctx.epoch_of(state), state.batch) < ctx.controller.cap
         traced = state.k % ctx.trace_interval == 0
         before = dict(prob.calls)
-        tests_before = ctx.controller.tests
+        tests_before = len(ctx.controller.tests)
         state, _ = step(ctx, state)
         calls = {name: count - before[name] for name, count in prob.calls.items() if count > before[name]}
-        steps.append((below, traced, calls, ctx.controller.tests - tests_before))
+        steps.append((below, traced, calls, len(ctx.controller.tests) - tests_before))
     assert any(below for below, *_ in steps)
     assert any(not below and not traced for below, traced, *_ in steps)
     return steps
@@ -503,15 +531,19 @@ class TestNormTestOnlyBelowTheCap:
 
     def test_an_untraced_approx_step_moves_along_the_batch_gradient(self):
         prob = _RecordingLogistic(*make_synthetic_logistic(n=400, d=12, seed=3))
-        ctx = make_ctx(prob, MethodSpec(name="sgd"), alpha=0.5, trace_interval=1000)
-        ctx.controller = GradSampleController(mode="approx_norm_test", initial_size=4, cap=400)
-        # batch sizes 4, 5, 19, 111, then the cap: three untraced steps below it
-        ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(1.0), IotaGeometric(0.0, 0.0))
+        ctx = make_ctx(
+            prob,
+            MethodSpec(name="sgd"),
+            trace_interval=1000,
+            controller=GradSampleController(mode="approx_norm_test", initial_size=4, cap=400),
+            # batch sizes 4, 5, 19, 111, then the cap: three untraced steps below it
+            schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(1.0), IotaGeometric(0.0, 0.0)),
+        )
         state = init_state(ctx.method, prob, np.ones(12))
-        ctx.f0 = prob.loss_full(state.w)
         checked = 0
         for _ in range(8):
-            w, below, traced = state.w.copy(), ctx.controller.can_grow, state.k % ctx.trace_interval == 0
+            below = ctx.controller.can_grow(ctx.controller.size(ctx.epoch_of(state), state.batch))
+            w, traced = state.w.copy(), state.k % ctx.trace_interval == 0
             state, _ = step(ctx, state)
             if below and not traced:
                 # bit for bit the oracle's batch gradient, not the mean of the component gradients
@@ -538,9 +570,15 @@ class TestNormTestOnlyBelowTheCap:
             method, size, epochs = MethodSpec(name="fan", mu_tilde=1e-3), 64, 12
         runs = {}
         for grad_mode in ("fixed", mode):
-            ctx = make_ctx(prob, method, seed=1, alpha=0.5, grad_size=size, hess_size=16, trace_interval=3)
-            ctx.controller = GradSampleController(mode=grad_mode, initial_size=size, cap=size)
-            ctx.schedules = ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0))
+            ctx = make_ctx(
+                prob,
+                method,
+                seed=1,
+                hess_size=16,
+                trace_interval=3,
+                controller=GradSampleController(mode=grad_mode, initial_size=size, cap=size),
+                schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0)),
+            )
             _, runs[grad_mode] = run(ctx, np.zeros(prob.dim), epochs=epochs)
         assert len(runs["fixed"]) > 10
         assert runs[mode] == runs["fixed"]
@@ -551,7 +589,7 @@ class TestNormTestOnlyBelowTheCap:
     def test_a_mode_checked_when_no_test_will_run(self, method, a_mode):
         prob = quadratic_generate(d=8, seed=1)
         ctx = _exact_test_ctx(prob, MethodSpec(name=method), a_mode=a_mode)
-        ctx.controller = GradSampleController(mode="exact_norm_test", initial_size=8, cap=8)
+        ctx = replace(ctx, controller=GradSampleController(mode="exact_norm_test", initial_size=8, cap=8))
         with pytest.raises(ValueError, match="a_mode"):
             run(ctx, np.ones(8), epochs=0.05)
 

@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import math
@@ -22,13 +23,13 @@ from hessavg import rng as rng_mod
 class TestCyclicSampler:
     def test_identity_partition(self):
         sampler = CyclicSampler(6, 2, seed=None)
-        blocks = [sampler.next_block().tolist() for _ in range(6)]
+        blocks = [sampler.next_block(j, None, None).tolist() for j in range(6)]
         assert blocks == [[0, 1], [2, 3], [4, 5], [0, 1], [2, 3], [4, 5]]
 
     def test_single_block(self):
         sampler = CyclicSampler(4, 4, seed=None)
-        for _ in range(3):
-            assert sampler.next_block().tolist() == [0, 1, 2, 3]
+        for j in range(3):
+            assert sampler.next_block(j, None, None).tolist() == [0, 1, 2, 3]
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
@@ -40,8 +41,8 @@ class TestCyclicSampler:
 
     def test_seeded_partition_fixed_across_cycles(self):
         sampler = CyclicSampler(12, 3, seed=9)
-        first = [sampler.next_block().tolist() for _ in range(4)]
-        second = [sampler.next_block().tolist() for _ in range(4)]
+        first = [sampler.next_block(j, None, None).tolist() for j in range(4)]
+        second = [sampler.next_block(j, None, None).tolist() for j in range(4, 8)]
         assert first == second
         flat = sorted(i for b in first for i in b)
         assert flat == list(range(12))
@@ -56,7 +57,7 @@ class TestCyclicSampler:
         full = prob.hessian_full(w)
         for cycle in range(3):
             for _ in range(4):
-                acc += prob.hessian_sub(w, sampler.next_block())
+                acc += prob.hessian_sub(w, sampler.next_block(count, None, None))
                 count += 1
             np.testing.assert_allclose(acc / count, full, atol=1e-13)
 
@@ -67,8 +68,8 @@ class TestIidSampler:
         sampler = IidSampler(3)
         rng = rng_mod.stream(0, "hessian")
         seen = set()
-        for _ in range(20):
-            block = sampler.next_block(prob, rng)
+        for j in range(20):
+            block = sampler.next_block(j, prob, rng)
             assert len(block) == 3
             assert len(set(block.tolist())) == 3
             seen.add(tuple(sorted(block.tolist())))
@@ -79,10 +80,13 @@ class TestIidSampler:
             IidSampler(0)
 
 
+@dataclass(frozen=True)
 class _RecordingController(GradSampleController):
-    def record_test(self, passed, lhs, rhs):
-        self.recorded = (passed, lhs, rhs)
-        return super().record_test(passed, lhs, rhs)
+    recorded: list = field(default_factory=list)
+
+    def record_test(self, passed, lhs, rhs, current):
+        self.recorded.append((passed, lhs, rhs))
+        return super().record_test(passed, lhs, rhs, current)
 
 
 def step_rule(g, theta, iota, full_grad=None, comps=None, inverse_of=None):
@@ -99,9 +103,10 @@ def step_rule(g, theta, iota, full_grad=None, comps=None, inverse_of=None):
         method=MethodSpec(name="fan"),
         a_mode="identity" if inverse_of is None else "inverse_hessian",
     )
-    state = SimpleNamespace(avg=SimpleNamespace(modified=lambda floor: (inverse_of, False)))
+    state = SimpleNamespace(avg=SimpleNamespace(modified=lambda floor: (inverse_of, False)), batch=1)
     _run_controller(ctx, state, np.asarray(g, dtype=float), comps, full_grad, theta, iota)
-    return ctx.controller.recorded
+    (recorded,) = ctx.controller.recorded
+    return recorded
 
 
 class TestNormTests:
@@ -290,8 +295,8 @@ class TestController:
 
     def test_fixed_mode(self):
         ctrl = GradSampleController(mode="fixed", initial_size=32, cap=1000)
-        assert ctrl.size(epoch=0.0) == 32
-        assert ctrl.size(epoch=57.0) == 32
+        assert ctrl.size(0.0, 0) == 32
+        assert ctrl.size(57.0, 32) == 32
 
     def test_geometric_table(self):
         ctrl = GradSampleController(
@@ -301,32 +306,29 @@ class TestController:
             initial_size=32,
             cap=5500,
         )
-        assert ctrl.size(epoch=0.0) == 32
-        assert ctrl.size(epoch=19.9) == 32
-        assert ctrl.size(epoch=21.0) == 128
-        assert ctrl.size(epoch=80.0) == 5500
-        assert ctrl.size(epoch=500.0) == 5500
+        size = 0
+        for epoch, expected in ((0.0, 32), (19.9, 32), (21.0, 128), (80.0, 5500), (500.0, 5500)):
+            size = ctrl.size(epoch, size)
+            assert size == expected
+        # the table is read fresh each iteration, but a batch never shrinks
+        assert ctrl.size(0.0, 128) == 128
 
     def test_pass_leaves_size(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
-        ctrl.record_test(True, lhs=99.0, rhs=0.25)
-        assert ctrl.current_size == 8
+        assert ctrl.record_test(True, lhs=99.0, rhs=0.25, current=8) == 8
 
     def test_fail_at_threshold_unchanged(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
         # variance exactly equals rhs: ratio 1
-        ctrl.record_test(False, lhs=0.25, rhs=0.25)
-        assert ctrl.current_size == 8
+        assert ctrl.record_test(False, lhs=0.25, rhs=0.25, current=8) == 8
 
     def test_fail_grows_by_ratio(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
-        ctrl.record_test(False, lhs=1.0, rhs=0.25)
-        assert ctrl.current_size == 32
+        assert ctrl.record_test(False, lhs=1.0, rhs=0.25, current=8) == 32
 
     def test_cap_respected(self):
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=20)
-        ctrl.record_test(False, lhs=100.0, rhs=0.25)
-        assert ctrl.current_size == 20
+        assert ctrl.record_test(False, lhs=100.0, rhs=0.25, current=8) == 20
 
     @given(
         outcomes=st.lists(
@@ -338,12 +340,16 @@ class TestController:
     @settings(max_examples=60, deadline=None)
     def test_sizes_nondecreasing(self, outcomes):
         ctrl = GradSampleController(mode="exact_norm_test", initial_size=4, cap=4096)
-        last = ctrl.current_size
+        last = ctrl.size(0.0, 0)
         for passed, variance, gsq in outcomes:
-            ctrl.record_test(passed, variance, 0.5**2 * gsq + 1e-3)
-            assert ctrl.current_size >= last
-            assert ctrl.current_size <= 4096
-            last = ctrl.current_size
+            size = ctrl.record_test(passed, variance, 0.5**2 * gsq + 1e-3, last)
+            assert last <= size <= 4096
+            last = size
+
+    def test_only_an_adaptive_batch_below_the_cap_can_grow(self):
+        ctrl = GradSampleController(mode="exact_norm_test", initial_size=8, cap=20)
+        assert ctrl.can_grow(8) and ctrl.can_grow(19) and not ctrl.can_grow(20)
+        assert not GradSampleController(mode="fixed", initial_size=8, cap=20).can_grow(8)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -352,7 +358,7 @@ class TestController:
     def test_a_violation_ratio_that_overflows_grows_to_the_cap(self):
         # 0.25 / 1.07e-320 is inf, which math.ceil raised an OverflowError on
         ctrl = GradSampleController(mode="approx_norm_test", initial_size=1, cap=64)
-        assert ctrl.record_test(False, 0.25, 1.07e-320) == 64
+        assert ctrl.record_test(False, 0.25, 1.07e-320, 1) == 64
 
     def test_geometric_requires_sizes(self):
         with pytest.raises(ValueError):
