@@ -145,13 +145,11 @@ def _cmd_rates(args) -> int:
     if not args.trace.exists():
         raise ConfigError(f"trace file not found: {args.trace}")
     _, records = parse_trace(args.trace.read_text())
-    values = {
-        "dist_to_opt": [r.dist_to_opt for r in records],
-        "f": [r.f for r in records],
-        "grad_norm": [r.grad_norm for r in records],
-    }[args.col]
-    series = [v for v in values if v is not None]
-    report = estimate_rates(series, k_start=args.k_start, k_end=args.k_end)
+    # each value at its record's step: a blank cell leaves a gap, which the
+    # fit counts in steps, and --k-start/--k-end are steps
+    values = {r.k: getattr(r, args.col) for r in records}
+    errors = [values.get(k) for k in range(max(values, default=0) + 1)]
+    report = estimate_rates(errors, k_start=args.k_start, k_end=args.k_end)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 

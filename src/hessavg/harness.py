@@ -16,14 +16,24 @@ one ``a_mode``, and sgd and adam, which keep no Hessian estimate, read no
 leaves out three checks: a cyclic sampler's block divides the problem's size,
 cyclic sampling needs a finite sum, and ``near_optimum`` needs a known optimum.
 
+A config is held and hashed as read. The readers record what they take, and
+:meth:`ExperimentConfig.from_dict` returns that reading: each section holds
+exactly the keys its reader took, each with the value read, defaults written
+in and numbers of their field's type. A quadratic's ``seed`` reads as null
+when it follows the run's seed, and a ``rolling_f`` of 1, which smooths
+nothing, as 0. So configs that run the same arithmetic share one hash, one
+``summary.json`` echo and one sweep row, and a reading loads as itself. A
+value the run clamps to the problem's size, a ``cap`` or a Hessian sample
+size, is read before the problem is built and still hashes as written.
+
 The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag and reason, epoch-equivalent compute, seed, config echo and
-hash, and the thread count numpy's BLAS library reports, see
-:func:`_blas_threads`) atomically into it. Sweeps execute many configs,
-optionally across spawned worker processes, and reduce to a table with one
-row per config but its seed.
+hash, and the thread count, kernel core and build numpy's BLAS library
+reports, see :func:`_blas_report`) atomically into it. Sweeps execute many
+configs, optionally across spawned worker processes, and reduce to a table
+with one row per config, as read, but its seed.
 
 BLAS threads: the ``hessavg`` command (``python -m hessavg``) and the
 workers :func:`run_many` spawns run with one BLAS thread unless the caller
@@ -127,20 +137,35 @@ def _as_number(value, name: str, kind: type = float):
         raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
 
 
-def _take(section: dict, key: str, where: str, hint, default=_REQUIRED):
-    """Remove ``section[key]`` and read it as the annotation ``hint``; ``default`` when absent.
+class _Section(dict):
+    """A config section's keys not yet read, and in ``read`` the keys its
+    reader took, each as read: defaults written in, numbers of their field's
+    type, and a nested section as its own reading."""
+
+    def __init__(self, raw: dict):
+        super().__init__(raw)
+        self.read = {}
+
+
+def _take(section: _Section, key: str, where: str, hint, default=_REQUIRED):
+    """Remove ``section[key]``, read it as the annotation ``hint`` (``default``
+    when absent) and record the value read in ``section.read``.
 
     Without a default the key is required. ``float`` and ``int`` go through
-    :func:`_as_number`, ``str`` and ``dict`` (copied) must be a JSON string
-    and object, ``tuple[int, ...]`` is a list of integers, and
-    ``Optional[...]`` also takes ``null``.
+    :func:`_as_number`, ``str`` must be a JSON string, ``dict`` a JSON object
+    (read as a :class:`_Section`, whose reading is recorded),
+    ``tuple[int, ...]`` is a list of integers, and ``Optional[...]`` also
+    takes ``null``. A default is read as a written value is, so a config that
+    writes out a default reads as one that leaves it out.
     """
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in {where}")
-        return default
-    value = section.pop(key)
-    name = f"{key!r} in {where}"
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    value = _as_hint(section.pop(key, default), f"{key!r} in {where}", hint)
+    section.read[key] = value.read if isinstance(value, _Section) else value
+    return value
+
+
+def _as_hint(value, name: str, hint):
     if get_origin(hint) is Union:
         if value is None:
             return None
@@ -150,7 +175,7 @@ def _take(section: dict, key: str, where: str, hint, default=_REQUIRED):
     if hint in (str, dict):
         if not isinstance(value, hint):
             raise ConfigError(f"{name} must be {'a string' if hint is str else 'an object'}, got {value!r}")
-        return dict(value) if hint is dict else value
+        return _Section(value) if hint is dict else value
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return tuple(_as_number(v, f"entries of {name}", int) for v in value)
@@ -189,11 +214,6 @@ def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
 INIT_KINDS = {"gaussian": {"scale": 1.0}, "zeros": {}, "near_optimum": {"radius": 0.5}}
 
 
-def _default_init() -> dict:
-    kind, keys = next(iter(INIT_KINDS.items()))
-    return {"kind": kind, **keys}
-
-
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -205,7 +225,7 @@ class ExperimentConfig:
     trace_interval: int = 10
     rolling_f: int = 0
     iters_per_epoch: int = 100
-    init: dict = field(default_factory=_default_init)
+    init: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.epochs >= 0:
@@ -219,17 +239,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config as its run reads it, or a ConfigError.
+
+        Each section holds exactly the keys its reader takes, each with the
+        value read: defaults written in, and numbers of their field's type.
+        Two configs that differ only in how they spell what a run reads
+        load equal, and a reading loads as itself.
+        """
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        cfg = _read(cls, dict(raw), "config")
-        _read_sections(cfg)
-        return cfg
+        return _read_sections(raw).config
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def hash(self) -> str:
-        """Short SHA-256 of every field, seed included; output and data paths are run arguments, not in it."""
+        """Short SHA-256 of every field, seed included, as read when loaded by
+        :meth:`from_dict`; output and data paths are run arguments, not in it."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -242,48 +268,52 @@ class ExperimentConfig:
 # initial point from the oracle and a stream. ``controller`` and
 # ``hess_sampler`` take the problem's component count: None for an
 # expectation, and 0 before the problem is built, which runs every check
-# that does not need the count.
-_Sections = namedtuple("_Sections", "problem method schedules policy a_mode controller hess_sampler init")
+# that does not need the count. ``config`` is the reading: the config as
+# these sections read it.
+_Sections = namedtuple("_Sections", "problem method schedules policy a_mode controller hess_sampler init config")
 
 
-def _read_sections(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> _Sections:
-    top = cfg.to_dict()
-    sampling = _take(top, "sampling", "config", dict)
-    method = _read_method(_take(top, "method", "config", dict))
-    a_mode, controller = _read_grad(sampling, method)
-    policy, hess_sampler = _read_hess(sampling) if method.keeps_hessian else (None, lambda n: None)
+def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
+    top = _Section(raw)
+    cfg = _read(ExperimentConfig, top, "config")  # each section a _Section, read below
+    if cfg.rolling_f == 1:  # a window of one smooths nothing, as 0 does
+        top.read["rolling_f"] = 0
+    method = _read_method(cfg.method)
+    a_mode, controller = _read_grad(cfg.sampling, method)
+    policy, hess_sampler = _read_hess(cfg.sampling) if method.keeps_hessian else (None, lambda n: None)
     sections = _Sections(
-        problem=_read_problem(_take(top, "problem", "config", dict), cfg, data_dir),
+        problem=_read_problem(cfg.problem, cfg, data_dir),
         method=method,
-        schedules=_build_schedules(_take(top, "schedules", "config", dict)),
+        schedules=_build_schedules(cfg.schedules),
         policy=policy,
         a_mode=a_mode,
         controller=controller,
         hess_sampler=hess_sampler,
-        init=_read_init(_take(top, "init", "config", dict)),
+        init=_read_init(cfg.init),
+        config=ExperimentConfig(**top.read),
     )
-    _done(sampling, f"sampling for method {method.name!r}")
+    _done(cfg.sampling, f"sampling for method {method.name!r}")
     return sections
 
 
 def _read_method(spec: dict) -> MethodSpec:
     """The method: ``name``, then only the keys :data:`METHODS` lists for it.
     An unknown name reads every key, and ``MethodSpec`` refuses the name."""
-    name = _take(dict(spec), "name", "method", str)
+    name = _take(_Section(spec), "name", "method", str)
     keys = ("name", *METHODS[name]) if name in METHODS else None
     return _read(MethodSpec, spec, f"method {name!r}", keys)
 
 
 def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
-    """A builder of the problem. The quadratic's seed defaults to the run's
-    ``seed``, and a dataset, which must be one of ``data.MANIFESTS``, is
-    read from ``data_dir``. Only the quadratic, an expectation, reads the
-    config's ``iters_per_epoch``: a finite sum counts its epochs in
-    components, so it refuses any other value than the default."""
-    seed = cfg.seed
+    """A builder of the problem. The quadratic's seed reads as None when
+    absent, and the problem then follows the run's ``seed``. A dataset,
+    which must be one of ``data.MANIFESTS``, is read from ``data_dir``. Only
+    the quadratic, an expectation, reads the config's ``iters_per_epoch``: a
+    finite sum counts its epochs in components, so it refuses any other
+    value than the default."""
     # Each kind's builder, and its keys with their types and defaults.
     kinds = {
-        "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (int, seed)}),
+        "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (Optional[int], None)}),
         "logistic": (
             lambda dataset, split_seed: LogisticProblem(*load_dataset(dataset, data_dir, split_seed)),
             {"dataset": (str, _REQUIRED), "split_seed": (int, 0)},
@@ -310,6 +340,8 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     make, keys = kinds[kind]
     args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
     _done(spec, where)
+    if kind == "quadratic" and args["seed"] is None:
+        args["seed"] = cfg.seed
     if kind == "logistic" and args["dataset"] not in MANIFESTS:
         raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
     return partial(make, **args)
@@ -325,7 +357,7 @@ SCHEDULE_KINDS = {
 
 def _build_schedules(spec: dict) -> ScheduleSet:
     """The schedules: each section's keys are ``kind`` and that kind's class's fields."""
-    spec = dict(spec)
+    spec = spec if isinstance(spec, _Section) else _Section(spec)
     schedules = {}
     for section, kinds in SCHEDULE_KINDS.items():
         raw = _take(spec, section, "schedules", dict, {})
@@ -432,7 +464,7 @@ def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], N
 
 
 def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tuple[RunContext, NDArray]:
-    read = _read_sections(cfg, data_dir)
+    read = _read_sections(cfg.to_dict(), data_dir)
     oracle = read.problem()
     streams = rng_mod.streams(cfg.seed)
     ctx = RunContext(
@@ -461,19 +493,28 @@ class RunResult:
     summary: dict
 
 
-# The thread-count getter of numpy's OpenBLAS (``libscipy_openblas64_``),
-# which runs numpy's products and ``eigh`` and the LAPACK calls of ``linalg``.
-BLAS_THREAD_GETTER = "scipy_openblas_get_num_threads64_"
+# The getters of numpy's OpenBLAS (``libscipy_openblas64_``), which runs
+# numpy's products and ``eigh`` and the LAPACK calls of ``linalg``, by the
+# summary field each fills: its thread count, the core whose kernels it
+# picked for this CPU (``OPENBLAS_CORETYPE`` overrides it), and its build.
+BLAS_GETTERS = {
+    "blas_threads": ("scipy_openblas_get_num_threads64_", ctypes.c_int),
+    "blas_core": ("scipy_openblas_get_corename64_", ctypes.c_char_p),
+    "blas_config": ("scipy_openblas_get_config64_", ctypes.c_char_p),
+}
 
 
-def _blas_threads() -> Optional[int]:
-    """The thread count numpy's OpenBLAS reports, or None when it lacks the
-    getter. It is read through the handle ``linalg`` binds LAPACK with."""
-    getter = getattr(numpy_blas(), BLAS_THREAD_GETTER, None)
-    if getter is None:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
+def _blas_report() -> dict:
+    """What numpy's OpenBLAS reports of itself, each field None when it lacks
+    the getter. It is read through the handle ``linalg`` binds LAPACK with."""
+    report = dict.fromkeys(BLAS_GETTERS)
+    for key, (name, restype) in BLAS_GETTERS.items():
+        getter = getattr(numpy_blas(), name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], restype
+            value = getter()
+            report[key] = value.decode() if isinstance(value, bytes) else value
+    return report
 
 
 def _rolling(values: list[float], window: int) -> list[float]:
@@ -548,7 +589,7 @@ def run_experiment(
         "final_grad_norm": records[-1].grad_norm,
         "final_dist_to_opt": records[-1].dist_to_opt,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
-        "blas_threads": _blas_threads(),
+        **_blas_report(),
         "config": cfg.to_dict(),
     }
     if out_dir:
@@ -621,8 +662,9 @@ class RateReport:
 
     ``ratios[j] = e_{k+1} / e_k`` is regressed on the index of the later
     iterate: slope of ``log ratio`` vs ``log (k+1)``. ``rho_bar`` is the
-    geometric mean of the ratios (the average linear rate). Only errors
-    above the numerical floor participate.
+    geometric mean of the ratios (the average linear rate), a ratio across
+    a gap of steps counting once per step. Only errors above the numerical
+    floor participate; ``n_points`` counts the ratios fitted.
     """
 
     k_lo: int
@@ -633,32 +675,39 @@ class RateReport:
     rho_bar: float
 
 
-def estimate_rates(errors: Sequence[float], k_start: int = 1, k_end: Optional[int] = None) -> RateReport:
+def estimate_rates(
+    errors: Sequence[Optional[float]], k_start: int = 1, k_end: Optional[int] = None
+) -> RateReport:
     """Fit the decay rate of an error sequence ``e_k`` indexed from 0.
 
-    Ratios with either endpoint at or below the 1e-13 floor are dropped.
-    Raises ``ValueError`` with fewer than 10 usable ratios.
+    A None entry is a step with no value, such as an untraced step's
+    ``grad_norm``. The ratio of two values ``dk`` steps apart counts as
+    ``dk`` steps at the rate ``ratio ** (1 / dk)``: it enters the fit at the
+    later index with weight ``dk``, so a trace thinned to every fifth step
+    fits the rate of the whole trace. ``k_start`` and ``k_end`` bound the
+    indices of both values of a ratio. Ratios with either endpoint at or
+    below the 1e-13 floor are dropped. Raises ``ValueError`` with fewer
+    than 10 usable ratios.
     """
-    e = np.asarray(errors, dtype=float)
     if k_end is None:
-        k_end = len(e) - 1
-    ks, logs = [], []
-    ratios = []
-    for k in range(max(k_start, 0), min(k_end, len(e) - 1)):
-        if e[k] > RATE_FLOOR and e[k + 1] > RATE_FLOOR:
-            rho = e[k + 1] / e[k]
+        k_end = len(errors) - 1
+    known = [(k, e) for k, e in enumerate(errors) if e is not None and max(k_start, 0) <= k <= k_end]
+    ks, logs, steps = [], [], []
+    for (k0, e0), (k1, e1) in zip(known, known[1:]):
+        if e0 > RATE_FLOOR and e1 > RATE_FLOOR:
+            rho = e1 / e0
             if rho > 0 and math.isfinite(rho):
-                ks.append(k + 1)
-                logs.append(math.log(rho))
-                ratios.append(rho)
+                ks.append(k1)
+                steps.append(k1 - k0)
+                logs.append(math.log(rho) / (k1 - k0))
     if len(ks) < 10:
         raise ValueError(
             f"only {len(ks)} usable ratios above the {RATE_FLOOR} floor; need at least 10"
         )
     x = np.log(np.asarray(ks, dtype=float))
     y = np.asarray(logs)
-    slope, intercept = np.polyfit(x, y, 1)
-    rho_bar = float(np.exp(np.mean(y)))
+    slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(steps))
+    rho_bar = float(np.exp(np.average(y, weights=steps)))
     return RateReport(
         k_lo=ks[0],
         k_hi=ks[-1],
@@ -687,8 +736,8 @@ def sweep(
 ) -> tuple[list[dict], str]:
     """Run a config grid and reduce to one row per config but its seed.
 
-    Configs that differ in anything but ``seed`` get rows of their own, told
-    apart by the ``config`` column when the shown columns agree. A row's
+    Configs whose readings differ in anything but ``seed`` get rows of their
+    own, told apart by the ``config`` column when the shown columns agree. A row's
     ``alpha`` is its schedule's first step size. Runs write as in
     :func:`run_many`.
 
@@ -698,17 +747,18 @@ def sweep(
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
+    # a config made directly, not loaded, is keyed and shown as read, as its run reads it
+    configs = [ExperimentConfig.from_dict(cfg.to_dict()) for cfg in configs]
     summaries = run_many(configs, data_dir=data_dir, out_dirs=out_dirs, parallel=parallel)
     rows: dict[str, dict] = {}
     for cfg, summ in zip(configs, summaries):
         key = replace(cfg, seed=0).hash()
         if key not in rows:
-            read = _read_sections(cfg)
             rows[key] = {
-                "method": read.method.name,
-                "alpha": read.schedules.alpha.at(0),
-                "rank": read.method.rank if "rank" in METHODS[read.method.name] else None,
-                "grad_mode": read.controller(0).mode,
+                "method": cfg.method["name"],
+                "alpha": _build_schedules(cfg.schedules).alpha.at(0),
+                "rank": cfg.method.get("rank"),
+                "grad_mode": cfg.sampling["grad"]["mode"],
                 "config": key,
                 "finals": [],
             }

@@ -52,6 +52,19 @@ def test_a_run_uses_one_blas_thread_unless_the_caller_sets_it(tmp_path, caller, 
     assert summary["blas_threads"] == seen
 
 
+def test_a_summary_names_the_blas_core_that_ran(tmp_path):
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE overrides the
+    # pick: the summary names the core whose kernels made the run, and the
+    # trace's header names only the schema, the config and the seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    _python(["-m", "hessavg", "run", str(cfg), "--out", str(tmp_path / "run")], OPENBLAS_CORETYPE="Haswell")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["blas_core"] == "Haswell" and " Haswell " in summary["blas_config"]
+    header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0]
+    assert [item.split("=")[0] for item in header[2:].split()] == ["schema", "config", "seed"]
+
+
 def test_the_console_script_is_the_pinning_entry():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessavg.cli import cli_dispatch
 from hessavg.data import MANIFESTS, LibsvmParseError, load_dataset
 from hessavg.harness import (
+    BLAS_GETTERS,
     ConfigError,
     ExperimentConfig,
     _build_schedules,
@@ -479,15 +483,17 @@ class TestEveryKeyRead:
         with pytest.raises(ValueError, match=key):
             base_config(**{key: value})
 
-    def test_the_readers_leave_the_config_as_given(self):
-        # each reader takes keys from its own copy, so the hash in every
-        # trace header still covers the config as written
+    def test_build_context_leaves_the_reading_unchanged(self):
+        # a config is held as read, with every default its readers take
+        # written in, where it was held as written; the readers take keys
+        # from their own copies, so a run leaves the reading as loaded
         raw = base_raw(init={"kind": "near_optimum"}, problem={"kind": "synthetic_sum", "n_components": 8, "d": 4})
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
         before = json.dumps(cfg.to_dict(), sort_keys=True)
         build_context(cfg)
         assert json.dumps(cfg.to_dict(), sort_keys=True) == before
-        assert cfg.init == {"kind": "near_optimum"} and cfg.sampling == raw["sampling"]
+        assert cfg.init == {"kind": "near_optimum", "radius": 0.5}
+        assert cfg.sampling == {**raw["sampling"], "policy": {"warmup": 0, "hf": 1}}
         assert base_config().init == {"kind": "gaussian", "scale": 1.0}
 
 
@@ -644,6 +650,165 @@ class TestSchedulesFromConfig:
             base_config(schedules={section: raw})
 
 
+# Values a drawn config may give each key: valid ones, among them the key's
+# default and an integer for a float field.
+DRAWN_PROBLEMS = {
+    "quadratic": {"d": [6, 8.0], "keep_prob": [0.5, 1], "seed": [None, 0, 3]},
+    "synthetic_logistic": {"n": [400, 40], "d": [12, 5], "seed": [0, 2]},
+    "synthetic_sum": {"n_components": [16, 8], "d": [20, 4], "seed": [0, 1], "curvature": [0, 1.5],
+                      "coupling": [0.0, 1], "freq": [10, 3.0], "n_ripples": [4, 2]},
+}
+DRAWN_METHOD_VALUES = {"mu_tilde": [1, 1e-4], "variant": ["plain", "abs"], "decay": [None, 0.5], "rank": [1, 3.0],
+                       "eps": [0, 1e-6], "beta1": [0.9, 0.5], "beta2": [0.999], "adam_eps": [1e-8, 0]}
+DRAWN_INIT = {"gaussian": {"scale": [1.0, 2]}, "zeros": {}, "near_optimum": {"radius": [0.5, 1]}}
+DRAWN_TOP = {"epochs": [1, 0.5], "seed": [0, 5], "trace_interval": [10, 3.0], "rolling_f": [0, 1, 3]}
+
+
+@st.composite
+def raw_configs(draw):
+    """A config over every method, grad mode, Hessian sampler, schedule kind,
+    init kind and generated problem kind, each key written out or left to
+    its default."""
+
+    def some(options):
+        return {key: draw(st.sampled_from(values)) for key, values in options.items() if draw(st.booleans())}
+
+    kind = draw(st.sampled_from(sorted(DRAWN_PROBLEMS)))
+    name = draw(st.sampled_from(sorted(METHODS)))
+    mode = draw(st.sampled_from(ALL_MODES))
+    size_key, size = GRAD_SIZES[mode]
+    grad = {"mode": mode, size_key: size} if mode == "geometric_epochs" else {"mode": mode, **some({size_key: [8, 32]})}
+    if mode == "fixed" and draw(st.booleans()):
+        del grad["mode"]
+    grad.update(some({"epochs_per_block": [20, 2]}) if mode == "geometric_epochs" else {})
+    grad.update(some({"cap": [None, 64]}) if mode in ADAPTIVE_MODES else {})
+    a_modes = ["identity", "inverse_hessian"] if name in ("fan", "subnewton") else ["identity"]
+    grad.update(some({"a_mode": a_modes}) if mode == "exact_norm_test" else {})
+    sampling = {"grad": grad}
+    if name in HESSIAN_METHODS:
+        hess_kind = draw(st.sampled_from(["iid", "cyclic"]))
+        sampling["hess"] = {"kind": hess_kind, **some({"size": [32, 8]}), **(some({"seed": [None, 7]}) if hess_kind == "cyclic" else {})}
+        sampling["policy"] = some({"warmup": [0, 3], "hf": [1, 2]})
+    schedules = {}
+    for section in ("alpha", "theta", "iota"):
+        choice = draw(st.sampled_from([None, {}] + [raw for sec, raw, _ in SCHEDULE_CASES.values() if sec == section]))
+        if choice is not None:
+            schedules[section] = choice
+    init_kind = draw(st.sampled_from(sorted(DRAWN_INIT)))
+    raw = {
+        "problem": {"kind": kind, **some(DRAWN_PROBLEMS[kind])},
+        "method": {"name": name, **some({key: DRAWN_METHOD_VALUES[key] for key in METHOD_KEYS[name]})},
+        **{key: value for key, value in {"sampling": sampling, "schedules": schedules}.items() if draw(st.booleans())},
+        "init": {"kind": init_kind, **some(DRAWN_INIT[init_kind])},
+        **some({**DRAWN_TOP, **({"iters_per_epoch": [100, 7]} if kind == "quadratic" else {})}),
+    }
+    return raw
+
+
+def written_in(reading, raw, path=()):
+    """The paths of the keys ``reading`` holds and ``raw`` leaves out: the defaults the readers wrote in."""
+    paths = []
+    for key, value in reading.items():
+        if key not in raw:
+            paths.append(path + (key,))
+        if isinstance(value, dict):
+            paths += written_in(value, raw.get(key, {}), path + (key,))
+    return paths
+
+
+def without(reading, paths):
+    """A copy of ``reading`` without the keys at ``paths``."""
+    pruned = copy.deepcopy(reading)
+    for path in sorted(paths, key=len, reverse=True):  # a key before the section that holds it
+        section = pruned
+        for key in path[:-1]:
+            section = section[key]
+        del section[path[-1]]
+    return pruned
+
+
+# Each adds one default, spelt out, to SAME_RUN_BASE; the eight configs run
+# the same arithmetic.
+SAME_RUN_BASE = {"problem": {"kind": "synthetic_logistic", "n": 200, "d": 5}, "method": {"name": "fan"}, "epochs": 0.5}
+SAME_RUN = {
+    "mu_tilde": {"method": {"name": "fan", "mu_tilde": 1e-4}},
+    "decay": {"method": {"name": "fan", "decay": None}},
+    "rolling_f": {"rolling_f": 1},
+    "grad": {"sampling": {"grad": {"mode": "fixed", "size": 32}}},
+    "hess": {"sampling": {"hess": {"kind": "iid", "size": 32}, "policy": {"hf": 1}}},
+    "schedules": {"schedules": {"alpha": {"kind": "constant", "alpha": 0.1}, "theta": {}}},
+    "problem_seed": {"problem": {**SAME_RUN_BASE["problem"], "seed": 0}},
+}
+
+
+class TestTheReading:
+    """A config is held and hashed as read: what a run reads, and only that, in one form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_configs(), data=st.data())
+    def test_a_config_and_its_reading_less_any_defaults_load_as_one(self, raw, data):
+        cfg = ExperimentConfig.from_dict(raw)
+        reading = cfg.to_dict()
+        assert ExperimentConfig.from_dict(reading) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(reading))) == cfg
+        paths = written_in(reading, raw)
+        dropped = data.draw(st.sets(st.sampled_from(paths))) if paths else set()
+        assert ExperimentConfig.from_dict(without(reading, dropped)).hash() == cfg.hash()
+
+    def test_the_same_run_written_eight_ways_is_one_hash_and_one_row(self):
+        # each config hashed apart and printed a sweep row of its own
+        configs = [ExperimentConfig.from_dict({**SAME_RUN_BASE, **extra}) for extra in [{}, *SAME_RUN.values()]]
+        assert len({cfg.hash() for cfg in configs}) == 1
+        rows, _ = sweep(configs)
+        assert [(row["seeds"], row["method"], row["grad_mode"], row["rank"]) for row in rows] == [(8, "fan", "fixed", None)]
+
+    def test_a_float_field_reads_an_integer_as_a_float(self):
+        one, one_point_oh = (ExperimentConfig.from_dict({**SAME_RUN_BASE, "method": {"name": "fan", "mu_tilde": mu}}) for mu in (1, 1.0))
+        assert one.method["mu_tilde"] == 1.0 and isinstance(one.method["mu_tilde"], float)
+        assert one.hash() == one_point_oh.hash()
+
+    def test_each_accepted_method_key_has_a_hash_of_its_own(self):
+        plain = {ExperimentConfig.from_dict(method_raw(name)).hash() for name in METHOD_KEYS}
+        hashes = [
+            ExperimentConfig.from_dict(method_raw(name, **{key: METHOD_VALUES[key]})).hash()
+            for name, keys in METHOD_KEYS.items()
+            for key in keys
+        ]
+        assert len(hashes) == len(set(hashes)) == 18
+        assert not set(hashes) & plain
+
+    def test_a_quadratic_without_a_seed_follows_the_run_seed_in_one_row(self):
+        def quadratic(run_seed, **problem):
+            return base_config(
+                problem={"kind": "quadratic", "d": 6, **problem}, method={"name": "sgd"},
+                sampling={"grad": {"mode": "fixed", "size": 4}}, epochs=0.05, seed=run_seed,
+            )
+
+        follows = [quadratic(0), quadratic(1)]
+        assert [cfg.problem["seed"] for cfg in follows] == [None, None]
+        oracles = [build_context(cfg)[0].oracle for cfg in (*follows, quadratic(1, seed=0))]
+        assert not np.array_equal(oracles[0].a, oracles[1].a) and np.array_equal(oracles[0].a, oracles[2].a)
+        rows, _ = sweep(follows + [quadratic(0, seed=0), quadratic(1, seed=0)])
+        assert [row["seeds"] for row in rows] == [2, 2]
+        assert rows[0]["config"] != rows[1]["config"]
+
+    def test_a_config_made_directly_sweeps_as_read(self):
+        # its row is the loaded config's: the same key and the shown columns
+        made = ExperimentConfig(**{**SAME_RUN_BASE, "epochs": 0.1})
+        loaded = ExperimentConfig.from_dict({**SAME_RUN_BASE, "epochs": 0.1, "seed": 1})
+        rows, _ = sweep([made, loaded])
+        assert [(row["seeds"], row["method"], row["grad_mode"]) for row in rows] == [(2, "fan", "fixed")]
+        assert rows[0]["config"] == dataclasses.replace(loaded, seed=0).hash()
+
+    def test_a_summary_config_loads_to_the_hash_of_its_run(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({**SAME_RUN_BASE, "method": {"name": "fan", "mu_tilde": 1}, "epochs": 0.2, "rolling_f": 1})
+        run_experiment(cfg, out_dir=str(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        meta, _ = parse_trace((tmp_path / "trace.csv").read_text())
+        assert ExperimentConfig.from_dict(summary["config"]).hash() == summary["config_hash"] == meta["config"] == cfg.hash()
+        assert ExperimentConfig.from_dict(summary["config"]) == cfg
+
+
 class TestRunExperiment:
     def test_zero_epochs_initial_record_only(self):
         result = run_experiment(base_config(epochs=0))
@@ -684,6 +849,16 @@ class TestRunExperiment:
         assert all(r.dist_to_opt is not None for r in with_opt.records)
         without = run_experiment(base_config())
         assert all(r.dist_to_opt is None for r in without.records)
+
+    def test_summary_names_the_blas_library(self):
+        summary = run_experiment(base_config(epochs=0.1)).summary
+        assert summary["blas_threads"] >= 1
+        assert summary["blas_core"] and summary["blas_core"] in summary["blas_config"]
+
+    def test_a_missing_blas_getter_reads_null(self, monkeypatch):
+        monkeypatch.setitem(BLAS_GETTERS, "blas_core", ("no_such_getter64_", BLAS_GETTERS["blas_core"][1]))
+        summary = run_experiment(base_config(epochs=0.1)).summary
+        assert summary["blas_core"] is None and summary["blas_config"] is not None
 
     def test_rolling_mean_smooths(self):
         bumpy = run_experiment(base_config(epochs=4, rolling_f=0))
@@ -868,9 +1043,10 @@ class TestRealDataPath:
     # factorization moved to numpy's OpenBLAS, and when a traced or tested
     # logistic step took its batch values from loss_grad_sub, not from the
     # count-weighted full pass (the floats moved by at most 3e-15 relative
-    # each time); the pin guards the parsed form, the split and the run
-    # together.
-    TRACE_SHA256 = "674a7af699c5a83626640b3b3865dff47e0ae2d4412e7738425321a548f8db2a"
+    # each time), and on its header line only when the config hash came to
+    # cover the config as read; the pin guards the parsed form, the split
+    # and the run together.
+    TRACE_SHA256 = "1ca2542bf1cff25bcf0e7b0fc3859d4da5f71c08dbcfb1a0eb25c44f7fba732d"
 
     @pytest.mark.parametrize("n_rows", [5600, 8125])
     def test_a_file_with_another_row_count_is_refused(self, tmp_path, n_rows):
@@ -1019,6 +1195,26 @@ class TestCli:
         expected = estimate_rates([r.dist_to_opt for r in records], k_start=1)
         assert expected.n_points >= 10
         assert json.loads(capsys.readouterr().out) == dataclasses.asdict(expected)
+
+    def test_rates_fit_a_thinned_trace_by_step(self, tmp_path, capsys):
+        # a rippled, coupled sum whose full-batch run the trace interval
+        # does not change: the interval-5 trace's grad_norm was fitted by
+        # snapshot, k_hi 12 and rho_bar 0.590, the fifth power of the rate
+        def rates(interval, *extra):
+            cfg = {"problem": {"kind": "synthetic_sum", "n_components": 64, "d": 10, "curvature": 1.0, "coupling": 0.5},
+                   "method": {"name": "fan"}, "sampling": {"grad": {"mode": "fixed", "size": 64}},
+                   "epochs": 60, "trace_interval": interval}
+            path, out = tmp_path / f"cfg{interval}.json", tmp_path / f"run{interval}"
+            path.write_text(json.dumps(cfg))
+            assert cli_dispatch(["run", str(path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert cli_dispatch(["rates", str(out / "trace.csv"), "--col", "grad_norm", *extra]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        every, thinned = rates(1, "--k-start", "5"), rates(5)
+        assert every["k_hi"] == thinned["k_hi"] == 60
+        assert thinned["rho_bar"] == pytest.approx(every["rho_bar"], rel=1e-9)
+        assert 0.8 < thinned["rho_bar"] < 0.95
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = {
