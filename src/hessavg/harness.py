@@ -30,15 +30,21 @@ The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag and reason, epoch-equivalent compute, seed, config echo and
-hash, and the thread count, kernel core and build numpy's BLAS library
-reports, see :func:`_blas_report`) atomically into it. Sweeps execute many
-configs, optionally across spawned worker processes, and reduce to a table
-with one row per config, as read, but its seed.
+hash, the thread count, kernel core and build numpy's BLAS library reports,
+see :func:`_blas_report`, and the threads a logistic batch pass may use)
+atomically into it. Sweeps execute many configs, optionally across spawned
+worker processes, and reduce to a table with one row per config, as read,
+but its seed.
 
-BLAS threads: the ``hessavg`` command (``python -m hessavg``) and the
-workers :func:`run_many` spawns run with one BLAS thread unless the caller
-sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's
-own process uses the threads its numpy started with.
+Threads: the ``hessavg`` command (``python -m hessavg``) and the workers
+:func:`run_many` spawns run with one BLAS thread unless the caller sets
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's own
+process uses the threads its numpy started with. Apart from BLAS, a logistic
+batch that spans two or more row blocks shares its gather among up to one
+thread per CPU the process may run on, from one pool per process; that count
+is the summary's ``pass_threads``, and it never changes a bit of a run (see
+:class:`~hessavg.problems.LogisticProblem`). Nothing else starts a thread, and
+a parallel sweep's workers may together run more threads than there are CPUs.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ from .problems import (
     LogisticProblem,
     SyntheticSumProblem,
     make_synthetic_logistic,
+    pass_threads,
     quadratic_generate,
 )
 from .sampling import ADAPTIVE_MODES, DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
@@ -563,8 +570,10 @@ def strict_json(value, **kwargs) -> str:
 def run_experiment(
     cfg: ExperimentConfig, data_dir: Optional[str] = None, out_dir: Optional[str] = None
 ) -> RunResult:
-    """Execute one config; persist trace + summary if ``out_dir`` is given."""
+    """Execute one config, as :meth:`ExperimentConfig.from_dict` reads it;
+    persist trace + summary if ``out_dir`` is given."""
     t0 = time.perf_counter()
+    cfg = ExperimentConfig.from_dict(cfg.to_dict())
     ctx, w0 = build_context(cfg, data_dir)
     state, records = run(ctx, w0, cfg.epochs)
     if cfg.rolling_f > 1:
@@ -590,6 +599,7 @@ def run_experiment(
         "final_dist_to_opt": records[-1].dist_to_opt,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
         **_blas_report(),
+        "pass_threads": pass_threads(),
         "config": cfg.to_dict(),
     }
     if out_dir:

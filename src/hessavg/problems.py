@@ -52,6 +52,7 @@ to 0 anyway; that overflow is expected and silenced.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
@@ -71,6 +72,7 @@ __all__ = [
     "LogisticProblem",
     "SyntheticSumProblem",
     "make_synthetic_logistic",
+    "pass_threads",
 ]
 
 
@@ -296,13 +298,40 @@ def quadratic_generate(
 # ---------------------------------------------------------------------------
 
 
-# Bytes of X per block of the logistic oracle's blocked pass: a block
-# must stay in one core's L2 cache (2 MiB on the 2-core Xeon measured)
-# between its margins and its gradient sums. For n=20000, d=300 and a batch
-# of 4096 on one BLAS thread, 512 KiB and 1 MiB tied; 256 KiB (more blocks,
-# more per-block overhead) and 2 MiB (a block filling L2) ran about 10%
-# slower.
+# Bytes of X per block of the logistic oracle's blocked pass. A block must
+# stay in the L2 cache of the core that runs it between its margins and its
+# gradient sums; a gathered pass runs up to one block per core at once (see
+# LogisticProblem). The 2-core AMD EPYC (Zen 5) the benchmark now runs on
+# has 1 MiB of L2 per core and a 32 MiB L3 that both cores share. The size
+# was chosen on a 2-core Xeon with 2 MiB of L2: for n=20000, d=300 and a
+# batch of 4096 on one BLAS thread, 512 KiB and 1 MiB tied; 256 KiB (more
+# blocks, more per-block overhead) and 2 MiB (a block filling L2) ran about
+# 10% slower. The size sets where the blocked sums round: changing it moves
+# the bits of every pass over more than one block.
 _BLOCK_BYTES = 1 << 19
+
+
+def pass_threads() -> int:
+    """Threads a gathered logistic batch pass may use in this process: one
+    per CPU the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _pass_pool():
+    """The process's pool for the threads a gathered pass adds to its caller,
+    made on the first pass that shares its blocks."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=max(1, pass_threads() - 1), thread_name_prefix="hessavg-pass")
+
+
+# A forked child has none of its parent's pool threads, and a pass handed to
+# the inherited pool would wait forever: the child makes a pool of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pass_pool.cache_clear)
 
 
 class LogisticProblem(FiniteSumOracle):
@@ -316,9 +345,10 @@ class LogisticProblem(FiniteSumOracle):
     :meth:`_blocked_pass`, in blocks of whole groups of 8 rows,
     ``_BLOCK_BYTES`` of ``X`` each, and finish a block's margins and its
     coefficient sum while the block is in cache. The full gradient reads
-    ``X`` in place. A batch gathers its rows a block at a time, so a large
-    batch never holds a copy of all its rows; a repeated index is gathered,
-    and counted, once per occurrence. The fused
+    ``X`` in place. A batch gathers its rows a block at a time, into one
+    block-sized buffer per thread, so a large batch never holds a copy of
+    all its rows; a repeated index is gathered, and counted, once per
+    occurrence. The fused
     :meth:`~FiniteSumOracle.loss_grad_sub_full` is the interface default:
     the batch call, then the full one.
 
@@ -328,6 +358,18 @@ class LogisticProblem(FiniteSumOracle):
     every row in order adds the same blocks in the same order as
     :meth:`grad_full`, so its batch gradient is the full gradient bit for
     bit.
+
+    A gathered batch of two or more blocks shares them among threads, one
+    per CPU the process may run on (:func:`pass_threads`) and no more than
+    blocks, from one pool per process: each thread takes one contiguous run
+    of blocks, the calling thread the first. A gather waits on memory, so a
+    second core shortens it: 4096 rows at d=300 took 0.80 ms on one thread of
+    a 2-core Zen 5 and 0.47 ms on two. Each block writes its margins
+    into its slice and its coefficient sum into a row of its own, and the
+    caller adds those rows in block order, as one thread would: the bits do
+    not depend on the thread count. The in-place full pass streams ``X`` at
+    memory bandwidth, which a second thread does not raise, and stays on the
+    calling thread.
     """
 
     def __init__(self, x: NDArray, y: NDArray):
@@ -388,20 +430,48 @@ class LogisticProblem(FiniteSumOracle):
         """Margins of the rows ``idx`` and their coefficient sum ``sum_i c_i x_i``,
         with ``c_i`` from :meth:`_coeff`, one block of rows at a time: each
         block's margins and sum are computed while it is in cache.
-        ``idx=None`` reads every row of ``X`` in place; otherwise each block's
-        rows are gathered, once per occurrence of an index."""
+        ``idx=None`` reads every row of ``X`` in place, on the calling thread;
+        otherwise each block's rows are gathered, once per occurrence of an
+        index, and contiguous runs of blocks go to up to :func:`pass_threads`
+        threads, the first run to the caller. The block sums are added in
+        block order."""
         m = self.n if idx is None else idx.size
         z = np.empty(m)
+        sums = np.empty((-(-m // self._block_rows), self.dim))
+        threads = 1 if idx is None else min(pass_threads(), len(sums))
+        first, *rest = np.array_split(np.arange(len(sums)), threads)
+        futures = [_pass_pool().submit(self._pass_blocks, w, idx, z, sums, run) for run in rest]
+        try:
+            self._pass_blocks(w, idx, z, sums, first)
+        finally:
+            for future in futures:
+                future.result()
         total = np.zeros(self.dim)
+        for row in sums:
+            total += row
+        return z, total
+
+    def _pass_blocks(self, w: NDArray, idx: Optional[NDArray], z: NDArray, sums: NDArray, blocks: NDArray) -> None:
+        """For each block ``k`` in ``blocks``, fill its slice of the margins ``z``
+        and its coefficient sum ``sums[k]``. Gathered blocks are copied into
+        one buffer: a fresh block-sized array for each block cost about a
+        third of a 4096-row pass, with 221 minor page faults where the buffer
+        takes none."""
+        gathered = None if idx is None else np.empty((min(self._block_rows, idx.size), self.dim))
+        # numpy's error state is per thread
         with np.errstate(over="ignore"):
-            for start in range(0, m, self._block_rows):
-                block = slice(start, start + self._block_rows)
-                rows = block if idx is None else idx[block]
-                xb, yb = self.x[rows], self.y[rows]
+            for k in blocks:
+                block = slice(k * self._block_rows, (k + 1) * self._block_rows)
+                if idx is None:
+                    xb, yb = self.x[block], self.y[block]
+                else:
+                    rows = idx[block]
+                    # "clip" writes into the buffer directly; the indices are checked
+                    xb = np.take(self.x, rows, axis=0, out=gathered[: rows.size], mode="clip")
+                    yb = self.y[rows]
                 zb = z[block]
                 np.multiply(yb, xb @ w, out=zb)
-                total += self._coeff(yb, zb) @ xb
-        return z, total
+                sums[k] = self._coeff(yb, zb) @ xb
 
     def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
         idx = _check_indices(sample, self.n)

@@ -65,6 +65,27 @@ def test_a_summary_names_the_blas_core_that_ran(tmp_path):
     assert [item.split("=")[0] for item in header[2:].split()] == ["schema", "config", "seed"]
 
 
+# the hessavg command, on one CPU or on every CPU this process may use
+ON_CPUS = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hessavg.__main__ import main
+sys.argv[1:2] = []
+main()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("cpus, seen", [("one", 1), ("all", len(os.sched_getaffinity(0)))])
+def test_a_summary_counts_the_threads_a_batch_pass_may_use(tmp_path, cpus, seen):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    _python(["-c", ON_CPUS, cpus, "run", str(cfg), "--out", str(tmp_path / "run")])
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["pass_threads"] == seen
+
+
 def test_the_console_script_is_the_pinning_entry():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]

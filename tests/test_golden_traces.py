@@ -16,8 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from hessavg.harness import ExperimentConfig, run_experiment
+from hessavg.harness import ExperimentConfig, _blas_report, run_experiment
 from hessavg.trace import parse_trace
+
+# The OpenBLAS core (``harness._blas_report()["blas_core"]``) whose kernels
+# made the pinned traces; another core's kernels may round differently.
+PINNED_CORE = "SkylakeX"
 
 ALPHA_05 = {"alpha": {"kind": "constant", "alpha": 0.5}}
 ONE = {"alpha": {"kind": "constant", "alpha": 1.0}}
@@ -137,7 +141,9 @@ def test_trace_matches_golden_digest(name, tmp_path):
     cfg = ExperimentConfig.from_dict(raw)
     for out, loaded in ((tmp_path / "raw", cfg), (tmp_path / "read", ExperimentConfig.from_dict(cfg.to_dict()))):
         run_experiment(loaded, out_dir=str(out))
-        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest, (
+            f"OpenBLAS ran its {_blas_report()['blas_core']} kernels; the digests were pinned under {PINNED_CORE}"
+        )
 
 
 # Traces pinned before a change that moved floats on purpose: the two

@@ -808,6 +808,16 @@ class TestTheReading:
         assert ExperimentConfig.from_dict(summary["config"]).hash() == summary["config_hash"] == meta["config"] == cfg.hash()
         assert ExperimentConfig.from_dict(summary["config"]) == cfg
 
+    def test_a_config_made_directly_runs_under_the_hash_of_its_reading(self, tmp_path):
+        # the same run wrote the hash of its fields as given when made directly
+        raw = {"problem": {"kind": "synthetic_logistic", "n": 200, "d": 5}, "method": {"name": "fan"}, "epochs": 0.5}
+        for name, cfg in (("made", ExperimentConfig(**raw)), ("loaded", ExperimentConfig.from_dict(raw))):
+            summary = run_experiment(cfg, out_dir=str(tmp_path / name)).summary
+            meta, _ = parse_trace((tmp_path / name / "trace.csv").read_text())
+            assert summary["config_hash"] == meta["config"] == "f976cb7ccde5cfec"
+            assert summary["config"] == ExperimentConfig.from_dict(raw).to_dict()
+        assert (tmp_path / "made" / "trace.csv").read_bytes() == (tmp_path / "loaded" / "trace.csv").read_bytes()
+
 
 class TestRunExperiment:
     def test_zero_epochs_initial_record_only(self):

@@ -5,8 +5,10 @@ The logistic link is computed with numpy, and ``linalg`` calls ``dsyevr``,
 scipy, whatever its method. The runs are checked in a fresh interpreter,
 since this one has loaded scipy already (the tests compare against it); the
 source check keeps a scipy import from coming back anywhere in the package.
-Nor does importing ``harness`` load ``multiprocessing``: only a parallel
-sweep starts worker processes.
+Nor does importing ``harness`` load ``multiprocessing`` or
+``concurrent.futures``: only a parallel sweep starts worker processes, and
+only a logistic batch pass over two or more row blocks starts threads, so
+these runs, whose batches fit one block, start none.
 """
 
 import ast
@@ -55,7 +57,7 @@ RUNS = {
 }
 
 SCRIPT = """
-import json, sys
+import json, sys, threading
 from hessavg import linalg
 from hessavg.harness import ExperimentConfig, run_experiment
 
@@ -65,6 +67,8 @@ for name, raw in json.loads(sys.argv[1]).items():
     seen[name] = {
         "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
         "lapack bound": linalg._lapack.cache_info().currsize == 1,
+        "threads": threading.active_count(),
+        "futures": "concurrent.futures" in sys.modules,
     }
 print(json.dumps(seen))
 """
@@ -78,11 +82,12 @@ def test_no_run_loads_scipy():
     assert {name: s["scipy"] for name, s in seen.items()} == dict.fromkeys(RUNS, [])
     # the rippled sum's optimum is the first factorization of the process
     assert [s["lapack bound"] for s in seen.values()] == [False] * 5 + [True] * 3
+    assert {name: (s["threads"], s["futures"]) for name, s in seen.items()} == dict.fromkeys(RUNS, (1, False))
 
 
 def test_harness_loads_no_process_pool():
     script = "import json, sys, hessavg.harness; print(json.dumps(sorted(set(sys.modules) & set(sys.argv[1:]))))"
-    modules = ["multiprocessing", "concurrent.futures.process"]
+    modules = ["multiprocessing", "concurrent.futures"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script, *modules], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,12 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hessavg.problems import (
     quadratic_generate,
 )
 from hessavg import problems
+from hessavg.harness import ExperimentConfig, run_experiment
 from hessavg import rng as rng_mod
 
 
@@ -836,6 +843,123 @@ class TestBlockedLogisticBatch:
         finally:
             tracemalloc.stop()
         assert peak < sample.size * _WIDE.x[0].nbytes
+
+
+def _serial_pass(oracle, w, idx):
+    """The blocked pass as one loop on the calling thread, adding each
+    block's sum as it goes; ``idx=None`` reads every row in place."""
+    rows_per_block = oracle._block_rows
+    m = oracle.n if idx is None else idx.size
+    z, total = np.empty(m), np.zeros(oracle.dim)
+    with np.errstate(over="ignore"):
+        for start in range(0, m, rows_per_block):
+            block = slice(start, start + rows_per_block)
+            rows = block if idx is None else idx[block]
+            xb, yb = oracle.x[rows], oracle.y[rows]
+            z[block] = yb * (xb @ w)
+            total += oracle._coeff(yb, z[block]) @ xb
+    return z, total
+
+
+# a fresh interpreter on this checkout's source
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(problems.__file__).parents[1])}
+
+# a single-CPU process: its gathered passes run on the calling thread alone
+_ONE_CPU_RUN = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hessavg.harness import ExperimentConfig, run_experiment
+from hessavg.problems import pass_threads
+assert pass_threads() == 1
+run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])), out_dir=sys.argv[2])
+"""
+
+
+# a pass in a child forked after the parent's pool started its threads
+_FORKED_PASS = """
+import os, signal
+import numpy as np
+from hessavg.problems import LogisticProblem, make_synthetic_logistic, pass_threads
+oracle = LogisticProblem(*make_synthetic_logistic(n=2000, d=300, seed=0))
+w, idx = np.zeros(oracle.dim), np.arange(1000)
+assert pass_threads() > 1
+parent = oracle.loss_grad_sub(w, idx)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    child = oracle.loss_grad_sub(w, idx)
+    os._exit(0 if child[0] == parent[0] and np.array_equal(child[1], parent[1]) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+class TestGatheredPassThreads:
+    """A gathered batch pass shares its blocks among threads and keeps the
+    bits of one serial loop, at every thread count."""
+
+    # with 216 rows to a block: one block, two, and five
+    @pytest.mark.parametrize("size", [100, 400, 1000])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_bitwise_the_serial_loop(self, monkeypatch, size, threads):
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+        rng = rng_mod.stream(size, "gradient")
+        w = 0.1 * rng.standard_normal(_WIDE.dim)
+        sample = _WIDE.draw_sample(rng, size)
+        repeated = np.concatenate([sample, sample[: size // 2]])
+        for idx in (sample, repeated):
+            z, total = _serial_pass(_WIDE, w, idx)
+            got_z, got_total = _WIDE._blocked_pass(w, idx)
+            assert np.array_equal(got_z, z) and np.array_equal(got_total, total)
+            loss, grad = _WIDE.loss_grad_sub(w, idx)
+            assert loss == _WIDE._loss_of(w, z)
+            assert np.array_equal(grad, total / idx.size + w / _WIDE.n)
+        z, total = _serial_pass(_WIDE, w, None)
+        got_z, got_total = _WIDE._blocked_pass(w)
+        assert np.array_equal(got_z, z) and np.array_equal(got_total, total)
+
+    def test_the_caller_runs_the_first_blocks(self, monkeypatch):
+        monkeypatch.setattr(problems, "pass_threads", lambda: 2)
+        ran = []
+        blocks = LogisticProblem._pass_blocks
+
+        def recorded(oracle, w, idx, z, sums, run):
+            ran.append((threading.get_ident(), list(run)))
+            blocks(oracle, w, idx, z, sums, run)
+
+        monkeypatch.setattr(LogisticProblem, "_pass_blocks", recorded)
+        rng = rng_mod.stream(7, "gradient")
+        _WIDE.loss_grad_sub(np.zeros(_WIDE.dim), _WIDE.draw_sample(rng, 1000))
+        caller = [run for ident, run in ran if ident == threading.get_ident()]
+        other = [run for ident, run in ran if ident != threading.get_ident()]
+        assert caller == [[0, 1, 2]] and other == [[3, 4]]
+        ran.clear()
+        _WIDE.grad_full(np.zeros(_WIDE.dim))
+        assert ran == [(threading.get_ident(), list(range(14)))]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or problems.pass_threads() < 2, reason="needs fork and two CPUs")
+    def test_a_forked_child_makes_its_own_pool(self):
+        done = subprocess.run([sys.executable, "-c", _FORKED_PASS], env=_SRC_ENV, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_a_run_on_one_cpu_writes_the_same_trace(self, tmp_path):
+        raw = {
+            "problem": {"kind": "synthetic_logistic", "n": 2000, "d": 300, "seed": 0},
+            "method": {"name": "dan", "eps": 1e-2},
+            # batches of 200 rows, then of 1200: one block, then six
+            "sampling": {"grad": {"mode": "exact_norm_test", "initial_size": 200, "cap": 1200}, "hess": {"size": 64}},
+            "schedules": {"alpha": {"kind": "constant", "alpha": 0.5}},
+            "epochs": 6,
+            "trace_interval": 1,
+        }
+        args = [sys.executable, "-c", _ONE_CPU_RUN, json.dumps(raw), str(tmp_path / "one")]
+        done = subprocess.run(args, env=_SRC_ENV, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        run_experiment(ExperimentConfig.from_dict(raw), out_dir=str(tmp_path / "here"))
+        trace = (tmp_path / "here" / "trace.csv").read_bytes()
+        assert {int(line.split(b",")[4]) for line in trace.splitlines()[2:]} == {200, 1200}
+        assert (tmp_path / "one" / "trace.csv").read_bytes() == trace
 
 
 class TestDrawSample:
