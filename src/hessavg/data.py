@@ -64,8 +64,8 @@ class ChecksumMismatch(RuntimeError):
 class DatasetManifest:
     name: str
     url: str
+    n: int  # the file's rows
     sha256: Optional[str] = None
-    n: Optional[int] = None
     dim: Optional[int] = None
     train_size: Optional[int] = None
     compression: Optional[str] = None  # None or "bz2"
@@ -78,6 +78,11 @@ class DatasetManifest:
     @property
     def filename(self) -> str:
         return self.url.rsplit("/", 1)[-1]
+
+    @property
+    def rows(self) -> int:
+        """The rows :func:`load_dataset` returns: the training split's, or all ``n``."""
+        return self.n if self.train_size is None else min(self.train_size, self.n)
 
 
 # Upstream digests are not pinned because the files cannot be mirrored into
@@ -265,7 +270,7 @@ def fetch_dataset(
 
 def _read_text(path: Path, compression: Optional[str]) -> str:
     raw = path.read_bytes()
-    if compression == "bz2" or (compression is None and path.suffix == ".bz2"):
+    if compression == "bz2":
         raw = bz2.decompress(raw)
     return raw.decode("utf-8")
 
@@ -297,7 +302,8 @@ def load_dataset(
 
     A file whose row count differs from the manifest's ``n`` is refused
     with :class:`LibsvmParseError`, so a truncated or different file never
-    loads under the manifest's name.
+    loads under the manifest's name. The rows returned are the manifest's
+    :attr:`~DatasetManifest.rows`.
     """
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
@@ -305,8 +311,8 @@ def load_dataset(
     directory = default_data_dir(str(data_dir) if data_dir else None)
     path = fetch_dataset(manifest, directory)
     x, y = parse_libsvm(_read_text(path, manifest.compression), manifest.label_map, manifest.dim)
-    if manifest.n is not None and len(y) != manifest.n:
+    if len(y) != manifest.n:
         raise LibsvmParseError(f"{name}: parsed {len(y)} rows, but the manifest declares {manifest.n}")
-    if manifest.train_size is not None and manifest.train_size < len(y):
-        (x, y), _ = train_split(x, y, manifest.train_size, split_seed)
+    if manifest.rows < len(y):
+        (x, y), _ = train_split(x, y, manifest.rows, split_seed)
     return x, y

@@ -12,9 +12,11 @@ betas and ``adam_eps``; subnewton ``mu_tilde`` and ``variant``; fan those and
 ``decay``; dan and dan2 ``rank``, ``eps`` and ``decay``; adahessian ``rank``,
 the betas and ``adam_eps``. Only the norm tests read ``cap``, only the exact
 one ``a_mode``, and sgd and adam, which keep no Hessian estimate, read no
-``hess`` or ``policy``. What needs the problem is a function of it, so loading
-leaves out three checks: a cyclic sampler's block divides the problem's size,
-cyclic sampling needs a finite sum, and ``near_optimum`` needs a known optimum.
+``hess`` or ``policy``. The problem is read first, with its component count
+(None for an expectation), and loading builds the gradient batch controller
+and the Hessian sampler from it: a cyclic sampler needs a finite sum whose
+size its block divides. Only ``near_optimum``, which needs a known optimum,
+waits for the built problem.
 
 A config is held and hashed as read. The readers record what they take, and
 :meth:`ExperimentConfig.from_dict` returns that reading: each section holds
@@ -22,9 +24,11 @@ exactly the keys its reader took, each with the value read, defaults written
 in and numbers of their field's type. A quadratic's ``seed`` reads as null
 when it follows the run's seed, and a ``rolling_f`` of 1, which smooths
 nothing, as 0. So configs that run the same arithmetic share one hash, one
-``summary.json`` echo and one sweep row, and a reading loads as itself. A
-value the run clamps to the problem's size, a ``cap`` or a Hessian sample
-size, is read before the problem is built and still hashes as written.
+``summary.json`` echo and one sweep row, and a reading loads as itself. Each
+size the run clamps to the problem's size reads as clamped: a ``cap`` at or
+above that size (``DEFAULT_EXPECTATION_CAP`` for an expectation) as null,
+each gradient batch size as at most the cap, and a Hessian sample size as at
+most the component count.
 
 The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
@@ -271,13 +275,12 @@ class ExperimentConfig:
 # Section readers
 # ---------------------------------------------------------------------------
 
-# A config's sections, read. ``problem`` builds the oracle and ``init`` the
-# initial point from the oracle and a stream. ``controller`` and
-# ``hess_sampler`` take the problem's component count: None for an
-# expectation, and 0 before the problem is built, which runs every check
-# that does not need the count. ``config`` is the reading: the config as
-# these sections read it.
-_Sections = namedtuple("_Sections", "problem method schedules policy a_mode controller hess_sampler init config")
+# A config's sections, read. ``problem`` builds the oracle, of ``n``
+# components (None for an expectation), and ``init`` the initial point from
+# the oracle and a stream; the rest are built, the controller and Hessian
+# sampler with the sizes the reading clamped to ``n``. ``config`` is the
+# reading: the config as these sections read it.
+_Sections = namedtuple("_Sections", "problem n method schedules policy a_mode controller hess_sampler init config")
 
 
 def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
@@ -286,10 +289,12 @@ def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
     if cfg.rolling_f == 1:  # a window of one smooths nothing, as 0 does
         top.read["rolling_f"] = 0
     method = _read_method(cfg.method)
-    a_mode, controller = _read_grad(cfg.sampling, method)
-    policy, hess_sampler = _read_hess(cfg.sampling) if method.keeps_hessian else (None, lambda n: None)
+    problem, n = _read_problem(cfg.problem, cfg, data_dir)
+    a_mode, controller = _read_grad(cfg.sampling, method, n)
+    policy, hess_sampler = _read_hess(cfg.sampling, n) if method.keeps_hessian else (None, None)
     sections = _Sections(
-        problem=_read_problem(cfg.problem, cfg, data_dir),
+        problem=problem,
+        n=n,
         method=method,
         schedules=_build_schedules(cfg.schedules),
         policy=policy,
@@ -311,13 +316,14 @@ def _read_method(spec: dict) -> MethodSpec:
     return _read(MethodSpec, spec, f"method {name!r}", keys)
 
 
-def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) -> Callable[[], FiniteSumOracle]:
-    """A builder of the problem. The quadratic's seed reads as None when
-    absent, and the problem then follows the run's ``seed``. A dataset,
-    which must be one of ``data.MANIFESTS``, is read from ``data_dir``. Only
-    the quadratic, an expectation, reads the config's ``iters_per_epoch``: a
-    finite sum counts its epochs in components, so it refuses any other
-    value than the default."""
+def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) -> tuple[Callable[[], FiniteSumOracle], Optional[int]]:
+    """A builder of the problem, and its component count: None for the
+    quadratic, an expectation, and the rows a dataset loads to. The
+    quadratic's seed reads as None when absent, and the problem then follows
+    the run's ``seed``. A dataset, which must be one of ``data.MANIFESTS``,
+    is read from ``data_dir``. Only the quadratic reads the config's
+    ``iters_per_epoch``: a finite sum counts its epochs in components, so it
+    refuses any other value than the default."""
     # Each kind's builder, and its keys with their types and defaults.
     kinds = {
         "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (Optional[int], None)}),
@@ -335,6 +341,7 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
              "coupling": (float, 0.0), "freq": (float, 10.0), "n_ripples": (int, 4)},
         ),
     }
+    count_keys = {"synthetic_logistic": "n", "synthetic_sum": "n_components"}  # a generated sum's size
     kind = _take(spec, "kind", "problem", str)
     if kind not in kinds:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -349,9 +356,15 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     _done(spec, where)
     if kind == "quadratic" and args["seed"] is None:
         args["seed"] = cfg.seed
-    if kind == "logistic" and args["dataset"] not in MANIFESTS:
-        raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
-    return partial(make, **args)
+    if kind == "logistic":
+        if args["dataset"] not in MANIFESTS:
+            raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
+        n = MANIFESTS[args["dataset"]].rows
+    else:
+        n = args[count_keys[kind]] if kind in count_keys else None
+        if n is not None and n < 1:
+            raise ConfigError(f"{count_keys[kind]!r} in {where} must be >= 1, got {n}")
+    return partial(make, **args), n
 
 
 # Schedule kinds by config section; the first is the section's default kind.
@@ -376,48 +389,52 @@ def _build_schedules(spec: dict) -> ScheduleSet:
     return ScheduleSet(**schedules)
 
 
-def _read_grad(sampling: dict, method: MethodSpec):
-    """The norm-test weighting ``a_mode`` and a builder of the gradient batch
-    controller. Each mode has one batch-size key: ``size`` when fixed,
-    ``sizes`` for the epoch table, ``initial_size`` for the norm tests, which
-    alone read ``cap`` (default: the problem's size, which clamps the batch);
-    the exact test alone reads ``a_mode``. An unknown mode is refused before
-    the section's keys are checked, and a batch size below 1 under its key."""
+def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> tuple[str, GradSampleController]:
+    """The norm-test weighting ``a_mode`` and the gradient batch controller
+    for a problem of ``n`` components (None for an expectation). Each mode
+    has one batch-size key: ``size`` when fixed, ``sizes`` for the epoch
+    table, ``initial_size`` for the norm tests, which alone read ``cap``;
+    the exact test alone reads ``a_mode``. The cap is the problem's size, or
+    ``DEFAULT_EXPECTATION_CAP`` for an expectation, unless ``cap`` is below
+    it; a ``cap`` that is not reads as null, and each batch size reads as at
+    most the cap. An unknown mode is refused before the section's keys are
+    checked, and a batch size below 1 under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
     a_mode = _take(grad, "a_mode", where, str, "identity") if mode == "exact_norm_test" else "identity"
-    cap = _take(grad, "cap", where, Optional[int], None) if mode in ADAPTIVE_MODES else None
+    cap = DEFAULT_EXPECTATION_CAP if n is None else n
+    if mode in ADAPTIVE_MODES:
+        written = _take(grad, "cap", where, Optional[int], None)
+        if written is not None and written < cap:
+            cap = written
+        else:
+            grad.read["cap"] = None
     if mode == "geometric_epochs":
-        key, table = "sizes", {"sizes": _take(grad, "sizes", where, tuple[int, ...])}
-        table["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, 20)
-        sizes = table["sizes"]
+        key, sizes = "sizes", _take(grad, "sizes", where, tuple[int, ...])
+        table = {"epochs_per_block": _take(grad, "epochs_per_block", where, int, 20)}
     else:
         key, table = "size" if mode == "fixed" else "initial_size", {}
         sizes = (_take(grad, key, where, int, 32),)
-    initial_size = sizes[0] if sizes else 1  # the controller rejects an empty table
-
-    def controller(n: Optional[int]) -> GradSampleController:
-        limit = cap if cap is not None else n or DEFAULT_EXPECTATION_CAP
-        if n:
-            limit = min(limit, n)
-        try:
-            check_batch_sizes(key, sizes)
-            # the first batch is clamped to the cap, as every batch is, so
-            # an expectation's EEC divides by the batch a step draws
-            built = GradSampleController(mode=mode, initial_size=min(initial_size, limit), cap=limit, **table)
-            _check_a_mode(a_mode, mode, method)
-        except ValueError as err:
-            raise ConfigError(f"bad {where}: {err}") from err
-        return built
-
-    controller(0)
+    try:
+        check_batch_sizes(key, sizes)
+        sizes = tuple(min(size, cap) for size in sizes)
+        if key == "sizes":
+            grad.read[key] = table["sizes"] = sizes
+        else:
+            grad.read[key] = sizes[0]
+        # an empty table gets a first size of 1, and the controller refuses it
+        controller = GradSampleController(mode=mode, initial_size=sizes[0] if sizes else 1, cap=cap, **table)
+        _check_a_mode(a_mode, mode, method)
+    except ValueError as err:
+        raise ConfigError(f"bad {where}: {err}") from err
     _done(grad, f"{where} of mode {mode!r}")
     return a_mode, controller
 
 
-def _read_hess(sampling: dict) -> tuple[UpdateFrequencyPolicy, Callable[[Optional[int]], object]]:
-    """The update policy and a builder of the Hessian sampler, its size clamped to the problem's."""
+def _read_hess(sampling: dict, n: Optional[int]) -> tuple[UpdateFrequencyPolicy, Union[CyclicSampler, IidSampler]]:
+    """The update policy and the Hessian sampler for a problem of ``n``
+    components (None for an expectation); its size reads as at most ``n``."""
     policy = _read(UpdateFrequencyPolicy, _take(sampling, "policy", "sampling", dict, {}), "update policy")
     where = "hess sampling"
     hess = _take(sampling, "hess", "sampling", dict, {})
@@ -427,18 +444,13 @@ def _read_hess(sampling: dict) -> tuple[UpdateFrequencyPolicy, Callable[[Optiona
     size = _take(hess, "size", where, int, 32)
     seed = _take(hess, "seed", where, Optional[int], None) if kind == "cyclic" else None
     _done(hess, f"{where} of kind {kind!r}")
-
-    def sampler(n: Optional[int]):
-        if kind == "cyclic" and n is None:
-            raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
-        block = min(size, n) if n else size
-        try:
-            return CyclicSampler(n, block, seed) if kind == "cyclic" else IidSampler(block)
-        except ValueError as err:
-            raise ConfigError(f"bad {where} of kind {kind!r} with Hessian sample size {size}: {err}") from err
-
-    sampler(0)
-    return policy, sampler
+    if kind == "cyclic" and n is None:
+        raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
+    hess.read["size"] = size = size if n is None else min(size, n)
+    try:
+        return policy, CyclicSampler(n, size, seed) if kind == "cyclic" else IidSampler(size)
+    except ValueError as err:
+        raise ConfigError(f"bad {where} of kind {kind!r} with Hessian sample size {size}: {err}") from err
 
 
 def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], NDArray]:
@@ -473,12 +485,14 @@ def _read_init(spec: dict) -> Callable[[FiniteSumOracle, np.random.Generator], N
 def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tuple[RunContext, NDArray]:
     read = _read_sections(cfg.to_dict(), data_dir)
     oracle = read.problem()
+    if oracle.n_components != read.n:
+        raise ConfigError(f"the problem built has {oracle.n_components} components, but its config reads {read.n}")
     streams = rng_mod.streams(cfg.seed)
     ctx = RunContext(
         oracle=oracle,
         method=read.method,
-        controller=read.controller(oracle.n_components),
-        hess_sampler=read.hess_sampler(oracle.n_components),
+        controller=read.controller,
+        hess_sampler=read.hess_sampler,
         schedules=read.schedules,
         policy=read.policy,
         rngs=streams,

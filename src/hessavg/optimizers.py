@@ -134,6 +134,10 @@ class MethodSpec:
 class AlphaConstant:
     alpha: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+
     def at(self, k: int) -> float:
         return self.alpha
 
@@ -146,6 +150,12 @@ class AlphaTwoPhase:
     k_switch: int
     alpha_local: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not self.alpha_global > 0:
+            raise ValueError("alpha_global must be positive")
+        if not self.alpha_local > 0:
+            raise ValueError("alpha_local must be positive")
+
     def at(self, k: int) -> float:
         return self.alpha_local if k >= self.k_switch else self.alpha_global
 
@@ -156,6 +166,12 @@ class AlphaStepDecay:
     factor: float = 0.25
     milestones: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not self.alpha0 > 0:
+            raise ValueError("alpha0 must be positive")
+        if not self.factor > 0:
+            raise ValueError("factor must be positive")
+
     def at(self, k: int) -> float:
         drops = sum(1 for m in self.milestones if k >= m)
         return self.alpha0 * self.factor**drops
@@ -165,27 +181,35 @@ class AlphaStepDecay:
 class ThetaConstant:
     theta: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not self.theta >= 0:
+            raise ValueError("theta must be nonnegative")
+
     def at(self, k: int) -> float:
         return self.theta
 
 
 @dataclass(frozen=True)
-class ThetaLocalDet:
-    """Constant before ``k_switch``, then ``theta_l / (k + 1)``."""
+class _ThetaLocal:
+    """Constant ``theta_l`` before ``k_switch``, then decaying in ``k``."""
 
     theta_l: float
     k_switch: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.theta_l >= 0:
+            raise ValueError("theta_l must be nonnegative")
+
+
+class ThetaLocalDet(_ThetaLocal):
+    """Constant before ``k_switch``, then ``theta_l / (k + 1)``."""
 
     def at(self, k: int) -> float:
         return self.theta_l if k < self.k_switch else self.theta_l / (k + 1)
 
 
-@dataclass(frozen=True)
-class ThetaLocalStoch:
+class ThetaLocalStoch(_ThetaLocal):
     """Constant before ``k_switch``, then ``theta_l / sqrt(k + 1)``."""
-
-    theta_l: float
-    k_switch: int = 0
 
     def at(self, k: int) -> float:
         return self.theta_l if k < self.k_switch else self.theta_l / math.sqrt(k + 1)
@@ -276,6 +300,8 @@ def eec(epochs: float, rank: int, hessian_freq: int = 1) -> float:
     charge is ``(1 + 2 rank / hf) * epochs + 2 rank``, the extra constant
     covering the every-iteration updates of the first epoch.
     """
+    if not 0 <= epochs < math.inf:
+        raise ValueError(f"epochs must be nonnegative and finite, got {epochs}")
     if rank < 0:
         raise ValueError("rank must be >= 0")
     if rank == 0:

@@ -132,10 +132,12 @@ ADAPTIVE_MODES = ("exact_norm_test", "approx_norm_test")
 ALL_MODES = ("fixed", "geometric_epochs") + ADAPTIVE_MODES
 
 
-def check_batch_sizes(key: str, sizes: Sequence[int]) -> None:
-    """Refuse a batch size below 1, naming the setting ``key`` it was read from."""
+def check_batch_sizes(key: str, sizes: Sequence[int], cap: float = math.inf) -> None:
+    """Refuse a batch size below 1 or above ``cap``, naming the setting ``key`` it was read from."""
     if min(sizes, default=1) < 1:
         raise ValueError(f"{key!r} must be >= 1, got {min(sizes)}")
+    if max(sizes, default=1) > cap:
+        raise ValueError(f"{key!r} must be <= the cap {cap}, got {max(sizes)}")
 
 
 @dataclass(frozen=True)
@@ -144,14 +146,15 @@ class GradSampleController:
 
     It is a rule, not a state machine: the run keeps its batch size
     (``OptState.batch``, 0 before the first step) and hands it in as
-    ``current``.
+    ``current``. No size it holds is above ``cap``: a config's reader
+    clamps each to the cap (see :func:`hessavg.harness._read_grad`).
 
     Modes
     -----
     fixed
-        Constant ``initial_size``, clamped to the cap.
+        Constant ``initial_size``.
     geometric_epochs
-        ``sizes[min(epoch // epochs_per_block, last)]``, clamped to the cap.
+        ``sizes[min(epoch // epochs_per_block, last)]``.
     exact_norm_test / approx_norm_test
         Keep the current size while the test ``lhs <= rhs`` passes; on
         failure grow to ``ceil(current * lhs / rhs)``, clamped to the cap.
@@ -170,11 +173,11 @@ class GradSampleController:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "geometric_epochs" and not self.sizes:
             raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
-        # the cap first: a reader clamps the first batch to it
+        # the cap first: a reader clamps the batch sizes to it
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
-        check_batch_sizes("sizes", self.sizes)
-        check_batch_sizes("initial_size", (self.initial_size,))
+        check_batch_sizes("sizes", self.sizes, self.cap)
+        check_batch_sizes("initial_size", (self.initial_size,), self.cap)
         if self.epochs_per_block < 1:
             raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
 
@@ -190,12 +193,11 @@ class GradSampleController:
 
     def size(self, epoch: float, current: int) -> int:
         """Batch size for the iteration starting at ``epoch``, from a run whose
-        batch is ``current``: the mode's size, clamped to the cap, and never
-        below ``current``."""
+        batch is ``current``: the mode's size, and never below ``current``."""
         base = self.initial_size
         if self.mode == "geometric_epochs":
             base = self.sizes[min(int(epoch) // self.epochs_per_block, len(self.sizes) - 1)]
-        return max(current, min(base, self.cap))
+        return max(current, base)
 
     def record_test(self, passed: bool, lhs: float, rhs: float, current: int) -> int:
         """The size after the norm test ``lhs <= rhs`` on a batch of ``current``.

@@ -1,3 +1,4 @@
+import bz2
 import hashlib
 import http.server
 import json
@@ -17,6 +18,7 @@ from hessavg.data import (
     LibsvmParseError,
     _download,
     fetch_dataset,
+    load_dataset,
     parse_libsvm,
     train_split,
 )
@@ -284,4 +286,35 @@ class TestManifests:
 
     def test_sha256_shape_enforced(self):
         with pytest.raises(ValueError):
-            DatasetManifest(name="x", url="http://x/y", sha256="zz")
+            DatasetManifest(name="x", url="http://x/y", n=1, sha256="zz")
+
+
+class TestLoad:
+    """A manifest's cached file loads as its ``compression`` says, to its ``rows``."""
+
+    ROWS = b"+1 1:0.5\n-1 2:1\n+1 1:-1 2:2\n"
+
+    def _load(self, monkeypatch, tmp_path, manifest, payload):
+        target = tmp_path / manifest.name / manifest.filename
+        target.parent.mkdir(parents=True)
+        target.write_bytes(payload)
+        monkeypatch.setitem(MANIFESTS, manifest.name, manifest)
+        return load_dataset(manifest.name, tmp_path)
+
+    def test_a_bz2_manifest_loads_its_file_decompressed(self, monkeypatch, tmp_path):
+        # the path ijcnn1 loads through
+        manifest = DatasetManifest(name="tiny", url="http://nowhere.invalid/tiny.tr.bz2", n=3, dim=2, compression="bz2")
+        x, y = self._load(monkeypatch, tmp_path, manifest, bz2.compress(self.ROWS))
+        assert y.tolist() == [1, -1, 1] and x.tolist() == [[0.5, 0], [0, 1], [-1, 2]]
+
+    def test_a_manifest_without_compression_reads_its_file_as_is(self, monkeypatch, tmp_path):
+        # a file name ending in .bz2 was decompressed whatever its manifest said
+        manifest = DatasetManifest(name="tiny", url="http://nowhere.invalid/tiny.bz2", n=3, dim=2)
+        _, y = self._load(monkeypatch, tmp_path, manifest, self.ROWS)
+        assert y.tolist() == [1, -1, 1]
+
+    def test_a_dataset_loads_to_its_manifests_rows(self, monkeypatch, tmp_path):
+        manifest = DatasetManifest(name="tiny", url="http://nowhere.invalid/tiny", n=3, dim=2, train_size=2)
+        x, y = self._load(monkeypatch, tmp_path, manifest, self.ROWS)
+        assert len(y) == x.shape[0] == manifest.rows == 2
+        assert [m.rows for m in (MANIFESTS["ijcnn1"], MANIFESTS["mushrooms"])] == [35000, 5500]

@@ -40,6 +40,7 @@ from hessavg.optimizers import (
     ThetaLocalDet,
     ThetaLocalStoch,
 )
+from hessavg.problems import make_synthetic_logistic
 from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES
 from hessavg.trace import parse_trace
 
@@ -272,6 +273,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="curvature must be >= 0, got -40"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("problem", [{"kind": "synthetic_logistic", "n": 0}, {"kind": "synthetic_sum", "n_components": -1}], ids=lambda p: p["kind"])
+    def test_a_finite_sum_of_no_components_is_refused_at_load(self, problem):
+        # the sizes the reading clamps to it would read as 0 or below
+        key, count = list(problem.items())[1]
+        with pytest.raises(ConfigError, match=f"^'{key}' in problem of kind '{problem['kind']}' must be >= 1, got {count}$"):
+            base_config(problem=problem)
+
 
 # Each case: config keys that replace base_raw's, and the key and the
 # section a ConfigError must name. Each case ran without a word before
@@ -490,10 +498,12 @@ class TestEveryKeyRead:
         raw = base_raw(init={"kind": "near_optimum"}, problem={"kind": "synthetic_sum", "n_components": 8, "d": 4})
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
         before = json.dumps(cfg.to_dict(), sort_keys=True)
-        build_context(cfg)
+        ctx, _ = build_context(cfg)
         assert json.dumps(cfg.to_dict(), sort_keys=True) == before
         assert cfg.init == {"kind": "near_optimum", "radius": 0.5}
-        assert cfg.sampling == {**raw["sampling"], "policy": {"warmup": 0, "hf": 1}}
+        # the sizes of 25 read as the 8 components they run as
+        assert cfg.sampling == {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "iid", "size": 8}, "policy": {"warmup": 0, "hf": 1}}
+        assert (ctx.controller.initial_size, ctx.hess_sampler.block_size) == (8, 8)
         assert base_config().init == {"kind": "gaussian", "scale": 1.0}
 
 
@@ -602,6 +612,14 @@ SCHEDULE_CASES = {
     "iota-super_det": ("iota", {"kind": "super_det", "iota0": 1.0, "a_l": 0.5, "k_switch": 2}, IotaSuperDet(1.0, 0.5, 2)),
     "iota-super_stoch": ("iota", {"kind": "super_stoch", "iota0": 2.0, "a_l": 0.25}, IotaSuperStoch(2.0, 0.25, 0)),
 }
+# The bound of each step size and theta key, and values it refuses.
+SCHEDULE_BOUNDS = {
+    **dict.fromkeys(["alpha", "alpha0", "alpha_global", "alpha_local", "factor"], ("positive", [0, -0.5])),
+    **dict.fromkeys(["theta", "theta_l"], ("nonnegative", [-0.9])),
+}
+BOUNDED_SCHEDULE_KEYS = [
+    (case, f.name) for case, (_, _, built) in SCHEDULE_CASES.items() for f in dataclasses.fields(built) if f.name in SCHEDULE_BOUNDS
+]
 REQUIRED_SCHEDULE_KEYS = [
     (case, f.name)
     for case, (_, _, built) in SCHEDULE_CASES.items()
@@ -636,6 +654,18 @@ class TestSchedulesFromConfig:
         with pytest.raises(ConfigError, match=f"^bad iota schedule of kind '{raw['kind']}': iota0 must be nonnegative$"):
             base_config(schedules={section: {**raw, "iota0": -1.0}})
 
+    @pytest.mark.parametrize("case, key", BOUNDED_SCHEDULE_KEYS)
+    def test_a_step_size_not_positive_or_a_negative_theta_is_refused(self, case, key):
+        # alpha -0.5 ran uphill and alpha 0 stood still, neither reported
+        # diverged; theta -0.9 ran as 0.9 under another hash
+        section, raw, _ = SCHEDULE_CASES[case]
+        bound, refused = SCHEDULE_BOUNDS[key]
+        for value in refused:
+            with pytest.raises(ConfigError, match=f"^bad {section} schedule of kind '{raw['kind']}': {key} must be {bound}$"):
+                base_config(schedules={section: {**raw, key: value}})
+        if bound == "nonnegative":
+            assert getattr(build_context(base_config(schedules={section: {**raw, key: 0}}))[0].schedules, section).at(0) == 0
+
     @pytest.mark.parametrize(
         "section, raw, key",
         [
@@ -656,7 +686,7 @@ DRAWN_PROBLEMS = {
     "quadratic": {"d": [6, 8.0], "keep_prob": [0.5, 1], "seed": [None, 0, 3]},
     "synthetic_logistic": {"n": [400, 40], "d": [12, 5], "seed": [0, 2]},
     "synthetic_sum": {"n_components": [16, 8], "d": [20, 4], "seed": [0, 1], "curvature": [0, 1.5],
-                      "coupling": [0.0, 1], "freq": [10, 3.0], "n_ripples": [4, 2]},
+                      "coupling": [0.0, 0.5], "freq": [10, 3.0], "n_ripples": [4, 2]},
 }
 DRAWN_METHOD_VALUES = {"mu_tilde": [1, 1e-4], "variant": ["plain", "abs"], "decay": [None, 0.5], "rank": [1, 3.0],
                        "eps": [0, 1e-6], "beta1": [0.9, 0.5], "beta2": [0.999], "adam_eps": [1e-8, 0]}
@@ -686,8 +716,11 @@ def raw_configs(draw):
     grad.update(some({"a_mode": a_modes}) if mode == "exact_norm_test" else {})
     sampling = {"grad": grad}
     if name in HESSIAN_METHODS:
-        hess_kind = draw(st.sampled_from(["iid", "cyclic"]))
-        sampling["hess"] = {"kind": hess_kind, **some({"size": [32, 8]}), **(some({"seed": [None, 7]}) if hess_kind == "cyclic" else {})}
+        # a cyclic block must divide a finite sum: 8 divides 400 and 40, and
+        # 32, the default, reads as 16 or 8 on the sums drawn
+        hess_kind = draw(st.sampled_from(["iid"] if kind == "quadratic" else ["iid", "cyclic"]))
+        hess_size = {"size": 8} if (hess_kind, kind) == ("cyclic", "synthetic_logistic") else some({"size": [32, 8]})
+        sampling["hess"] = {"kind": hess_kind, **hess_size, **(some({"seed": [None, 7]}) if hess_kind == "cyclic" else {})}
         sampling["policy"] = some({"warmup": [0, 3], "hf": [1, 2]})
     schedules = {}
     for section in ("alpha", "theta", "iota"):
@@ -741,6 +774,15 @@ SAME_RUN = {
 }
 
 
+# One run: fan on 200 components with a norm test from 8, whose Hessian
+# sample of 500 runs as 200 and whose cap of 200 runs as no cap.
+CLAMPED = [
+    {**SAME_RUN_BASE, "sampling": {"grad": {"mode": "exact_norm_test", "initial_size": 8, **cap}, "hess": {"size": size}}}
+    for size in (200, 500)
+    for cap in ({}, {"cap": 200})
+]
+
+
 class TestTheReading:
     """A config is held and hashed as read: what a run reads, and only that, in one form."""
 
@@ -761,6 +803,69 @@ class TestTheReading:
         assert len({cfg.hash() for cfg in configs}) == 1
         rows, _ = sweep(configs)
         assert [(row["seeds"], row["method"], row["grad_mode"], row["rank"]) for row in rows] == [(8, "fan", "fixed", None)]
+
+    def test_the_same_run_clamped_four_ways_is_one_hash_and_one_row(self):
+        # each config hashed apart and printed a sweep row of its own, all with one final_f
+        configs = [ExperimentConfig.from_dict(raw) for raw in CLAMPED]
+        assert {cfg.hash() for cfg in configs} == {"3990a486b433b00e"}
+        assert (configs[-1].sampling["grad"]["cap"], configs[-1].sampling["hess"]["size"]) == (None, 200)
+        rows, _ = sweep(configs)
+        assert [(row["seeds"], row["method"], row["grad_mode"]) for row in rows] == [(4, "fan", "exact_norm_test")]
+
+    @pytest.mark.parametrize(
+        "grad, key, read, built",
+        [
+            ({"mode": "exact_norm_test", "initial_size": 300, "cap": 256}, "initial_size", 256, (256, 256)),
+            ({"mode": "fixed", "size": 70000}, "size", 2**16, (2**16, 2**16)),
+            ({"mode": "geometric_epochs", "sizes": [8, 70000]}, "sizes", (8, 2**16), (8, 2**16)),
+            ({"mode": "approx_norm_test", "cap": 70000}, "cap", None, (32, 2**16)),
+        ],
+        ids=["initial_size_above_its_cap", "size_above_the_default_cap", "sizes_above_the_default_cap", "cap_above_the_default"],
+    )
+    def test_a_size_the_run_clamps_reads_as_clamped(self, grad, key, read, built):
+        # each read as written, and the controller clamped the batch each step
+        cfg = base_config(problem={"kind": "quadratic", "d": 4}, method={"name": "sgd"}, sampling={"grad": grad})
+        assert cfg.sampling["grad"][key] == read
+        controller = build_context(cfg)[0].controller
+        assert (controller.initial_size, controller.cap) == built
+
+    def test_a_dataset_reads_its_sizes_against_the_rows_it_loads(self):
+        # mushrooms loads 5500 of its 8124 rows; nothing is fetched to read it
+        cfg = base_config(problem={"kind": "logistic", "dataset": "mushrooms"}, sampling={"grad": {"mode": "fixed", "size": 6000}, "hess": {"size": 8124}})
+        assert (cfg.sampling["grad"]["size"], cfg.sampling["hess"]["size"]) == (5500, 5500)
+
+    def test_a_problem_built_to_another_size_than_read_is_refused(self, monkeypatch):
+        monkeypatch.setattr("hessavg.harness.make_synthetic_logistic", lambda n, d, seed: make_synthetic_logistic(n // 2, d, seed))
+        with pytest.raises(ConfigError, match="^the problem built has 150 components, but its config reads 300$"):
+            build_context(base_config())
+
+    @pytest.mark.parametrize(
+        "problem, hess, match",
+        [
+            ({"kind": "quadratic", "d": 4}, {"kind": "cyclic"}, r"^cyclic Hessian sampling requires a finite-sum problem$"),
+            (
+                {"kind": "synthetic_logistic", "n": 200, "d": 5},
+                {"kind": "cyclic", "size": 3},
+                r"^bad hess sampling of kind 'cyclic' with Hessian sample size 3: block_size 3 must divide n 200$",
+            ),
+        ],
+        ids=["on_an_expectation", "block_not_dividing_the_sum"],
+    )
+    def test_a_cyclic_sampler_that_cannot_run_is_refused_at_load(self, problem, hess, match):
+        # each loaded, and only build_context refused it, with this message
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(base_raw(problem=problem, sampling={"grad": GRAD_8, "hess": hess}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=raw_configs())
+    def test_a_config_that_loads_builds(self, raw):
+        # only near_optimum waits for the built problem, to ask for its optimum
+        cfg = ExperimentConfig.from_dict(raw)
+        try:
+            build_context(cfg)
+        except ConfigError as err:
+            assert (cfg.problem["kind"], cfg.init["kind"]) == ("synthetic_logistic", "near_optimum"), err
+            assert str(err) == "init kind 'near_optimum' needs a problem with a known optimum"
 
     def test_a_float_field_reads_an_integer_as_a_float(self):
         one, one_point_oh = (ExperimentConfig.from_dict({**SAME_RUN_BASE, "method": {"name": "fan", "mu_tilde": mu}}) for mu in (1, 1.0))
@@ -1097,6 +1202,14 @@ class TestCli:
     def test_eec_first_order(self, capsys):
         assert cli_dispatch(["eec", "--epochs", "500"]) == 0
         assert capsys.readouterr().out.strip() == "500"
+
+    @pytest.mark.parametrize("epochs", ["inf", "nan", "-2"])
+    def test_eec_refuses_epochs_negative_or_not_finite(self, epochs, capsys):
+        # inf ended in an OverflowError traceback, nan in a message naming
+        # no setting, and -2 printed -4
+        assert cli_dispatch(["eec", f"--epochs={epochs}", "--rank", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: epochs must be nonnegative and finite")
 
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_dispatch(["run", "missing.cfg"]) == 1

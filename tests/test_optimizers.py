@@ -220,12 +220,13 @@ class TestStepBehavior:
         assert np.linalg.norm(traces["dan"] - traces["fan"]) <= 1e-8
 
     def test_adam_bias_correction_constant_gradient(self):
-        # linear objective: gradient constant, so m_hat must equal it exactly
+        # linear objective: gradient constant, so m_hat must equal it; a
+        # step of 1e-3 moves it by about 1e-14 (a step of 0 is refused)
         h = np.zeros((2, 3, 3))
         h[:] = np.eye(3) * 1e-12
         b = np.tile([1.0, 2.0, -0.5], (2, 1))
         prob = SyntheticSumProblem(problems._pack(h), b)
-        ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
+        ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=1e-3)
         state, _ = run(ctx, np.zeros(3), epochs=6)
         g = -b[0]
         assert state.m.count == state.k
@@ -237,7 +238,7 @@ class TestStepBehavior:
         h[:] = np.eye(3) * 1e-12
         b = np.tile([1.0, 2.0, -0.5], (2, 1))
         prob = SyntheticSumProblem(problems._pack(h), b)
-        ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=0.0)
+        ctx = make_ctx(prob, MethodSpec(name="adam"), alpha=1e-3)
         state, _ = run(ctx, np.zeros(3), epochs=6)
         assert isinstance(state.avg, DiagAverageState) and state.avg._acc.count == state.k
         np.testing.assert_allclose(state.avg.preconditioner(), np.abs(b[0]), rtol=1e-10)

@@ -378,6 +378,19 @@ class TestController:
         with pytest.raises(ValueError, match=match):
             GradSampleController(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mode": "fixed", "initial_size": 8, "cap": 4}, r"^'initial_size' must be <= the cap 4, got 8$"),
+            ({"mode": "geometric_epochs", "sizes": (2, 8), "cap": 4}, r"^'sizes' must be <= the cap 4, got 8$"),
+        ],
+        ids=["initial_size", "sizes"],
+    )
+    def test_no_batch_size_above_the_cap(self, kwargs, match):
+        # size() clamped these each step; a config's reader clamps them once
+        with pytest.raises(ValueError, match=match):
+            GradSampleController(**kwargs)
+
     def test_cap_at_least_one(self):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             GradSampleController(mode="fixed", initial_size=4, cap=0)
