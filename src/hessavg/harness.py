@@ -25,10 +25,10 @@ in and numbers of their field's type. A quadratic's ``seed`` reads as null
 when it follows the run's seed, and a ``rolling_f`` of 1, which smooths
 nothing, as 0. So configs that run the same arithmetic share one hash, one
 ``summary.json`` echo and one sweep row, and a reading loads as itself. Each
-size the run clamps to the problem's size reads as clamped: a ``cap`` at or
-above that size (``DEFAULT_EXPECTATION_CAP`` for an expectation) as null,
-each gradient batch size as at most the cap, and a Hessian sample size as at
-most the component count.
+size the run clamps reads as clamped: a ``cap`` at or above a finite sum's
+size as null, and so does an expectation's default cap,
+``DEFAULT_EXPECTATION_CAP``; each gradient batch size as at most the cap, and
+a Hessian sample size as at most the component count.
 
 The output and data directories are arguments of a run, not config keys.
 Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
@@ -224,6 +224,17 @@ def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
 # Initial-point kinds, each with its keys' defaults; the first is the default kind.
 INIT_KINDS = {"gaussian": {"scale": 1.0}, "zeros": {}, "near_optimum": {"radius": 0.5}}
 
+# The bound on each problem key its builder bounds, and the bound in words.
+# Each test is false for NaN.
+PROBLEM_BOUNDS = {
+    "n": (lambda v: v >= 1, ">= 1"),
+    "n_components": (lambda v: v >= 1, ">= 1"),
+    "d": (lambda v: v >= 1, ">= 1"),
+    "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "curvature": (lambda v: v >= 0, ">= 0"),
+    "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -278,7 +289,7 @@ class ExperimentConfig:
 # A config's sections, read. ``problem`` builds the oracle, of ``n``
 # components (None for an expectation), and ``init`` the initial point from
 # the oracle and a stream; the rest are built, the controller and Hessian
-# sampler with the sizes the reading clamped to ``n``. ``config`` is the
+# sampler with the sizes as the reading clamped them. ``config`` is the
 # reading: the config as these sections read it.
 _Sections = namedtuple("_Sections", "problem n method schedules policy a_mode controller hess_sampler init config")
 
@@ -323,25 +334,33 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     the run's ``seed``. A dataset, which must be one of ``data.MANIFESTS``,
     is read from ``data_dir``. Only the quadratic reads the config's
     ``iters_per_epoch``: a finite sum counts its epochs in components, so it
-    refuses any other value than the default."""
-    # Each kind's builder, and its keys with their types and defaults.
+    refuses any other value than the default. Each value the builder would
+    refuse is refused here, so a problem that loads builds."""
+    # Each kind's builder, its keys with their types and defaults, and its
+    # component count from the values read.
     kinds = {
-        "quadratic": (quadratic_generate, {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (Optional[int], None)}),
+        "quadratic": (
+            quadratic_generate,
+            {"d": (int, 100), "keep_prob": (float, 0.5), "seed": (Optional[int], None)},
+            lambda args: None,
+        ),
         "logistic": (
             lambda dataset, split_seed: LogisticProblem(*load_dataset(dataset, data_dir, split_seed)),
             {"dataset": (str, _REQUIRED), "split_seed": (int, 0)},
+            lambda args: MANIFESTS[args["dataset"]].rows,
         ),
         "synthetic_logistic": (
             lambda **args: LogisticProblem(*make_synthetic_logistic(**args)),
             {"n": (int, 400), "d": (int, 12), "seed": (int, 0)},
+            lambda args: args["n"],
         ),
         "synthetic_sum": (
             SyntheticSumProblem.generate,
             {"n_components": (int, 16), "d": (int, 20), "seed": (int, 0), "curvature": (float, 0.0),
              "coupling": (float, 0.0), "freq": (float, 10.0), "n_ripples": (int, 4)},
+            lambda args: args["n_components"],
         ),
     }
-    count_keys = {"synthetic_logistic": "n", "synthetic_sum": "n_components"}  # a generated sum's size
     kind = _take(spec, "kind", "problem", str)
     if kind not in kinds:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -351,20 +370,19 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
             f"'iters_per_epoch' in config acts only on the quadratic problem, not on a {where}; "
             f"got {cfg.iters_per_epoch}"
         )
-    make, keys = kinds[kind]
+    make, keys, count = kinds[kind]
     args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
     _done(spec, where)
+    for key, value in args.items():
+        if key in PROBLEM_BOUNDS and not PROBLEM_BOUNDS[key][0](value):
+            raise ConfigError(f"{key!r} in {where} must be {PROBLEM_BOUNDS[key][1]}, got {value}")
+    if kind == "synthetic_sum" and args["coupling"] > 0 and args["n_components"] < 2:
+        raise ConfigError(f"coupling={args['coupling']} in {where} needs n_components >= 2, got n_components={args['n_components']}")
     if kind == "quadratic" and args["seed"] is None:
         args["seed"] = cfg.seed
-    if kind == "logistic":
-        if args["dataset"] not in MANIFESTS:
-            raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
-        n = MANIFESTS[args["dataset"]].rows
-    else:
-        n = args[count_keys[kind]] if kind in count_keys else None
-        if n is not None and n < 1:
-            raise ConfigError(f"{count_keys[kind]!r} in {where} must be >= 1, got {n}")
-    return partial(make, **args), n
+    if kind == "logistic" and args["dataset"] not in MANIFESTS:
+        raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
+    return partial(make, **args), count(args)
 
 
 # Schedule kinds by config section; the first is the section's default kind.
@@ -394,22 +412,23 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> tuple[st
     for a problem of ``n`` components (None for an expectation). Each mode
     has one batch-size key: ``size`` when fixed, ``sizes`` for the epoch
     table, ``initial_size`` for the norm tests, which alone read ``cap``;
-    the exact test alone reads ``a_mode``. The cap is the problem's size, or
-    ``DEFAULT_EXPECTATION_CAP`` for an expectation, unless ``cap`` is below
-    it; a ``cap`` that is not reads as null, and each batch size reads as at
-    most the cap. An unknown mode is refused before the section's keys are
-    checked, and a batch size below 1 under its key."""
+    the exact test alone reads ``a_mode``. On a finite sum the cap is its
+    size unless ``cap`` is below it, and a ``cap`` that is not reads as
+    null. On an expectation the cap is ``cap`` as written, or
+    ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that default reads as
+    null. Each batch size reads as at most the cap. An unknown mode is
+    refused before the section's keys are checked, and a batch size below 1
+    under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
     a_mode = _take(grad, "a_mode", where, str, "identity") if mode == "exact_norm_test" else "identity"
-    cap = DEFAULT_EXPECTATION_CAP if n is None else n
-    if mode in ADAPTIVE_MODES:
-        written = _take(grad, "cap", where, Optional[int], None)
-        if written is not None and written < cap:
-            cap = written
-        else:
-            grad.read["cap"] = None
+    limit = DEFAULT_EXPECTATION_CAP if n is None else n
+    cap = _take(grad, "cap", where, Optional[int], None) if mode in ADAPTIVE_MODES else None
+    if cap is None or (n is not None and cap > n):
+        cap = limit
+    if mode in ADAPTIVE_MODES and cap == limit:
+        grad.read["cap"] = None
     if mode == "geometric_epochs":
         key, sizes = "sizes", _take(grad, "sizes", where, tuple[int, ...])
         table = {"epochs_per_block": _take(grad, "epochs_per_block", where, int, 20)}

@@ -267,18 +267,27 @@ class TestConfig:
         assert base_config().hash() == base_config().hash()
         assert base_config().hash() != base_config(seed=1).hash()
 
-    def test_negative_curvature_is_refused(self):
-        # it ran the curvature-0 problem, with the same loss bit for bit
-        cfg = base_config(problem={"kind": "synthetic_sum", "n_components": 8, "d": 4, "curvature": -40})
-        with pytest.raises(ValueError, match="curvature must be >= 0, got -40"):
-            run_experiment(cfg)
-
-    @pytest.mark.parametrize("problem", [{"kind": "synthetic_logistic", "n": 0}, {"kind": "synthetic_sum", "n_components": -1}], ids=lambda p: p["kind"])
-    def test_a_finite_sum_of_no_components_is_refused_at_load(self, problem):
-        # the sizes the reading clamps to it would read as 0 or below
-        key, count = list(problem.items())[1]
-        with pytest.raises(ConfigError, match=f"^'{key}' in problem of kind '{problem['kind']}' must be >= 1, got {count}$"):
-            base_config(problem=problem)
+    @pytest.mark.parametrize(
+        "problem, key, bound",
+        [
+            ({"kind": "quadratic", "d": 0}, "d", ">= 1"),
+            ({"kind": "quadratic", "keep_prob": 0}, "keep_prob", "in (0, 1]"),
+            ({"kind": "quadratic", "keep_prob": 1.5}, "keep_prob", "in (0, 1]"),
+            ({"kind": "synthetic_sum", "coupling": 1}, "coupling", "in [0, 1)"),
+            ({"kind": "synthetic_sum", "coupling": -0.5}, "coupling", "in [0, 1)"),
+            ({"kind": "synthetic_sum", "curvature": -40}, "curvature", ">= 0"),
+            ({"kind": "synthetic_logistic", "n": 0}, "n", ">= 1"),
+            ({"kind": "synthetic_sum", "n_components": -1}, "n_components", ">= 1"),
+        ],
+        ids=["quadratic_d", "keep_prob_0", "keep_prob_above_1", "coupling_1", "coupling_negative", "curvature_negative",
+             "no_rows", "no_components"],
+    )
+    def test_a_problem_its_builder_refuses_is_refused_at_load(self, problem, key, bound):
+        # each loaded and hashed, and build_context raised a bare ValueError,
+        # but for coupling -0.5 and curvature -40, which built the uncoupled
+        # and the curvature-0 sum, with the same loss bit for bit
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' in problem of kind '{problem['kind']}' must be {bound}, got ")):
+            ExperimentConfig.from_dict(base_raw(problem=problem))
 
 
 # Each case: config keys that replace base_raw's, and the key and the
@@ -686,7 +695,7 @@ DRAWN_PROBLEMS = {
     "quadratic": {"d": [6, 8.0], "keep_prob": [0.5, 1], "seed": [None, 0, 3]},
     "synthetic_logistic": {"n": [400, 40], "d": [12, 5], "seed": [0, 2]},
     "synthetic_sum": {"n_components": [16, 8], "d": [20, 4], "seed": [0, 1], "curvature": [0, 1.5],
-                      "coupling": [0.0, 0.5], "freq": [10, 3.0], "n_ripples": [4, 2]},
+                      "coupling": [0, 0.5], "freq": [10, 3.0], "n_ripples": [4, 2]},
 }
 DRAWN_METHOD_VALUES = {"mu_tilde": [1, 1e-4], "variant": ["plain", "abs"], "decay": [None, 0.5], "rank": [1, 3.0],
                        "eps": [0, 1e-6], "beta1": [0.9, 0.5], "beta2": [0.999], "adam_eps": [1e-8, 0]}
@@ -818,12 +827,15 @@ class TestTheReading:
             ({"mode": "exact_norm_test", "initial_size": 300, "cap": 256}, "initial_size", 256, (256, 256)),
             ({"mode": "fixed", "size": 70000}, "size", 2**16, (2**16, 2**16)),
             ({"mode": "geometric_epochs", "sizes": [8, 70000]}, "sizes", (8, 2**16), (8, 2**16)),
-            ({"mode": "approx_norm_test", "cap": 70000}, "cap", None, (32, 2**16)),
+            ({"mode": "approx_norm_test", "cap": 2**16}, "cap", None, (32, 2**16)),
+            ({"mode": "approx_norm_test", "cap": 70000}, "cap", 70000, (32, 70000)),
         ],
-        ids=["initial_size_above_its_cap", "size_above_the_default_cap", "sizes_above_the_default_cap", "cap_above_the_default"],
+        ids=["initial_size_above_its_cap", "size_above_the_default_cap", "sizes_above_the_default_cap", "the_default_cap", "cap_above_the_default"],
     )
     def test_a_size_the_run_clamps_reads_as_clamped(self, grad, key, read, built):
-        # each read as written, and the controller clamped the batch each step
+        # the first three read as written, and the controller clamped the
+        # batch each step; a cap of 2**16 ran as the default, and an
+        # expectation runs a cap above it as written
         cfg = base_config(problem={"kind": "quadratic", "d": 4}, method={"name": "sgd"}, sampling={"grad": grad})
         assert cfg.sampling["grad"][key] == read
         controller = build_context(cfg)[0].controller
