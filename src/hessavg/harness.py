@@ -35,7 +35,8 @@ Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag and reason, epoch-equivalent compute, seed, config echo and
 hash, the thread count, kernel core and build numpy's BLAS library reports,
-see :func:`_blas_report`, and the threads a logistic batch pass may use)
+see :func:`_blas_report`, and the threads a logistic batch pass or a
+coupled synthetic sum's build may use)
 atomically into it. Sweeps execute many configs, optionally across spawned
 worker processes, and reduce to a table with one row per config, as read,
 but its seed.
@@ -43,12 +44,16 @@ but its seed.
 Threads: the ``hessavg`` command (``python -m hessavg``) and the workers
 :func:`run_many` spawns run with one BLAS thread unless the caller sets
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's own
-process uses the threads its numpy started with. Apart from BLAS, a logistic
-batch that spans two or more row blocks shares its gather among up to one
-thread per CPU the process may run on, from one pool per process; that count
-is the summary's ``pass_threads``, and it never changes a bit of a run (see
-:class:`~hessavg.problems.LogisticProblem`). Nothing else starts a thread, and
-a parallel sweep's workers may together run more threads than there are CPUs.
+process uses the threads its numpy started with. Apart from BLAS, two passes
+share their work among up to one thread per CPU the process may run on, from
+one pool per process: a logistic batch that spans two or more row blocks
+shares its gather, and a coupled synthetic sum's build shares the chunks of
+its norm screen and of its conjugation. That count is the summary's
+``pass_threads``, and it never changes a bit of a run (see
+:class:`~hessavg.problems.LogisticProblem` and
+:meth:`~hessavg.problems.SyntheticSumProblem.generate`). Nothing else starts a
+thread, and a parallel sweep's workers may together run more threads than
+there are CPUs.
 """
 
 from __future__ import annotations

@@ -34,9 +34,11 @@ pass over the ripple directions, so no full value reads the N component
 Hessians; a batch that holds every component exactly once has those full
 values (see :class:`SyntheticSumProblem`). The synthetic sum stores each
 exactly symmetric component Hessian as its packed upper triangle: its one
-large array holds N·d(d+1)/2 values. Its build adds two reused buffers of
-``_CHUNK`` matrices, and every other temporary of the build or of a batch
-read holds at most ``_CHUNK`` matrices.
+large array holds N·d(d+1)/2 values. Its build adds reused buffers of
+``2·_CHUNK`` matrices in all, two for each thread that shares its norm
+screen and its conjugation (see :func:`_shared_chunks`), and every other
+temporary of the build or of a batch read holds at most ``_CHUNK``
+matrices.
 
 The logistic link is computed with numpy, so this module imports no scipy.
 Of the three oracles only the synthetic sum factors a matrix, in the Newton
@@ -53,6 +55,7 @@ to 0 anyway; that overflow is expected and silenced.
 from __future__ import annotations
 
 import os
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
@@ -312,8 +315,9 @@ _BLOCK_BYTES = 1 << 19
 
 
 def pass_threads() -> int:
-    """Threads a gathered logistic batch pass may use in this process: one
-    per CPU the process may run on."""
+    """Threads a gathered logistic batch pass, and a coupled synthetic sum's
+    norm screen and conjugation, may use in this process: one per CPU the
+    process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -321,17 +325,68 @@ def pass_threads() -> int:
 
 @cache
 def _pass_pool():
-    """The process's pool for the threads a gathered pass adds to its caller,
-    made on the first pass that shares its blocks."""
-    from concurrent.futures import ThreadPoolExecutor
+    """The process's queue of runs for the threads a shared pass adds to its
+    caller (see :func:`_share_runs`), served by ``pass_threads() - 1``
+    daemon threads, at least one, started on the first pass that shares its
+    work. (A ``ThreadPoolExecutor``, and its import, cost about 0.4 MB more
+    peak memory.)"""
+    from queue import SimpleQueue
 
-    return ThreadPoolExecutor(max_workers=max(1, pass_threads() - 1), thread_name_prefix="hessavg-pass")
+    tasks = SimpleQueue()
+    for _ in range(max(1, pass_threads() - 1)):
+        threading.Thread(target=_serve_runs, args=(tasks,), name="hessavg-pass", daemon=True).start()
+    return tasks
+
+
+def _serve_runs(tasks) -> None:
+    """Run each ``(work, k, run, done)`` taken from ``tasks`` as ``work(k, run)``
+    and put ``(k, error)`` on ``done`` when it ends, ``error`` None unless it
+    raised; a ``None`` task ends the thread."""
+    while (task := tasks.get()) is not None:
+        work, k, run, done = task
+        error = None
+        try:
+            work(k, run)
+        except BaseException as raised:  # handed to the caller, which raises it
+            error = raised
+        # an idle thread holding its last work kept that pass's arrays alive
+        del task, work, run
+        done.put((k, error))
+        del done, error
 
 
 # A forked child has none of its parent's pool threads, and a pass handed to
 # the inherited pool would wait forever: the child makes a pool of its own.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pass_pool.cache_clear)
+
+
+def _share_runs(work, items: int, threads: int) -> None:
+    """Call ``work(k, run)`` for each of up to ``threads`` contiguous runs of
+    ``range(items)``, no more than items, split as ``np.array_split`` splits
+    (the first ``items % runs`` one longer): run ``k`` = 0 on the calling
+    thread, the others on :func:`_pass_pool`.
+
+    Every run ends before this returns, also when the caller's run raises;
+    then the caller's error, or else the first failed run's, is raised.
+    """
+    runs = max(1, min(threads, items))
+    size, longer = divmod(items, runs)
+    starts = [k * size + min(k, longer) for k in range(runs + 1)]
+    first, *rest = (range(lo, hi) for lo, hi in zip(starts, starts[1:]))
+    if rest:
+        from queue import SimpleQueue
+
+        done = SimpleQueue()
+        for k, run in enumerate(rest, 1):
+            _pass_pool().put((work, k, run, done))
+    try:
+        work(0, first)
+    finally:
+        ended = sorted(done.get() for _ in rest) if rest else []
+    for _, error in ended:
+        if error is not None:
+            raise error
 
 
 class LogisticProblem(FiniteSumOracle):
@@ -438,20 +493,14 @@ class LogisticProblem(FiniteSumOracle):
         m = self.n if idx is None else idx.size
         z = np.empty(m)
         sums = np.empty((-(-m // self._block_rows), self.dim))
-        threads = 1 if idx is None else min(pass_threads(), len(sums))
-        first, *rest = np.array_split(np.arange(len(sums)), threads)
-        futures = [_pass_pool().submit(self._pass_blocks, w, idx, z, sums, run) for run in rest]
-        try:
-            self._pass_blocks(w, idx, z, sums, first)
-        finally:
-            for future in futures:
-                future.result()
+        threads = 1 if idx is None else pass_threads()
+        _share_runs(lambda _, run: self._pass_blocks(w, idx, z, sums, run), len(sums), threads)
         total = np.zeros(self.dim)
         for row in sums:
             total += row
         return z, total
 
-    def _pass_blocks(self, w: NDArray, idx: Optional[NDArray], z: NDArray, sums: NDArray, blocks: NDArray) -> None:
+    def _pass_blocks(self, w: NDArray, idx: Optional[NDArray], z: NDArray, sums: NDArray, blocks: range) -> None:
         """For each block ``k`` in ``blocks``, fill its slice of the margins ``z``
         and its coefficient sum ``sums[k]``. Gathered blocks are copied into
         one buffer: a fresh block-sized array for each block cost about a
@@ -527,30 +576,31 @@ def make_synthetic_logistic(
 # Matrices per chunk wherever the synthetic sum works through its Hessian
 # stack: the draw, the norm screen, the build, and the batch reads. Every
 # temporary then holds at most this many d×d matrices, far below one copy of
-# the stack at the bench's N=1024.
+# the stack at the bench's N=1024. The norm screen and the build share them
+# among their threads (see _shared_chunks).
 _CHUNK = 64
 
 
-def _chunks(n: int) -> list[slice]:
-    """``range(n)`` as consecutive slices of ``_CHUNK`` items, the last shorter."""
-    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
+    """``range(n)`` as consecutive slices of ``size`` items, the last shorter."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 @cache
-def _triu_maps(d: int) -> tuple[NDArray, NDArray]:
+def _triu_maps(d: int) -> tuple[NDArray, NDArray, NDArray]:
     """Flat index maps between d×d matrices and their packed upper triangles.
 
     The first picks the entries ``(i, j)``, ``i <= j``, of a flattened
     matrix in ``np.triu_indices`` order, LAPACK's packed-symmetric layout;
-    the second gives each entry of a flattened matrix its packed position,
-    the same for ``(i, j)`` and ``(j, i)``.
+    the second picks their mirrors ``(j, i)`` in the same order; the third
+    gives each entry of a flattened matrix its packed position, the same
+    for ``(i, j)`` and ``(j, i)``. They stay writeable: ``np.take`` copies a
+    read-only index array on every call.
     """
     rows, cols = np.triu_indices(d)
     pos = np.empty((d, d), dtype=np.intp)
     pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    up, full = rows * d + cols, pos.ravel()
-    up.flags.writeable = full.flags.writeable = False
-    return up, full
+    return rows * d + cols, cols * d + rows, pos.ravel()
 
 
 def _pack(mats: NDArray) -> NDArray:
@@ -567,10 +617,40 @@ def _unpack(packed: NDArray, d: int, out: Optional[NDArray] = None) -> NDArray:
     """
     shape = (*packed.shape[:-1], d, d)
     if out is None:
-        return np.take(packed, _triu_maps(d)[1], axis=-1).reshape(shape)
+        return np.take(packed, _triu_maps(d)[2], axis=-1).reshape(shape)
     # "clip" writes into ``out`` directly; the default "raise" would buffer.
-    np.take(packed, _triu_maps(d)[1], axis=-1, out=out.reshape(*shape[:-2], d * d), mode="clip")
+    np.take(packed, _triu_maps(d)[2], axis=-1, out=out.reshape(*shape[:-2], d * d), mode="clip")
     return out
+
+
+def _chunk_buffers(size: int, d: int) -> tuple[NDArray, NDArray]:
+    """Two ``(size, d, d)`` buffers for a pass ``size`` matrices at a time."""
+    return np.empty((size, d, d)), np.empty((size, d, d))
+
+
+def _shared_chunks(n: int, d: int, work) -> None:
+    """Call ``work(chunk, g, h)`` for each chunk of ``range(n)``, ``g`` and
+    ``h`` two ``(len(chunk), d, d)`` buffers.
+
+    Up to :func:`pass_threads` threads, no more than chunks, each take one
+    contiguous run of chunks of ``_CHUNK // threads`` matrices (at least
+    one), the caller the first (:func:`_share_runs`). Each thread's two
+    buffers are allocated here, on the calling thread, so all of them hold
+    at most ``2·_CHUNK`` matrices. A ``work`` that acts on each matrix
+    alone has one thread's bits at any thread count.
+    """
+    threads = pass_threads()
+    size = max(1, min(n, _CHUNK // threads))
+    chunks = _chunks(n, size)
+    buffers = [_chunk_buffers(size, d) for _ in range(max(1, min(threads, len(chunks))))]
+
+    def run_chunks(k: int, run: range) -> None:
+        g, h = buffers[k]
+        for i in run:
+            c = chunks[i]
+            work(c, g[: c.stop - c.start], h[: c.stop - c.start])
+
+    _share_runs(run_chunks, len(chunks), len(buffers))
 
 
 def _max_spectral_norm(packed: NDArray, d: int) -> float:
@@ -584,16 +664,23 @@ def _max_spectral_norm(packed: NDArray, d: int) -> float:
     norm so far. The rounding in the powers and in the SVD is orders of
     magnitude below that margin for d up to a few thousand, so every
     skipped matrix's computed norm is below that maximum, and the result is
-    the same ``max`` over the same values. The squarings unpack and run
-    ``_CHUNK`` matrices at a time, so the temporaries stay far below one
-    copy of the stack.
+    the same ``max`` over the same values. The squarings unpack and run a
+    chunk at a time, the chunks shared among threads
+    (:func:`_shared_chunks`), so the temporaries stay far below one copy of
+    the stack.
     """
-    bounds = np.empty(packed.shape[0])
-    for c in _chunks(packed.shape[0]):
-        p = _unpack(packed[c], d)
-        for _ in range(3):
-            p = p @ p
-        bounds[c] = np.linalg.norm(p, axis=(1, 2)) ** 0.125
+    squares = np.empty(packed.shape[0])
+
+    def screen(c: slice, p: NDArray, q: NDArray) -> None:
+        # ‖g⁸‖_F², summed as np.linalg.norm(g⁸, axis=(1, 2)) sums it
+        _unpack(packed[c], d, out=p)
+        np.matmul(p, p, out=q)
+        np.matmul(q, q, out=p)
+        np.matmul(p, p, out=q)
+        np.add.reduce(np.multiply(q, q, out=p), axis=(1, 2), out=squares[c])
+
+    _shared_chunks(packed.shape[0], d, screen)
+    bounds = np.sqrt(squares) ** 0.125
     order = np.argsort(bounds)[::-1]
     top = np.linalg.norm(_unpack(packed[order[0]], d), 2)
     for i in order[1:]:
@@ -603,49 +690,57 @@ def _max_spectral_norm(packed: NDArray, d: int) -> float:
     return top
 
 
-def _chunk_buffers(n: int, d: int) -> tuple[NDArray, NDArray]:
-    """Two ``(min(_CHUNK, n), d, d)`` buffers for a pass over n matrices."""
-    size = min(_CHUNK, n)
-    return np.empty((size, d, d)), np.empty((size, d, d))
-
-
-def _symmetrized_upper(g: NDArray, out: NDArray) -> NDArray:
-    """Packed ``0.5 (g + g^T)`` of the matrices ``g``, formed in ``out``.
-    It acts elementwise, so each matrix is exactly symmetric."""
-    np.add(g, np.transpose(g, (0, 2, 1)), out=out)
+def _symmetrized_upper(g: NDArray, buf: NDArray, out: NDArray) -> None:
+    """Write the packed ``0.5 (g + g^T)`` of the C-ordered matrices ``g``
+    into the C-ordered rows ``out``: each upper entry ``g_ij`` plus its
+    mirror ``g_ji``, times 0.5, which rounds as the whole formula does. The
+    mirrors are gathered into ``buf``, and no step allocates an array."""
+    up, mirror, _ = _triu_maps(g.shape[-1])
+    low = buf.reshape(-1)[: out.size].reshape(out.shape)
+    # "clip" writes into ``out`` directly, as in _unpack
+    np.take(g.reshape(len(g), -1), up, axis=-1, out=out, mode="clip")
+    np.take(g.reshape(len(g), -1), mirror, axis=-1, out=low, mode="clip")
+    out += low
     out *= 0.5
-    return _pack(out)
 
 
 def _symmetric_normals(rng: np.random.Generator, n: int, d: int) -> NDArray:
     """Packed ``0.5 (G_i + G_i^T)`` for ``G = rng.standard_normal((n, d, d))``.
 
-    The ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, which
-    reads the generator's stream in the same order as the one draw and so
-    has its bits.
+    The ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, on the
+    calling thread, which reads the generator's stream in the same order as
+    the one draw and so has its bits.
     """
     packed = np.empty((n, d * (d + 1) // 2))
-    g_buf, h_buf = _chunk_buffers(n, d)
+    g_buf, h_buf = _chunk_buffers(min(_CHUNK, n), d)
     for c in _chunks(n):
         g = rng.standard_normal(out=g_buf[: c.stop - c.start])
-        packed[c] = _symmetrized_upper(g, h_buf[: len(g)])
+        _symmetrized_upper(g, h_buf[: len(g)], packed[c])
     return packed
 
 
 def _conjugate_in_place(packed: NDArray, root: NDArray, frame: NDArray) -> None:
     """Replace each packed ``G_i`` by the packed, symmetrized
-    ``frame (root_j (I + G_i)_jk root_k) frame^T``, ``_CHUNK`` matrices at a
-    time, each with the bits of that formula on the matrix alone."""
+    ``frame (root_j (I + G_i)_jk root_k) frame^T``, each with the bits of
+    that formula on the matrix alone, a chunk at a time, the chunks shared
+    among threads (:func:`_shared_chunks`)."""
     d = root.size
-    g_buf, h_buf = _chunk_buffers(packed.shape[0], d)
-    for c in _chunks(packed.shape[0]):
-        inner = _unpack(packed[c], d, out=g_buf[: c.stop - c.start])
-        inner += np.eye(d)
-        inner *= root[:, None]
-        inner *= root[None, :]
-        h = np.matmul(frame, inner, out=h_buf[: len(inner)])
-        np.matmul(h, frame.T, out=inner)
-        packed[c] = _symmetrized_upper(inner, h)
+    # whole d×d factors, one matrix at a time: an in-place operation that
+    # broadcasts over the chunk takes a 60 KB numpy iteration buffer
+    eye, rows = np.eye(d), np.repeat(root[:, None], d, axis=1)
+    cols, frame_t = np.ascontiguousarray(rows.T), frame.T
+
+    def conjugate(c: slice, inner: NDArray, h: NDArray) -> None:
+        _unpack(packed[c], d, out=inner)
+        for g in inner:
+            g += eye
+            g *= rows
+            g *= cols
+        np.matmul(frame, inner, out=h)
+        np.matmul(h, frame_t, out=inner)
+        _symmetrized_upper(inner, h, packed[c])
+
+    _shared_chunks(packed.shape[0], d, conjugate)
 
 
 class SyntheticSumProblem(FiniteSumOracle):
@@ -763,16 +858,20 @@ class SyntheticSumProblem(FiniteSumOracle):
         ``G`` zero.
 
         The returned stack is packed (see the class docstring). Besides
-        it, the build holds two reused ``_CHUNK``-matrix buffers, and any
-        other temporary holds at most ``_CHUNK`` matrices. The
-        ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, with the
-        bits of one ``(N, d, d)`` draw, and symmetrized into the other
-        before their upper triangles are packed into the stack. Centring
-        and scaling act on the packed stack in place. The norm screen, and
-        the build of each ``H_i`` in its ``G_i``'s row, unpack ``_CHUNK``
-        matrices at a time. Each step acts on each entry, or on each
-        matrix, alone, with the bits of the whole-stack formulas. The
-        ripple directions and phases are drawn last, and only when
+        it, the build holds reused buffers of ``2·_CHUNK`` matrices in all,
+        and any other temporary holds at most ``_CHUNK`` matrices. The
+        ``G_i`` are drawn ``_CHUNK`` at a time into one buffer, on the
+        calling thread, with the bits of one ``(N, d, d)`` draw, and their
+        mirror entries gathered into the other before the symmetrized upper
+        triangles are written into the stack. Centring and scaling act on
+        the packed stack in place. The norm screen, and the build of each
+        ``H_i`` in its ``G_i``'s row, unpack a chunk of matrices at a time
+        and share the chunks among up to :func:`pass_threads` threads, two
+        buffers of ``_CHUNK // threads`` matrices to each, allocated on the
+        calling thread (see :func:`_shared_chunks`). Each step acts on each
+        entry, or on each matrix, alone, with the bits of the whole-stack
+        formulas, so the stack's bits do not depend on the thread count.
+        The ripple directions and phases are drawn last, and only when
         ``curvature > 0``.
         """
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

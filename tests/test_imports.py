@@ -7,8 +7,10 @@ since this one has loaded scipy already (the tests compare against it); the
 source check keeps a scipy import from coming back anywhere in the package.
 Nor does importing ``harness`` load ``multiprocessing`` or
 ``concurrent.futures``: only a parallel sweep starts worker processes, and
-only a logistic batch pass over two or more row blocks starts threads, so
-these runs, whose batches fit one block, start none.
+only a logistic batch pass over two or more row blocks, or a coupled
+synthetic sum's build over two or more chunks, starts threads, so these
+runs, whose batches fit one block and whose sum is not coupled, start
+none.
 """
 
 import ast

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import queue
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -433,7 +436,9 @@ class TestMaxSpectralNorm:
         assert top == _svd_max(gs)
         assert 1 <= orders.count(2) <= 16
 
-    def test_peak_memory_below_one_copy_of_the_stack(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_below_one_copy_of_the_stack(self, monkeypatch, threads):
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
         gs = _coupling_stack(1024, 20, 8)
         packed = problems._pack(gs)
         tracemalloc.start()
@@ -573,13 +578,28 @@ class TestChunkedStack:
             tracemalloc.stop()
         return prob, peak
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("curvature", [0.0, 2.0])
-    def test_generate_holds_one_stack(self, curvature):
+    def test_generate_holds_one_stack(self, monkeypatch, curvature, threads):
         # the bench's shape: the packed stack (about half a full one), the
         # ripple directions (J/d of a full stack) and chunk buffers stay
         # below one full N·d² stack, which the build held as its stack
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
         _, peak = self._generate_peak(1024, 50, curvature)
         assert peak < _full_stack_bytes(1024, 50)
+        if threads > 1:
+            # The threads split one thread's buffers: a thread holding
+            # buffers or temporaries of its own beside them would show here
+            # (a temporary in the passes themselves shows in
+            # test_the_passes_allocate_only_their_buffers). Each peak follows
+            # a build of the same shape: caches filled, the pool's thread
+            # started.
+            monkeypatch.setattr(problems, "pass_threads", lambda: 1)
+            self._generate_peak(1024, 50, curvature)
+            serial = self._generate_peak(1024, 50, curvature)[1]
+            monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+            threaded = self._generate_peak(1024, 50, curvature)[1]
+            assert threaded <= serial + _full_stack_bytes(1, 50)
 
     def test_generate_draws_no_ripples_at_curvature_0(self):
         # it drew and normalised (N, J, d) directions, a quarter of a full
@@ -960,6 +980,231 @@ class TestGatheredPassThreads:
         trace = (tmp_path / "here" / "trace.csv").read_bytes()
         assert {int(line.split(b",")[4]) for line in trace.splitlines()[2:]} == {200, 1200}
         assert (tmp_path / "one" / "trace.csv").read_bytes() == trace
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """``pool_of(n)`` serves the process's shared passes from ``n`` threads of
+    the test's own, ended after it."""
+    pools = []
+
+    def start(n):
+        tasks = queue.SimpleQueue()
+        threads = [threading.Thread(target=problems._serve_runs, args=(tasks,)) for _ in range(n)]
+        for thread in threads:
+            thread.start()
+        pools.append((tasks, threads))
+        monkeypatch.setattr(problems, "_pass_pool", lambda: tasks)
+
+    yield start
+    for tasks, threads in pools:
+        for _ in threads:
+            tasks.put(None)  # ends a thread
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+
+
+class TestShareRuns:
+    """``_share_runs`` splits its items as ``np.array_split`` does, runs the
+    first run on the caller, and lets no error out before every run ends."""
+
+    @pytest.mark.parametrize("items, threads", [(5, 2), (7, 3), (2, 8), (1, 1), (100, 8)])
+    def test_runs_are_the_array_split(self, items, threads):
+        runs = {}
+        problems._share_runs(lambda k, run: runs.setdefault(k, (threading.get_ident(), list(run))), items, threads)
+        want = [list(run) for run in np.array_split(np.arange(items), min(threads, items))]
+        assert [runs[k][1] for k in sorted(runs)] == want
+        assert runs[0][0] == threading.get_ident()
+        assert all(runs[k][0] != threading.get_ident() for k in sorted(runs)[1:])
+
+    def test_a_failed_run_raises_in_the_caller(self):
+        def work(k, run):
+            if k == 1:
+                raise ValueError(f"run {list(run)}")
+
+        with pytest.raises(ValueError, match=r"run \[2, 3\]"):
+            problems._share_runs(work, 4, 2)
+
+    def test_a_raising_caller_waits_for_the_other_runs(self):
+        caller_failed, done = threading.Event(), []
+
+        def work(k, run):
+            if k == 0:
+                caller_failed.set()
+                raise KeyError("caller")
+            caller_failed.wait(10)
+            time.sleep(0.05)
+            done.append(k)
+
+        with pytest.raises(KeyError, match="caller"):
+            problems._share_runs(work, 3, 3)
+        assert sorted(done) == [1, 2]
+
+    def test_every_run_ends_before_a_failed_run_raises(self):
+        done = []
+
+        def work(k, run):
+            if k == 1:
+                raise ValueError("run 1")
+            if k == 2:
+                time.sleep(0.1)
+                done.append(k)
+
+        with pytest.raises(ValueError, match="run 1"):
+            problems._share_runs(work, 3, 3)
+        assert done == [2]
+
+    def test_an_idle_thread_holds_no_work(self):
+        # a pass's work holds its arrays, which a thread must not keep alive
+        def work(k, run):
+            pass
+
+        ref = weakref.ref(work)
+        problems._share_runs(work, 2, 2)
+        del work
+        assert ref() is None
+
+    def test_the_first_failed_run_wins(self, pool_of):
+        pool_of(2)
+
+        def work(k, run):
+            if k == 1:
+                time.sleep(0.05)  # run 2 fails first
+            if k:
+                raise ValueError(f"run {k}")
+
+        with pytest.raises(ValueError, match="run 1"):
+            problems._share_runs(work, 3, 3)
+
+    def test_the_callers_error_wins(self):
+        def work(k, run):
+            raise ValueError(f"run {k}")
+
+        with pytest.raises(ValueError, match="run 0"):
+            problems._share_runs(work, 2, 2)
+
+
+# a coupled build in a child forked after the parent's build started the
+# pool's threads
+_FORKED_BUILD = """
+import os, signal
+from hessavg.problems import SyntheticSumProblem, pass_threads
+
+def build():
+    prob = SyntheticSumProblem.generate(300, 20, seed=3, curvature=2.0, coupling=0.5)
+    return b"".join(a.tobytes() for a in (prob.h, prob.b, prob.a_dirs, prob.phases))
+
+assert pass_threads() > 1
+parent = build()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if build() == parent else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+# the bench-sized coupled build in a single-CPU process, which starts no thread
+_ONE_CPU_BUILD = """
+import hashlib, json, os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hessavg import problems
+assert problems.pass_threads() == 1
+prob = problems.SyntheticSumProblem.generate(1024, 50, seed=0, curvature=2.0, coupling=0.5)
+digest = hashlib.sha256()
+for arr in (problems._unpack(prob.h, 50), prob.b, prob.a_dirs, prob.phases):
+    digest.update(arr.tobytes())
+print(json.dumps([digest.hexdigest(), threading.active_count(), "concurrent.futures" in sys.modules]))
+"""
+
+
+class TestSharedBuild:
+    """The coupled build's norm screen and conjugation share their chunks
+    among threads and keep the bits of the serial loop at every thread
+    count."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("curvature", [0.0, 2.0])
+    # fewer chunks than threads, a short last chunk, and the goldens' shape
+    @pytest.mark.parametrize("n, d", [(2, 5), (100, 7), (64, 20)])
+    def test_bitwise_the_serial_loop(self, monkeypatch, n, d, curvature, threads):
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+        prob = SyntheticSumProblem.generate(n, d, seed=n + d, curvature=curvature, coupling=0.5)
+        h, b, a, phases = _coupled_reference(n, d, n + d)
+        assert _same_bits(problems._unpack(prob.h, d), h) and _same_bits(prob.b, b)
+        if curvature > 0:
+            assert _same_bits(prob.a_dirs, a) and _same_bits(prob.phases, phases)
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch, pool_of):
+        # 8 threads that switch every microsecond: a chunk that a run lost
+        # or wrote twice would move the bits
+        pool_of(7)
+        monkeypatch.setattr(problems, "pass_threads", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            prob = SyntheticSumProblem.generate(300, 6, seed=5, curvature=2.0, coupling=0.5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _same_bits(problems._unpack(prob.h, 6), _coupled_reference(300, 6, 5)[0])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_passes_allocate_only_their_buffers(self, monkeypatch, threads):
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+        n, d = 1024, 50
+        packed = problems._symmetric_normals(np.random.Generator(np.random.Philox(9)), n, d)
+        root = np.sqrt(np.geomspace(0.5, 3.0, d))
+        frame = np.linalg.qr(rng_mod.stream(9, "init").standard_normal((d, d)))[0]
+        buffers = _full_stack_bytes(2 * problems._CHUNK, d)
+        for call in (
+            lambda: problems._max_spectral_norm(packed, d),
+            lambda: problems._conjugate_in_place(packed, root, frame),
+        ):
+            call()  # fills the index maps' cache and starts the pool's thread
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # besides the buffers: the screen's N-vectors, the conjugation's
+            # d×d factors, and no temporary of even a few matrices
+            assert peak <= buffers + 3 * n * 8 + _full_stack_bytes(4, d)
+
+    def test_the_caller_runs_the_first_chunks(self, monkeypatch):
+        monkeypatch.setattr(problems, "pass_threads", lambda: 2)
+        caller, passes = threading.get_ident(), []
+        shared = problems._shared_chunks
+
+        def recorded(n, d, work):
+            ran = []
+
+            def logged(c, g, h):
+                ran.append((threading.get_ident() == caller, c.start, c.stop))
+                work(c, g, h)
+
+            shared(n, d, logged)
+            passes.append(sorted(ran, key=lambda r: r[1]))
+
+        monkeypatch.setattr(problems, "_shared_chunks", recorded)
+        SyntheticSumProblem.generate(100, 7, seed=0, coupling=0.5)
+        # chunks of 32 matrices: two each, the caller the first two
+        runs = [(True, 0, 32), (True, 32, 64), (False, 64, 96), (False, 96, 100)]
+        assert passes == [runs, runs]  # the norm screen, then the conjugation
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or problems.pass_threads() < 2, reason="needs fork and two CPUs")
+    def test_a_child_forked_after_a_build_builds_the_same(self):
+        done = subprocess.run([sys.executable, "-c", _FORKED_BUILD], env=_SRC_ENV, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_a_build_on_one_cpu_keeps_the_pinned_bits(self):
+        done = subprocess.run([sys.executable, "-c", _ONE_CPU_BUILD], env=_SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # the digest test_bench_sized_instance_keeps_its_bits pins
+        pinned = "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918"
+        assert json.loads(done.stdout) == [pinned, 1, False]
 
 
 class TestDrawSample:
