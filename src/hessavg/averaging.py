@@ -7,7 +7,8 @@ weights that are nonnegative and sum to one. Full-matrix state supports a
 plain average (made positive definite on demand) and an absolute-value
 average (each incoming matrix replaced by its spectral absolute value,
 floored by a fixed shift when preconditioning). Diagonal state averages
-``|D|`` (p=1) or ``D^2`` (p=2), exposing the p-th root.
+``|D|`` (p=1) or ``D^2`` (p=2), exposing the p-th root. Each state holds
+the floor it preconditions with, fixed at construction.
 """
 
 from __future__ import annotations
@@ -73,15 +74,16 @@ class FullAverageState:
     """Running average of dense symmetric Hessian estimates.
 
     ``variant="plain"`` averages the matrices as given and makes the
-    result positive definite via spectral modification at precondition
-    time. ``variant="abs"`` averages spectral absolute values and adds a
-    constant floor instead.
+    result positive definite via spectral modification, with eigenvalues
+    floored at ``floor``, at precondition time. ``variant="abs"`` averages
+    spectral absolute values and adds ``floor`` times the identity instead.
     """
 
-    def __init__(self, dim: int, decay: Optional[float] = None, variant: str = "plain"):
+    def __init__(self, dim: int, floor: float, decay: Optional[float] = None, variant: str = "plain"):
         if variant not in ("plain", "abs"):
             raise ValueError(f"variant must be 'plain' or 'abs', got {variant!r}")
         self.dim = dim
+        self.floor = floor
         self.variant = variant
         self._acc = _Accumulator(decay)
 
@@ -96,24 +98,26 @@ class FullAverageState:
     def matrix(self) -> NDArray:
         return self._acc.value()
 
-    def modified(self, floor: float) -> tuple[NDArray, bool]:
+    def modified(self) -> tuple[NDArray, bool]:
         """The positive-definite matrix actually used for solves."""
         if self.variant == "abs":
-            return self.matrix() + floor * np.eye(self.dim), True
-        return pd_modify(self.matrix(), floor)
+            return self.matrix() + self.floor * np.eye(self.dim), True
+        return pd_modify(self.matrix(), self.floor)
 
-    def precondition(self, g: NDArray, floor: float) -> NDArray:
-        h, _ = self.modified(floor)
+    def precondition(self, g: NDArray) -> NDArray:
+        h, _ = self.modified()
         return spd_solve(h, g)
 
 
 class DiagAverageState:
-    """Running l^p average of diagonal Hessian estimates (p = 1 or 2)."""
+    """Running l^p average of diagonal Hessian estimates (p = 1 or 2),
+    each entry offset by ``floor`` when preconditioning."""
 
-    def __init__(self, dim: int, p: int = 1, decay: Optional[float] = None):
+    def __init__(self, dim: int, floor: float, p: int = 1, decay: Optional[float] = None):
         if p not in (1, 2):
             raise ValueError(f"p must be 1 or 2, got {p}")
         self.dim = dim
+        self.floor = floor
         self.p = p
         self._acc = _Accumulator(decay)
 
@@ -127,8 +131,8 @@ class DiagAverageState:
         acc = self._acc.value()
         return acc if self.p == 1 else np.sqrt(acc)
 
-    def precondition(self, g: NDArray, floor: float) -> NDArray:
-        return np.asarray(g, dtype=float) / (self.preconditioner() + floor)
+    def precondition(self, g: NDArray) -> NDArray:
+        return np.asarray(g, dtype=float) / (self.preconditioner() + self.floor)
 
 
 def hutchinson_diag(

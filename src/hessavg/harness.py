@@ -106,7 +106,7 @@ from .problems import (
     pass_threads,
     quadratic_generate,
 )
-from .sampling import ADAPTIVE_MODES, DEFAULT_EXPECTATION_CAP, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
+from .sampling import ADAPTIVE_MODES, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -121,6 +121,8 @@ __all__ = [
 ]
 
 RATE_FLOOR = 1e-13
+# The gradient batch cap of an expectation whose config sets no ``cap``.
+DEFAULT_EXPECTATION_CAP = 2**16
 
 
 class ConfigError(ValueError):
@@ -238,6 +240,10 @@ PROBLEM_BOUNDS = {
     "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "curvature": (lambda v: v >= 0, ">= 0"),
     "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "freq": (lambda v: abs(v) > 0, "nonzero"),
+    "n_ripples": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v is None or v >= 0, ">= 0"),  # None: the quadratic's follows the run's
+    "split_seed": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -257,6 +263,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
+        if not self.seed >= 0:
+            raise ValueError("seed must be nonnegative")
         if not self.trace_interval >= 1:
             raise ValueError("trace_interval must be >= 1")
         if not self.rolling_f >= 0:
@@ -296,7 +304,7 @@ class ExperimentConfig:
 # the oracle and a stream; the rest are built, the controller and Hessian
 # sampler with the sizes as the reading clamped them. ``config`` is the
 # reading: the config as these sections read it.
-_Sections = namedtuple("_Sections", "problem n method schedules policy a_mode controller hess_sampler init config")
+_Sections = namedtuple("_Sections", "problem n method schedules policy controller hess_sampler init config")
 
 
 def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
@@ -306,7 +314,7 @@ def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
         top.read["rolling_f"] = 0
     method = _read_method(cfg.method)
     problem, n = _read_problem(cfg.problem, cfg, data_dir)
-    a_mode, controller = _read_grad(cfg.sampling, method, n)
+    controller = _read_grad(cfg.sampling, method, n)
     policy, hess_sampler = _read_hess(cfg.sampling, n) if method.keeps_hessian else (None, None)
     sections = _Sections(
         problem=problem,
@@ -314,7 +322,6 @@ def _read_sections(raw: dict, data_dir: Optional[str] = None) -> _Sections:
         method=method,
         schedules=_build_schedules(cfg.schedules),
         policy=policy,
-        a_mode=a_mode,
         controller=controller,
         hess_sampler=hess_sampler,
         init=_read_init(cfg.init),
@@ -412,22 +419,25 @@ def _build_schedules(spec: dict) -> ScheduleSet:
     return ScheduleSet(**schedules)
 
 
-def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> tuple[str, GradSampleController]:
-    """The norm-test weighting ``a_mode`` and the gradient batch controller
+def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> GradSampleController:
+    """The gradient batch controller, with its norm-test weighting ``a_mode``,
     for a problem of ``n`` components (None for an expectation). Each mode
     has one batch-size key: ``size`` when fixed, ``sizes`` for the epoch
     table, ``initial_size`` for the norm tests, which alone read ``cap``;
-    the exact test alone reads ``a_mode``. On a finite sum the cap is its
-    size unless ``cap`` is below it, and a ``cap`` that is not reads as
-    null. On an expectation the cap is ``cap`` as written, or
-    ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that default reads as
-    null. Each batch size reads as at most the cap. An unknown mode is
-    refused before the section's keys are checked, and a batch size below 1
-    under its key."""
+    the exact test alone reads ``a_mode``, which the method must be able to
+    apply. It and ``epochs_per_block`` default as the controller does. On a
+    finite sum the cap is its size unless ``cap`` is below it, and a ``cap``
+    that is not reads as null. On an expectation the cap is ``cap`` as
+    written, or ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that
+    default reads as null. Each batch size reads as at most the cap. An
+    unknown mode is refused before the section's keys are checked, and a
+    batch size below 1 under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
-    a_mode = _take(grad, "a_mode", where, str, "identity") if mode == "exact_norm_test" else "identity"
+    rule = {}
+    if mode == "exact_norm_test":
+        rule["a_mode"] = _take(grad, "a_mode", where, str, GradSampleController.a_mode)
     limit = DEFAULT_EXPECTATION_CAP if n is None else n
     cap = _take(grad, "cap", where, Optional[int], None) if mode in ADAPTIVE_MODES else None
     if cap is None or (n is not None and cap > n):
@@ -436,24 +446,20 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> tuple[st
         grad.read["cap"] = None
     if mode == "geometric_epochs":
         key, sizes = "sizes", _take(grad, "sizes", where, tuple[int, ...])
-        table = {"epochs_per_block": _take(grad, "epochs_per_block", where, int, 20)}
+        rule["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, GradSampleController.epochs_per_block)
     else:
-        key, table = "size" if mode == "fixed" else "initial_size", {}
+        key = "size" if mode == "fixed" else "initial_size"
         sizes = (_take(grad, key, where, int, 32),)
     try:
         check_batch_sizes(key, sizes)
         sizes = tuple(min(size, cap) for size in sizes)
-        if key == "sizes":
-            grad.read[key] = table["sizes"] = sizes
-        else:
-            grad.read[key] = sizes[0]
-        # an empty table gets a first size of 1, and the controller refuses it
-        controller = GradSampleController(mode=mode, initial_size=sizes[0] if sizes else 1, cap=cap, **table)
-        _check_a_mode(a_mode, mode, method)
+        grad.read[key] = sizes if key == "sizes" else sizes[0]
+        controller = GradSampleController(mode, sizes, cap, **rule)
+        _check_a_mode(controller, method)
     except ValueError as err:
         raise ConfigError(f"bad {where}: {err}") from err
     _done(grad, f"{where} of mode {mode!r}")
-    return a_mode, controller
+    return controller
 
 
 def _read_hess(sampling: dict, n: Optional[int]) -> tuple[UpdateFrequencyPolicy, Union[CyclicSampler, IidSampler]]:
@@ -522,7 +528,6 @@ def build_context(cfg: ExperimentConfig, data_dir: Optional[str] = None) -> tupl
         rngs=streams,
         iters_per_epoch=cfg.iters_per_epoch,
         trace_interval=cfg.trace_interval,
-        a_mode=read.a_mode,
     )
     return ctx, read.init(oracle, streams["init"])
 

@@ -7,15 +7,16 @@ dan2), and adahessian. Every method but sgd keeps its curvature estimate
 in one averaging state: subnewton is the full-matrix average that keeps
 only the newest Hessian, and adam's second moment is a diagonal average
 of squared gradients. adam's and adahessian's first moment is the same
-bias-corrected EMA, an ``averaging._Accumulator``. Each iteration: the
-controller fixes the gradient batch, the update policy optionally
-refreshes the Hessian estimate, the method turns the batch gradient into
-a direction, the norm test (its rule written once, in
-:func:`_run_controller`) may grow the next batch, and the iterate moves
-by the scheduled step size. Runs that blow up (a non-finite batch loss,
-a batch loss exceeding a fixed multiple of the starting value, or a
-non-finite iterate) are halted rather than raising, and their state says
-which of the three stopped them.
+bias-corrected EMA, an ``averaging._Accumulator``. Each state holds its
+floor, which :func:`init_state` alone picks: ``mu_tilde`` (fan, subnewton),
+``eps`` (dan, dan2) or ``adam_eps``. Each iteration: the controller fixes
+the gradient batch, the update policy optionally refreshes the Hessian
+estimate, the method turns the batch gradient into a direction, the norm
+test (its rule written once, in :func:`_run_controller`) may grow the next
+batch, and the iterate moves by the scheduled step size. Runs that blow up
+(a non-finite batch loss, a batch loss exceeding a fixed multiple of the
+starting value, or a non-finite iterate) are halted rather than raising,
+and their state says which of the three stopped them.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ class AlphaTwoPhase:
             raise ValueError("alpha_global must be positive")
         if not self.alpha_local > 0:
             raise ValueError("alpha_local must be positive")
+        if self.k_switch < 0:
+            raise ValueError("k_switch must be nonnegative")
 
     def at(self, k: int) -> float:
         return self.alpha_local if k >= self.k_switch else self.alpha_global
@@ -199,6 +202,8 @@ class _ThetaLocal:
     def __post_init__(self) -> None:
         if not self.theta_l >= 0:
             raise ValueError("theta_l must be nonnegative")
+        if self.k_switch < 0:
+            raise ValueError("k_switch must be nonnegative")
 
 
 class ThetaLocalDet(_ThetaLocal):
@@ -251,6 +256,8 @@ class _IotaSuper:
             raise ValueError("decay factor a_l must lie in [0, 1)")
         if self.iota0 < 0:
             raise ValueError("iota0 must be nonnegative")
+        if self.k_switch < 0:
+            raise ValueError("k_switch must be nonnegative")
 
     def at(self, k: int) -> float:
         if k <= self.k_switch or self.iota0 == 0.0:
@@ -353,14 +360,30 @@ def init_state(method: MethodSpec, oracle: FiniteSumOracle, w0: NDArray) -> OptS
     if method.uses_full_hessian:
         # subnewton's decay 0 puts all the weight on the newest Hessian.
         decay = 0.0 if method.name == "subnewton" else method.decay
-        state.avg = FullAverageState(d, decay=decay, variant=method.variant)
+        state.avg = FullAverageState(d, method.mu_tilde, decay=decay, variant=method.variant)
     elif method.name in ("dan", "dan2"):
-        state.avg = DiagAverageState(d, p=1 if method.name == "dan" else 2, decay=method.decay)
+        state.avg = DiagAverageState(d, method.eps, p=1 if method.name == "dan" else 2, decay=method.decay)
     elif method.name in ("adam", "adahessian"):
         # Squared gradients (adam) or squared Hessian diagonals (adahessian).
-        state.avg = DiagAverageState(d, p=2, decay=method.beta2)
+        state.avg = DiagAverageState(d, method.adam_eps, p=2, decay=method.beta2)
         state.m = _Accumulator(method.beta1)
     return state
+
+
+def _check_a_mode(controller: GradSampleController, method: MethodSpec) -> None:
+    """Refuse a norm-test weighting the method could not apply.
+
+    ``inverse_hessian`` weights the exact test by the modified averaged
+    Hessian, so it needs a full-matrix method (the controller itself
+    refuses it outside the exact test). Checked when a context is built,
+    not when a test runs: a run whose batch starts at its cap runs no test
+    at all. The config reader applies the same rule.
+    """
+    if controller.a_mode == "inverse_hessian" and not method.uses_full_hessian:
+        raise ValueError(
+            "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; "
+            f"it needs method fan or subnewton, not {method.name!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -371,7 +394,8 @@ class RunContext:
     The one exception is ``rngs``, whose generators advance as the run draws
     from them; a run's other changing values live in its :class:`OptState`.
     A context with fresh streams (``dataclasses.replace(ctx, rngs=...)``)
-    runs again as it first ran.
+    runs again as it first ran. It refuses a controller whose ``a_mode``
+    is ``"inverse_hessian"`` unless the method keeps a full Hessian.
     """
 
     oracle: FiniteSumOracle
@@ -384,7 +408,9 @@ class RunContext:
     policy: Optional[UpdateFrequencyPolicy] = UpdateFrequencyPolicy()
     iters_per_epoch: int = 100  # expectation problems only
     trace_interval: int = 10
-    a_mode: str = "identity"  # norm-test weighting: "identity" | "inverse_hessian"
+
+    def __post_init__(self) -> None:
+        _check_a_mode(self.controller, self.method)
 
     def epoch_of(self, state: OptState) -> float:
         n = self.oracle.n_components
@@ -395,7 +421,7 @@ class RunContext:
     def eec_of(self, state: OptState) -> float:
         n = self.oracle.n_components
         if n is None:
-            n = self.iters_per_epoch * self.controller.initial_size
+            n = self.iters_per_epoch * self.controller.sizes[0]
         return (state.grad_samples + 2.0 * state.hess_sample_units) / n
 
 
@@ -427,33 +453,8 @@ def _direction(ctx: RunContext, state: OptState, g: NDArray) -> NDArray:
         if method.name == "adam":
             state.avg.update(g)
         state.m.update(g)
-        return state.avg.precondition(state.m.value(), method.adam_eps)
-    return state.avg.precondition(g, method.mu_tilde if method.uses_full_hessian else method.eps)
-
-
-def _check_a_mode(a_mode: str, grad_mode: str, method: MethodSpec) -> None:
-    """Reject a norm-test weighting the run could not apply.
-
-    ``inverse_hessian`` weights the exact test by the modified averaged
-    Hessian, so it needs that test and a full-matrix method. Checked once
-    per run, not when a test runs: a run whose batch starts at its cap
-    runs no test at all. Config validation applies the same rule.
-    """
-    if a_mode not in ("identity", "inverse_hessian"):
-        raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {a_mode!r}")
-    if a_mode == "inverse_hessian" and (grad_mode != "exact_norm_test" or not method.uses_full_hessian):
-        raise ValueError(
-            "a_mode 'inverse_hessian' weights the exact norm test by a full Hessian; it needs mode "
-            f"'exact_norm_test' and method fan or subnewton, not {grad_mode!r} and {method.name!r}"
-        )
-
-
-def _norm_test_weight(ctx: RunContext, state: OptState) -> Optional[NDArray]:
-    """Weighting matrix for the exact norm test (None means identity)."""
-    if ctx.a_mode == "identity":
-        return None
-    h_tilde, _ = state.avg.modified(ctx.method.mu_tilde)
-    return h_tilde
+        return state.avg.precondition(state.m.value())
+    return state.avg.precondition(g)
 
 
 def _run_controller(
@@ -476,7 +477,8 @@ def _run_controller(
     if ctx.controller.mode == "approx_norm_test":
         lhs, rhs_norm = approx_norm_terms(comps, g)
     else:
-        lhs, rhs_norm = exact_norm_terms(g, full_grad, _norm_test_weight(ctx, state))
+        weight = state.avg.modified()[0] if ctx.controller.a_mode == "inverse_hessian" else None
+        lhs, rhs_norm = exact_norm_terms(g, full_grad, weight)
     rhs = theta**2 * rhs_norm + iota
     state.batch = ctx.controller.record_test(lhs <= rhs, lhs, rhs, state.batch)
 
@@ -585,7 +587,6 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
     run yields exactly the initial record. The run changes ``ctx`` only by
     advancing its streams: all else it changes is in the returned state.
     """
-    _check_a_mode(ctx.a_mode, ctx.controller.mode, ctx.method)
     state = init_state(ctx.method, ctx.oracle, w0)
     records: list[TraceRecord] = []
     while ctx.epoch_of(state) < epochs and state.diverged is None:

@@ -874,6 +874,10 @@ class SyntheticSumProblem(FiniteSumOracle):
         The ripple directions and phases are drawn last, and only when
         ``curvature > 0``.
         """
+        if freq == 0:
+            raise ValueError("freq must be nonzero")
+        if n_ripples < 1:
+            raise ValueError(f"n_ripples must be >= 1, got {n_ripples}")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
         def random_frame() -> NDArray:

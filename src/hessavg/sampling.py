@@ -15,7 +15,9 @@ run, and never pass the cap. The adaptive modes run a norm test on each
 iteration that starts below the cap and grow the batch by the observed
 violation ratio on failure; at the cap no test can change the batch, so
 none is run. This module gives the two sides of each test, ``lhs`` and
-``||g||_A^2``; the step loop (:func:`hessavg.optimizers._run_controller`)
+``||g||_A^2``, where ``A`` is the identity or, for the exact test under
+``a_mode="inverse_hessian"``, the inverse of the run's floored Hessian
+average; the step loop (:func:`hessavg.optimizers._run_controller`)
 forms ``rhs = theta^2 ||g||_A^2 + iota`` and applies ``lhs <= rhs``, and
 :meth:`GradSampleController.record_test` turns its outcome into the next size.
 """
@@ -39,9 +41,6 @@ __all__ = [
     "exact_norm_terms",
     "approx_norm_terms",
 ]
-
-DEFAULT_EXPECTATION_CAP = 2**16
-
 
 class CyclicSampler:
     """Deterministic block traversal of ``range(n)`` in a fixed order.
@@ -142,17 +141,21 @@ def check_batch_sizes(key: str, sizes: Sequence[int], cap: float = math.inf) -> 
 
 @dataclass(frozen=True)
 class GradSampleController:
-    """The rule that sizes the gradient batch each iteration.
+    """The rule that sizes the gradient batch each iteration, and weights
+    the exact norm test.
 
     It is a rule, not a state machine: the run keeps its batch size
     (``OptState.batch``, 0 before the first step) and hands it in as
-    ``current``. No size it holds is above ``cap``: a config's reader
-    clamps each to the cap (see :func:`hessavg.harness._read_grad`).
+    ``current``. ``sizes`` is the one size table: one entry, the first
+    batch, unless the mode is ``geometric_epochs``. No size it holds is
+    above ``cap``: a config's reader clamps each to the cap (see
+    :func:`hessavg.harness._read_grad`), which also reads this class's
+    defaults as its own.
 
     Modes
     -----
     fixed
-        Constant ``initial_size``.
+        Constant ``sizes[0]``.
     geometric_epochs
         ``sizes[min(epoch // epochs_per_block, last)]``.
     exact_norm_test / approx_norm_test
@@ -160,26 +163,34 @@ class GradSampleController:
         failure grow to ``ceil(current * lhs / rhs)``, clamped to the cap.
         The test runs only while :meth:`can_grow`: once the batch is at
         the cap its outcome could not change it.
+
+    ``a_mode`` weights the exact test: ``"identity"`` (Euclidean) or
+    ``"inverse_hessian"`` (by the inverse of the run's floored average).
     """
 
     mode: str
-    initial_size: int = 1
-    cap: int = DEFAULT_EXPECTATION_CAP
-    sizes: Sequence[int] = ()
+    sizes: tuple[int, ...]
+    cap: int
     epochs_per_block: int = 20
+    a_mode: str = "identity"
 
     def __post_init__(self) -> None:
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         if self.mode == "geometric_epochs" and not self.sizes:
             raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
+        if self.mode != "geometric_epochs" and len(self.sizes) != 1:
+            raise ValueError(f"mode {self.mode!r} takes one batch size in 'sizes', got {len(self.sizes)}")
         # the cap first: a reader clamps the batch sizes to it
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
         check_batch_sizes("sizes", self.sizes, self.cap)
-        check_batch_sizes("initial_size", (self.initial_size,), self.cap)
         if self.epochs_per_block < 1:
             raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
+        if self.a_mode not in ("identity", "inverse_hessian"):
+            raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {self.a_mode!r}")
+        if self.a_mode == "inverse_hessian" and self.mode != "exact_norm_test":
+            raise ValueError(f"a_mode 'inverse_hessian' weights the exact norm test; it needs mode 'exact_norm_test', not {self.mode!r}")
 
     @property
     def adaptive(self) -> bool:
@@ -194,10 +205,7 @@ class GradSampleController:
     def size(self, epoch: float, current: int) -> int:
         """Batch size for the iteration starting at ``epoch``, from a run whose
         batch is ``current``: the mode's size, and never below ``current``."""
-        base = self.initial_size
-        if self.mode == "geometric_epochs":
-            base = self.sizes[min(int(epoch) // self.epochs_per_block, len(self.sizes) - 1)]
-        return max(current, base)
+        return max(current, self.sizes[min(int(epoch) // self.epochs_per_block, len(self.sizes) - 1)])
 
     def record_test(self, passed: bool, lhs: float, rhs: float, current: int) -> int:
         """The size after the norm test ``lhs <= rhs`` on a batch of ``current``.

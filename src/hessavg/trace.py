@@ -61,13 +61,28 @@ def format_trace(records: list[TraceRecord], config_hash: str, seed: int) -> str
 
 
 def parse_trace(text: str) -> tuple[dict, list[TraceRecord]]:
-    """Inverse of :func:`format_trace`; returns (metadata, records)."""
+    """Inverse of :func:`format_trace`; returns (metadata, records).
+
+    A header that is not the record's columns, in order, or a row of
+    another length than the header is a ValueError; blank lines are skipped.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# "):
         raise ValueError("missing trace schema line")
     meta = dict(item.split("=", 1) for item in lines[0][2:].split())
     if meta.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unsupported trace schema {meta.get('schema')!r}")
+    rows = csv.reader(lines[1:])
+    header = next(rows, [])
+    if header != list(_COLUMNS):
+        missing = [c for c in _COLUMNS if c not in header]
+        raise ValueError(f"trace header lacks the columns {missing}" if missing else f"trace header {header} is not {list(_COLUMNS)}")
     hints = get_type_hints(TraceRecord)
-    rows = csv.DictReader(lines[1:])
-    return meta, [TraceRecord(**{c: _parse(row[c], hints[c]) for c in _COLUMNS}) for row in rows]
+    records = []
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != len(_COLUMNS):
+            raise ValueError(f"trace line {rows.line_num + 1} has {len(row)} cells, not {len(_COLUMNS)}")
+        records.append(TraceRecord(*(_parse(cell, hints[c]) for c, cell in zip(_COLUMNS, row))))
+    return meta, records

@@ -23,27 +23,27 @@ def ema_weights(beta2, k):
 
 class TestFullAverage:
     def test_first_update_is_input(self):
-        state = FullAverageState(2)
+        state = FullAverageState(2, 1e-4)
         h = np.array([[1.0, 0.2], [0.2, 2.0]])
         state.update(h)
         np.testing.assert_allclose(state.matrix(), h)
 
     def test_constant_input_fixed_point(self):
-        state = FullAverageState(3)
+        state = FullAverageState(3, 1e-4)
         h = np.diag([1.0, 2.0, 3.0])
         for _ in range(10):
             state.update(h)
         np.testing.assert_allclose(state.matrix(), h, atol=1e-12)
 
     def test_uniform_mean(self):
-        state = FullAverageState(2)
+        state = FullAverageState(2, 1e-4)
         state.update(np.diag([1.0, 1.0]))
         state.update(np.diag([3.0, 5.0]))
         np.testing.assert_allclose(state.matrix(), np.diag([2.0, 3.0]))
 
     def test_uniform_matches_batch_mean(self):
         rng = np.random.default_rng(0)
-        state = FullAverageState(4)
+        state = FullAverageState(4, 1e-4)
         hs = []
         for _ in range(17):
             m = rng.standard_normal((4, 4))
@@ -53,7 +53,7 @@ class TestFullAverage:
         np.testing.assert_allclose(state.matrix(), np.mean(hs, axis=0), atol=1e-10)
 
     def test_abs_variant_averages_spectral_abs(self):
-        state = FullAverageState(2, variant="abs")
+        state = FullAverageState(2, 1e-4, variant="abs")
         state.update(np.diag([-1.0, 2.0]))
         state.update(np.diag([3.0, -4.0]))
         np.testing.assert_allclose(state.matrix(), np.diag([2.0, 3.0]), atol=1e-12)
@@ -61,7 +61,7 @@ class TestFullAverage:
     def test_decaying_matches_weight_oracle(self):
         rng = np.random.default_rng(1)
         beta2 = 0.9
-        state = FullAverageState(3, decay=beta2)
+        state = FullAverageState(3, 1e-4, decay=beta2)
         hs = []
         for _ in range(9):
             m = rng.standard_normal((3, 3))
@@ -73,71 +73,71 @@ class TestFullAverage:
         np.testing.assert_allclose(state.matrix(), expected, atol=1e-10)
 
     def test_preconditions_through_modification(self):
-        state = FullAverageState(2)
+        state = FullAverageState(2, 0.5)
         state.update(np.diag([-0.2, 2.0]))
         g = np.array([1.0, 1.0])
-        np.testing.assert_allclose(state.precondition(g, 0.5), g / np.array([0.5, 2.3]))
+        np.testing.assert_allclose(state.precondition(g), g / np.array([0.5, 2.3]))
 
     def test_abs_variant_adds_floor(self):
-        state = FullAverageState(2, variant="abs")
+        state = FullAverageState(2, 0.5, variant="abs")
         state.update(np.diag([1.0, 2.0]))
         g = np.array([1.0, 1.0])
-        np.testing.assert_allclose(state.precondition(g, 0.5), g / np.array([1.5, 2.5]))
+        np.testing.assert_allclose(state.precondition(g), g / np.array([1.5, 2.5]))
 
     def test_identity_no_shift(self):
-        state = FullAverageState(3)
+        state = FullAverageState(3, 0.5)
         state.update(np.eye(3))
         g = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(state.precondition(g, 0.5), g, atol=1e-12)
+        np.testing.assert_allclose(state.precondition(g), g, atol=1e-12)
 
     def test_descent_alignment(self):
         # preconditioned directions keep a positive inner product with g
         rng = np.random.default_rng(2)
-        state = FullAverageState(5)
+        state = FullAverageState(5, 1e-3)
         for _ in range(4):
             m = rng.standard_normal((5, 5))
             state.update(0.5 * (m + m.T))
         for _ in range(20):
             g = rng.standard_normal(5)
-            assert g @ state.precondition(g, 1e-3) > 0
+            assert g @ state.precondition(g) > 0
 
     def test_requires_update_before_value(self):
         with pytest.raises(ValueError):
-            FullAverageState(2).matrix()
+            FullAverageState(2, 1e-4).matrix()
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            FullAverageState(2).update(np.eye(3))
+            FullAverageState(2, 1e-4).update(np.eye(3))
 
 
 class TestDiagAverage:
     def test_l1_single(self):
-        state = DiagAverageState(2, p=1)
+        state = DiagAverageState(2, 1e-6, p=1)
         state.update(np.array([-1.0, 2.0]))
         np.testing.assert_allclose(state.preconditioner(), [1.0, 2.0])
 
     def test_l2_rms(self):
-        state = DiagAverageState(2, p=2)
+        state = DiagAverageState(2, 1e-6, p=2)
         state.update(np.array([3.0, 0.0]))
         state.update(np.array([4.0, 0.0]))
         np.testing.assert_allclose(state.preconditioner(), [np.sqrt(12.5), 0.0])
 
     def test_l2_constant_is_abs(self):
-        state = DiagAverageState(3, p=2)
+        state = DiagAverageState(3, 1e-6, p=2)
         d = np.array([-2.0, 0.5, 1.0])
         for _ in range(7):
             state.update(d)
         np.testing.assert_allclose(state.preconditioner(), np.abs(d), atol=1e-12)
 
     def test_precondition_elementwise(self):
-        state = DiagAverageState(2, p=1)
+        state = DiagAverageState(2, 0.0, p=1)
         state.update(np.array([2.0, 4.0]))
-        np.testing.assert_allclose(state.precondition(np.array([2.0, 8.0]), 0.0), [1.0, 2.0])
+        np.testing.assert_allclose(state.precondition(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_decaying_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         beta2 = 0.99
-        state = DiagAverageState(4, p=1, decay=beta2)
+        state = DiagAverageState(4, 1e-6, p=1, decay=beta2)
         ds = []
         for _ in range(23):
             ds.append(rng.standard_normal(4))
@@ -319,7 +319,7 @@ class TestExpectationHessianError:
         for seed in range(6):
             problem = quadratic_generate(20, seed=seed)
             exact = 2.0 * problem.keep_prob * problem.a.T @ problem.a
-            sampler, rng, avg = IidSampler(4), rng_mod.stream(seed, "hessian"), FullAverageState(20)
+            sampler, rng, avg = IidSampler(4), rng_mod.stream(seed, "hessian"), FullAverageState(20, 1e-4)
             for k in range(1, 2049):
                 avg.update(problem.hessian_sub(np.zeros(20), sampler.next_block(k - 1, problem, rng)))
                 if k >= 64 and k % 16 == 8:
@@ -340,7 +340,7 @@ def _averaged_hessian_error_slope(sampler_kind: str, seed: int) -> float:
     full = problem.hessian_full(w_star)
     sampler = CyclicSampler(256, 4) if sampler_kind == "cyclic" else IidSampler(4)
     rng = rng_mod.stream(seed, "hessian")
-    avg = FullAverageState(20)
+    avg = FullAverageState(20, 1e-4)
     ks, errors = [], []
     for k in range(1, 1025):
         avg.update(problem.hessian_sub(w_star, sampler.next_block(k - 1, problem, rng)))

@@ -39,9 +39,12 @@ from hessavg.optimizers import (
     ThetaConstant,
     ThetaLocalDet,
     ThetaLocalStoch,
+    init_state,
+    run,
+    step,
 )
 from hessavg.problems import make_synthetic_logistic
-from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES
+from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES, GradSampleController
 from hessavg.trace import parse_trace
 
 
@@ -278,16 +281,33 @@ class TestConfig:
             ({"kind": "synthetic_sum", "curvature": -40}, "curvature", ">= 0"),
             ({"kind": "synthetic_logistic", "n": 0}, "n", ">= 1"),
             ({"kind": "synthetic_sum", "n_components": -1}, "n_components", ">= 1"),
+            ({"kind": "quadratic", "seed": -1}, "seed", ">= 0"),
+            ({"kind": "synthetic_logistic", "seed": -1}, "seed", ">= 0"),
+            ({"kind": "synthetic_sum", "seed": -1}, "seed", ">= 0"),
+            ({"kind": "logistic", "dataset": "mushrooms", "split_seed": -1}, "split_seed", ">= 0"),
+            ({"kind": "synthetic_sum", "curvature": 1.0, "freq": 0}, "freq", "nonzero"),
+            ({"kind": "synthetic_sum", "n_ripples": 0}, "n_ripples", ">= 1"),
+            ({"kind": "synthetic_sum", "curvature": 1.0, "n_ripples": -1}, "n_ripples", ">= 1"),
         ],
         ids=["quadratic_d", "keep_prob_0", "keep_prob_above_1", "coupling_1", "coupling_negative", "curvature_negative",
-             "no_rows", "no_components"],
+             "no_rows", "no_components", "quadratic_seed", "synthetic_logistic_seed", "synthetic_sum_seed",
+             "split_seed", "freq_0", "no_ripples", "negative_ripples"],
     )
     def test_a_problem_its_builder_refuses_is_refused_at_load(self, problem, key, bound):
         # each loaded and hashed, and build_context raised a bare ValueError,
         # but for coupling -0.5 and curvature -40, which built the uncoupled
-        # and the curvature-0 sum, with the same loss bit for bit
+        # and the curvature-0 sum, with the same loss bit for bit; freq 0
+        # built and raised ZeroDivisionError at its first loss, and
+        # n_ripples -1 a numpy shape error
         with pytest.raises(ConfigError, match=re.escape(f"'{key}' in problem of kind '{problem['kind']}' must be {bound}, got ")):
             ExperimentConfig.from_dict(base_raw(problem=problem))
+
+
+    def test_a_negative_seed_is_refused_at_load(self):
+        # it loaded and hashed, and build_context raised numpy's bare
+        # "expected non-negative integer"
+        with pytest.raises(ConfigError, match="^bad config: seed must be nonnegative$"):
+            base_config(seed=-1)
 
 
 # Each case: config keys that replace base_raw's, and the key and the
@@ -490,6 +510,20 @@ class TestEveryKeyRead:
         last = run_experiment(cfg).records[-1]
         assert (last.k, last.epoch, last.eec) == (10, 1.0, 1.0)
 
+    def test_a_hand_built_size_table_reports_the_config_runs_eec(self):
+        # the hand-built controller ran the same steps but reported EEC 0.4:
+        # EEC read its initial_size, which defaulted to 1, where the reader
+        # set it to the table's first size
+        cfg = base_config(
+            problem={"kind": "quadratic", "d": 4}, method={"name": "sgd"}, sampling={"grad": {"mode": "geometric_epochs", "sizes": [8, 16]}}, epochs=0.05
+        )
+        read = run_experiment(cfg).records
+        ctx, w0 = build_context(cfg)
+        hand = dataclasses.replace(ctx, controller=GradSampleController("geometric_epochs", (8, 16), 2**16))
+        assert hand.controller == ctx.controller
+        records = run(hand, w0, cfg.epochs)[1]
+        assert records == read and records[-1].eec == 0.05
+
     @pytest.mark.parametrize("key", ["epochs", "trace_interval", "rolling_f", "iters_per_epoch"])
     def test_nan_fails_the_range_checks(self, key):
         with pytest.raises(ValueError, match=key):
@@ -512,7 +546,7 @@ class TestEveryKeyRead:
         assert cfg.init == {"kind": "near_optimum", "radius": 0.5}
         # the sizes of 25 read as the 8 components they run as
         assert cfg.sampling == {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "iid", "size": 8}, "policy": {"warmup": 0, "hf": 1}}
-        assert (ctx.controller.initial_size, ctx.hess_sampler.block_size) == (8, 8)
+        assert (ctx.controller.sizes, ctx.hess_sampler.block_size) == ((8,), 8)
         assert base_config().init == {"kind": "gaussian", "scale": 1.0}
 
 
@@ -586,7 +620,7 @@ class TestEveryKeyActs:
         raw = base_raw(sampling={"grad": {"mode": mode, size_key: size, key: value}, "hess": HESS_25})
         if mode in modes:
             ctx = build_context(ExperimentConfig.from_dict(raw))[0]
-            assert (ctx.controller.cap if key == "cap" else ctx.a_mode) == value
+            assert getattr(ctx.controller, key) == value
         else:
             with pytest.raises(ConfigError, match=re.escape(f"unknown keys ['{key}'] in grad sampling of mode '{mode}'")):
                 ExperimentConfig.from_dict(raw)
@@ -621,10 +655,11 @@ SCHEDULE_CASES = {
     "iota-super_det": ("iota", {"kind": "super_det", "iota0": 1.0, "a_l": 0.5, "k_switch": 2}, IotaSuperDet(1.0, 0.5, 2)),
     "iota-super_stoch": ("iota", {"kind": "super_stoch", "iota0": 2.0, "a_l": 0.25}, IotaSuperStoch(2.0, 0.25, 0)),
 }
-# The bound of each step size and theta key, and values it refuses.
+# The bound of each step size, theta and switch key, and values it refuses.
 SCHEDULE_BOUNDS = {
     **dict.fromkeys(["alpha", "alpha0", "alpha_global", "alpha_local", "factor"], ("positive", [0, -0.5])),
     **dict.fromkeys(["theta", "theta_l"], ("nonnegative", [-0.9])),
+    "k_switch": ("nonnegative", [-1]),
 }
 BOUNDED_SCHEDULE_KEYS = [
     (case, f.name) for case, (_, _, built) in SCHEDULE_CASES.items() for f in dataclasses.fields(built) if f.name in SCHEDULE_BOUNDS
@@ -666,13 +701,15 @@ class TestSchedulesFromConfig:
     @pytest.mark.parametrize("case, key", BOUNDED_SCHEDULE_KEYS)
     def test_a_step_size_not_positive_or_a_negative_theta_is_refused(self, case, key):
         # alpha -0.5 ran uphill and alpha 0 stood still, neither reported
-        # diverged; theta -0.9 ran as 0.9 under another hash
+        # diverged; theta -0.9 ran as 0.9 under another hash; k_switch -1
+        # raised "math domain error" at step 0 of a super iota, and ran as 0
+        # on two_phase and local_*
         section, raw, _ = SCHEDULE_CASES[case]
         bound, refused = SCHEDULE_BOUNDS[key]
         for value in refused:
             with pytest.raises(ConfigError, match=f"^bad {section} schedule of kind '{raw['kind']}': {key} must be {bound}$"):
                 base_config(schedules={section: {**raw, key: value}})
-        if bound == "nonnegative":
+        if key in ("theta", "theta_l"):
             assert getattr(build_context(base_config(schedules={section: {**raw, key: 0}}))[0].schedules, section).at(0) == 0
 
     @pytest.mark.parametrize(
@@ -824,11 +861,11 @@ class TestTheReading:
     @pytest.mark.parametrize(
         "grad, key, read, built",
         [
-            ({"mode": "exact_norm_test", "initial_size": 300, "cap": 256}, "initial_size", 256, (256, 256)),
-            ({"mode": "fixed", "size": 70000}, "size", 2**16, (2**16, 2**16)),
-            ({"mode": "geometric_epochs", "sizes": [8, 70000]}, "sizes", (8, 2**16), (8, 2**16)),
-            ({"mode": "approx_norm_test", "cap": 2**16}, "cap", None, (32, 2**16)),
-            ({"mode": "approx_norm_test", "cap": 70000}, "cap", 70000, (32, 70000)),
+            ({"mode": "exact_norm_test", "initial_size": 300, "cap": 256}, "initial_size", 256, ((256,), 256)),
+            ({"mode": "fixed", "size": 70000}, "size", 2**16, ((2**16,), 2**16)),
+            ({"mode": "geometric_epochs", "sizes": [8, 70000]}, "sizes", (8, 2**16), ((8, 2**16), 2**16)),
+            ({"mode": "approx_norm_test", "cap": 2**16}, "cap", None, ((32,), 2**16)),
+            ({"mode": "approx_norm_test", "cap": 70000}, "cap", 70000, ((32,), 70000)),
         ],
         ids=["initial_size_above_its_cap", "size_above_the_default_cap", "sizes_above_the_default_cap", "the_default_cap", "cap_above_the_default"],
     )
@@ -839,7 +876,7 @@ class TestTheReading:
         cfg = base_config(problem={"kind": "quadratic", "d": 4}, method={"name": "sgd"}, sampling={"grad": grad})
         assert cfg.sampling["grad"][key] == read
         controller = build_context(cfg)[0].controller
-        assert (controller.initial_size, controller.cap) == built
+        assert (controller.sizes, controller.cap) == built
 
     def test_a_dataset_reads_its_sizes_against_the_rows_it_loads(self):
         # mushrooms loads 5500 of its 8124 rows; nothing is fetched to read it
@@ -871,13 +908,17 @@ class TestTheReading:
     @settings(max_examples=100, deadline=None)
     @given(raw=raw_configs())
     def test_a_config_that_loads_builds(self, raw):
-        # only near_optimum waits for the built problem, to ask for its optimum
+        # only near_optimum waits for the built problem, to ask for its
+        # optimum; a built run takes its first step, its first loss and
+        # schedule values included
         cfg = ExperimentConfig.from_dict(raw)
         try:
-            build_context(cfg)
+            ctx, w0 = build_context(cfg)
         except ConfigError as err:
             assert (cfg.problem["kind"], cfg.init["kind"]) == ("synthetic_logistic", "near_optimum"), err
             assert str(err) == "init kind 'near_optimum' needs a problem with a known optimum"
+            return
+        step(ctx, init_state(ctx.method, ctx.oracle, w0))
 
     def test_a_float_field_reads_an_integer_as_a_float(self):
         one, one_point_oh = (ExperimentConfig.from_dict({**SAME_RUN_BASE, "method": {"name": "fan", "mu_tilde": mu}}) for mu in (1, 1.0))
@@ -1364,6 +1405,28 @@ class TestCli:
         assert cli_dispatch(["run", str(path), "--seed", "3"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["seed"] == 3
+
+    def test_a_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_raw()))
+        assert cli_dispatch(["run", str(path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: bad config: seed must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: [lines[0], lines[1].replace(",eec", ""), *lines[2:]], "trace header lacks the columns ['eec']"),
+            (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]], "trace line 4 has 8 cells, not 9"),
+        ],
+        ids=["header_without_a_column", "short_row"],
+    )
+    def test_rates_on_a_malformed_trace_is_usage_error(self, edit, message, tmp_path, capsys):
+        # these ended in a KeyError and a TypeError traceback
+        run_experiment(base_config(epochs=0.5), out_dir=str(tmp_path))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+        assert cli_dispatch(["rates", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_gen_quadratic(self, capsys):
         assert cli_dispatch(["gen-quadratic", "--d", "40", "--seed", "1"]) == 0

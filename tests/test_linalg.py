@@ -330,10 +330,10 @@ class TestValidationCount:
 
     def test_precondition_twice_per_call(self, checks):
         rng = np.random.default_rng(12)
-        state = FullAverageState(5)
+        state = FullAverageState(5, 1e-3)
         state.update(random_spd(rng, 5, shift=1.0))
         for calls in (1, 2, 3):
-            state.precondition(rng.standard_normal(5), 1e-3)
+            state.precondition(rng.standard_normal(5))
             assert len(checks) == 2 * calls
 
 

@@ -46,7 +46,7 @@ def make_ctx(oracle, method, seed=0, alpha=1.0, grad_size=None, hess="iid", hess
     grad_size = grad_size or (n if n is not None else 8)
     hess_size = hess_size or grad_size
     cap = n if n is not None else 2**16
-    fixed = GradSampleController(mode="fixed", initial_size=grad_size, cap=max(cap, grad_size))
+    fixed = GradSampleController(mode="fixed", sizes=(grad_size,), cap=max(cap, grad_size))
     if hess == "cyclic":
         sampler = CyclicSampler(n, hess_size, seed=None)
     else:
@@ -287,7 +287,7 @@ class TestStepBehavior:
             f_before = prob.loss_full(w_before)
             state, _ = step(ctx, state)
             g = prob.grad_full(w_before)
-            p = state.avg.precondition(g, mu_tilde)
+            p = state.avg.precondition(g)
             assert prob.loss_full(state.w) <= f_before - 0.5 * alpha * (g @ p) + 1e-8
 
     def test_divergence_guard(self):
@@ -424,8 +424,7 @@ def _exact_test_ctx(oracle, method, a_mode="identity"):
         oracle,
         method,
         trace_interval=1,
-        a_mode=a_mode,
-        controller=GradSampleController(mode="exact_norm_test", initial_size=4, cap=64),
+        controller=GradSampleController(mode="exact_norm_test", sizes=(4,), cap=64, a_mode=a_mode),
         schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.9), IotaGeometric(0.0, 0.0)),
     )
 
@@ -451,17 +450,25 @@ class TestFullGradientSharing:
 
     def test_unknown_a_mode_rejected(self):
         prob = quadratic_generate(d=8, seed=1)
-        ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hesian")
         with pytest.raises(ValueError, match="a_mode"):
-            run(ctx, np.ones(8), epochs=0.05)
+            _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hesian")
 
     def test_inverse_hessian_a_mode_needs_the_exact_test(self):
-        # the approximate test reads no weighting, so it would run unweighted
+        # the approximate test reads no weighting, so it would run unweighted;
+        # the context is refused when built, as its controller is
         prob = quadratic_generate(d=8, seed=1)
-        ctx = _exact_test_ctx(prob, MethodSpec(name="fan"), a_mode="inverse_hessian")
-        ctx = replace(ctx, controller=GradSampleController(mode="approx_norm_test", initial_size=4, cap=64))
         with pytest.raises(ValueError, match="a_mode 'inverse_hessian'.*'approx_norm_test'"):
-            run(ctx, np.ones(8), epochs=0.05)
+            make_ctx(
+                prob,
+                MethodSpec(name="fan"),
+                controller=GradSampleController(mode="approx_norm_test", sizes=(4,), cap=64, a_mode="inverse_hessian"),
+            )
+
+    def test_inverse_hessian_a_mode_needs_a_full_hessian_method(self):
+        # a diagonal method has no full average to weight the test by
+        prob = quadratic_generate(d=8, seed=1)
+        with pytest.raises(ValueError, match="^a_mode 'inverse_hessian' .* needs method fan or subnewton, not 'dan'$"):
+            _exact_test_ctx(prob, MethodSpec(name="dan"), a_mode="inverse_hessian")
 
 
 class _CountingComponentSum(_CountingSum):
@@ -497,7 +504,7 @@ def _steps_across_the_cap(mode, n_steps=24):
         prob,
         MethodSpec(name="fan", mu_tilde=1e-3),
         trace_interval=5,
-        controller=_CountingController(mode=mode, initial_size=4, cap=16),
+        controller=_CountingController(mode=mode, sizes=(4,), cap=16),
         schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0)),
     )
     state = init_state(ctx.method, prob, np.ones(6))
@@ -536,7 +543,7 @@ class TestNormTestOnlyBelowTheCap:
             prob,
             MethodSpec(name="sgd"),
             trace_interval=1000,
-            controller=GradSampleController(mode="approx_norm_test", initial_size=4, cap=400),
+            controller=GradSampleController(mode="approx_norm_test", sizes=(4,), cap=400),
             # batch sizes 4, 5, 19, 111, then the cap: three untraced steps below it
             schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(1.0), IotaGeometric(0.0, 0.0)),
         )
@@ -577,7 +584,7 @@ class TestNormTestOnlyBelowTheCap:
                 seed=1,
                 hess_size=16,
                 trace_interval=3,
-                controller=GradSampleController(mode=grad_mode, initial_size=size, cap=size),
+                controller=GradSampleController(mode=grad_mode, sizes=(size,), cap=size),
                 schedules=ScheduleSet(AlphaConstant(0.5), ThetaConstant(0.1), IotaGeometric(0.0, 0.0)),
             )
             _, runs[grad_mode] = run(ctx, np.zeros(prob.dim), epochs=epochs)
@@ -588,11 +595,14 @@ class TestNormTestOnlyBelowTheCap:
         "method, a_mode", [("fan", "inverse_hesian"), ("dan", "inverse_hessian")], ids=["misspelt", "diagonal"]
     )
     def test_a_mode_checked_when_no_test_will_run(self, method, a_mode):
+        # a batch that starts at its cap runs no test; the context is refused when built
         prob = quadratic_generate(d=8, seed=1)
-        ctx = _exact_test_ctx(prob, MethodSpec(name=method), a_mode=a_mode)
-        ctx = replace(ctx, controller=GradSampleController(mode="exact_norm_test", initial_size=8, cap=8))
         with pytest.raises(ValueError, match="a_mode"):
-            run(ctx, np.ones(8), epochs=0.05)
+            make_ctx(
+                prob,
+                MethodSpec(name=method),
+                controller=GradSampleController(mode="exact_norm_test", sizes=(8,), cap=8, a_mode=a_mode),
+            )
 
 
 # One small config of each problem kind, the rippled synthetic sum among them.

@@ -346,6 +346,18 @@ class TestSyntheticSum:
         with pytest.raises(ValueError, match="curvature must be >= 0"):
             SyntheticSumProblem.generate(8, 4, seed=0, curvature=curvature)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"freq": 0.0}, "^freq must be nonzero$"), ({"n_ripples": 0}, "^n_ripples must be >= 1, got 0$"),
+         ({"n_ripples": -1}, "^n_ripples must be >= 1, got -1$")],
+        ids=["freq_0", "no_ripples", "negative_ripples"],
+    )
+    def test_a_ripple_it_cannot_evaluate_is_refused(self, kwargs, match):
+        # freq 0 built, and its first loss divided by zero; n_ripples -1
+        # raised a numpy shape error in the draw of the directions
+        with pytest.raises(ValueError, match=match):
+            SyntheticSumProblem.generate(8, 4, seed=0, curvature=1.0, **kwargs)
+
     @pytest.mark.parametrize("n_components", [0, 1])
     def test_coupling_needs_two_components(self, n_components):
         # centring makes a lone G zero, and scaling by 1/0 made H all NaN

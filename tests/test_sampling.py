@@ -98,12 +98,9 @@ def step_rule(g, theta, iota, full_grad=None, comps=None, inverse_of=None):
     the exact test.
     """
     mode = "exact_norm_test" if comps is None else "approx_norm_test"
-    ctx = SimpleNamespace(
-        controller=_RecordingController(mode=mode),
-        method=MethodSpec(name="fan"),
-        a_mode="identity" if inverse_of is None else "inverse_hessian",
-    )
-    state = SimpleNamespace(avg=SimpleNamespace(modified=lambda floor: (inverse_of, False)), batch=1)
+    a_mode = "identity" if inverse_of is None else "inverse_hessian"
+    ctx = SimpleNamespace(controller=_RecordingController(mode, (1,), 2**16, a_mode=a_mode), method=MethodSpec(name="fan"))
+    state = SimpleNamespace(avg=SimpleNamespace(modified=lambda: (inverse_of, False)), batch=1)
     _run_controller(ctx, state, np.asarray(g, dtype=float), comps, full_grad, theta, iota)
     (recorded,) = ctx.controller.recorded
     return recorded
@@ -291,10 +288,10 @@ class TestRequiredSizes:
 class TestController:
     def test_theoretical_is_not_a_mode(self):
         with pytest.raises(ValueError, match="unknown controller mode"):
-            GradSampleController(mode="theoretical")
+            GradSampleController(mode="theoretical", sizes=(8,), cap=64)
 
     def test_fixed_mode(self):
-        ctrl = GradSampleController(mode="fixed", initial_size=32, cap=1000)
+        ctrl = GradSampleController(mode="fixed", sizes=(32,), cap=1000)
         assert ctrl.size(0.0, 0) == 32
         assert ctrl.size(57.0, 32) == 32
 
@@ -303,7 +300,6 @@ class TestController:
             mode="geometric_epochs",
             sizes=(32, 128, 512, 2048, 5500),
             epochs_per_block=20,
-            initial_size=32,
             cap=5500,
         )
         size = 0
@@ -314,20 +310,20 @@ class TestController:
         assert ctrl.size(0.0, 128) == 128
 
     def test_pass_leaves_size(self):
-        ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
+        ctrl = GradSampleController(mode="approx_norm_test", sizes=(8,), cap=100)
         assert ctrl.record_test(True, lhs=99.0, rhs=0.25, current=8) == 8
 
     def test_fail_at_threshold_unchanged(self):
-        ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
+        ctrl = GradSampleController(mode="approx_norm_test", sizes=(8,), cap=100)
         # variance exactly equals rhs: ratio 1
         assert ctrl.record_test(False, lhs=0.25, rhs=0.25, current=8) == 8
 
     def test_fail_grows_by_ratio(self):
-        ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=100)
+        ctrl = GradSampleController(mode="approx_norm_test", sizes=(8,), cap=100)
         assert ctrl.record_test(False, lhs=1.0, rhs=0.25, current=8) == 32
 
     def test_cap_respected(self):
-        ctrl = GradSampleController(mode="approx_norm_test", initial_size=8, cap=20)
+        ctrl = GradSampleController(mode="approx_norm_test", sizes=(8,), cap=20)
         assert ctrl.record_test(False, lhs=100.0, rhs=0.25, current=8) == 20
 
     @given(
@@ -339,7 +335,7 @@ class TestController:
     )
     @settings(max_examples=60, deadline=None)
     def test_sizes_nondecreasing(self, outcomes):
-        ctrl = GradSampleController(mode="exact_norm_test", initial_size=4, cap=4096)
+        ctrl = GradSampleController(mode="exact_norm_test", sizes=(4,), cap=4096)
         last = ctrl.size(0.0, 0)
         for passed, variance, gsq in outcomes:
             size = ctrl.record_test(passed, variance, 0.5**2 * gsq + 1e-3, last)
@@ -347,59 +343,84 @@ class TestController:
             last = size
 
     def test_only_an_adaptive_batch_below_the_cap_can_grow(self):
-        ctrl = GradSampleController(mode="exact_norm_test", initial_size=8, cap=20)
+        ctrl = GradSampleController(mode="exact_norm_test", sizes=(8,), cap=20)
         assert ctrl.can_grow(8) and ctrl.can_grow(19) and not ctrl.can_grow(20)
-        assert not GradSampleController(mode="fixed", initial_size=8, cap=20).can_grow(8)
+        assert not GradSampleController(mode="fixed", sizes=(8,), cap=20).can_grow(8)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            GradSampleController(mode="bogus")
+            GradSampleController(mode="bogus", sizes=(8,), cap=64)
 
     def test_a_violation_ratio_that_overflows_grows_to_the_cap(self):
         # 0.25 / 1.07e-320 is inf, which math.ceil raised an OverflowError on
-        ctrl = GradSampleController(mode="approx_norm_test", initial_size=1, cap=64)
+        ctrl = GradSampleController(mode="approx_norm_test", sizes=(1,), cap=64)
         assert ctrl.record_test(False, 0.25, 1.07e-320, 1) == 64
 
     def test_geometric_requires_sizes(self):
         with pytest.raises(ValueError):
-            GradSampleController(mode="geometric_epochs")
+            GradSampleController(mode="geometric_epochs", sizes=(), cap=64)
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"mode": "fixed", "initial_size": 0}, r"^'initial_size' must be >= 1, got 0$"),
+            ({"mode": "fixed", "sizes": (0,)}, r"^'sizes' must be >= 1, got 0$"),
             ({"mode": "geometric_epochs", "sizes": (0, 8)}, r"^'sizes' must be >= 1, got 0$"),
             # a later entry below 1 was accepted, and never applied
             ({"mode": "geometric_epochs", "sizes": (8, 0)}, r"^'sizes' must be >= 1, got 0$"),
         ],
-        ids=["initial_size_0", "first_size_0", "later_size_0"],
+        ids=["fixed_size_0", "first_size_0", "later_size_0"],
     )
     def test_batch_sizes_at_least_one(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            GradSampleController(**kwargs)
+            GradSampleController(**kwargs, cap=64)
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"mode": "fixed", "initial_size": 8, "cap": 4}, r"^'initial_size' must be <= the cap 4, got 8$"),
+            ({"mode": "fixed", "sizes": (8,), "cap": 4}, r"^'sizes' must be <= the cap 4, got 8$"),
             ({"mode": "geometric_epochs", "sizes": (2, 8), "cap": 4}, r"^'sizes' must be <= the cap 4, got 8$"),
         ],
-        ids=["initial_size", "sizes"],
+        ids=["fixed_size", "sizes"],
     )
     def test_no_batch_size_above_the_cap(self, kwargs, match):
         # size() clamped these each step; a config's reader clamps them once
         with pytest.raises(ValueError, match=match):
             GradSampleController(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"sizes": (4,)}, {"cap": 64}], ids=["no_cap", "no_sizes"])
+    def test_sizes_and_cap_have_no_default(self, kwargs):
+        # a hand-built exact test left at its default cap of 2**16 grew its
+        # batch on 50 components to 14581 and raised in draw_sample
+        with pytest.raises(TypeError, match="missing 1 required positional argument"):
+            GradSampleController(mode="exact_norm_test", **kwargs)
+
+    @pytest.mark.parametrize("mode", ["fixed", "exact_norm_test", "approx_norm_test"])
+    def test_a_mode_of_no_table_holds_one_size(self, mode):
+        with pytest.raises(ValueError, match=f"^mode '{mode}' takes one batch size in 'sizes', got 2$"):
+            GradSampleController(mode=mode, sizes=(4, 8), cap=64)
+
+    @pytest.mark.parametrize(
+        "mode, a_mode, match",
+        [
+            ("exact_norm_test", "inverse_hesian", r"^a_mode must be 'identity' or 'inverse_hessian', got 'inverse_hesian'$"),
+            ("approx_norm_test", "inverse_hessian", r"^a_mode 'inverse_hessian' .* needs mode 'exact_norm_test', not 'approx_norm_test'$"),
+            ("fixed", "inverse_hessian", r"^a_mode 'inverse_hessian' .* needs mode 'exact_norm_test', not 'fixed'$"),
+        ],
+        ids=["misspelt", "approx_test", "fixed"],
+    )
+    def test_a_mode_the_mode_cannot_apply_is_refused(self, mode, a_mode, match):
+        with pytest.raises(ValueError, match=match):
+            GradSampleController(mode, (4,), 64, a_mode=a_mode)
+
     def test_cap_at_least_one(self):
         with pytest.raises(ValueError, match="cap must be >= 1"):
-            GradSampleController(mode="fixed", initial_size=4, cap=0)
+            GradSampleController(mode="fixed", sizes=(4,), cap=0)
 
     @pytest.mark.parametrize("epochs_per_block", [0, -1])
     def test_epochs_per_block_at_least_one(self, epochs_per_block):
         # 0 divided by zero at the first size(); -1 read the table's last size from epoch 1
         with pytest.raises(ValueError, match="epochs_per_block must be >= 1"):
-            GradSampleController(mode="geometric_epochs", sizes=(8, 16, 32), epochs_per_block=epochs_per_block)
+            GradSampleController(mode="geometric_epochs", sizes=(8, 16, 32), cap=64, epochs_per_block=epochs_per_block)
 
 
 class TestNormConditionHolds:

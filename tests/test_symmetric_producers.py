@@ -94,10 +94,10 @@ class TestModifiedAverage:
     def test_modified(self, variant, decay, path, d, updates, seed):
         make, floor = PATHS[path]
         rng = np.random.default_rng(seed)
-        state = FullAverageState(d, decay=decay, variant=variant)
+        state = FullAverageState(d, floor, decay=decay, variant=variant)
         for _ in range(updates):
             state.update(make(rng, d))
         assert_exactly_symmetric(state.matrix())
-        h, shifted = state.modified(floor)
+        h, shifted = state.modified()
         assert_exactly_symmetric(h)
         assert shifted == (variant == "abs" or path == "shift")
