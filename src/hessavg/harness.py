@@ -22,8 +22,10 @@ A config is held and hashed as read. The readers record what they take, and
 :meth:`ExperimentConfig.from_dict` returns that reading: each section holds
 exactly the keys its reader took, each with the value read, defaults written
 in and numbers of their field's type. A quadratic's ``seed`` reads as null
-when it follows the run's seed, and a ``rolling_f`` of 1, which smooths
-nothing, as 0. So configs that run the same arithmetic share one hash, one
+when it follows the run's seed, a ``rolling_f`` of 1, which smooths nothing,
+as 0, and a key that acts on nothing in its run as null: a synthetic sum's
+``freq`` and ``n_ripples`` at ``curvature`` 0, and ``epochs_per_block`` on a
+table of one size. So configs that run the same arithmetic share one hash, one
 ``summary.json`` echo and one sweep row, and a reading loads as itself. Each
 size the run clamps reads as clamped: a ``cap`` at or above a finite sum's
 size as null, and so does an expectation's default cap,
@@ -35,7 +37,7 @@ Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag and reason, epoch-equivalent compute, seed, config echo and
 hash, the thread count, kernel core and build numpy's BLAS library reports,
-see :func:`_blas_report`, and the threads a logistic batch pass or a
+see :func:`_blas_report`, and the threads a logistic pass or a
 coupled synthetic sum's build may use)
 atomically into it. Sweeps execute many configs, optionally across spawned
 worker processes, and reduce to a table with one row per config, as read,
@@ -46,9 +48,9 @@ Threads: the ``hessavg`` command (``python -m hessavg``) and the workers
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's own
 process uses the threads its numpy started with. Apart from BLAS, two passes
 share their work among up to one thread per CPU the process may run on, from
-one pool per process: a logistic batch that spans two or more row blocks
-shares its gather, and a coupled synthetic sum's build shares the chunks of
-its norm screen and of its conjugation. That count is the summary's
+one pool per process: a logistic pass, full or batch, that spans two or more
+row blocks shares its blocks, and a coupled synthetic sum's build shares the
+chunks of its norm screen and of its conjugation. That count is the summary's
 ``pass_threads``, and it never changes a bit of a run (see
 :class:`~hessavg.problems.LogisticProblem` and
 :meth:`~hessavg.problems.SyntheticSumProblem.generate`). Nothing else starts a
@@ -240,8 +242,8 @@ PROBLEM_BOUNDS = {
     "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "curvature": (lambda v: v >= 0, ">= 0"),
     "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "freq": (lambda v: abs(v) > 0, "nonzero"),
-    "n_ripples": (lambda v: v >= 1, ">= 1"),
+    "freq": (lambda v: v is None or abs(v) > 0, "nonzero"),  # None: the default
+    "n_ripples": (lambda v: v is None or v >= 1, ">= 1"),
     "seed": (lambda v: v is None or v >= 0, ">= 0"),  # None: the quadratic's follows the run's
     "split_seed": (lambda v: v >= 0, ">= 0"),
 }
@@ -343,11 +345,15 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     """A builder of the problem, and its component count: None for the
     quadratic, an expectation, and the rows a dataset loads to. The
     quadratic's seed reads as None when absent, and the problem then follows
-    the run's ``seed``. A dataset, which must be one of ``data.MANIFESTS``,
-    is read from ``data_dir``. Only the quadratic reads the config's
-    ``iters_per_epoch``: a finite sum counts its epochs in components, so it
-    refuses any other value than the default. Each value the builder would
-    refuse is refused here, so a problem that loads builds."""
+    the run's ``seed``. A synthetic sum's ``freq`` and ``n_ripples`` act only
+    through its ``curvature``, and a null one is its default: on a sum of
+    curvature 0 they read as null and build with their defaults, once their
+    written values pass their bounds. A dataset, which must be one of
+    ``data.MANIFESTS``, is read from ``data_dir``. Only the quadratic reads
+    the config's ``iters_per_epoch``: a finite sum counts its epochs in
+    components, so it refuses any other value than the default. Each value
+    the builder would refuse is refused here, so a problem that loads
+    builds."""
     # Each kind's builder, its keys with their types and defaults, and its
     # component count from the values read.
     kinds = {
@@ -369,7 +375,7 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
         "synthetic_sum": (
             SyntheticSumProblem.generate,
             {"n_components": (int, 16), "d": (int, 20), "seed": (int, 0), "curvature": (float, 0.0),
-             "coupling": (float, 0.0), "freq": (float, 10.0), "n_ripples": (int, 4)},
+             "coupling": (float, 0.0), "freq": (Optional[float], 10.0), "n_ripples": (Optional[int], 4)},
             lambda args: args["n_components"],
         ),
     }
@@ -390,6 +396,11 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
             raise ConfigError(f"{key!r} in {where} must be {PROBLEM_BOUNDS[key][1]}, got {value}")
     if kind == "synthetic_sum" and args["coupling"] > 0 and args["n_components"] < 2:
         raise ConfigError(f"coupling={args['coupling']} in {where} needs n_components >= 2, got n_components={args['n_components']}")
+    if kind == "synthetic_sum":
+        for key in ("freq", "n_ripples"):
+            if args[key] is None or args["curvature"] == 0:
+                args[key] = keys[key][1]
+            spec.read[key] = args[key] if args["curvature"] > 0 else None
     if kind == "quadratic" and args["seed"] is None:
         args["seed"] = cfg.seed
     if kind == "logistic" and args["dataset"] not in MANIFESTS:
@@ -425,13 +436,15 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> GradSamp
     has one batch-size key: ``size`` when fixed, ``sizes`` for the epoch
     table, ``initial_size`` for the norm tests, which alone read ``cap``;
     the exact test alone reads ``a_mode``, which the method must be able to
-    apply. It and ``epochs_per_block`` default as the controller does. On a
-    finite sum the cap is its size unless ``cap`` is below it, and a ``cap``
-    that is not reads as null. On an expectation the cap is ``cap`` as
-    written, or ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that
-    default reads as null. Each batch size reads as at most the cap. An
-    unknown mode is refused before the section's keys are checked, and a
-    batch size below 1 under its key."""
+    apply. It and ``epochs_per_block`` default as the controller does, and a
+    null ``epochs_per_block`` is its default; on a table of one size, which
+    it does not change, it reads as null. On a finite sum the cap is its
+    size unless ``cap`` is below it, and a ``cap`` that is not reads as
+    null. On an expectation the cap is ``cap`` as written, or
+    ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that default reads as
+    null. Each batch size reads as at most the cap. An unknown mode is
+    refused before the section's keys are checked, and a batch size below 1
+    under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
@@ -446,7 +459,10 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> GradSamp
         grad.read["cap"] = None
     if mode == "geometric_epochs":
         key, sizes = "sizes", _take(grad, "sizes", where, tuple[int, ...])
-        rule["epochs_per_block"] = _take(grad, "epochs_per_block", where, int, GradSampleController.epochs_per_block)
+        per_block = _take(grad, "epochs_per_block", where, Optional[int], None)
+        rule["epochs_per_block"] = GradSampleController.epochs_per_block if per_block is None else per_block
+        # a table of one size never moves to another: it reads as null
+        grad.read["epochs_per_block"] = rule["epochs_per_block"] if len(sizes) > 1 else None
     else:
         key = "size" if mode == "fixed" else "initial_size"
         sizes = (_take(grad, key, where, int, 32),)

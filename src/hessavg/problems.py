@@ -303,7 +303,7 @@ def quadratic_generate(
 
 # Bytes of X per block of the logistic oracle's blocked pass. A block must
 # stay in the L2 cache of the core that runs it between its margins and its
-# gradient sums; a gathered pass runs up to one block per core at once (see
+# gradient sums; a pass runs up to one block per core at once (see
 # LogisticProblem). The 2-core AMD EPYC (Zen 5) the benchmark now runs on
 # has 1 MiB of L2 per core and a 32 MiB L3 that both cores share. The size
 # was chosen on a 2-core Xeon with 2 MiB of L2: for n=20000, d=300 and a
@@ -315,9 +315,9 @@ _BLOCK_BYTES = 1 << 19
 
 
 def pass_threads() -> int:
-    """Threads a gathered logistic batch pass, and a coupled synthetic sum's
-    norm screen and conjugation, may use in this process: one per CPU the
-    process may run on."""
+    """Threads a logistic pass, full or gathered, and a coupled synthetic
+    sum's norm screen and conjugation, may use in this process: one per CPU
+    the process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -414,17 +414,23 @@ class LogisticProblem(FiniteSumOracle):
     :meth:`grad_full`, so its batch gradient is the full gradient bit for
     bit.
 
-    A gathered batch of two or more blocks shares them among threads, one
-    per CPU the process may run on (:func:`pass_threads`) and no more than
-    blocks, from one pool per process: each thread takes one contiguous run
-    of blocks, the calling thread the first. A gather waits on memory, so a
-    second core shortens it: 4096 rows at d=300 took 0.80 ms on one thread of
-    a 2-core Zen 5 and 0.47 ms on two. Each block writes its margins
-    into its slice and its coefficient sum into a row of its own, and the
-    caller adds those rows in block order, as one thread would: the bits do
-    not depend on the thread count. The in-place full pass streams ``X`` at
-    memory bandwidth, which a second thread does not raise, and stays on the
-    calling thread.
+    A pass of two or more blocks, full or gathered, shares them among
+    threads, one per CPU the process may run on (:func:`pass_threads`) and
+    no more than blocks, from one pool per process: each thread takes one
+    contiguous run of blocks, the calling thread the first. A gather waits
+    on memory, so a second core shortens it: 4096 rows at d=300 took 0.80 ms
+    on one thread of a 2-core Zen 5 and 0.47 ms on two. The full pass at
+    n=20000, d=300 took 18-25% less on two threads of a 2-core Xeon. Each
+    block writes its margins into its slice and its coefficient sum into a
+    row of its own, and the caller adds those rows in block order, as one
+    thread would: the bits do not depend on the thread count.
+
+    A block's two products are ``np.dot`` calls: ``np.dot`` releases the GIL
+    for its BLAS call and returns the bits of ``@``, while ``@`` on numpy
+    2.4 holds the GIL throughout, so the threads' products never ran at
+    once. The full pass gains; a gathered pass, whose products read a
+    block already in cache, ran about 5% slower between other work, its
+    GIL handoffs costing more than its products gain.
     """
 
     def __init__(self, x: NDArray, y: NDArray):
@@ -485,16 +491,15 @@ class LogisticProblem(FiniteSumOracle):
         """Margins of the rows ``idx`` and their coefficient sum ``sum_i c_i x_i``,
         with ``c_i`` from :meth:`_coeff`, one block of rows at a time: each
         block's margins and sum are computed while it is in cache.
-        ``idx=None`` reads every row of ``X`` in place, on the calling thread;
-        otherwise each block's rows are gathered, once per occurrence of an
-        index, and contiguous runs of blocks go to up to :func:`pass_threads`
-        threads, the first run to the caller. The block sums are added in
-        block order."""
+        ``idx=None`` reads every row of ``X`` in place; otherwise each block's
+        rows are gathered, once per occurrence of an index. Either way,
+        contiguous runs of blocks go to up to :func:`pass_threads` threads,
+        the first run to the caller. The block sums are added in block
+        order."""
         m = self.n if idx is None else idx.size
         z = np.empty(m)
         sums = np.empty((-(-m // self._block_rows), self.dim))
-        threads = 1 if idx is None else pass_threads()
-        _share_runs(lambda _, run: self._pass_blocks(w, idx, z, sums, run), len(sums), threads)
+        _share_runs(lambda _, run: self._pass_blocks(w, idx, z, sums, run), len(sums), pass_threads())
         total = np.zeros(self.dim)
         for row in sums:
             total += row
@@ -519,8 +524,8 @@ class LogisticProblem(FiniteSumOracle):
                     xb = np.take(self.x, rows, axis=0, out=gathered[: rows.size], mode="clip")
                     yb = self.y[rows]
                 zb = z[block]
-                np.multiply(yb, xb @ w, out=zb)
-                sums[k] = self._coeff(yb, zb) @ xb
+                np.multiply(yb, np.dot(xb, w), out=zb)
+                np.dot(self._coeff(yb, zb), xb, out=sums[k])
 
     def loss_grad_sub(self, w: NDArray, sample: NDArray) -> tuple[float, NDArray]:
         idx = _check_indices(sample, self.n)

@@ -858,6 +858,37 @@ class TestTheReading:
         rows, _ = sweep(configs)
         assert [(row["seeds"], row["method"], row["grad_mode"]) for row in rows] == [(4, "fan", "exact_norm_test")]
 
+    def test_a_key_that_acts_on_nothing_reads_as_null(self, tmp_path):
+        # each pair hashed apart and wrote equal records: the ripple keys of
+        # a sum without curvature, and the block length of a one-size table
+        flat = {"kind": "synthetic_sum", "n_components": 16, "d": 4, "curvature": 0}
+        one_size = {"mode": "geometric_epochs", "sizes": [8]}
+        pairs = {
+            "ripples": [
+                {"problem": {**flat, **ripples}, "method": {"name": "fan"}, "epochs": 2}
+                for ripples in ({"freq": 10, "n_ripples": 4}, {"freq": 3, "n_ripples": 2})
+            ],
+            "epochs_per_block": [
+                {**SAME_RUN_BASE, "method": {"name": "sgd"}, "sampling": {"grad": {**one_size, "epochs_per_block": per_block}}}
+                for per_block in (20, 1)
+            ],
+        }
+        for name, pair in pairs.items():
+            first, second = (ExperimentConfig.from_dict(raw) for raw in pair)
+            assert first == second and ExperimentConfig.from_dict(first.to_dict()) == first
+            assert trace_rows(pair[0], tmp_path / name / "0") == trace_rows(pair[1], tmp_path / name / "1")
+        assert (first.sampling["grad"]["epochs_per_block"], second.sampling["grad"]["epochs_per_block"]) == (None, None)
+        ripples = ExperimentConfig.from_dict(pairs["ripples"][1])
+        assert (ripples.problem["freq"], ripples.problem["n_ripples"]) == (None, None)
+        assert build_context(ripples)[0].oracle.freq == 10.0
+        # the written values are still checked, and a null on a rippled sum is the default
+        with pytest.raises(ConfigError, match="'freq' in problem of kind 'synthetic_sum' must be nonzero"):
+            ExperimentConfig.from_dict({**pairs["ripples"][0], "problem": {**flat, "freq": 0}})
+        with pytest.raises(ConfigError, match="epochs_per_block must be >= 1"):
+            ExperimentConfig.from_dict({**SAME_RUN_BASE, "sampling": {"grad": {**one_size, "epochs_per_block": 0}}})
+        rippled = ExperimentConfig.from_dict({**pairs["ripples"][0], "problem": {**flat, "curvature": 1.0, "freq": None, "n_ripples": None}})
+        assert (rippled.problem["freq"], rippled.problem["n_ripples"]) == (10.0, 4)
+
     @pytest.mark.parametrize(
         "grad, key, read, built",
         [

@@ -829,6 +829,9 @@ class TestBatchFromFullPass:
 # d=300 as in the benchmark: 216 rows to a block, so a batch of 1500 spans
 # seven blocks and a partial eighth.
 _WIDE = LogisticProblem(*make_synthetic_logistic(n=3000, d=300, seed=11))
+# an odd width, whose gemv kernels take their tail paths, and 216-row blocks
+# with a short last block of 137 rows
+_ODD = LogisticProblem(*make_synthetic_logistic(n=1001, d=301, seed=13))
 
 
 def _gathered_batch(oracle, w, sample):
@@ -925,29 +928,59 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
+@pytest.fixture
+def short_switch_interval():
+    """The GIL changes hands as often as the interpreter lets it, until the test ends."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 class TestGatheredPassThreads:
-    """A gathered batch pass shares its blocks among threads and keeps the
-    bits of one serial loop, at every thread count."""
+    """A logistic pass, gathered or full, shares its blocks among threads and
+    keeps the bits of one serial loop, at every thread count."""
 
     # with 216 rows to a block: one block, two, and five
+    @pytest.mark.parametrize("oracle", [_WIDE, _ODD], ids=["d300", "d301"])
     @pytest.mark.parametrize("size", [100, 400, 1000])
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_bitwise_the_serial_loop(self, monkeypatch, size, threads):
+    def test_bitwise_the_serial_loop(self, monkeypatch, pool_of, short_switch_interval, oracle, size, threads):
         monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+        pool_of(max(1, threads - 1))  # each run on a thread of its own, on any host
         rng = rng_mod.stream(size, "gradient")
-        w = 0.1 * rng.standard_normal(_WIDE.dim)
-        sample = _WIDE.draw_sample(rng, size)
+        w = 0.1 * rng.standard_normal(oracle.dim)
+        sample = oracle.draw_sample(rng, size)
         repeated = np.concatenate([sample, sample[: size // 2]])
         for idx in (sample, repeated):
-            z, total = _serial_pass(_WIDE, w, idx)
-            got_z, got_total = _WIDE._blocked_pass(w, idx)
+            z, total = _serial_pass(oracle, w, idx)
+            got_z, got_total = oracle._blocked_pass(w, idx)
             assert np.array_equal(got_z, z) and np.array_equal(got_total, total)
-            loss, grad = _WIDE.loss_grad_sub(w, idx)
-            assert loss == _WIDE._loss_of(w, z)
-            assert np.array_equal(grad, total / idx.size + w / _WIDE.n)
-        z, total = _serial_pass(_WIDE, w, None)
-        got_z, got_total = _WIDE._blocked_pass(w)
+            loss, grad = oracle.loss_grad_sub(w, idx)
+            assert loss == oracle._loss_of(w, z)
+            assert np.array_equal(grad, total / idx.size + w / oracle.n)
+        z, total = _serial_pass(oracle, w, None)
+        got_z, got_total = oracle._blocked_pass(w)
         assert np.array_equal(got_z, z) and np.array_equal(got_total, total)
+
+    @pytest.mark.parametrize("oracle", [_WIDE, _ODD], ids=["d300", "d301"])
+    def test_the_pass_products_are_those_of_matmul(self, oracle):
+        # np.dot, which the pass calls for its GIL-free BLAS call, on each
+        # layout the pass feeds it: a block of X in place, a view of the
+        # gathered buffer, and the short last block
+        rows = oracle._block_rows
+        rng = rng_mod.stream(3, "gradient")
+        w = rng.standard_normal(oracle.dim)
+        idx = oracle.draw_sample(rng, rows - 5)
+        gathered = np.take(oracle.x, idx, axis=0, out=np.empty((rows, oracle.dim))[: idx.size], mode="clip")
+        short = oracle.x[oracle.n // rows * rows :]
+        assert 0 < short.shape[0] < rows
+        for xb in (oracle.x[rows : 2 * rows], gathered, short):
+            coeff = rng.standard_normal(xb.shape[0])
+            sums = np.empty((2, oracle.dim))
+            np.dot(coeff, xb, out=sums[1])
+            assert np.array_equal(np.dot(xb, w), xb @ w)
+            assert np.array_equal(sums[1], coeff @ xb)
 
     def test_the_caller_runs_the_first_blocks(self, monkeypatch):
         monkeypatch.setattr(problems, "pass_threads", lambda: 2)
@@ -960,13 +993,18 @@ class TestGatheredPassThreads:
 
         monkeypatch.setattr(LogisticProblem, "_pass_blocks", recorded)
         rng = rng_mod.stream(7, "gradient")
+
+        def runs_by_thread():
+            caller = [run for ident, run in ran if ident == threading.get_ident()]
+            other = [run for ident, run in ran if ident != threading.get_ident()]
+            ran.clear()
+            return caller, other
+
         _WIDE.loss_grad_sub(np.zeros(_WIDE.dim), _WIDE.draw_sample(rng, 1000))
-        caller = [run for ident, run in ran if ident == threading.get_ident()]
-        other = [run for ident, run in ran if ident != threading.get_ident()]
-        assert caller == [[0, 1, 2]] and other == [[3, 4]]
-        ran.clear()
+        assert runs_by_thread() == ([[0, 1, 2]], [[3, 4]])
+        # the full pass, in place, is shared too
         _WIDE.grad_full(np.zeros(_WIDE.dim))
-        assert ran == [(threading.get_ident(), list(range(14)))]
+        assert runs_by_thread() == ([list(range(7))], [list(range(7, 14))])
 
     @pytest.mark.skipif(not hasattr(os, "fork") or problems.pass_threads() < 2, reason="needs fork and two CPUs")
     def test_a_forked_child_makes_its_own_pool(self):
