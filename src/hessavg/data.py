@@ -30,6 +30,9 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from .problems import check_problem_args
+from .rng import generator
+
 __all__ = [
     "DatasetManifest",
     "LibsvmParseError",
@@ -122,7 +125,7 @@ def default_data_dir(override: Optional[str] = None) -> Path:
 
 
 def parse_libsvm(
-    text: str | bytes,
+    text: str,
     label_map: Optional[dict] = None,
     dim: Optional[int] = None,
 ) -> tuple[NDArray, NDArray]:
@@ -135,8 +138,6 @@ def parse_libsvm(
     overrides the max index seen, guarding against underestimation when
     rare features are absent.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     # Typed buffers, not lists of Python objects: each entry of the file is
     # held in 16 bytes, its column and value, until one scatter into ``x``.
     cols, vals, row_sizes, labels = array("q"), array("d"), array("q"), array("d")
@@ -288,7 +289,7 @@ def train_split(
     n = len(y)
     if k > n:
         raise ValueError(f"requested {k} rows from a dataset of {n}")
-    perm = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).permutation(n)
+    perm = generator(seed).permutation(n)
     take, rest = perm[:k], perm[k:]
     return (x[take], y[take]), (x[rest], y[rest])
 
@@ -303,10 +304,12 @@ def load_dataset(
     A file whose row count differs from the manifest's ``n`` is refused
     with :class:`LibsvmParseError`, so a truncated or different file never
     loads under the manifest's name. The rows returned are the manifest's
-    :attr:`~DatasetManifest.rows`.
+    :attr:`~DatasetManifest.rows`. ``split_seed`` is bounded, before any
+    fetch, as :func:`~hessavg.problems.check_problem_args` bounds it.
     """
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
+    check_problem_args(split_seed=split_seed)
     manifest = MANIFESTS[name]
     directory = default_data_dir(str(data_dir) if data_dir else None)
     path = fetch_dataset(manifest, directory)

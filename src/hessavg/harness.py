@@ -5,7 +5,11 @@ Loading a config (:meth:`ExperimentConfig.from_dict`) and building its run
 (:func:`build_context`) call the same readers, through :func:`_read_sections`.
 A reader takes once each key the run reads, with its default written once,
 and reads it as its type says; a key left over is a ConfigError, and so is a
-value the built object rejects. :func:`_read` reads a class's fields: the top
+value the built object rejects. The bounds on a problem's arguments are
+``problems``' one table, ``PROBLEM_BOUNDS``: the reader applies it through
+:func:`~hessavg.problems.check_problem_args`, as the problem builders do, so
+a config and a direct builder call refuse the same arguments in the same
+words. :func:`_read` reads a class's fields: the top
 level, the update policy, each schedule, and ``method``, which takes ``name``
 and then only that method's keys (``optimizers.METHODS``): sgd none; adam the
 betas and ``adam_eps``; subnewton ``mu_tilde`` and ``variant``; fan those and
@@ -104,6 +108,7 @@ from .problems import (
     FiniteSumOracle,
     LogisticProblem,
     SyntheticSumProblem,
+    check_problem_args,
     make_synthetic_logistic,
     pass_threads,
     quadratic_generate,
@@ -233,22 +238,6 @@ def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
 # Initial-point kinds, each with its keys' defaults; the first is the default kind.
 INIT_KINDS = {"gaussian": {"scale": 1.0}, "zeros": {}, "near_optimum": {"radius": 0.5}}
 
-# The bound on each problem key its builder bounds, and the bound in words.
-# Each test is false for NaN.
-PROBLEM_BOUNDS = {
-    "n": (lambda v: v >= 1, ">= 1"),
-    "n_components": (lambda v: v >= 1, ">= 1"),
-    "d": (lambda v: v >= 1, ">= 1"),
-    "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "curvature": (lambda v: v >= 0, ">= 0"),
-    "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "freq": (lambda v: v is None or abs(v) > 0, "nonzero"),  # None: the default
-    "n_ripples": (lambda v: v is None or v >= 1, ">= 1"),
-    "seed": (lambda v: v is None or v >= 0, ">= 0"),  # None: the quadratic's follows the run's
-    "split_seed": (lambda v: v >= 0, ">= 0"),
-}
-
-
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -349,11 +338,12 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     through its ``curvature``, and a null one is its default: on a sum of
     curvature 0 they read as null and build with their defaults, once their
     written values pass their bounds. A dataset, which must be one of
-    ``data.MANIFESTS``, is read from ``data_dir``. Only the quadratic reads
-    the config's ``iters_per_epoch``: a finite sum counts its epochs in
-    components, so it refuses any other value than the default. Each value
-    the builder would refuse is refused here, so a problem that loads
-    builds."""
+    ``data.MANIFESTS``, is read from ``data_dir``. Only a problem of no
+    component count reads the config's ``iters_per_epoch``: a finite sum
+    counts its epochs in components, so it refuses any other value than the
+    default. The bounds are ``problems``' one table, applied by
+    :func:`~hessavg.problems.check_problem_args` as the builder applies it,
+    so a problem that loads builds."""
     # Each kind's builder, its keys with their types and defaults, and its
     # component count from the values read.
     kinds = {
@@ -383,29 +373,27 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     if kind not in kinds:
         raise ConfigError(f"unknown problem kind {kind!r}")
     where = f"problem of kind {kind!r}"
-    if kind != "quadratic" and cfg.iters_per_epoch != ExperimentConfig.iters_per_epoch:
-        raise ConfigError(
-            f"'iters_per_epoch' in config acts only on the quadratic problem, not on a {where}; "
-            f"got {cfg.iters_per_epoch}"
-        )
     make, keys, count = kinds[kind]
     args = {key: _take(spec, key, where, hint, default) for key, (hint, default) in keys.items()}
     _done(spec, where)
-    for key, value in args.items():
-        if key in PROBLEM_BOUNDS and not PROBLEM_BOUNDS[key][0](value):
-            raise ConfigError(f"{key!r} in {where} must be {PROBLEM_BOUNDS[key][1]}, got {value}")
-    if kind == "synthetic_sum" and args["coupling"] > 0 and args["n_components"] < 2:
-        raise ConfigError(f"coupling={args['coupling']} in {where} needs n_components >= 2, got n_components={args['n_components']}")
-    if kind == "synthetic_sum":
-        for key in ("freq", "n_ripples"):
-            if args[key] is None or args["curvature"] == 0:
-                args[key] = keys[key][1]
-            spec.read[key] = args[key] if args["curvature"] > 0 else None
-    if kind == "quadratic" and args["seed"] is None:
-        args["seed"] = cfg.seed
     if kind == "logistic" and args["dataset"] not in MANIFESTS:
         raise ConfigError(f"unknown 'dataset' {args['dataset']!r} in {where}; known: {sorted(MANIFESTS)}")
-    return partial(make, **args), count(args)
+    if kind == "quadratic" and args["seed"] is None:
+        args["seed"] = cfg.seed
+    ripples = [key for key in ("freq", "n_ripples") if key in args]
+    args.update((key, keys[key][1]) for key in ripples if args[key] is None)  # null is the default
+    try:
+        check_problem_args(f" in {where}", **args)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    for key in ripples:  # at curvature 0 they act on nothing
+        spec.read[key] = args[key] if args["curvature"] > 0 else None
+        args[key] = args[key] if args["curvature"] > 0 else keys[key][1]
+    n = count(args)
+    if n is not None and cfg.iters_per_epoch != ExperimentConfig.iters_per_epoch:
+        raise ConfigError(f"'iters_per_epoch' in config acts only on a problem of no component count, "
+                          f"not on a {where} of {n} components; got {cfg.iters_per_epoch}")
+    return partial(make, **args), n
 
 
 # Schedule kinds by config section; the first is the section's default kind.

@@ -14,6 +14,15 @@ rank-k product ``B^T B``, which numpy hands to BLAS ``syrk``: half the
 flops of a general product, and exactly symmetric with no symmetrization
 pass.
 
+Each bound on a problem argument is written once, in :data:`PROBLEM_BOUNDS`,
+and :func:`check_problem_args` applies it on entry to
+:func:`quadratic_generate`, :class:`QuadraticProblem`,
+:func:`make_synthetic_logistic`, :meth:`SyntheticSumProblem.generate` and
+:class:`SyntheticSumProblem`, to ``data.load_dataset``'s ``split_seed``, and
+at load to a config's problem section, so each refuses an argument in the
+same words. Seeded draws take their generator from
+:func:`hessavg.rng.generator`.
+
 All oracles are immutable after construction, apart from the optimum,
 which is computed on the first :meth:`~FiniteSumOracle.optimum` call and
 cached. Anything random (mask draws, batch index draws) is driven by an
@@ -65,6 +74,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import spd_solve
+from .rng import generator
 
 __all__ = [
     "FiniteSumOracle",
@@ -76,6 +86,7 @@ __all__ = [
     "SyntheticSumProblem",
     "make_synthetic_logistic",
     "pass_threads",
+    "check_problem_args",
 ]
 
 
@@ -155,6 +166,41 @@ def _check_indices(sample, n: int) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
+# Problem arguments
+# ---------------------------------------------------------------------------
+
+
+# The bound on each problem argument, in words, and its test, which is false
+# for NaN. The one table: the builders below, ``data.load_dataset`` and the
+# config reader (``harness._read_problem``) all apply it.
+PROBLEM_BOUNDS = {
+    "n": (lambda v: v >= 1, ">= 1"),
+    "n_components": (lambda v: v >= 1, ">= 1"),
+    "d": (lambda v: v >= 1, ">= 1"),
+    "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "curvature": (lambda v: v >= 0, ">= 0"),
+    "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "freq": (lambda v: abs(v) > 0, "nonzero"),
+    "n_ripples": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "split_seed": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def check_problem_args(where: str = "", **args) -> None:
+    """Refuse, with a ValueError, the first of ``args`` outside its bound in
+    :data:`PROBLEM_BOUNDS` ("'d' must be >= 1, got 0", ``where`` following
+    the key), then a coupled synthetic sum of fewer than two components:
+    centring makes a lone ``G`` zero. An argument the table does not name
+    passes."""
+    for key, value in args.items():
+        if key in PROBLEM_BOUNDS and not PROBLEM_BOUNDS[key][0](value):
+            raise ValueError(f"{key!r}{where} must be {PROBLEM_BOUNDS[key][1]}, got {value}")
+    if args.get("coupling", 0) > 0 and args["n_components"] < 2:
+        raise ValueError(f"coupling={args['coupling']}{where} needs n_components >= 2, got n_components={args['n_components']}")
+
+
+# ---------------------------------------------------------------------------
 # Masked quadratic (expectation problem)
 # ---------------------------------------------------------------------------
 
@@ -195,8 +241,7 @@ class QuadraticProblem(FiniteSumOracle):
     """
 
     def __init__(self, a: NDArray, b: NDArray, keep_prob: float = 0.5):
-        if not 0 < keep_prob <= 1:
-            raise ValueError(f"keep_prob must lie in (0, 1], got {keep_prob}")
+        check_problem_args(keep_prob=keep_prob)
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.keep_prob = float(keep_prob)
@@ -282,12 +327,11 @@ def quadratic_generate(
     (via QR of a Gaussian matrix with sign-normalized R) and ``b`` is
     standard normal. Identical seeds reproduce ``(A, b)`` bit for bit.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    check_problem_args(d=d, keep_prob=keep_prob, seed=seed)
     lam = np.asarray(spectrum(np.arange(1, d + 1)), dtype=float)
     if np.any(lam <= 0):
         raise ValueError("spectrum must be strictly positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(r))
     a = (q * lam) @ q.T
@@ -440,8 +484,8 @@ class LogisticProblem(FiniteSumOracle):
             raise ValueError("x must be (n, d) with matching labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        if x.shape[0] == 0:
-            raise ValueError("empty dataset")
+        if 0 in x.shape:
+            raise ValueError(f"empty dataset: x has shape {x.shape}")
         # C order, so the in-place full passes see the same layout as a
         # gathered batch and round identically.
         self.x = np.ascontiguousarray(x)
@@ -565,7 +609,8 @@ def make_synthetic_logistic(
     n: int = 400, d: int = 12, seed: int = 0, noise: float = 0.4
 ) -> tuple[NDArray, NDArray]:
     """Generate a linearly separable-ish logistic dataset for offline tests."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    check_problem_args(n=n, d=d, seed=seed)
+    rng = generator(seed)
     x = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d)
     logits = x @ w_true + noise * rng.standard_normal(n)
@@ -809,8 +854,7 @@ class SyntheticSumProblem(FiniteSumOracle):
                 f"h must be the packed upper triangles of {self.n_components} {self.dim}x{self.dim} "
                 f"matrices, shape {(self.n_components, self.dim * (self.dim + 1) // 2)}, got {self.h.shape}"
             )
-        if not curvature >= 0:
-            raise ValueError(f"curvature must be >= 0, got {curvature}")
+        check_problem_args(curvature=curvature, freq=freq)
         self.curvature = float(curvature)
         self.freq = float(freq)
         if curvature > 0:
@@ -879,23 +923,15 @@ class SyntheticSumProblem(FiniteSumOracle):
         The ripple directions and phases are drawn last, and only when
         ``curvature > 0``.
         """
-        if freq == 0:
-            raise ValueError("freq must be nonzero")
-        if n_ripples < 1:
-            raise ValueError(f"n_ripples must be >= 1, got {n_ripples}")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        check_problem_args(n_components=n_components, d=d, seed=seed, curvature=curvature, coupling=coupling,
+                           freq=freq, n_ripples=n_ripples)
+        rng = generator(seed)
 
         def random_frame() -> NDArray:
             q, r = np.linalg.qr(rng.standard_normal((d, d)))
             return q * np.sign(np.diag(r))
 
         if coupling > 0:
-            if not coupling < 1:
-                raise ValueError("coupling must lie in (0, 1)")
-            if n_components < 2:
-                raise ValueError(
-                    f"coupling={coupling} needs n_components >= 2, got n_components={n_components}"
-                )
             lam = np.geomspace(eig_range[0], eig_range[1], d)
             frame = random_frame()
             hs = _symmetric_normals(rng, n_components, d)

@@ -33,6 +33,7 @@ from numpy.typing import NDArray
 
 from .linalg import weighted_norm_sq
 from .problems import FiniteSumOracle
+from .rng import generator
 
 __all__ = [
     "CyclicSampler",
@@ -59,12 +60,7 @@ class CyclicSampler:
         self.n = n
         self.block_size = block_size
         self.n_blocks = n // block_size
-        if seed is None:
-            order = np.arange(n)
-        else:
-            order = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed))
-            ).permutation(n)
+        order = np.arange(n) if seed is None else generator(seed).permutation(n)
         self._blocks = [order[i * block_size : (i + 1) * block_size] for i in range(self.n_blocks)]
 
     def next_block(self, j: int, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:

@@ -301,6 +301,25 @@ class TestUpdatePolicy:
             UpdateFrequencyPolicy(hf=0)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: FullAverageState(2, 1e-4, variant="square"), "^variant must be 'plain' or 'abs', got 'square'$"),
+        (lambda: DiagAverageState(2, 1e-4, p=3), "^p must be 1 or 2, got 3$"),
+        (lambda: DiagAverageState(2, 1e-4).update(np.ones(3)), r"^expected shape \(2,\), got \(3,\)$"),
+        (
+            lambda: hutchinson_diag(lambda z: z[:, 0], 3, 2, rng_mod.stream(4, "probes")),
+            r"^hvp returned shape \(3,\), expected \(3, 2\)$",
+        ),
+        (lambda: UpdateFrequencyPolicy(warmup=-1), "^warmup must be >= 0$"),
+    ],
+    ids=["full_variant", "diag_p", "diag_shape", "hutchinson_product_shape", "negative_warmup"],
+)
+def test_a_value_the_curvature_state_cannot_use_is_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestExpectationHessianError:
     """On the masked quadratic, the expectation problem, the averaged
     Hessian's error decays as O(1/sqrt(k)) under iid masks.

@@ -88,6 +88,18 @@ class TestParse:
         with pytest.raises(LibsvmParseError, match=f"line 2: non-finite value in '1:{value}'"):
             parse_libsvm(f"+1 1:1\n-1 1:{value}\n")
 
+    @pytest.mark.parametrize(
+        "text, kwargs, match",
+        [
+            ("+1 1:1 3:2\n", {"dim": 2}, "^feature index 3 exceeds declared dim 2$"),
+            ("1 1:1\n2 1:1\n", {"label_map": {1: 1, 2: 0}}, r"^line 2: label 0.0 not in \{-1, \+1\}$"),
+        ],
+        ids=["index_above_dim", "mapped_label_not_a_sign"],
+    )
+    def test_a_file_its_manifest_does_not_describe_is_refused(self, text, kwargs, match):
+        with pytest.raises(LibsvmParseError, match=match):
+            parse_libsvm(text, **kwargs)
+
     def test_non_finite_label_through_the_cli_is_a_usage_error(self, tmp_path, capsys):
         # fetch_dataset reuses a cached file, so nothing is downloaded
         cached = tmp_path / "data" / "mushrooms" / "mushrooms"
@@ -312,6 +324,11 @@ class TestLoad:
         manifest = DatasetManifest(name="tiny", url="http://nowhere.invalid/tiny.bz2", n=3, dim=2)
         _, y = self._load(monkeypatch, tmp_path, manifest, self.ROWS)
         assert y.tolist() == [1, -1, 1]
+
+    def test_an_unknown_dataset_is_refused_before_any_fetch(self, tmp_path):
+        with pytest.raises(KeyError, match="unknown dataset 'nope'"):
+            load_dataset("nope", tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_a_dataset_loads_to_its_manifests_rows(self, monkeypatch, tmp_path):
         manifest = DatasetManifest(name="tiny", url="http://nowhere.invalid/tiny", n=3, dim=2, train_size=2)

@@ -43,7 +43,7 @@ from hessavg.optimizers import (
     run,
     step,
 )
-from hessavg.problems import make_synthetic_logistic
+from hessavg.problems import SyntheticSumProblem, make_synthetic_logistic, quadratic_generate
 from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES, GradSampleController
 from hessavg.trace import parse_trace
 
@@ -166,6 +166,19 @@ class TestConfig:
     def test_unknown_problem_kind(self):
         with pytest.raises(ConfigError):
             base_config(problem={"kind": "nope"})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"schedules": {"theta": {"kind": "nope"}}}, "^unknown theta schedule kind 'nope'$"),
+            ({"sampling": {"grad": {"mode": "fixed", "size": 25}, "hess": {"kind": "nope"}}}, "^unknown Hessian sampler kind 'nope'$"),
+            ({"init": {"kind": "nope"}}, "^unknown init kind 'nope'$"),
+        ],
+        ids=["schedule", "hess_sampler", "init"],
+    )
+    def test_an_unknown_kind_is_refused(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            base_config(**overrides)
 
     def test_unknown_dataset(self):
         # it loaded and hashed, and its run died in load_dataset with a bare KeyError
@@ -310,6 +323,65 @@ class TestConfig:
             base_config(seed=-1)
 
 
+# Each case: a problem section its builder refuses, and the message both
+# sides refuse it with, "{where}" standing for " in problem of kind '<kind>'"
+# at load and for nothing in the builder. Each number is written as the
+# reader reads it, a float for a float key. Builder and reader apply one
+# table, problems.PROBLEM_BOUNDS.
+REFUSED_PROBLEMS = {
+    "quadratic_d": ({"kind": "quadratic", "d": 0}, "'d'{where} must be >= 1, got 0"),
+    "keep_prob_0": ({"kind": "quadratic", "keep_prob": 0.0}, "'keep_prob'{where} must be in (0, 1], got 0.0"),
+    "keep_prob_above_1": ({"kind": "quadratic", "keep_prob": 1.5}, "'keep_prob'{where} must be in (0, 1], got 1.5"),
+    "coupling_1": ({"kind": "synthetic_sum", "coupling": 1.0}, "'coupling'{where} must be in [0, 1), got 1.0"),
+    "coupling_negative": ({"kind": "synthetic_sum", "coupling": -0.5}, "'coupling'{where} must be in [0, 1), got -0.5"),
+    "curvature_negative": ({"kind": "synthetic_sum", "curvature": -40.0}, "'curvature'{where} must be >= 0, got -40.0"),
+    "no_rows": ({"kind": "synthetic_logistic", "n": 0}, "'n'{where} must be >= 1, got 0"),
+    "no_columns": ({"kind": "synthetic_logistic", "d": 0}, "'d'{where} must be >= 1, got 0"),
+    "no_components": ({"kind": "synthetic_sum", "n_components": -1}, "'n_components'{where} must be >= 1, got -1"),
+    "zero_components": ({"kind": "synthetic_sum", "n_components": 0}, "'n_components'{where} must be >= 1, got 0"),
+    "sum_d": ({"kind": "synthetic_sum", "d": 0}, "'d'{where} must be >= 1, got 0"),
+    "quadratic_seed": ({"kind": "quadratic", "seed": -1}, "'seed'{where} must be >= 0, got -1"),
+    "synthetic_logistic_seed": ({"kind": "synthetic_logistic", "seed": -1}, "'seed'{where} must be >= 0, got -1"),
+    "synthetic_sum_seed": ({"kind": "synthetic_sum", "seed": -1}, "'seed'{where} must be >= 0, got -1"),
+    "split_seed": ({"kind": "logistic", "dataset": "mushrooms", "split_seed": -1}, "'split_seed'{where} must be >= 0, got -1"),
+    "freq_0": ({"kind": "synthetic_sum", "curvature": 1.0, "freq": 0.0}, "'freq'{where} must be nonzero, got 0.0"),
+    "freq_nan": ({"kind": "synthetic_sum", "curvature": 1.0, "freq": math.nan}, "'freq'{where} must be nonzero, got nan"),
+    "no_ripples": ({"kind": "synthetic_sum", "n_ripples": 0}, "'n_ripples'{where} must be >= 1, got 0"),
+    "negative_ripples": ({"kind": "synthetic_sum", "curvature": 1.0, "n_ripples": -1}, "'n_ripples'{where} must be >= 1, got -1"),
+    "coupled_one_component": (
+        {"kind": "synthetic_sum", "n_components": 1, "coupling": 0.5},
+        "coupling=0.5{where} needs n_components >= 2, got n_components=1",
+    ),
+}
+# A config's NaN is refused by the number reader, before its bound is read.
+REFUSED_BEFORE_THE_BOUND = {"freq_nan": "'freq'{where} must be a finite number, got nan"}
+BUILDERS = {
+    "quadratic": lambda d=4, **args: quadratic_generate(d, **args),
+    "logistic": lambda dataset, split_seed: load_dataset(dataset, split_seed=split_seed),
+    "synthetic_logistic": make_synthetic_logistic,
+    "synthetic_sum": SyntheticSumProblem.generate,
+}
+
+
+class TestOneBoundPerProblemArgument:
+    @pytest.mark.parametrize("case", sorted(REFUSED_PROBLEMS))
+    def test_a_config_refuses_it_at_load(self, case):
+        problem, message = REFUSED_PROBLEMS[case]
+        message = REFUSED_BEFORE_THE_BOUND.get(case, message).format(where=f" in problem of kind '{problem['kind']}'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(base_raw(problem=problem))
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_PROBLEMS))
+    def test_its_builder_refuses_it(self, case):
+        # at the parent coupling -0.5 built the uncoupled sum, d 0 an empty
+        # sum, freq NaN a sum whose losses were NaN, and a synthetic
+        # logistic of d 0 a dataset its oracle divided by zero on
+        problem, message = REFUSED_PROBLEMS[case]
+        args = {key: value for key, value in problem.items() if key != "kind"}
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(where=''))}$"):
+            BUILDERS[problem["kind"]](**args)
+
+
 # Each case: config keys that replace base_raw's, and the key and the
 # section a ConfigError must name. Each case ran without a word before
 # every section rejected the keys it does not read. The output and data
@@ -368,6 +440,7 @@ WRONG_TYPES = {
     "sampling_hess": ({"sampling": {"grad": GRAD_8, "hess": 3}}, "hess", "sampling"),
     "grad_mode": ({"sampling": {"grad": {"mode": 3}}}, "mode", "grad sampling"),
     "grad_cap": ({"sampling": {"grad": {"mode": "exact_norm_test", "cap": "64"}}}, "cap", "grad sampling"),
+    "grad_sizes_not_a_list": ({"sampling": {"grad": {"mode": "geometric_epochs", "sizes": 8}}}, "sizes", "grad sampling"),
     "hess_seed_fraction_TypeError": (
         {"sampling": {"grad": GRAD_8, "hess": {"kind": "cyclic", "size": 25, "seed": 1.5}}},
         "seed",
@@ -1299,6 +1372,18 @@ class TestCli:
         assert cli_dispatch(["run", "missing.cfg"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [("run", "{path}: invalid JSON: "), ("sweep", "no *.json configs in {dir}"), ("rates", "trace file not found: {path}")],
+        ids=["run_on_invalid_json", "sweep_on_no_config", "rates_on_a_missing_trace"],
+    )
+    def test_a_file_it_cannot_read_is_a_usage_error(self, command, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if command == "run":
+            path.write_text('{"problem": ')
+        assert cli_dispatch([command, str(tmp_path if command == "sweep" else path)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path, dir=tmp_path))
+
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"problem": {"kind": "nope"}, "method": {"name": "sgd"}}))
@@ -1448,8 +1533,11 @@ class TestCli:
         [
             (lambda lines: [lines[0], lines[1].replace(",eec", ""), *lines[2:]], "trace header lacks the columns ['eec']"),
             (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]], "trace line 4 has 8 cells, not 9"),
+            (lambda lines: lines[1:], "missing trace schema line"),
+            (lambda lines: [lines[0].replace("schema=hessavg-trace-v1", "schema=hessavg-trace-v0"), *lines[1:]],
+             "unsupported trace schema 'hessavg-trace-v0'"),
         ],
-        ids=["header_without_a_column", "short_row"],
+        ids=["header_without_a_column", "short_row", "no_schema_line", "another_schema"],
     )
     def test_rates_on_a_malformed_trace_is_usage_error(self, edit, message, tmp_path, capsys):
         # these ended in a KeyError and a TypeError traceback

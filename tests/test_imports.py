@@ -111,3 +111,21 @@ def test_no_module_imports_scipy(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in _imported_roots(node)
     ]
     assert not lines, f"{path.name} imports scipy on lines {sorted(lines)}"
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.name.split(".")[-1], node.lineno) for alias in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "rng.py"], ids=lambda p: p.name)
+def test_only_rng_names_the_bit_generator(path):
+    # every seeded draw takes its generator from rng.generator, so the bit
+    # generator, and how a seed becomes its state, is chosen in one module
+    lines = [line for name, line in _names(ast.parse(path.read_text(), str(path))) if name in ("Philox", "SeedSequence")]
+    assert not lines, f"{path.name} names Philox or SeedSequence on lines {sorted(lines)}"

@@ -85,6 +85,20 @@ class TestSchedules:
         sched = IotaSuperDet(1.0, 0.9)
         assert sched.at(500) == 0.0
 
+    def test_super_without_decay_is_zero_past_its_switch(self):
+        sched = IotaSuperDet(1.0, 0.0, k_switch=2)
+        assert [sched.at(k) for k in range(5)] == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [(lambda: IotaGeometric(1.0, 1.0), r"^decay factor a must lie in \[0, 1\)$"),
+         (lambda: IotaSuperDet(1.0, 1.5), r"^decay factor a_l must lie in \[0, 1\)$")],
+        ids=["geometric_a_1", "super_det_a_l_above_1"],
+    )
+    def test_a_decay_factor_of_one_or_more_is_refused(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_two_phase_alpha(self):
         sched = AlphaTwoPhase(0.01, k_switch=100)
         assert sched.at(99) == 0.01

@@ -26,6 +26,7 @@ from hessavg.problems import (
     quadratic_generate,
 )
 from hessavg import problems
+from hessavg.data import parse_libsvm
 from hessavg.harness import ExperimentConfig, run_experiment
 from hessavg import rng as rng_mod
 
@@ -240,6 +241,20 @@ class TestLogisticOracle:
         with pytest.raises(ValueError, match="labels"):
             LogisticProblem(np.ones((3, 2)), np.array([0.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ((np.ones((3, 2)), np.ones(2)), r"^x must be \(n, d\) with matching labels$"),
+            ((np.ones((0, 2)), np.ones(0)), r"^empty dataset: x has shape \(0, 2\)$"),
+            # a LIBSVM file of labels only; _block_rows divided by zero on it
+            (parse_libsvm("1\n-1\n"), r"^empty dataset: x has shape \(2, 0\)$"),
+        ],
+        ids=["labels_not_one_per_row", "no_rows", "no_columns"],
+    )
+    def test_a_dataset_it_cannot_fit_is_refused(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            LogisticProblem(*data)
+
 
 TAIL_MARGINS = (40.0, -40.0, 700.0, -700.0, 1e4, -1e4)
 
@@ -343,13 +358,13 @@ class TestSyntheticSum:
     @pytest.mark.parametrize("curvature", [-40.0, float("nan")])
     def test_negative_or_nan_curvature_is_refused(self, curvature):
         # the ripple gates read curvature > 0, so these ran the curvature-0 problem
-        with pytest.raises(ValueError, match="curvature must be >= 0"):
+        with pytest.raises(ValueError, match="'curvature' must be >= 0"):
             SyntheticSumProblem.generate(8, 4, seed=0, curvature=curvature)
 
     @pytest.mark.parametrize(
         "kwargs, match",
-        [({"freq": 0.0}, "^freq must be nonzero$"), ({"n_ripples": 0}, "^n_ripples must be >= 1, got 0$"),
-         ({"n_ripples": -1}, "^n_ripples must be >= 1, got -1$")],
+        [({"freq": 0.0}, "^'freq' must be nonzero, got 0.0$"), ({"n_ripples": 0}, "^'n_ripples' must be >= 1, got 0$"),
+         ({"n_ripples": -1}, "^'n_ripples' must be >= 1, got -1$")],
         ids=["freq_0", "no_ripples", "negative_ripples"],
     )
     def test_a_ripple_it_cannot_evaluate_is_refused(self, kwargs, match):
@@ -358,10 +373,15 @@ class TestSyntheticSum:
         with pytest.raises(ValueError, match=match):
             SyntheticSumProblem.generate(8, 4, seed=0, curvature=1.0, **kwargs)
 
-    @pytest.mark.parametrize("n_components", [0, 1])
-    def test_coupling_needs_two_components(self, n_components):
-        # centring makes a lone G zero, and scaling by 1/0 made H all NaN
-        with pytest.raises(ValueError, match=f"coupling=0.5 .*n_components={n_components}"):
+    @pytest.mark.parametrize(
+        "n_components, match",
+        [(0, "'n_components' must be >= 1, got 0"), (1, "coupling=0.5 .*n_components=1")],
+        ids=["0", "1"],
+    )
+    def test_coupling_needs_two_components(self, n_components, match):
+        # centring makes a lone G zero, and scaling by 1/0 made H all NaN;
+        # no components at all is refused by their own bound first
+        with pytest.raises(ValueError, match=match):
             SyntheticSumProblem.generate(n_components, 4, seed=0, coupling=0.5)
 
     def test_bench_sized_instance_keeps_its_bits(self):
@@ -542,6 +562,15 @@ class TestPackedStack:
     def test_the_constructor_takes_only_the_packed_stack(self):
         with pytest.raises(ValueError, match=r"packed upper triangles of 2 3x3 matrices, shape \(2, 6\)"):
             SyntheticSumProblem(np.zeros((2, 3, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "a, match",
+        [(None, "^curvature > 0 requires ripple directions$"), (np.ones((2, 3)), r"^ripple directions must have shape \(N, J, d\)$")],
+        ids=["no_directions", "directions_2d"],
+    )
+    def test_a_rippled_constructor_needs_its_directions(self, a, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticSumProblem(problems._pack(np.stack([np.eye(3)] * 2)), np.zeros((2, 3)), a, curvature=1.0)
 
 
 def _full_stack_bytes(n, d):
