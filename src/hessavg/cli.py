@@ -176,13 +176,10 @@ def cli_dispatch(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # a ConfigError too
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except DatasetUnavailable as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (DatasetUnavailable, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,10 +13,17 @@ floor, which :func:`init_state` alone picks: ``mu_tilde`` (fan, subnewton),
 the gradient batch, the update policy optionally refreshes the Hessian
 estimate, the method turns the batch gradient into a direction, the norm
 test (its rule written once, in :func:`_run_controller`) may grow the next
-batch, and the iterate moves by the scheduled step size. Runs that blow up
-(a non-finite batch loss, a batch loss exceeding a fixed multiple of the
-starting value, or a non-finite iterate) are halted rather than raising,
-and their state says which of the three stopped them.
+batch, and the iterate moves by the scheduled step size.
+
+A step makes one batch call, ``loss_grad_sub``. The full gradient that its
+trace snapshot or exact test reads is that call's gradient when the batch
+is every component, and ``grad_full`` otherwise: a finite-sum oracle's
+draw of all ``n`` components is ``np.arange(n)``, and its batch values on
+that draw are the full ones bit for bit.
+
+Runs that blow up (a non-finite batch loss, a batch loss exceeding a fixed
+multiple of the starting value, or a non-finite iterate) are halted rather
+than raising, and their state says which of the three stopped them.
 """
 
 from __future__ import annotations
@@ -497,20 +504,17 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
 
     # A norm test runs only while it can still grow the batch; a step at
     # the cap computes what a fixed-size step does. The batch loss and
-    # gradient come from one call, with one full pass at w_k at most, shared
-    # by the trace snapshot and the exact test. Both calls give the same
-    # batch values, so tracing a step never changes it. The approximate test reads
-    # the per-component gradients for its variance only.
+    # gradient come from one call, which tracing never changes. The full
+    # gradient at w_k, shared by the trace snapshot and the exact test, is
+    # read from it at the whole sum and costs one full pass below it. The
+    # approximate test reads the per-component gradients for its variance
+    # only.
     traced = state.k % ctx.trace_interval == 0
     testing = ctx.controller.can_grow(x_size)
     approx = testing and ctx.controller.mode == "approx_norm_test"
-    full_grad = comps = None
-    if traced or (testing and not approx):
-        f_batch, g, full_grad = oracle.loss_grad_sub_full(state.w, sample)
-    else:
-        f_batch, g = oracle.loss_grad_sub(state.w, sample)
-    if approx:
-        comps = oracle.component_grads(state.w, sample)
+    f_batch, g = oracle.loss_grad_sub(state.w, sample)
+    full_grad = _full_grad(oracle, state.w, g, x_size) if traced or (testing and not approx) else None
+    comps = oracle.component_grads(state.w, sample) if approx else None
 
     alpha, theta, iota = schedule_eval(ctx.schedules, state.k)
 
@@ -539,6 +543,14 @@ def step(ctx: RunContext, state: OptState) -> tuple[OptState, TraceRecord]:
     record = _record(ctx, state, f_batch, grad_norm, x_size, dist)
     state.k += 1
     return state, record
+
+
+def _full_grad(oracle: FiniteSumOracle, w: NDArray, g: NDArray, x_size: int) -> NDArray:
+    """The full gradient at ``w``, given the batch gradient ``g`` of a draw of
+    ``x_size``: ``g`` itself when the draw is every component, which the
+    oracle's draw contract makes the full sum bit for bit, else
+    ``grad_full(w)``."""
+    return g if x_size == oracle.n_components else oracle.grad_full(w)
 
 
 def _record(
@@ -594,7 +606,7 @@ def run(ctx: RunContext, w0: NDArray, epochs: float) -> tuple[OptState, list[Tra
         records.append(record)
     batch = state.batch or ctx.controller.size(0.0, 0)  # a run of no step: its first batch
     final_sample = ctx.oracle.draw_sample(ctx.rngs["gradient"], batch)
-    f_final, _, full_grad = ctx.oracle.loss_grad_sub_full(state.w, final_sample)
-    grad_norm, dist = _snapshot(ctx, state, full_grad)
+    f_final, g = ctx.oracle.loss_grad_sub(state.w, final_sample)
+    grad_norm, dist = _snapshot(ctx, state, _full_grad(ctx.oracle, state.w, g, batch))
     records.append(_record(ctx, state, f_final, grad_norm, batch, dist))
     return state, records

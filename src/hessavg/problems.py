@@ -5,23 +5,21 @@ expectation problem where each "component" is a fresh random mask draw),
 l2-regularized logistic regression over a dataset, and a small synthetic
 strongly convex finite sum used as a convergence-rate testbed. Each
 oracle gives full losses and gradients, a batch's loss and gradient from
-one call (:meth:`~FiniteSumOracle.loss_grad_sub`, or
-:meth:`~FiniteSumOracle.loss_grad_sub_full` with the full gradient too),
-per-component gradients for the approximate norm test's variance, batch
-Hessian-vector products and dense batch Hessians, batch draws, and the
-optimum where it is known. Each oracle assembles its dense Hessian as one
-rank-k product ``B^T B``, which numpy hands to BLAS ``syrk``: half the
-flops of a general product, and exactly symmetric with no symmetrization
-pass.
+one call (:meth:`~FiniteSumOracle.loss_grad_sub`), per-component gradients
+for the approximate norm test's variance, batch Hessian-vector products
+and dense batch Hessians, batch draws, and the optimum where it is known.
+Each oracle assembles its dense Hessian as one rank-k product ``B^T B``,
+which numpy hands to BLAS ``syrk``: half the flops of a general product,
+and exactly symmetric with no symmetrization pass.
 
 Each bound on a problem argument is written once, in :data:`PROBLEM_BOUNDS`,
 and :func:`check_problem_args` applies it on entry to
 :func:`quadratic_generate`, :class:`QuadraticProblem`,
 :func:`make_synthetic_logistic`, :meth:`SyntheticSumProblem.generate` and
-:class:`SyntheticSumProblem`, to ``data.load_dataset``'s ``split_seed``, and
-at load to a config's problem section, so each refuses an argument in the
-same words. Seeded draws take their generator from
-:func:`hessavg.rng.generator`.
+:class:`SyntheticSumProblem`, to ``data.load_dataset``'s ``split_seed``, to
+the seed of ``sampling.CyclicSampler``, and at load to a config's problem
+section, so each refuses an argument in the same words. Seeded draws take
+their generator from :func:`hessavg.rng.generator`.
 
 All oracles are immutable after construction, apart from the optimum,
 which is computed on the first :meth:`~FiniteSumOracle.optimum` call and
@@ -29,10 +27,12 @@ cached. Anything random (mask draws, batch index draws) is driven by an
 explicit ``numpy.random.Generator`` passed by the caller, so concurrent
 evaluation with independent streams is safe.
 
-On every oracle the batch values of
-:meth:`~FiniteSumOracle.loss_grad_sub_full` are those of
-:meth:`~FiniteSumOracle.loss_grad_sub` bit for bit, so whether a step also
-asks for the full gradient never changes its batch arithmetic.
+A finite-sum oracle's draw of every component is the full sum: both draw
+their batches through :func:`_draw_indices`, whose draw of all ``n``
+components is ``np.arange(n)``, made without touching the generator, and
+:meth:`~FiniteSumOracle.loss_grad_sub` on ``np.arange(n)`` returns
+``(loss_full(w), grad_full(w))`` bit for bit. A step whose batch is the
+whole sum so reads its full gradient from its batch call.
 
 Full values never read a gathered copy of all rows. The logistic oracle's
 full gradient streams over ``X`` in place, in row blocks that stay in
@@ -98,10 +98,12 @@ class FiniteSumOracle(ABC):
     ``n_components`` is ``None`` for expectation problems, where sampling
     is unbounded.
 
-    A batch's loss and gradient have one source, :meth:`loss_grad_sub`;
-    :meth:`loss_grad_sub_full` adds the full gradient and returns the same
-    batch values bit for bit. A caller that wants only the gradient reads
-    ``loss_grad_sub(w, sample)[1]``.
+    A batch's loss and gradient have one source, :meth:`loss_grad_sub`. A
+    caller that wants only the gradient reads ``loss_grad_sub(w, sample)[1]``.
+    On a finite sum of ``n`` components, ``draw_sample(rng, n)`` is
+    ``np.arange(n)``, drawn without touching ``rng``, and
+    ``loss_grad_sub(w, np.arange(n))`` is ``(loss_full(w), grad_full(w))``
+    bit for bit: a batch of every component needs no second, full pass.
     :meth:`component_grads` serves the approximate norm test's variance;
     its rows' mean is the batch gradient up to rounding.
     """
@@ -121,16 +123,6 @@ class FiniteSumOracle(ABC):
         that computes the work the two share (margins, residuals, ``H_i w``)
         once."""
 
-    def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
-        """Batch loss, batch gradient and full gradient at ``w``.
-
-        On every oracle the result equals ``(*loss_grad_sub(w, sample),
-        grad_full(w))`` bit for bit. The masked quadratic and the logistic
-        oracle use this default. ``SyntheticSumProblem`` overrides it only to
-        share the whole-sum terms when a batch covers the sum.
-        """
-        return (*self.loss_grad_sub(w, sample), self.grad_full(w))
-
     @abstractmethod
     def component_grads(self, w: NDArray, sample) -> NDArray:
         """Per-component gradients for ``sample``, stacked as rows."""
@@ -149,6 +141,17 @@ class FiniteSumOracle(ABC):
     def optimum(self) -> Optional[tuple[NDArray, float]]:
         """Known minimizer and optimal value, when available."""
         return None
+
+
+def _draw_indices(rng: np.random.Generator, size: int, n: int) -> NDArray:
+    """``size`` distinct indices into ``range(n)``; at ``size == n``,
+    ``np.arange(n)`` without drawing: on both finite-sum oracles that
+    batch's values are the full values bit for bit."""
+    if not 1 <= size <= n:
+        raise ValueError(f"sample size {size} out of range [1, {n}]")
+    if size == n:
+        return np.arange(n)
+    return rng.choice(n, size=size, replace=False)
 
 
 def _check_indices(sample, n: int) -> NDArray:
@@ -171,8 +174,9 @@ def _check_indices(sample, n: int) -> NDArray:
 
 
 # The bound on each problem argument, in words, and its test, which is false
-# for NaN. The one table: the builders below, ``data.load_dataset`` and the
-# config reader (``harness._read_problem``) all apply it.
+# for NaN. The one table: the builders below, ``data.load_dataset``, the
+# config reader (``harness._read_problem``) and the cyclic Hessian sampler's
+# seed (``sampling.CyclicSampler``) all apply it.
 PROBLEM_BOUNDS = {
     "n": (lambda v: v >= 1, ">= 1"),
     "n_components": (lambda v: v >= 1, ">= 1"),
@@ -447,16 +451,14 @@ class LogisticProblem(FiniteSumOracle):
     ``X`` in place. A batch gathers its rows a block at a time, into one
     block-sized buffer per thread, so a large batch never holds a copy of
     all its rows; a repeated index is gathered, and counted, once per
-    occurrence. The fused
-    :meth:`~FiniteSumOracle.loss_grad_sub_full` is the interface default:
-    the batch call, then the full one.
+    occurrence.
 
     The blocked margins equal those of ``X @ w``. The blocked sums can
     differ in the last bits from one product over all the rows; a batch
     that fits in one block sums as one product. The gathered pass over
     every row in order adds the same blocks in the same order as
-    :meth:`grad_full`, so its batch gradient is the full gradient bit for
-    bit.
+    :meth:`grad_full`, so its batch loss and gradient are the full ones bit
+    for bit, as the draw of every row (``np.arange(n)``) needs.
 
     A pass of two or more blocks, full or gathered, shares them among
     threads, one per CPU the process may run on (:func:`pass_threads`) and
@@ -499,9 +501,7 @@ class LogisticProblem(FiniteSumOracle):
         self._block_rows = max(8, _BLOCK_BYTES // self.x[0].nbytes // 8 * 8)
 
     def draw_sample(self, rng: np.random.Generator, size: int) -> NDArray:
-        if not 1 <= size <= self.n:
-            raise ValueError(f"sample size {size} out of range [1, {self.n}]")
-        return rng.choice(self.n, size=size, replace=False)
+        return _draw_indices(rng, size, self.n)
 
     def _margins(self, w: NDArray, sample: Optional[NDArray]) -> tuple[NDArray, NDArray, NDArray]:
         """Rows, labels and margins ``y_i x_i.w``; ``None`` reads every row in place."""
@@ -605,15 +605,17 @@ class LogisticProblem(FiniteSumOracle):
         return self._blocked_pass(w)[1] / self.n + w / self.n
 
 
-def make_synthetic_logistic(
-    n: int = 400, d: int = 12, seed: int = 0, noise: float = 0.4
-) -> tuple[NDArray, NDArray]:
+# Standard deviation of the Gaussian noise on a synthetic logistic row's logit.
+_LOGISTIC_NOISE = 0.4
+
+
+def make_synthetic_logistic(n: int = 400, d: int = 12, seed: int = 0) -> tuple[NDArray, NDArray]:
     """Generate a linearly separable-ish logistic dataset for offline tests."""
     check_problem_args(n=n, d=d, seed=seed)
     rng = generator(seed)
     x = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d)
-    logits = x @ w_true + noise * rng.standard_normal(n)
+    logits = x @ w_true + _LOGISTIC_NOISE * rng.standard_normal(n)
     y = np.where(logits >= 0, 1.0, -1.0)
     return x, y
 
@@ -954,14 +956,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         return cls(hs, b, a, curvature, freq=freq, phases=phases)
 
     def draw_sample(self, rng: np.random.Generator, size: int) -> NDArray:
-        """``size`` distinct components; at size N, ``arange(N)`` without
-        drawing, since a batch that covers the sum has the same values in
-        any order."""
-        if not 1 <= size <= self.n_components:
-            raise ValueError(f"sample size {size} out of range [1, {self.n_components}]")
-        if size == self.n_components:
-            return np.arange(size)
-        return rng.choice(self.n_components, size=size, replace=False)
+        return _draw_indices(rng, size, self.n_components)
 
     def _gather_indices(self, sample) -> Optional[NDArray]:
         """The checked indices a batch gathers, or ``None`` when it covers
@@ -1041,17 +1036,6 @@ class SyntheticSumProblem(FiniteSumOracle):
     def loss_grad_sub(self, w: NDArray, sample) -> tuple[float, NDArray]:
         terms = self._terms(w, self._gather_indices(sample))
         return self._loss_of(w, terms), self._mean_grad(terms)
-
-    def loss_grad_sub_full(self, w: NDArray, sample) -> tuple[float, NDArray, NDArray]:
-        # The full gradient comes from the means; a batch that covers the
-        # sum takes the full values, any other gathers only its own rows.
-        idx = self._gather_indices(sample)
-        whole = self._terms(w, None)
-        full = self._mean_grad(whole)
-        if idx is None:
-            return self._loss_of(w, whole), full.copy(), full
-        batch = self._terms(w, idx)
-        return self._loss_of(w, batch), self._mean_grad(batch), full
 
     def _hessian_terms(self, w: NDArray, sample) -> tuple[NDArray, Optional[NDArray], Optional[NDArray]]:
         """Mean of the batch's ``H_i`` as a fresh array, and the batch's

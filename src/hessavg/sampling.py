@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import weighted_norm_sq
-from .problems import FiniteSumOracle
+from .problems import FiniteSumOracle, check_problem_args
 from .rng import generator
 
 __all__ = [
@@ -49,12 +49,14 @@ class CyclicSampler:
     ``n`` must be divisible by ``block_size``. With ``seed=None`` the
     partition is the identity order ``{0..b-1}, {b..2b-1}, ...``;
     otherwise it is a single seeded permutation, fixed at construction and
-    never reshuffled.
+    never reshuffled. A refused size or seed is named by its config key,
+    ``'size'`` or ``'seed'``.
     """
 
     def __init__(self, n: int, block_size: int, seed: Optional[int] = None):
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        check_batch_sizes("size", (block_size,))
+        if seed is not None:
+            check_problem_args(seed=seed)
         if n % block_size != 0:
             raise ValueError(f"block_size {block_size} must divide n {n}")
         self.n = n
@@ -69,11 +71,11 @@ class CyclicSampler:
 
 
 class IidSampler:
-    """Independent sample draws of a fixed size, one per call."""
+    """Independent sample draws of a fixed size, one per call; a refused
+    size is named by its config key, ``'size'``."""
 
     def __init__(self, block_size: int):
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        check_batch_sizes("size", (block_size,))
         self.block_size = block_size
 
     def next_block(self, j: int, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:

@@ -49,3 +49,23 @@ def test_every_exported_name_is_read_by_the_package_or_the_bench(module_name):
     module = importlib.import_module(module_name)
     unread = [name for name in module.__all__ if name not in _names_read()]
     assert not unread, f"{module_name}.__all__ names nothing in src/ or bench/ reads: {unread}"
+
+
+def _public_methods(path):
+    """``(class, name)`` of each public method or property a class in
+    ``path`` defines; a dunder or underscored name is not public."""
+    return [
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hessavg").glob("*.py")), ids=lambda p: p.name)
+def test_every_public_method_is_read_by_the_package_or_the_bench(path):
+    # a method only tests call, such as an override of one that nothing
+    # calls any more, belongs in the tests
+    unread = [f"{cls}.{name}" for cls, name in _public_methods(path) if name not in _names_read()]
+    assert not unread, f"{path.name} defines public methods nothing in src/ or bench/ reads: {unread}"

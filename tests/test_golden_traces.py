@@ -103,7 +103,7 @@ GOLDEN = {
             "epochs": 8,
             "seed": 1,
         },
-        "36c4cf68d182085d03d545abe46ae8f421fd852c76441ddc3e0c0b52c41a62a7",
+        "a39b1b209206ac2de0fa6b75c709b86dd8e75f1fba322a7e7d22f8b2d925ebaa",
     ),
     "dan2_quadratic_approx_near_optimum": (
         {
@@ -152,16 +152,19 @@ def test_trace_matches_golden_digest(name, tmp_path):
 # older one, whose Cholesky factors differ in their last bits; the
 # synthetic-sum adahessian trace from before the synthetic sum's full values
 # came from its stored means (H̄ w - b̄, not the mean of the N values
-# H_i w - b_i); the three logistic traces (adam, dan and fan) from before a
-# traced or tested logistic step took its batch loss and gradient from
+# H_i w - b_i); the adam and fan logistic traces from before a traced or
+# tested logistic step took its batch loss and gradient from
 # ``loss_grad_sub``, where they came from the full pass weighted by each
 # row's count in the batch, which rounded differently and so made the trace
-# interval change a run; the approximate-test quadratic trace from before a
-# step below the batch cap took its batch loss and gradient from
-# ``loss_grad_sub`` (``loss_grad_sub_full`` when traced) and not its
-# gradient from the mean of ``component_grads``, which now serve the test's
-# variance only. The counters must not move; the floats may move by
-# rounding only.
+# interval change a run; the dan logistic trace from before a logistic draw
+# of all n rows was ``np.arange(n)``, where it was a random permutation
+# whose gathered sums rounded differently from the full pass (its batch
+# reaches n=400 at k=4, and its floats moved from k=6 by at most 4.7e-16
+# relative); the approximate-test quadratic trace from before a step below
+# the batch cap took its batch loss and gradient from ``loss_grad_sub`` and
+# not its gradient from the mean of ``component_grads``, which now serve
+# the test's variance only. The counters must not move; the floats may move
+# by rounding only.
 PREVIOUS = Path(__file__).parent / "data" / "golden_prev"
 # All eight traces as first pinned, when the golden digests were added and
 # before any re-pin. Each re-pin is checked against its parent's trace

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessavg import cli
 from hessavg.cli import cli_dispatch
-from hessavg.data import MANIFESTS, LibsvmParseError, load_dataset
+from hessavg.data import MANIFESTS, DatasetUnavailable, LibsvmParseError, load_dataset
 from hessavg.harness import (
     BLAS_GETTERS,
     ConfigError,
@@ -69,21 +70,28 @@ def base_config(**overrides):
 # keys that replace base_config's.
 BAD_BATCH_SETTINGS = {
     "cyclic_hess_size_0": (
-        "Hessian sample size",
+        r"^bad hess sampling of kind 'cyclic' with Hessian sample size 0: 'size' must be >= 1, got 0$",
         {
             "problem": {"kind": "synthetic_sum", "n_components": 8, "d": 4, "seed": 0},
             "sampling": {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "cyclic", "size": 0}},
         },
     ),
+    "cyclic_hess_seed_negative": (
+        r"^bad hess sampling of kind 'cyclic' with Hessian sample size 4: 'seed' must be >= 0, got -1$",
+        {
+            "problem": {"kind": "synthetic_sum", "n_components": 8, "d": 4, "seed": 0},
+            "sampling": {"grad": {"mode": "fixed", "size": 8}, "hess": {"kind": "cyclic", "size": 4, "seed": -1}},
+        },
+    ),
     "iid_hess_size_0_quadratic": (
-        "Hessian sample size",
+        r"^bad hess sampling of kind 'iid' with Hessian sample size 0: 'size' must be >= 1, got 0$",
         {
             "problem": {"kind": "quadratic", "d": 10, "seed": 0},
             "sampling": {"grad": {"mode": "fixed", "size": 4}, "hess": {"kind": "iid", "size": 0}},
         },
     ),
     "iid_hess_size_neg_logistic": (
-        "Hessian sample size",
+        r"^bad hess sampling of kind 'iid' with Hessian sample size -3: 'size' must be >= 1, got -3$",
         {"sampling": {"grad": {"mode": "fixed", "size": 25}, "hess": {"kind": "iid", "size": -3}}},
     ),
     "grad_cap_0": (
@@ -1371,6 +1379,18 @@ class TestCli:
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_dispatch(["run", "missing.cfg"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ConfigError, 1), (ValueError, 1), (DatasetUnavailable, 2), (OSError, 2), (FileNotFoundError, 2)],
+    )
+    def test_an_error_a_command_raises_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("no luck")
+
+        monkeypatch.setattr(cli, "_cmd_eec", fail)
+        assert cli_dispatch(["eec", "--epochs", "1"]) == code
+        assert capsys.readouterr().err == "error: no luck\n"
 
     @pytest.mark.parametrize(
         "command, message",

@@ -418,7 +418,7 @@ class _CountingQuadratic(QuadraticProblem):
 class _CountingSum(SyntheticSumProblem):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = {"loss_grad_sub": 0, "grad_full": 0, "loss_grad_sub_full": 0}
+        self.calls = {"loss_grad_sub": 0, "grad_full": 0}
 
     def loss_grad_sub(self, w, sample):
         self.calls["loss_grad_sub"] += 1
@@ -427,10 +427,6 @@ class _CountingSum(SyntheticSumProblem):
     def grad_full(self, w):
         self.calls["grad_full"] += 1
         return super().grad_full(w)
-
-    def loss_grad_sub_full(self, w, sample):
-        self.calls["loss_grad_sub_full"] += 1
-        return super().loss_grad_sub_full(w, sample)
 
 
 def _exact_test_ctx(oracle, method, a_mode="identity"):
@@ -454,13 +450,19 @@ class TestFullGradientSharing:
         assert prob.grad_full_calls == state.k + 1
         assert all(r.grad_norm is not None for r in records)
 
-    def test_batch_read_from_the_full_pass(self):
+    def test_a_batch_of_every_component_is_the_full_gradient(self):
         # curvature 0: the optimum is one solve, with no Newton-polish gradients
         prob = _CountingSum.generate(n_components=64, d=6, seed=2)
         ctx = replace(_exact_test_ctx(prob, MethodSpec(name="fan", mu_tilde=1e-3)), trace_interval=5)
-        state, records = run(ctx, np.ones(6), epochs=3)
-        assert state.k > 5
-        assert prob.calls == {"loss_grad_sub": 0, "grad_full": 0, "loss_grad_sub_full": state.k + 1}
+        state, records = run(ctx, np.ones(6), epochs=10)
+        # each step below the whole sum runs the exact test on one full pass;
+        # a traced step at the whole sum, and the final record, read it from
+        # their batch call
+        below = sum(r.x_size < 64 for r in records)
+        assert 0 < below < state.k
+        assert any(r.x_size == 64 and r.k % 5 == 0 for r in records[:-1])
+        assert records[-1].x_size == 64 and all(r.grad_norm is not None for r in records if r.k % 5 == 0)
+        assert prob.calls == {"loss_grad_sub": state.k + 1, "grad_full": below}
 
     def test_unknown_a_mode_rejected(self):
         prob = quadratic_generate(d=8, seed=1)
@@ -545,11 +547,11 @@ class TestNormTestOnlyBelowTheCap:
                 continue
             assert tests == 1
             if mode == "exact_norm_test":
-                assert calls == {"loss_grad_sub_full": 1}
+                assert calls == {"loss_grad_sub": 1, "grad_full": 1}
             else:
-                # the batch values come from the fused call; the components serve the variance only
-                batch = "loss_grad_sub_full" if traced else "loss_grad_sub"
-                assert calls == {batch: 1, "component_grads": 1}
+                # the batch values come from the batch call; the components serve the variance only
+                full = {"grad_full": 1} if traced else {}
+                assert calls == {"loss_grad_sub": 1, **full, "component_grads": 1}
 
     def test_an_untraced_approx_step_moves_along_the_batch_gradient(self):
         prob = _RecordingLogistic(*make_synthetic_logistic(n=400, d=12, seed=3))
@@ -579,7 +581,7 @@ class TestNormTestOnlyBelowTheCap:
             if below:
                 continue
             assert tests == 0
-            assert calls == ({"loss_grad_sub_full": 1} if traced else {"loss_grad_sub": 1})
+            assert calls == ({"loss_grad_sub": 1, "grad_full": 1} if traced else {"loss_grad_sub": 1})
 
     @pytest.mark.parametrize("mode", ["exact_norm_test", "approx_norm_test"])
     @pytest.mark.parametrize("kind", ["logistic", "sum"])
@@ -626,24 +628,32 @@ _OBSERVED_PROBLEMS = {
     "synthetic_logistic": ({"kind": "synthetic_logistic", "n": 400, "d": 12, "seed": 3}, 1),
 }
 _OBSERVED_METHODS = {"sgd": {"name": "sgd"}, "fan": {"name": "fan", "mu_tilde": 1e-3}, "dan": {"name": "dan", "rank": 2}}
-# The exact test reaches its cap within each run: a step below the cap makes
-# the fused call whether traced or not, one at the cap only when traced.
+# The exact test reaches its cap within each run: a step below the cap reads
+# the full gradient whether traced or not, one at the cap only when traced.
 _OBSERVED_GRADS = {
     "fixed": {"mode": "fixed", "size": 16},
     "exact_norm_test": {"mode": "exact_norm_test", "initial_size": 4, "cap": 32},
+}
+# Norm tests with no cap that grow the batch to every component of a finite
+# sum within a few steps, where a traced step reads the full gradient from its
+# batch call: each problem's test, epochs and component count. On the
+# logistic problem the exact test passes too often to get there.
+_WHOLE_SUM_RUNS = {
+    "synthetic_sum": ({"mode": "exact_norm_test", "initial_size": 4}, None, 64),
+    "synthetic_logistic": ({"mode": "approx_norm_test", "initial_size": 4}, 10, 400),
 }
 # grad_norm is written on traced steps only, so it is left out.
 _OBSERVED_FIELDS = ("k", "f", "x_size", "s_size", "hvp_probes", "eec", "dist_to_opt")
 
 
 class TestTraceIntervalOnlyObserves:
-    """A traced step makes the fused oracle call, an untraced one may not; both
-    give the same batch values, so how often a run is traced never changes it."""
+    """A traced step reads the full gradient, an untraced one may not; the
+    batch call is the same, so how often a run is traced never changes it."""
 
     @staticmethod
-    def _run(problem, method, grad, trace_interval):
-        spec, epochs = _OBSERVED_PROBLEMS[problem]
-        sampling = {"grad": _OBSERVED_GRADS[grad]}
+    def _run(problem, method, grad, trace_interval, epochs=None):
+        spec, default_epochs = _OBSERVED_PROBLEMS[problem]
+        sampling = {"grad": grad}
         if method != "sgd":
             sampling["hess"] = {"kind": "iid", "size": 8}
         cfg = ExperimentConfig.from_dict(
@@ -652,7 +662,7 @@ class TestTraceIntervalOnlyObserves:
                 "method": _OBSERVED_METHODS[method],
                 "sampling": sampling,
                 "schedules": {"alpha": {"kind": "constant", "alpha": 0.5}, "theta": {"kind": "constant", "theta": 0.9}},
-                "epochs": epochs,
+                "epochs": epochs or default_epochs,
                 "trace_interval": trace_interval,
                 "seed": 5,
             }
@@ -664,14 +674,28 @@ class TestTraceIntervalOnlyObserves:
     @pytest.mark.parametrize("method", sorted(_OBSERVED_METHODS))
     @pytest.mark.parametrize("problem", sorted(_OBSERVED_PROBLEMS))
     def test_every_step_traced_or_none_is_the_same_run(self, problem, method, grad):
-        every, every_records = self._run(problem, method, grad, 1)
-        rarely, rarely_records = self._run(problem, method, grad, 10**6)
+        # the exact test ends at its cap
+        self._assert_same_run(problem, method, _OBSERVED_GRADS[grad], 16 if grad == "fixed" else 32)
+
+    @pytest.mark.parametrize("method", sorted(_OBSERVED_METHODS))
+    @pytest.mark.parametrize("problem", sorted(_WHOLE_SUM_RUNS))
+    def test_a_run_whose_batch_reaches_the_whole_sum_is_the_same_run(self, problem, method):
+        grad, epochs, n = _WHOLE_SUM_RUNS[problem]
+        records = self._assert_same_run(problem, method, grad, n, epochs)
+        assert sum(r.x_size == n for r in records[:-1]) >= 3
+
+    def _assert_same_run(self, problem, method, grad, final_size, epochs=None):
+        """Check a run traced at every step against one never traced, and
+        return the first's records."""
+        every, every_records = self._run(problem, method, grad, 1, epochs)
+        rarely, rarely_records = self._run(problem, method, grad, 10**6, epochs)
         assert every.k > 10
-        assert every_records[-1].x_size == (16 if grad == "fixed" else 32)  # the exact test ends at its cap
+        assert every_records[-1].x_size == final_size
         assert np.array_equal(every.w, rarely.w)
         assert [[getattr(r, f) for f in _OBSERVED_FIELDS] for r in every_records] == [
             [getattr(r, f) for f in _OBSERVED_FIELDS] for r in rarely_records
         ]
+        return every_records
 
 
 def _rate_report(method: str, seed: int, alpha: float = 1.0, norm_tested: bool = False) -> RateReport:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from hessavg.problems import (
-    FiniteSumOracle,
     LogisticProblem,
     QuadraticProblem,
     SyntheticSumProblem,
@@ -233,9 +232,10 @@ class TestLogisticOracle:
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
-    def test_empty_sample_rejected(self, logistic):
-        with pytest.raises(ValueError):
-            logistic.loss_grad_sub(np.zeros(logistic.dim), np.array([], dtype=int))
+    @pytest.mark.parametrize("bad, match", [([-1], "out of range"), ([0, 300], "out of range"), ([], "empty")])
+    def test_bad_sample_rejected(self, logistic, bad, match):
+        with pytest.raises(ValueError, match=match):
+            logistic.loss_grad_sub(np.zeros(logistic.dim), np.array(bad, dtype=int))
 
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="labels"):
@@ -290,12 +290,11 @@ class TestLogisticLinkTails:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loss, grad = oracle.loss_grad_sub(w, sample)
-            _, grad_from_pass, _ = oracle.loss_grad_sub_full(w, sample)
             row_grad = oracle.component_grads(w, sample)[0]
             hv = oracle.hvp_sub(w, sample, np.array([1.0, 0.0]))
             h = oracle.hessian_sub(w, sample)
         assert np.isfinite(loss) and loss == pytest.approx(np.logaddexp(0.0, -z[row]) + 0.5 / oracle.n)
-        for g in (grad, grad_from_pass, row_grad):
+        for g in (grad, row_grad):
             assert np.all(np.isfinite(g))
             assert _within_ulps(g[1], coeff), (g[1], coeff)
         assert np.all(np.isfinite(hv)) and np.all(np.isfinite(h))
@@ -601,7 +600,6 @@ class TestChunkedStack:
         w = rng.standard_normal(d)
         for call in (
             lambda p: p.loss_grad_sub(w, idx),
-            lambda p: p.loss_grad_sub_full(w, idx),
             lambda p: (p.component_grads(w, idx),),
             lambda p: (p.hessian_sub(w, idx),),
             lambda p: (p.hvp_sub(w, idx, w), p.hvp_sub(w, idx, np.eye(d))),
@@ -661,7 +659,6 @@ class TestChunkedStack:
         budget = _full_stack_bytes(problems._CHUNK, prob.dim) + 4 * idx.size * w.nbytes
         for call in (
             lambda: prob.loss_grad_sub(w, idx),
-            lambda: prob.loss_grad_sub_full(w, idx),
             lambda: prob.component_grads(w, idx),
         ):
             tracemalloc.start()
@@ -800,59 +797,6 @@ _SUMS = {
 # and a partial third, so the tail block is exercised.
 _BLOCK_ROWS = problems._BLOCK_BYTES // (8 * 64)
 _BLOCKED = LogisticProblem(*make_synthetic_logistic(n=2 * _BLOCK_ROWS + 37, d=64, seed=9))
-
-
-class TestBatchFromFullPass:
-    @given(kind=st.sampled_from(sorted(_SUMS)), size=st.integers(1, 24), seed=st.integers(0, 2**16))
-    @example(kind="quadratic", size=24, seed=0)
-    @example(kind="ripple", size=24, seed=0)
-    @settings(max_examples=60, deadline=None)
-    def test_synthetic_sum_is_bitwise_the_separate_calls(self, kind, size, seed):
-        oracle = _SUMS[kind]
-        rng = rng_mod.stream(seed, "gradient")
-        w = rng.standard_normal(oracle.dim)
-        sample = oracle.draw_sample(rng, size)
-        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
-        ref_loss, ref_grad = oracle.loss_grad_sub(w, sample)
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(full, oracle.grad_full(w))
-
-    @pytest.mark.parametrize("name", ["quadratic", "logistic"])
-    def test_default_is_bitwise_the_separate_calls(self, name):
-        oracle = _oracle_cases()[name]
-        assert type(oracle).loss_grad_sub_full is FiniteSumOracle.loss_grad_sub_full
-        rng = rng_mod.stream(2, "gradient")
-        w = rng.standard_normal(oracle.dim)
-        sample = oracle.draw_sample(rng, 11)
-        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
-        ref_loss, ref_grad = oracle.loss_grad_sub(w, sample)
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(full, oracle.grad_full(w))
-
-    @given(size=st.integers(1, _BLOCKED.n), seed=st.integers(0, 2**16), repeats=st.booleans())
-    @example(size=_BLOCKED.n, seed=0, repeats=True)
-    @example(size=1, seed=0, repeats=False)
-    @settings(max_examples=60, deadline=None)
-    def test_logistic_is_bitwise_the_gathered_batch(self, size, seed, repeats):
-        oracle = _BLOCKED
-        rng = rng_mod.stream(seed, "gradient")
-        w = rng.standard_normal(oracle.dim)
-        # with repeats, the gathered batch counts a repeated row once per draw
-        sample = rng.choice(oracle.n, size=size, replace=repeats)
-        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
-        ref_loss, ref_grad = oracle.loss_grad_sub(w, sample)
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(full, oracle.grad_full(w))
-        assert np.array_equal(full, oracle.loss_grad_sub(w, np.arange(oracle.n))[1])
-
-    @pytest.mark.parametrize("bad, match", [([-1], "out of range"), ([0, 120], "out of range"), ([], "empty")])
-    def test_logistic_rejects_bad_samples(self, bad, match):
-        oracle = _oracle_cases()["logistic"]
-        with pytest.raises(ValueError, match=match):
-            oracle.loss_grad_sub_full(np.zeros(oracle.dim), np.array(bad, dtype=int))
 
 
 # d=300 as in the benchmark: 216 rows to a block, so a batch of 1500 spans
@@ -1286,20 +1230,32 @@ class TestSharedBuild:
         assert json.loads(done.stdout) == [pinned, 1, False]
 
 
+# Each finite-sum oracle: both synthetic sums, and logistic oracles of
+# several row blocks, of an odd width and of the benchmark's width.
+_FINITE_SUMS = {**_SUMS, "logistic_blocked": _BLOCKED, "logistic_odd": _ODD, "logistic_wide": _WIDE}
+
+
 class TestDrawSample:
-    """A synthetic-sum draw of size N is ``arange(N)`` and leaves the generator
-    where it was: the next values equal those of an untouched twin."""
+    """A finite-sum draw of size N is ``arange(N)`` and leaves the generator
+    where it was, the next values equal to those of an untouched twin; the
+    batch values of that draw are the full values bit for bit."""
 
-    @pytest.mark.parametrize("kind", sorted(_SUMS))
-    def test_size_n_is_every_component_without_a_draw(self, kind):
-        oracle = _SUMS[kind]
+    @pytest.mark.parametrize("kind", sorted(_FINITE_SUMS))
+    def test_a_draw_of_every_component_is_the_full_sum(self, kind):
+        oracle = _FINITE_SUMS[kind]
         rng, twin = rng_mod.stream(3, "gradient"), rng_mod.stream(3, "gradient")
-        assert np.array_equal(oracle.draw_sample(rng, oracle.n_components), np.arange(oracle.n_components))
+        sample = oracle.draw_sample(rng, oracle.n_components)
+        assert np.array_equal(sample, np.arange(oracle.n_components))
         assert np.array_equal(rng.random(8), twin.random(8))
+        for seed in range(3):
+            w = rng_mod.stream(seed, "init").standard_normal(oracle.dim)
+            loss, grad = oracle.loss_grad_sub(w, sample)
+            assert loss == oracle.loss_full(w)
+            assert np.array_equal(grad, oracle.grad_full(w))
 
-    @pytest.mark.parametrize("kind", sorted(_SUMS))
+    @pytest.mark.parametrize("kind", sorted(_FINITE_SUMS))
     def test_size_below_n_still_draws(self, kind):
-        oracle = _SUMS[kind]
+        oracle = _FINITE_SUMS[kind]
         rng, twin = rng_mod.stream(3, "gradient"), rng_mod.stream(3, "gradient")
         sample = oracle.draw_sample(rng, oracle.n_components - 1)
         assert np.unique(sample).size == sample.size == oracle.n_components - 1
@@ -1341,11 +1297,9 @@ class TestCoveringBatch:
         else:
             ref_loss, ref_grad = oracle.loss_full(w), oracle.grad_full(w)
             assert np.array_equal(oracle.hessian_sub(w, sample), oracle.hessian_full(w))
-        loss, grad, full = oracle.loss_grad_sub_full(w, sample)
-        assert np.array_equal(full, oracle.grad_full(w))
-        for got_loss, got_grad in ((loss, grad), oracle.loss_grad_sub(w, sample)):
-            assert got_loss == ref_loss
-            assert np.array_equal(got_grad, ref_grad)
+        loss, grad = oracle.loss_grad_sub(w, sample)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("ripple", [{}, {"curvature": 2.0, "coupling": 0.5}], ids=["quadratic", "ripple"])
     def test_full_values_read_no_component_hessian(self, ripple):
@@ -1368,9 +1322,9 @@ class TestCoveringBatch:
             hess = oracle.hessian_full(w)
             assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
             cover = rng_mod.stream(0, "gradient").permutation(n)
-            batch_loss, batch_grad, full = oracle.loss_grad_sub_full(w, cover)
+            batch_loss, batch_grad = oracle.loss_grad_sub(w, cover)
             assert batch_loss == loss
-            assert np.array_equal(batch_grad, grad) and np.array_equal(full, grad)
+            assert np.array_equal(batch_grad, grad)
         assert np.linalg.norm(oracle.grad_full(oracle.optimum()[0])) <= 1e-12
 
 
@@ -1380,7 +1334,6 @@ def _sum_sample_calls(oracle):
         "loss_grad_sub": lambda s: oracle.loss_grad_sub(w, s),
         "component_grads": lambda s: oracle.component_grads(w, s),
         "hvp_sub": lambda s: oracle.hvp_sub(w, s, np.ones(oracle.dim)),
-        "loss_grad_sub_full": lambda s: oracle.loss_grad_sub_full(w, s),
     }
 
 

@@ -36,8 +36,13 @@ class TestCyclicSampler:
             CyclicSampler(6, 4)
 
     def test_block_size_at_least_one(self):
-        with pytest.raises(ValueError, match="block_size must be >= 1"):
+        with pytest.raises(ValueError, match="^'size' must be >= 1, got 0$"):
             CyclicSampler(6, 0)
+
+    def test_negative_seed_refused(self):
+        # numpy's "expected non-negative integer" named no key
+        with pytest.raises(ValueError, match="^'seed' must be >= 0, got -1$"):
+            CyclicSampler(6, 3, seed=-1)
 
     def test_seeded_partition_fixed_across_cycles(self):
         sampler = CyclicSampler(12, 3, seed=9)
@@ -76,7 +81,7 @@ class TestIidSampler:
         assert len(seen) > 1
 
     def test_block_size_at_least_one(self):
-        with pytest.raises(ValueError, match="block_size must be >= 1"):
+        with pytest.raises(ValueError, match="^'size' must be >= 1, got 0$"):
             IidSampler(0)
 
 
