@@ -9,6 +9,15 @@ average (each incoming matrix replaced by its spectral absolute value,
 floored by a fixed shift when preconditioning). Diagonal state averages
 ``|D|`` (p=1) or ``D^2`` (p=2), exposing the p-th root. Each state holds
 the floor it preconditions with, fixed at construction.
+
+A plain average of ``_OVERLAP_DIM`` rows or more, in a process that may run
+on two or more CPUs, preconditions on two threads of the pass pool
+(:func:`hessavg.problems.pass_threads`): the floor test's eigensolve on the
+caller and a speculative Cholesky solve of the average beside it, which is
+the answer when the test returns the average unchanged. The result has the
+bits and the errors of the test followed by one solve, and a call whose test
+returns the average makes that one eigensolve and one solve; below that
+size, or on one CPU, the test and then one solve are what runs.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import matrix_abs, pd_modify, spd_solve
+from . import problems
+from .linalg import NotPositiveDefiniteError, matrix_abs, pd_modify, spd_solve
 
 __all__ = [
     "FullAverageState",
@@ -27,6 +37,17 @@ __all__ = [
     "UpdateFrequencyPolicy",
     "hutchinson_diag",
 ]
+
+
+# Rows from which a plain average's precondition runs its solve on a pool
+# thread beside its floor test (see FullAverageState.precondition). Below
+# it, handing the solve over costs more than the overlap saves. On a 2-core
+# Intel Xeon (KVM, 2 MiB L2 per core, 105 MB L3), one BLAS thread, per
+# unshifted call, serial -> overlapped: 0.076 -> 0.192 ms at d=32, 0.329 ->
+# 0.474 ms at d=96, 0.60 -> 0.62 ms at d=128 and 0.94 -> 0.97 ms at d=160
+# (ties, within the spread of repeats), 1.57 -> 1.45 ms at d=200 and 13.1 ->
+# 9.5 ms at d=500. Another set of runs read 0.554 -> 0.511 ms at d=128.
+_OVERLAP_DIM = 128
 
 
 class _Accumulator:
@@ -105,8 +126,50 @@ class FullAverageState:
         return pd_modify(self.matrix(), self.floor)
 
     def precondition(self, g: NDArray) -> NDArray:
-        h, _ = self.modified()
-        return spd_solve(h, g)
+        """The solution of ``H x = g`` for the matrix ``H`` of :meth:`modified`.
+
+        A plain average runs two items through the pass pool
+        (:func:`~hessavg.problems._share_runs`): the floor test,
+        :meth:`modified`, on the calling thread, and a Cholesky solve. From
+        ``_OVERLAP_DIM`` rows on, with two or more CPUs, the solve runs on a
+        pool thread beside the test, speculatively, on the average as it
+        stands; both sides are LAPACK calls that release the GIL. When the
+        test returns the average as it is, bit for bit, that solve is the
+        answer; when it returns another matrix (a shifted spectrum, or the
+        absolute value of an indefinite one), that matrix is solved after
+        it. Below ``_OVERLAP_DIM``, or on one CPU, both items run on the
+        caller: the test, then one solve of the matrix it returned. Either
+        way the answer has the bits of that one solve, a call whose test
+        returns the average makes one eigensolve and one solve, and a
+        ``NotPositiveDefiniteError`` of the speculative solve is raised only
+        when its solution is the answer. The factor's array is made here,
+        on the calling thread.
+        """
+        if self.variant == "abs":
+            h, _ = self.modified()
+            return spd_solve(h, g)
+        average = self.matrix()
+        work = np.empty((self.dim, self.dim))
+        tested: list = []
+        solved: list = []
+
+        def run(_, items: range) -> None:
+            if 0 in items:
+                tested.append(self.modified())
+            if 1 in items:
+                try:
+                    solved.append(spd_solve(tested[0][0] if 0 in items else average, g, work))
+                except NotPositiveDefiniteError as error:
+                    solved.append(error)
+
+        threads = problems.pass_threads() if self.dim >= _OVERLAP_DIM else 1
+        problems._share_runs(run, 2, threads)
+        ((h, _),), (x,) = tested, solved
+        if threads > 1 and not np.array_equal(h, average):
+            return spd_solve(h, g, work)
+        if isinstance(x, NotPositiveDefiniteError):
+            raise x
+        return x
 
 
 class DiagAverageState:

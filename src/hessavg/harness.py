@@ -41,8 +41,8 @@ Given one, a run writes ``trace.csv`` (versioned schema, byte-reproducible
 given config and seed) and ``summary.json`` (final/best objective,
 divergence flag and reason, epoch-equivalent compute, seed, config echo and
 hash, the thread count, kernel core and build numpy's BLAS library reports,
-see :func:`_blas_report`, and the threads a logistic pass or a
-coupled synthetic sum's build may use)
+see :func:`_blas_report`, and the threads a logistic pass, a
+coupled synthetic sum's build or a plain average's precondition may use)
 atomically into it. Sweeps execute many configs, optionally across spawned
 worker processes, and reduce to a table with one row per config, as read,
 but its seed.
@@ -50,15 +50,18 @@ but its seed.
 Threads: the ``hessavg`` command (``python -m hessavg``) and the workers
 :func:`run_many` spawns run with one BLAS thread unless the caller sets
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``. A run in the caller's own
-process uses the threads its numpy started with. Apart from BLAS, two passes
-share their work among up to one thread per CPU the process may run on, from
-one pool per process: a logistic pass, full or batch, that spans two or more
-row blocks shares its blocks, and a coupled synthetic sum's build shares the
-chunks of its norm screen and of its conjugation. That count is the summary's
+process uses the threads its numpy started with. Apart from BLAS, three
+kinds of work share among up to one thread per CPU the process may run on,
+from one pool per process: a logistic pass, full or batch, that spans two or
+more row blocks shares its blocks; a coupled synthetic sum's build shares the
+chunks of its norm screen and of its conjugation; and a plain average's
+precondition from ``averaging._OVERLAP_DIM`` rows on runs its Cholesky solve
+beside its floor test's eigensolve. That count is the summary's
 ``pass_threads``, and it never changes a bit of a run (see
-:class:`~hessavg.problems.LogisticProblem` and
-:meth:`~hessavg.problems.SyntheticSumProblem.generate`). Nothing else starts a
-thread, and a parallel sweep's workers may together run more threads than
+:class:`~hessavg.problems.LogisticProblem`,
+:meth:`~hessavg.problems.SyntheticSumProblem.generate` and
+:meth:`~hessavg.averaging.FullAverageState.precondition`). Nothing else starts
+a thread, and a parallel sweep's workers may together run more threads than
 there are CPUs.
 """
 

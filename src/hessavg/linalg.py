@@ -76,11 +76,12 @@ class _Lapack:
     The routines are the ILP64 Fortran ones (``scipy_<name>_64_``), so
     every integer argument is 64-bit. A matrix passed in is exactly
     symmetric, as its producer built it: :func:`check_symmetric` refused any
-    other. Each call passes LAPACK fresh C-ordered arrays, which LAPACK
-    reads column-major, as their transposes, so that copy of a matrix holds
-    its values. Neither input is written to, and every argument, integers
-    included, is made anew in each call, so calls from several threads
-    share nothing.
+    other. Each call passes LAPACK fresh C-ordered arrays, or the caller's
+    ``work`` for the factor, which LAPACK reads column-major, as their
+    transposes, so that copy of a matrix holds its values. Neither input is
+    written to, and every other argument, integers included, is made anew in
+    each call, so calls from several threads share nothing they did not
+    hand in.
     """
 
     def __init__(self, lib):
@@ -115,11 +116,17 @@ class _Lapack:
                      i + 48 + 16 * n, i + 24, i + 40, 1, 1, 1)
         return buf[n, :1].copy(), ints[5]
 
-    def dpotrf(self, h: NDArray) -> tuple[NDArray, int]:
+    def dpotrf(self, h: NDArray, work: Optional[NDArray] = None) -> tuple[NDArray, int]:
         """The Cholesky factor ``L`` of ``h`` and ``info``, as scipy's
         ``dpotrf(h, lower=1, clean=0)`` returns them: ``L`` in the lower
-        triangle of an F-ordered array whose strict upper triangle is ``h``'s."""
-        c = np.array(h, dtype=float, order="C")
+        triangle of an F-ordered array whose strict upper triangle is ``h``'s.
+        That array is the transpose of ``work`` when one is given, a
+        C-ordered float array of ``h``'s shape, and else of a new one."""
+        if work is None:
+            c = np.array(h, dtype=float, order="C")
+        else:
+            c = work
+            c[...] = h
         ints = (ctypes.c_int64 * 2)(h.shape[0])
         i = ctypes.addressof(ints)
         self._dpotrf(b"L", i, _address(c), i, i + 8, 1)
@@ -271,7 +278,7 @@ def pd_modify(h_hat: NDArray, mu_tilde: float) -> tuple[NDArray, bool]:
     return 0.5 * (out + out.T), shifted
 
 
-def spd_solve(h: NDArray, g: NDArray) -> NDArray:
+def spd_solve(h: NDArray, g: NDArray, work: Optional[NDArray] = None) -> NDArray:
     """Solve ``H x = g`` for symmetric positive-definite ``H`` via Cholesky.
 
     ``g`` may be a vector or a matrix of stacked right-hand sides. LAPACK
@@ -280,20 +287,28 @@ def spd_solve(h: NDArray, g: NDArray) -> NDArray:
     has the bits of ``np.linalg.cholesky(h)``, which runs the same
     ``dpotrf``. Neither ``h`` nor ``g`` is overwritten.
 
+    ``work``, when given, is a C-ordered float array of ``h``'s shape that
+    the factorization overwrites in place of an array of its own: a caller
+    that hands the solve to another thread makes it, so that thread
+    allocates no copy of ``h``.
+
     Raises
     ------
     NotPositiveDefiniteError
         If the factorization fails; the caller should :func:`pd_modify`
         first.
     ValueError
-        If ``g`` is not a vector or matrix with as many rows as ``h``.
+        If ``g`` is not a vector or matrix with as many rows as ``h``, or
+        ``work`` is not a C-ordered float array of ``h``'s shape.
     """
     h = check_symmetric(h)
     g = np.asarray(g, dtype=float)
     if g.ndim not in (1, 2) or g.shape[0] != h.shape[0]:
         raise ValueError(f"right-hand side of shape {g.shape} does not fit a matrix of shape {h.shape}")
+    if work is not None and (work.shape != h.shape or work.dtype != float or not work.flags.c_contiguous):
+        raise ValueError(f"work must be a C-ordered float array of shape {h.shape}")
     lapack = _lapack()
-    factor, info = lapack.dpotrf(h)
+    factor, info = lapack.dpotrf(h, work)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed at leading minor {info}; matrix is not positive definite"

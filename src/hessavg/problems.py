@@ -363,9 +363,10 @@ _BLOCK_BYTES = 1 << 19
 
 
 def pass_threads() -> int:
-    """Threads a logistic pass, full or gathered, and a coupled synthetic
-    sum's norm screen and conjugation, may use in this process: one per CPU
-    the process may run on."""
+    """Threads a logistic pass, full or gathered, a coupled synthetic sum's
+    norm screen and conjugation, and a plain average's precondition (its
+    floor test and its solve, see ``averaging.FullAverageState``) may use in
+    this process: one per CPU the process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -50,7 +50,8 @@ class CyclicSampler:
     partition is the identity order ``{0..b-1}, {b..2b-1}, ...``;
     otherwise it is a single seeded permutation, fixed at construction and
     never reshuffled. A refused size or seed is named by its config key,
-    ``'size'`` or ``'seed'``.
+    ``'size'`` or ``'seed'``; a size that does not divide ``n`` is refused
+    as one that does not divide the problem's component count.
     """
 
     def __init__(self, n: int, block_size: int, seed: Optional[int] = None):
@@ -58,7 +59,7 @@ class CyclicSampler:
         if seed is not None:
             check_problem_args(seed=seed)
         if n % block_size != 0:
-            raise ValueError(f"block_size {block_size} must divide n {n}")
+            raise ValueError(f"'size' must divide the problem's component count {n}, got {block_size}")
         self.n = n
         self.block_size = block_size
         self.n_blocks = n // block_size

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessavg import averaging, linalg, problems
 from hessavg.averaging import (
     DiagAverageState,
     FullAverageState,
@@ -11,6 +18,7 @@ from hessavg.averaging import (
     hutchinson_diag,
 )
 from hessavg import rng as rng_mod
+from hessavg.linalg import EigDecomposition, NotPositiveDefiniteError, check_symmetric, pd_modify, spd_solve
 from hessavg.problems import SyntheticSumProblem, quadratic_generate
 from hessavg.sampling import CyclicSampler, IidSampler
 
@@ -108,6 +116,189 @@ class TestFullAverage:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             FullAverageState(2, 1e-4).update(np.eye(3))
+
+
+# above the dimension from which a plain average's solve runs beside its floor test
+_D = averaging._OVERLAP_DIM + 32
+_FLOOR = 1e-3
+# spectra: one that clears the floor, one positive but below it (the shift
+# path), and an indefinite one
+_SPECTRA = {
+    "positive_definite": np.linspace(0.01, 10.0, _D),
+    "below_the_floor": np.linspace(1e-5, 10.0, _D),
+    "indefinite": np.linspace(-1.0, 10.0, _D),
+}
+
+
+def _plain_average(spectrum, decay=None, seed=0):
+    """A plain ``FullAverageState`` at ``_D`` whose average has ``spectrum``,
+    made from two exactly symmetric updates."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((_D, _D)))
+    h = (q * spectrum) @ q.T
+    h = 0.5 * (h + h.T)
+    state = FullAverageState(_D, _FLOOR, decay=decay)
+    state.update(h)
+    state.update(h)
+    return state
+
+
+@pytest.fixture
+def solves_on(monkeypatch):
+    """``solves_on(threads)`` sets the pass pool's thread count and returns the
+    list to which each solve a precondition makes appends whether it ran on
+    the calling thread."""
+    seen = []
+    original = averaging.spd_solve
+    caller = threading.get_ident()
+
+    def spy(h, g, work=None):
+        seen.append(threading.get_ident() == caller)
+        return original(h, g, work)
+
+    def start(threads):
+        monkeypatch.setattr(problems, "pass_threads", lambda: threads)
+        monkeypatch.setattr(averaging, "spd_solve", spy)
+        return seen
+
+    return start
+
+
+@pytest.fixture
+def short_switch_interval():
+    """The GIL changes hands as often as the interpreter lets it, until the test ends."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+class TestOverlappedPrecondition:
+    """From ``_OVERLAP_DIM`` rows on, a plain average's solve runs on a pool
+    thread beside its floor test, speculatively. The result keeps the bits
+    and the errors of the test followed by one solve, and so do the kernel
+    counts when the test returns the average."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("decay", [None, 0.0])
+    @pytest.mark.parametrize("kind", sorted(_SPECTRA))
+    def test_bitwise_the_serial_path(self, solves_on, short_switch_interval, kind, decay, threads):
+        state = _plain_average(_SPECTRA[kind], decay)
+        g = np.random.default_rng(1).standard_normal(_D)
+        h, _ = pd_modify(state.matrix(), _FLOOR)
+        # the test returns the average as it is only when it clears the floor
+        assert np.array_equal(h, state.matrix()) == (kind == "positive_definite")
+        expected = spd_solve(h, g)
+        ran = solves_on(threads)
+        for _ in range(3):
+            assert np.array_equal(state.precondition(g), expected)
+        # the first solve of each call ran on the pool's thread when it had two
+        assert ran[0] == (threads == 1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_eigensolve_and_one_solve_when_unshifted(self, monkeypatch, solves_on, threads):
+        eigensolves = []
+        original = linalg.sym_eig
+        monkeypatch.setattr(linalg, "sym_eig", lambda a, vectors=True: eigensolves.append(vectors) or original(a, vectors))
+        state = _plain_average(_SPECTRA["positive_definite"])
+        solves = solves_on(threads)
+        state.precondition(np.ones(_D))
+        assert eigensolves == [False] and solves == [threads == 1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["below_the_floor", "indefinite"])
+    def test_a_modified_average_is_solved_after_the_test(self, monkeypatch, solves_on, threads, kind):
+        # the indefinite average's absolute value clears the floor: the test
+        # reports no shift, yet returns another matrix
+        eigensolves = []
+        original = linalg.sym_eig
+        monkeypatch.setattr(linalg, "sym_eig", lambda a, vectors=True: eigensolves.append(vectors) or original(a, vectors))
+        state = _plain_average(_SPECTRA[kind])
+        assert pd_modify(state.matrix(), _FLOOR)[1] == (kind == "below_the_floor")
+        eigensolves.clear()
+        solves = solves_on(threads)
+        state.precondition(np.ones(_D))
+        assert eigensolves == [False, True]
+        # one thread: one solve; two: the speculative one beside the test, then the modified one
+        assert solves == ([True] if threads == 1 else [False, True])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_below_the_dimension_every_item_runs_on_the_caller(self, solves_on, threads):
+        small = FullAverageState(averaging._OVERLAP_DIM - 1, _FLOOR)
+        small.update(np.eye(small.dim))
+        solves = solves_on(threads)
+        small.precondition(np.ones(small.dim))
+        assert solves == [True]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, "asymmetric"])
+    def test_an_average_the_test_refuses_raises_its_error(self, solves_on, threads, entry):
+        state = _plain_average(_SPECTRA["positive_definite"])
+        bad = state.matrix().copy()
+        if entry == "asymmetric":
+            bad[3, 5] += 1.0
+        else:
+            bad[3, 5] = bad[5, 3] = entry
+        state = FullAverageState(_D, _FLOOR)
+        state.update(bad)
+        with pytest.raises(ValueError) as refused:
+            check_symmetric(bad)
+        solves_on(threads)
+        with pytest.raises(ValueError) as raised:
+            state.precondition(np.ones(_D))
+        assert str(raised.value) == str(refused.value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_factorization_after_a_passed_test_is_raised(self, monkeypatch, solves_on, threads):
+        # an eigensolve that reports the floor cleared on an indefinite
+        # average: the test returns the average, whose solve fails
+        original = linalg.sym_eig
+
+        def cleared(a, vectors=True):
+            return original(a, vectors) if vectors else EigDecomposition(np.array([1.0]), None)
+
+        monkeypatch.setattr(linalg, "sym_eig", cleared)
+        state = _plain_average(_SPECTRA["indefinite"])
+        solves_on(threads)
+        with pytest.raises(NotPositiveDefiniteError, match="leading minor"):
+            state.precondition(np.ones(_D))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_right_hand_side_of_the_wrong_shape_is_refused(self, solves_on, threads):
+        state = _plain_average(_SPECTRA["positive_definite"])
+        solves_on(threads)
+        with pytest.raises(ValueError, match="right-hand side"):
+            state.precondition(np.ones(_D + 1))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_after_an_overlapped_precondition_makes_its_own_pool(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(averaging.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _FORKED_PRECONDITION], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+
+# a precondition in a child forked after the parent's overlapped one started
+# the pool's thread
+_FORKED_PRECONDITION = """
+import os, signal, threading
+import numpy as np
+from hessavg import averaging, problems
+problems.pass_threads = lambda: 2
+d = averaging._OVERLAP_DIM + 32
+rng = np.random.default_rng(0)
+m = rng.standard_normal((d, d))
+state = averaging.FullAverageState(d, 1e-3)
+state.update(m @ m.T + np.eye(d))
+g = rng.standard_normal(d)
+parent = state.precondition(g)
+assert any(t.name == "hessavg-pass" for t in threading.enumerate())
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if np.array_equal(state.precondition(g), parent) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
 
 
 class TestDiagAverage:

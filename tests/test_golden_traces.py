@@ -8,14 +8,23 @@ digests in the same change, and keeps the previous traces under
 ``data/golden_prev/`` so a test can bound how far the floats moved. The
 traces as first pinned stay under ``data/golden_anchor/``, so the drift
 over all re-pins is bounded too.
+
+Two more digests pin plain fan and subnewton on a quadratic of d=160, above
+the dimension from which a precondition runs its solve beside its floor
+test, at one pass-pool thread and at two.
 """
 
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from hessavg import BLAS_THREAD_VARS, averaging
 from hessavg.harness import ExperimentConfig, _blas_report, run_experiment
 from hessavg.trace import parse_trace
 
@@ -144,6 +153,64 @@ def test_trace_matches_golden_digest(name, tmp_path):
         assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest, (
             f"OpenBLAS ran its {_blas_report()['blas_core']} kernels; the digests were pinned under {PINNED_CORE}"
         )
+
+
+def _quadratic_d160(method: str, mu_tilde: float) -> dict:
+    return {
+        "problem": {"kind": "quadratic", "d": 160, "seed": 3},
+        "method": {"name": method, "mu_tilde": mu_tilde},
+        "sampling": {"grad": {"mode": "fixed", "size": 64}, "hess": {"kind": "iid", "size": 16}},
+        "schedules": ONE,
+        "epochs": 0.3,
+        "trace_interval": 1,
+    }
+
+
+# Plain fan and subnewton above ``averaging._OVERLAP_DIM``, where a
+# precondition's solve runs on a second thread beside its floor test; no
+# golden above reaches that path. Fan's floor shifts 27 of its 30 averages and
+# subnewton's 1, so both outcomes of the test are pinned. The digests were
+# taken before the solve could run on a second thread. A BLAS product at
+# d=160 rounds by the BLAS thread count, so these run in a process of one
+# BLAS thread.
+OVERLAPPED = {
+    "fan_quadratic_d160": (
+        _quadratic_d160("fan", 1e-3),
+        "26d507f7f0aae8ed224081fce851c28591024bb5ac13bd3fb4ce6f8721ec1896",
+    ),
+    "subnewton_quadratic_d160": (
+        _quadratic_d160("subnewton", 8e-4),
+        "598a33dba0586258f235beb7823fd9e9ed172abf4ea9bfbde4a4ecbf6da9f3d2",
+    ),
+}
+
+# each config's trace digest with the pass pool at one thread, then at two
+_OVERLAPPED_RUNS = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from hessavg import problems
+from hessavg.harness import ExperimentConfig, run_experiment
+digests = []
+for threads in (1, 2):
+    problems.pass_threads = lambda: threads
+    for raw in json.loads(sys.argv[1]):
+        with tempfile.TemporaryDirectory() as out:
+            run_experiment(ExperimentConfig.from_dict(raw), out_dir=out)
+            digests.append(hashlib.sha256((Path(out) / "trace.csv").read_bytes()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_an_overlapped_precondition_keeps_the_pinned_bits():
+    names = sorted(OVERLAPPED)
+    assert all(OVERLAPPED[name][0]["problem"]["d"] >= averaging._OVERLAP_DIM for name in names)
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"), "PYTHONPATH": str(Path(averaging.__file__).parents[1])}
+    configs = json.dumps([OVERLAPPED[name][0] for name in names])
+    done = subprocess.run([sys.executable, "-c", _OVERLAPPED_RUNS, configs], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [OVERLAPPED[name][1] for name in names] * 2, (
+        f"OpenBLAS ran its {_blas_report()['blas_core']} kernels; the digests were pinned under {PINNED_CORE}"
+    )
 
 
 # Traces pinned before a change that moved floats on purpose: the two

@@ -19,6 +19,7 @@ from hessavg.harness import (
     BLAS_GETTERS,
     ConfigError,
     ExperimentConfig,
+    _blas_report,
     _build_schedules,
     build_context,
     estimate_rates,
@@ -47,6 +48,7 @@ from hessavg.optimizers import (
 from hessavg.problems import SyntheticSumProblem, make_synthetic_logistic, quadratic_generate
 from hessavg.sampling import ADAPTIVE_MODES, ALL_MODES, GradSampleController
 from hessavg.trace import parse_trace
+from test_golden_traces import PINNED_CORE
 
 
 def base_raw(**overrides):
@@ -1007,7 +1009,7 @@ class TestTheReading:
             (
                 {"kind": "synthetic_logistic", "n": 200, "d": 5},
                 {"kind": "cyclic", "size": 3},
-                r"^bad hess sampling of kind 'cyclic' with Hessian sample size 3: block_size 3 must divide n 200$",
+                r"^bad hess sampling of kind 'cyclic' with Hessian sample size 3: 'size' must divide the problem's component count 200, got 3$",
             ),
         ],
         ids=["on_an_expectation", "block_not_dividing_the_sum"],
@@ -1356,7 +1358,9 @@ class TestRealDataPath:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] is False and summary["divergence"] is None
         digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
-        assert digest == self.TRACE_SHA256
+        assert digest == self.TRACE_SHA256, (
+            f"OpenBLAS ran its {_blas_report()['blas_core']} kernels; the digest was pinned under {PINNED_CORE}"
+        )
 
 
 class TestCli:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -482,6 +483,25 @@ class TestLapackBinding:
         with pytest.raises(NotPositiveDefiniteError, match=f"leading minor {minor};"):
             spd_solve(np.diag(diag), np.ones(6))
 
+    @pytest.mark.parametrize("n_rhs", [None, 3])
+    def test_a_given_work_array_receives_the_factor(self, n_rhs):
+        rng = np.random.default_rng(13)
+        h = random_spd(rng, 40)
+        g = rng.standard_normal(40 if n_rhs is None else (40, n_rhs))
+        h_in, work = h.copy(), np.full((40, 40), np.nan)
+        assert np.array_equal(spd_solve(h, g, work), spd_solve(h, g))
+        assert np.array_equal(np.tril(work.T), np.linalg.cholesky(h))
+        assert np.array_equal(h, h_in)
+
+    @pytest.mark.parametrize(
+        "work",
+        [np.empty((5, 5), dtype=np.float32), np.empty((5, 6)), np.empty((5, 10))[:, ::2], np.empty((5, 5), order="F")],
+        ids=["float32", "shape", "strided", "F"],
+    )
+    def test_a_work_array_lapack_cannot_take_is_refused(self, work):
+        with pytest.raises(ValueError, match=r"^work must be a C-ordered float array of shape \(5, 5\)$"):
+            spd_solve(np.eye(5), np.ones(5), work)
+
     def test_a_missing_routine_is_named(self):
         with pytest.raises(ImportError, match="scipy_dsyevr_64_"):
             linalg._Lapack(SimpleNamespace())
@@ -507,6 +527,54 @@ print(json.dumps(sorted(mapped() - before)))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert [path for path in json.loads(done.stdout) if ".so" in path] == []
+
+
+class TestConcurrentCalls:
+    """Threads calling ``dsyevr`` and ``dpotrf`` at once, as a plain average's
+    floor test and its speculative solve do, get the bits each call gets
+    alone."""
+
+    def test_every_result_keeps_its_bits(self):
+        rng = np.random.default_rng(17)
+        d = 160
+        mats = [random_spd(rng, d) for _ in range(3)] + [random_symmetric(rng, d)]
+        g = rng.standard_normal(d)
+        eigenvalues = [sym_eig(h, vectors=False).eigenvalues for h in mats]
+        solutions = [spd_solve(h, g) if k < 3 else None for k, h in enumerate(mats)]
+        # more threads than the 2-core hosts this runs on
+        start, wrong, done = threading.Barrier(3), [], []
+
+        def calls(offset):
+            start.wait()
+            for i in range(60):
+                k = (i // 2 + offset) % len(mats)
+                # each thread alternates kernels, so each kind meets both kinds
+                if (i + offset) % 2:
+                    if sym_eig(mats[k], vectors=False).eigenvalues.tobytes() != eigenvalues[k].tobytes():
+                        wrong.append(("dsyevr", k))
+                elif k < 3:
+                    if not np.array_equal(spd_solve(mats[k], g, np.empty((d, d))), solutions[k]):
+                        wrong.append(("dpotrf", k))
+                else:
+                    try:
+                        spd_solve(mats[k], g)
+                        wrong.append(("dpotrf", k))
+                    except NotPositiveDefiniteError:
+                        pass
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(offset,)) for offset in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2] and wrong == []
 
 
 class TestWeightedNorm:

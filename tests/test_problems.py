@@ -26,8 +26,9 @@ from hessavg.problems import (
 )
 from hessavg import problems
 from hessavg.data import parse_libsvm
-from hessavg.harness import ExperimentConfig, run_experiment
+from hessavg.harness import ExperimentConfig, _blas_report, run_experiment
 from hessavg import rng as rng_mod
+from test_golden_traces import PINNED_CORE
 
 
 def fd_gradient(loss, w, h=1e-6):
@@ -390,7 +391,11 @@ class TestSyntheticSum:
         digest = hashlib.sha256()
         for arr in (problems._unpack(prob.h, 50), prob.b, prob.a_dirs, prob.phases):
             digest.update(arr.tobytes())
-        assert digest.hexdigest() == "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918"
+        assert digest.hexdigest() == "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918", _core_message()
+
+
+def _core_message() -> str:
+    return f"OpenBLAS ran its {_blas_report()['blas_core']} kernels; the digest was pinned under {PINNED_CORE}"
 
 
 def _svd_max(gs):
@@ -1227,7 +1232,7 @@ class TestSharedBuild:
         assert done.returncode == 0, done.stderr
         # the digest test_bench_sized_instance_keeps_its_bits pins
         pinned = "f287e28a207fb2acda62a9ab9ace5fddbc6a5261b4b2c89ecf029e1a6eb21918"
-        assert json.loads(done.stdout) == [pinned, 1, False]
+        assert json.loads(done.stdout) == [pinned, 1, False], _core_message()
 
 
 # Each finite-sum oracle: both synthetic sums, and logistic oracles of

@@ -32,7 +32,8 @@ class TestCyclicSampler:
             assert sampler.next_block(j, None, None).tolist() == [0, 1, 2, 3]
 
     def test_divisibility_required(self):
-        with pytest.raises(ValueError):
+        # it named the parameters: "block_size 4 must divide n 6"
+        with pytest.raises(ValueError, match="^'size' must divide the problem's component count 6, got 4$"):
             CyclicSampler(6, 4)
 
     def test_block_size_at_least_one(self):
