@@ -11,13 +11,15 @@ floored by a fixed shift when preconditioning). Diagonal state averages
 the floor it preconditions with, fixed at construction.
 
 A plain average of ``_OVERLAP_DIM`` rows or more, in a process that may run
-on two or more CPUs, preconditions on two threads of the pass pool
-(:func:`hessavg.problems.pass_threads`): the floor test's eigensolve on the
-caller and a speculative Cholesky solve of the average beside it, which is
-the answer when the test returns the average unchanged. The result has the
-bits and the errors of the test followed by one solve, and a call whose test
-returns the average makes that one eigensolve and one solve; below that
-size, or on one CPU, the test and then one solve are what runs.
+on two or more CPUs and whose numpy ran one BLAS thread when the state was
+built (:func:`hessavg.linalg.blas_threads`), preconditions on two threads of
+the pass pool (:func:`hessavg.problems.pass_threads`): the floor test's
+eigensolve on the caller and a speculative Cholesky solve of the average
+beside it, which is the answer when the test returns the average unchanged.
+The result has the bits and the errors of the test followed by one solve,
+and a call whose test returns the average makes that one eigensolve and one
+solve; below that size, on one CPU, or with more or an unknown number of
+BLAS threads, the test and then one solve are what runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import problems
-from .linalg import NotPositiveDefiniteError, matrix_abs, pd_modify, spd_solve
+from .linalg import NotPositiveDefiniteError, blas_threads, matrix_abs, pd_modify, spd_solve
 
 __all__ = [
     "FullAverageState",
@@ -47,6 +49,9 @@ __all__ = [
 # 0.474 ms at d=96, 0.60 -> 0.62 ms at d=128 and 0.94 -> 0.97 ms at d=160
 # (ties, within the spread of repeats), 1.57 -> 1.45 ms at d=200 and 13.1 ->
 # 9.5 ms at d=500. Another set of runs read 0.554 -> 0.511 ms at d=128.
+# Under numpy's default of two BLAS threads, at d=500, medians of 150 calls
+# in 6 sets read 15.8-17.8 ms serial and 16.2-18.9 ms overlapped, the
+# overlapped slower in 5 of 6, so only one BLAS thread overlaps.
 _OVERLAP_DIM = 128
 
 
@@ -101,12 +106,13 @@ class FullAverageState:
     """
 
     def __init__(self, dim: int, floor: float, decay: Optional[float] = None, variant: str = "plain"):
-        if variant not in ("plain", "abs"):
-            raise ValueError(f"variant must be 'plain' or 'abs', got {variant!r}")
+        problems.check_args(variant=variant)
         self.dim = dim
         self.floor = floor
         self.variant = variant
         self._acc = _Accumulator(decay)
+        # read once: a read in each call made quad_fan's bench steps 4-7% slower
+        self._overlap = dim >= _OVERLAP_DIM and blas_threads() == 1
 
     def update(self, h_new: NDArray) -> None:
         h_new = np.asarray(h_new, dtype=float)
@@ -131,19 +137,22 @@ class FullAverageState:
         A plain average runs two items through the pass pool
         (:func:`~hessavg.problems._share_runs`): the floor test,
         :meth:`modified`, on the calling thread, and a Cholesky solve. From
-        ``_OVERLAP_DIM`` rows on, with two or more CPUs, the solve runs on a
-        pool thread beside the test, speculatively, on the average as it
-        stands; both sides are LAPACK calls that release the GIL. When the
-        test returns the average as it is, bit for bit, that solve is the
-        answer; when it returns another matrix (a shifted spectrum, or the
-        absolute value of an indefinite one), that matrix is solved after
-        it. Below ``_OVERLAP_DIM``, or on one CPU, both items run on the
-        caller: the test, then one solve of the matrix it returned. Either
-        way the answer has the bits of that one solve, a call whose test
-        returns the average makes one eigensolve and one solve, and a
-        ``NotPositiveDefiniteError`` of the speculative solve is raised only
-        when its solution is the answer. The factor's array is made here,
-        on the calling thread.
+        ``_OVERLAP_DIM`` rows on, with two or more CPUs and one BLAS thread
+        (:func:`~hessavg.linalg.blas_threads`, read when the state is built
+        and only at that size; an unknown count runs serially), the solve
+        runs on a pool thread beside the test, speculatively, on the average
+        as it stands; both sides are LAPACK calls that release the GIL.
+        Under two BLAS threads on two CPUs the two sides' calls share the
+        CPUs, and the overlapped call was the slower one. When the test
+        returns the average as it is, bit for bit, that solve is the answer;
+        when it returns another matrix (a shifted spectrum, or the absolute
+        value of an indefinite one), that matrix is solved after it.
+        Otherwise both items run on the caller: the test, then one solve of
+        the matrix it returned. Either way the answer has the bits of that
+        one solve, a call whose test returns the average makes one
+        eigensolve and one solve, and a ``NotPositiveDefiniteError`` of the
+        speculative solve is raised only when its solution is the answer.
+        The factor's array is made here, on the calling thread.
         """
         if self.variant == "abs":
             h, _ = self.modified()
@@ -162,7 +171,7 @@ class FullAverageState:
                 except NotPositiveDefiniteError as error:
                     solved.append(error)
 
-        threads = problems.pass_threads() if self.dim >= _OVERLAP_DIM else 1
+        threads = problems.pass_threads() if self._overlap else 1
         problems._share_runs(run, 2, threads)
         ((h, _),), (x,) = tested, solved
         if threads > 1 and not np.array_equal(h, average):
@@ -234,10 +243,7 @@ class UpdateFrequencyPolicy:
     hf: int = 1
 
     def __post_init__(self) -> None:
-        if self.hf < 1:
-            raise ValueError("hf must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+        problems.check_args(**vars(self))
 
     def should_update(self, iteration: int) -> bool:
         if iteration < self.warmup:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .problems import check_problem_args
+from .problems import check_args
 from .rng import generator
 
 __all__ = [
@@ -305,11 +305,11 @@ def load_dataset(
     with :class:`LibsvmParseError`, so a truncated or different file never
     loads under the manifest's name. The rows returned are the manifest's
     :attr:`~DatasetManifest.rows`. ``split_seed`` is bounded, before any
-    fetch, as :func:`~hessavg.problems.check_problem_args` bounds it.
+    fetch, as :func:`~hessavg.problems.check_args` bounds it.
     """
     if name not in MANIFESTS:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(MANIFESTS)}")
-    check_problem_args(split_seed=split_seed)
+    check_args(split_seed=split_seed)
     manifest = MANIFESTS[name]
     directory = default_data_dir(str(data_dir) if data_dir else None)
     path = fetch_dataset(manifest, directory)

@@ -5,11 +5,12 @@ Loading a config (:meth:`ExperimentConfig.from_dict`) and building its run
 (:func:`build_context`) call the same readers, through :func:`_read_sections`.
 A reader takes once each key the run reads, with its default written once,
 and reads it as its type says; a key left over is a ConfigError, and so is a
-value the built object rejects. The bounds on a problem's arguments are
-``problems``' one table, ``PROBLEM_BOUNDS``: the reader applies it through
-:func:`~hessavg.problems.check_problem_args`, as the problem builders do, so
-a config and a direct builder call refuse the same arguments in the same
-words. :func:`_read` reads a class's fields: the top
+value the built object rejects. Each one-key bound on a config key is a row
+of ``problems``' one table, ``BOUNDS``: each reader applies it at load
+through :func:`~hessavg.problems.check_args`, naming the section, and the
+class or builder it feeds applies it on construction, so a config and a
+direct call refuse the same value in the same words; the rules that span
+keys stay with the classes. :func:`_read` reads a class's fields: the top
 level, the update policy, each schedule, and ``method``, which takes ``name``
 and then only that method's keys (``optimizers.METHODS``): sgd none; adam the
 betas and ``adam_eps``; subnewton ``mu_tilde`` and ``variant``; fan those and
@@ -89,7 +90,7 @@ from . import BLAS_THREAD_VARS
 from . import rng as rng_mod
 from .data import MANIFESTS, load_dataset
 from .averaging import UpdateFrequencyPolicy
-from .linalg import numpy_blas
+from .linalg import blas_threads, numpy_blas
 from .optimizers import (
     AlphaConstant,
     AlphaStepDecay,
@@ -111,12 +112,12 @@ from .problems import (
     FiniteSumOracle,
     LogisticProblem,
     SyntheticSumProblem,
-    check_problem_args,
+    check_args,
     make_synthetic_logistic,
     pass_threads,
     quadratic_generate,
 )
-from .sampling import ADAPTIVE_MODES, CyclicSampler, GradSampleController, IidSampler, check_batch_sizes
+from .sampling import ADAPTIVE_MODES, CyclicSampler, GradSampleController, IidSampler
 from .trace import TraceRecord, format_trace
 
 __all__ = [
@@ -222,8 +223,9 @@ def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
     """``cls`` built from a config section whose keys are its fields, or those in ``keys``.
 
     A field with a default is optional, and each value is read as its
-    annotation says. A key not read, or a value the class rejects, is a
-    ConfigError naming ``where``; a field not read keeps its default.
+    annotation says and bounded as :func:`_check` bounds it. A key not read,
+    or a value the class rejects, is a ConfigError naming ``where``; a field
+    not read keeps its default.
     """
     hints = _type_hints(cls)
     values = {}
@@ -232,10 +234,21 @@ def _read(cls, section: dict, where: str, keys: Optional[Sequence[str]] = None):
             default = f.default_factory() if f.default_factory is not MISSING else f.default
             values[f.name] = _take(section, f.name, where, hints[f.name], _REQUIRED if default is MISSING else default)
     _done(section, where)
+    _check(where, **values)
     try:
         return cls(**values)
     except ValueError as err:
         raise ConfigError(f"bad {where}: {err}") from err
+
+
+def _check(where: str, **values) -> None:
+    """Bound each value read by its row of ``problems.BOUNDS``: one out of it
+    is a ConfigError that names its key and the section ``where``. A None
+    passes: a reader reads one only for a key whose annotation is Optional."""
+    try:
+        check_args(f" in {where}", **{key: value for key, value in values.items() if value is not None})
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 # Initial-point kinds, each with its keys' defaults; the first is the default kind.
@@ -255,16 +268,7 @@ class ExperimentConfig:
     init: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.epochs >= 0:
-            raise ValueError("epochs must be nonnegative")
-        if not self.seed >= 0:
-            raise ValueError("seed must be nonnegative")
-        if not self.trace_interval >= 1:
-            raise ValueError("trace_interval must be >= 1")
-        if not self.rolling_f >= 0:
-            raise ValueError("rolling_f must be nonnegative")
-        if not self.iters_per_epoch >= 1:
-            raise ValueError("iters_per_epoch must be >= 1")
+        check_args(**vars(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -345,8 +349,8 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
     component count reads the config's ``iters_per_epoch``: a finite sum
     counts its epochs in components, so it refuses any other value than the
     default. The bounds are ``problems``' one table, applied by
-    :func:`~hessavg.problems.check_problem_args` as the builder applies it,
-    so a problem that loads builds."""
+    :func:`~hessavg.problems.check_args` as the builder applies it, so a
+    problem that loads builds."""
     # Each kind's builder, its keys with their types and defaults, and its
     # component count from the values read.
     kinds = {
@@ -385,10 +389,7 @@ def _read_problem(spec: dict, cfg: ExperimentConfig, data_dir: Optional[str]) ->
         args["seed"] = cfg.seed
     ripples = [key for key in ("freq", "n_ripples") if key in args]
     args.update((key, keys[key][1]) for key in ripples if args[key] is None)  # null is the default
-    try:
-        check_problem_args(f" in {where}", **args)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    _check(where, **args)
     for key in ripples:  # at curvature 0 they act on nothing
         spec.read[key] = args[key] if args["curvature"] > 0 else None
         args[key] = args[key] if args["curvature"] > 0 else keys[key][1]
@@ -434,20 +435,15 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> GradSamp
     null. On an expectation the cap is ``cap`` as written, or
     ``DEFAULT_EXPECTATION_CAP`` when it is absent, and that default reads as
     null. Each batch size reads as at most the cap. An unknown mode is
-    refused before the section's keys are checked, and a batch size below 1
-    under its key."""
+    refused before the section's keys are checked, and each value as
+    written is bounded under its key."""
     where = "grad sampling"
     grad = _take(sampling, "grad", "sampling", dict, {})
     mode = _take(grad, "mode", where, str, "fixed")
     rule = {}
     if mode == "exact_norm_test":
         rule["a_mode"] = _take(grad, "a_mode", where, str, GradSampleController.a_mode)
-    limit = DEFAULT_EXPECTATION_CAP if n is None else n
     cap = _take(grad, "cap", where, Optional[int], None) if mode in ADAPTIVE_MODES else None
-    if cap is None or (n is not None and cap > n):
-        cap = limit
-    if mode in ADAPTIVE_MODES and cap == limit:
-        grad.read["cap"] = None
     if mode == "geometric_epochs":
         key, sizes = "sizes", _take(grad, "sizes", where, tuple[int, ...])
         per_block = _take(grad, "epochs_per_block", where, Optional[int], None)
@@ -457,8 +453,13 @@ def _read_grad(sampling: dict, method: MethodSpec, n: Optional[int]) -> GradSamp
     else:
         key = "size" if mode == "fixed" else "initial_size"
         sizes = (_take(grad, key, where, int, 32),)
+    _check(f"{where} of mode {mode!r}", cap=cap, **{key: sizes}, **rule)
+    limit = DEFAULT_EXPECTATION_CAP if n is None else n
+    if cap is None or (n is not None and cap > n):
+        cap = limit
+    if mode in ADAPTIVE_MODES and cap == limit:
+        grad.read["cap"] = None
     try:
-        check_batch_sizes(key, sizes)
         sizes = tuple(min(size, cap) for size in sizes)
         grad.read[key] = sizes if key == "sizes" else sizes[0]
         controller = GradSampleController(mode, sizes, cap, **rule)
@@ -483,6 +484,7 @@ def _read_hess(sampling: dict, n: Optional[int]) -> tuple[UpdateFrequencyPolicy,
     _done(hess, f"{where} of kind {kind!r}")
     if kind == "cyclic" and n is None:
         raise ConfigError("cyclic Hessian sampling requires a finite-sum problem")
+    _check(f"{where} of kind {kind!r}", size=size, seed=seed)
     hess.read["size"] = size = size if n is None else min(size, n)
     try:
         return policy, CyclicSampler(n, size, seed) if kind == "cyclic" else IidSampler(size)
@@ -552,10 +554,9 @@ class RunResult:
 
 # The getters of numpy's OpenBLAS (``libscipy_openblas64_``), which runs
 # numpy's products and ``eigh`` and the LAPACK calls of ``linalg``, by the
-# summary field each fills: its thread count, the core whose kernels it
-# picked for this CPU (``OPENBLAS_CORETYPE`` overrides it), and its build.
+# summary field each fills: the core whose kernels it picked for this CPU
+# (``OPENBLAS_CORETYPE`` overrides it), and its build.
 BLAS_GETTERS = {
-    "blas_threads": ("scipy_openblas_get_num_threads64_", ctypes.c_int),
     "blas_core": ("scipy_openblas_get_corename64_", ctypes.c_char_p),
     "blas_config": ("scipy_openblas_get_config64_", ctypes.c_char_p),
 }
@@ -563,8 +564,10 @@ BLAS_GETTERS = {
 
 def _blas_report() -> dict:
     """What numpy's OpenBLAS reports of itself, each field None when it lacks
-    the getter. It is read through the handle ``linalg`` binds LAPACK with."""
-    report = dict.fromkeys(BLAS_GETTERS)
+    the getter: its thread count from :func:`~hessavg.linalg.blas_threads`,
+    which a plain average's precondition reads too, and the rest through the
+    handle ``linalg`` binds LAPACK with."""
+    report = {"blas_threads": blas_threads(), **dict.fromkeys(BLAS_GETTERS)}
     for key, (name, restype) in BLAS_GETTERS.items():
         getter = getattr(numpy_blas(), name, None)
         if getter is not None:

@@ -42,6 +42,7 @@ __all__ = [
     "spd_solve",
     "weighted_norm_sq",
     "numpy_blas",
+    "blas_threads",
 ]
 
 
@@ -54,6 +55,21 @@ def numpy_blas() -> ctypes.CDLL:
     products and ``eigh``. Opening it maps nothing new.
     """
     return ctypes.CDLL(_multiarray_umath.__file__)
+
+
+@cache
+def _thread_getter():
+    getter = getattr(numpy_blas(), "scipy_openblas_get_num_threads64_", None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count numpy's OpenBLAS reports, or None when it lacks the
+    getter. The getter is bound once per process."""
+    getter = _thread_getter()
+    return None if getter is None else getter()
 
 
 def _address(a: NDArray) -> int:

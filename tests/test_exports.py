@@ -69,3 +69,29 @@ def test_every_public_method_is_read_by_the_package_or_the_bench(path):
     # calls any more, belongs in the tests
     unread = [f"{cls}.{name}" for cls, name in _public_methods(path) if name not in _names_read()]
     assert not unread, f"{path.name} defines public methods nothing in src/ or bench/ reads: {unread}"
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _is_field(node):
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hessavg").glob("*.py")), ids=lambda p: p.name)
+def test_no_post_init_bounds_a_field_by_a_number(path):
+    # each one-key bound on a config key is a row of problems.BOUNDS, which
+    # a class applies through check_args
+    found = [
+        f"{path.name}:{node.lineno}"
+        for function in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(function, ast.FunctionDef) and function.name == "__post_init__"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(map(_is_field, [node.left, *node.comparators]))
+        and any(map(_is_number, [node.left, *node.comparators]))
+    ]
+    assert not found, f"__post_init__ compares a field with a number, a bound outside problems.BOUNDS: {found}"

@@ -36,15 +36,6 @@ class TestCyclicSampler:
         with pytest.raises(ValueError, match="^'size' must divide the problem's component count 6, got 4$"):
             CyclicSampler(6, 4)
 
-    def test_block_size_at_least_one(self):
-        with pytest.raises(ValueError, match="^'size' must be >= 1, got 0$"):
-            CyclicSampler(6, 0)
-
-    def test_negative_seed_refused(self):
-        # numpy's "expected non-negative integer" named no key
-        with pytest.raises(ValueError, match="^'seed' must be >= 0, got -1$"):
-            CyclicSampler(6, 3, seed=-1)
-
     def test_seeded_partition_fixed_across_cycles(self):
         sampler = CyclicSampler(12, 3, seed=9)
         first = [sampler.next_block(j, None, None).tolist() for j in range(4)]
@@ -80,10 +71,6 @@ class TestIidSampler:
             assert len(set(block.tolist())) == 3
             seen.add(tuple(sorted(block.tolist())))
         assert len(seen) > 1
-
-    def test_block_size_at_least_one(self):
-        with pytest.raises(ValueError, match="^'size' must be >= 1, got 0$"):
-            IidSampler(0)
 
 
 @dataclass(frozen=True)
@@ -369,20 +356,6 @@ class TestController:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"mode": "fixed", "sizes": (0,)}, r"^'sizes' must be >= 1, got 0$"),
-            ({"mode": "geometric_epochs", "sizes": (0, 8)}, r"^'sizes' must be >= 1, got 0$"),
-            # a later entry below 1 was accepted, and never applied
-            ({"mode": "geometric_epochs", "sizes": (8, 0)}, r"^'sizes' must be >= 1, got 0$"),
-        ],
-        ids=["fixed_size_0", "first_size_0", "later_size_0"],
-    )
-    def test_batch_sizes_at_least_one(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            GradSampleController(**kwargs, cap=64)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
             ({"mode": "fixed", "sizes": (8,), "cap": 4}, r"^'sizes' must be <= the cap 4, got 8$"),
             ({"mode": "geometric_epochs", "sizes": (2, 8), "cap": 4}, r"^'sizes' must be <= the cap 4, got 8$"),
         ],
@@ -408,25 +381,14 @@ class TestController:
     @pytest.mark.parametrize(
         "mode, a_mode, match",
         [
-            ("exact_norm_test", "inverse_hesian", r"^a_mode must be 'identity' or 'inverse_hessian', got 'inverse_hesian'$"),
             ("approx_norm_test", "inverse_hessian", r"^a_mode 'inverse_hessian' .* needs mode 'exact_norm_test', not 'approx_norm_test'$"),
             ("fixed", "inverse_hessian", r"^a_mode 'inverse_hessian' .* needs mode 'exact_norm_test', not 'fixed'$"),
         ],
-        ids=["misspelt", "approx_test", "fixed"],
+        ids=["approx_test", "fixed"],
     )
     def test_a_mode_the_mode_cannot_apply_is_refused(self, mode, a_mode, match):
         with pytest.raises(ValueError, match=match):
             GradSampleController(mode, (4,), 64, a_mode=a_mode)
-
-    def test_cap_at_least_one(self):
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            GradSampleController(mode="fixed", sizes=(4,), cap=0)
-
-    @pytest.mark.parametrize("epochs_per_block", [0, -1])
-    def test_epochs_per_block_at_least_one(self, epochs_per_block):
-        # 0 divided by zero at the first size(); -1 read the table's last size from epoch 1
-        with pytest.raises(ValueError, match="epochs_per_block must be >= 1"):
-            GradSampleController(mode="geometric_epochs", sizes=(8, 16, 32), cap=64, epochs_per_block=epochs_per_block)
 
 
 class TestNormConditionHolds:
